@@ -13,11 +13,11 @@ import functools
 from fractions import Fraction
 
 from .linalg import (
-    Matrix, ZERO, vec_add, vec_scale, vec_zero, vec_is_zero, inverse,
+    Matrix, ZERO, vec_scale, vec_zero, vec_is_zero, inverse,
     solve_affine, smith_normal_form,
 )
 from .lie import LieAlgebra, nilpotency_class, check_automorphism
-from .freelie import hall_basis, degree
+from .freelie import hall_basis, evaluate_hall_words
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +108,17 @@ def bch_universal(c):
     return tuple(coeffs)
 
 
-def _eval_word(w, x, y, L):
-    if isinstance(w, int):
-        return x if w == 0 else y
-    return L.bracket(_eval_word(w[0], x, y, L), _eval_word(w[1], x, y, L))
-
-
 def bch(x, y, L: LieAlgebra, cls=None):
     """Group product log(exp x . exp y) in a nilpotent Lie algebra."""
     c = cls if cls is not None else nilpotency_class(L)
-    out = vec_zero(L.dim)
-    for w, cf in bch_universal(c):
-        out = vec_add(out, vec_scale(cf, _eval_word(w, x, y, L)))
-    return out
+    terms = bch_universal(c)
+    values = evaluate_hall_words([w for w, _ in terms], (x, y), L.bracket)
+    out = [ZERO] * L.dim
+    for (_, cf), v in zip(terms, values):
+        for k, e in enumerate(v):
+            if e:
+                out[k] += cf * e
+    return tuple(out)
 
 
 def group_inverse(x, L=None):

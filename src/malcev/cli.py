@@ -7,6 +7,7 @@ exit codes are reserved for malformed input and internal failures.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -15,6 +16,7 @@ from fractions import Fraction
 from .linalg import Matrix, scalar, format_scalar
 from .lie import (
     LieAlgebra, heisenberg, lcs_dims, check_automorphism,
+    nilpotency_class, NonNilpotentError,
 )
 from .freelie import hall_basis, free_nilpotent, word_to_json, word_str
 from .bch import (
@@ -112,6 +114,13 @@ def cmd_bch(args):
     y = scalars(load_json(args.y))
     if len(x) != L.dim or len(y) != L.dim:
         raise InputError("elements must have %d coordinates" % L.dim)
+    try:
+        nil_cls = nilpotency_class(L)
+    except NonNilpotentError:
+        raise InputError("algebra is not nilpotent")
+    if args.cls is not None and args.cls < nil_cls:
+        raise InputError("--class %d is below the nilpotency class %d"
+                         % (args.cls, nil_cls))
     z = bch(x, y, L, cls=args.cls)
     verdicts = {"product": [format_scalar(c) for c in z]}
     lines = ["bch product: [%s]" % ", ".join(format_scalar(c) for c in z)]
@@ -424,7 +433,10 @@ def cmd_heisenberg_demo(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process (argparse parsers are
+    cyclic garbage, so rebuilding one per main() call leaves litter)."""
     parser = argparse.ArgumentParser(
         prog="malcev",
         description="Exact computations with nilpotent Lie algebras, the "

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_add, vec_scale, vec_sub,
     vec_zero, vec_is_zero, kernel_basis, solve_affine,
-    echelon_basis, span_contains,
+    echelon_basis, span_contains, unit,
 )
 
 
@@ -82,7 +82,7 @@ class FiniteDGA:
         return tuple(out)
 
     def basis_vector(self, n, i):
-        return tuple(Fraction(1) if t == i else ZERO for t in range(self.dims[n]))
+        return unit(self.dims[n], i)
 
     def validate(self):
         """Check d^2 = 0, graded commutativity, associativity, Leibniz."""
@@ -164,8 +164,7 @@ class CohomologyData:
         for n in range(self.top + 1):
             dn = d_mats[n] if n < len(d_mats) else None
             if dn is None or dn.rows == 0:
-                z = [tuple(Fraction(1) if t == i else ZERO for t in range(self.dims[n]))
-                     for i in range(self.dims[n])]
+                z = [unit(self.dims[n], i) for i in range(self.dims[n])]
             else:
                 z = kernel_basis(dn)
             if n == 0 or self.dims[n] == 0:
@@ -185,12 +184,6 @@ class CohomologyData:
 
     def betti(self):
         return [len(r) for r in self.representatives]
-
-    def is_cocycle(self, n, v):
-        return span_contains(self.cocycles[n], v) if not vec_is_zero(v) else True
-
-    def is_coboundary(self, n, v):
-        return span_contains(self.coboundaries[n], v)
 
     def class_coordinates(self, n, v):
         """Coordinates of a closed vector's class in the representative basis."""

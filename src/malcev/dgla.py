@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from .linalg import (
     Matrix, ZERO, vec_add, vec_scale, vec_sub, vec_zero, vec_is_zero,
-    solve_affine, kernel_basis, echelon_basis, coords_in_basis,
+    solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit,
 )
 from .lie import (
-    LieAlgebra, lower_central_series, nilpotency_class,
+    LieAlgebra, lower_central_series, nilpotency_class, lcs_dims, abelian,
     quotient_by_ideal,
 )
 from .dga import FiniteDGA, CohomologyData, cohomology
@@ -99,9 +99,7 @@ class TensorDGLA:
         brackets = {}
         for i in range(n0):
             for j in range(i + 1, n0):
-                ei = tuple(Fraction(1) if t == i else ZERO for t in range(n0))
-                ej = tuple(Fraction(1) if t == j else ZERO for t in range(n0))
-                v = self.bracket(0, ei, 0, ej)
+                v = self.bracket(0, unit(n0, i), 0, unit(n0, j))
                 if not vec_is_zero(v):
                     brackets[(i, j)] = v
         return LieAlgebra(n0, brackets)
@@ -111,7 +109,7 @@ class TensorDGLA:
         errors = []
         for n in range(self.top - 1):
             for i in range(self.dim(n)):
-                v = tuple(Fraction(1) if t == i else ZERO for t in range(self.dim(n)))
+                v = unit(self.dim(n), i)
                 if not vec_is_zero(self.diff(n + 1, self.diff(n, v))):
                     errors.append("d^2 != 0 at degree %d" % n)
                     break
@@ -220,8 +218,7 @@ class SmallExtensionSpec:
         """A linear section s of the projection (p s = id)."""
         cols = []
         for j in range(self.M.dim):
-            target = tuple(Fraction(1) if t == j else ZERO for t in range(self.M.dim))
-            sol = solve_affine(self.projection, target)
+            sol = solve_affine(self.projection, unit(self.M.dim, j))
             assert sol is not None, "projection is not surjective"
             cols.append(sol[0])
         return Matrix.from_columns(cols, rows=self.N.dim)
@@ -235,8 +232,7 @@ def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
     # projection upper -> lower: factor pl through pu
     cols = []
     for j in range(upper.dim):
-        target = tuple(Fraction(1) if t == j else ZERO for t in range(upper.dim))
-        sol = solve_affine(pu, target)
+        sol = solve_affine(pu, unit(upper.dim, j))
         assert sol is not None
         cols.append(pl.mul_vec(sol[0]))
     proj = Matrix.from_columns(cols, rows=lower.dim)
@@ -344,13 +340,9 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     ext1 = lcs_extension(N, 1)
     M1 = ext1.N  # N / G_2, the abelianisation
     t1 = TensorDGLA(dga, M1)
-    cols = []
-    for i in range(t1.dim(1)):
-        u = tuple(Fraction(1) if t == i else ZERO for t in range(t1.dim(1)))
-        cols.append(t1.diff(1, u))
+    cols = [t1.diff(1, unit(t1.dim(1), i)) for i in range(t1.dim(1))]
     kern = kernel_basis(Matrix.from_columns(cols, rows=t1.dim(2))) if t1.dim(2) \
-        else [tuple(Fraction(1) if t == i else ZERO for t in range(t1.dim(1)))
-              for i in range(t1.dim(1))]
+        else [unit(t1.dim(1), i) for i in range(t1.dim(1))]
     x = tuple(initial) if initial is not None else t1.zero(1)
     if not is_mc(t1, x):
         raise ValueError("initial stage-1 element is not Maurer-Cartan")
@@ -528,9 +520,9 @@ def _bracket_is_zero(t: TensorDGLA) -> bool:
     for p in range(t.top + 1):
         for q in range(p, t.top + 1 - p):
             for i in range(t.dim(p)):
-                ei = tuple(Fraction(1) if s == i else ZERO for s in range(t.dim(p)))
+                ei = unit(t.dim(p), i)
                 for j in range(t.dim(q)):
-                    ej = tuple(Fraction(1) if s == j else ZERO for s in range(t.dim(q)))
+                    ej = unit(t.dim(q), j)
                     if not vec_is_zero(t.bracket(p, ei, q, ej)):
                         return False
     return True
@@ -586,27 +578,17 @@ def deformation_census(dga: FiniteDGA, N: LieAlgebra):
     as staged tensor complexes and the census records kernel dimension minus
     gauge rank per stage.
     """
-    chain = lower_central_series(N)
+    dims = lcs_dims(N)
     out = []
-    for k in range(1, len(chain)):
-        grk_dim = len(chain[k - 1].basis) - len(chain[k].basis)
-        gr = abelian_graded_piece(grk_dim)
-        t = TensorDGLA(dga, gr)
-        cols1 = [t.diff(1, _unit(t.dim(1), i)) for i in range(t.dim(1))]
+    for k in range(1, len(dims)):
+        t = TensorDGLA(dga, abelian(dims[k - 1] - dims[k]))
+        cols1 = [t.diff(1, unit(t.dim(1), i)) for i in range(t.dim(1))]
         z1 = len(kernel_basis(Matrix.from_columns(cols1, rows=t.dim(2)))) \
             if t.dim(2) else t.dim(1)
-        cols0 = [t.diff(0, _unit(t.dim(0), i)) for i in range(t.dim(0))]
+        cols0 = [t.diff(0, unit(t.dim(0), i)) for i in range(t.dim(0))]
         b1 = len(echelon_basis(cols0, t.dim(1))) if cols0 else 0
         out.append((k, z1 - b1))
     return out
-
-
-def abelian_graded_piece(n: int) -> LieAlgebra:
-    return LieAlgebra(n, {})
-
-
-def _unit(n, i):
-    return tuple(Fraction(1) if t == i else ZERO for t in range(n))
 
 
 def compare_def_along_map(phi: DGAMorphism, N: LieAlgebra):

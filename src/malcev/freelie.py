@@ -67,6 +67,22 @@ def hall_basis(k, c):
     return by_degree
 
 
+def evaluate_hall_words(words, generators, bracket):
+    """Values of Hall words with generator i -> generators[i] and [u, v] ->
+    bracket(u, v).  Shared subwords are evaluated once per call."""
+    values = {}
+
+    def value(w):
+        if isinstance(w, int):
+            return generators[w]
+        v = values.get(w)
+        if v is None:
+            v = values[w] = bracket(value(w[0]), value(w[1]))
+        return v
+
+    return [value(w) for w in words]
+
+
 def word_to_json(w):
     return w if isinstance(w, int) else [word_to_json(w[0]), word_to_json(w[1])]
 
@@ -117,10 +133,6 @@ class FreeLieElement:
 
     def is_zero(self):
         return not self.coords
-
-    def homogeneous_part(self, n):
-        return FreeLieElement(self.k, self.c,
-                              {w: cf for w, cf in self.coords.items() if degree(w) == n})
 
     def to_json(self):
         return {repr_word(w): format_scalar(cf)
@@ -288,9 +300,3 @@ def graded_ideal_closure(L: LieAlgebra, generators):
         per_degree.append(prev)
     ideal = LieIdeal(L, [v for grp in per_degree for v in grp], check=False)
     return ideal, per_degree
-
-
-def quotient(L: LieAlgebra, ideal: LieIdeal):
-    """Quotient by a verified ideal; see lie.quotient_by_ideal."""
-    from .lie import quotient_by_ideal
-    return quotient_by_ideal(L, ideal)

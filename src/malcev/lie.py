@@ -1,28 +1,30 @@
 """Finite-dimensional Lie algebras given by exact structure constants.
 
-A ``LieAlgebra`` stores the bracket only for basis pairs (i, j) with i < j;
-antisymmetry holds by construction, so the only well-definedness condition
-left to verify at runtime is the Jacobi identity.  Ideals are explicit lists
-of coordinate vectors in the parent's basis, which keeps every downstream
-computation linear-algebraic.
+A ``LieAlgebra`` is immutable and stores the bracket only for basis pairs
+(i, j) with i < j; antisymmetry holds by construction, so the only
+well-definedness condition left to verify at runtime is the Jacobi identity.
+Ideals are explicit lists of coordinate vectors in the parent's basis, which
+keeps every downstream computation linear-algebraic.
 """
 
-from fractions import Fraction
+from types import MappingProxyType
 
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec, vec_add, vec_scale,
     vec_zero, vec_is_zero, echelon_basis, span_contains,
-    rank, inverse, IncrementalSpan,
+    rank, inverse, unit, IncrementalSpan,
 )
 
 
 class LieAlgebra:
     """Lie algebra over the rationals, by structure constants.
 
-    brackets maps (i, j) with i < j to the coordinate vector of [e_i, e_j];
-    missing pairs bracket to zero.  An optional grading assigns a positive
-    integer weight to each basis vector; when present, brackets must be
-    additive in the weights.
+    brackets, a read-only dense view, maps (i, j) with i < j to the
+    coordinate vector of [e_i, e_j]; missing pairs bracket to zero.  The
+    bracket runs on the sparse table _partners: per index i, the (j, ((k, c),
+    ...)) with [e_i, e_j] = sum c e_k != 0.  An optional grading assigns a
+    positive integer weight to each basis vector; when present, brackets must
+    be additive in the weights.
     """
 
     def __init__(self, dim, brackets, basis_names=None, grading=None):
@@ -30,15 +32,21 @@ class LieAlgebra:
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "e%d" % (i + 1) for i in range(dim))
         table = {}
+        partners = [[] for _ in range(dim)]
         for (i, j), v in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bad bracket key (%d, %d)" % (i, j))
             v = vec(v)
             if len(v) != dim:
                 raise ValueError("bracket value has wrong length")
-            if not vec_is_zero(v):
+            terms = tuple((k, c) for k, c in enumerate(v) if c)
+            if terms:
                 table[(i, j)] = v
-        self.brackets = table
+                partners[i].append((j, terms))
+                partners[j].append((i, tuple((k, -c) for k, c in terms)))
+        self.brackets = MappingProxyType(table)
+        self._partners = tuple(tuple(p) for p in partners)
+        self._lcs = None  # RREF bases of the lower central series, on demand
         self.grading = tuple(grading) if grading is not None else None
         if self.grading is not None:
             if len(self.grading) != dim:
@@ -61,40 +69,50 @@ class LieAlgebra:
         return vec_scale(-1, self.brackets.get((j, i), vec_zero(self.dim)))
 
     def bracket(self, x, y):
-        """Bilinear antisymmetric expansion of [x, y] in structure constants."""
+        """[x, y] by bilinear expansion over the nonzeros of x and their
+        partners.  A pair (i, j) where both x_i y_j and x_j y_i are nonzero
+        is expanded once, with coefficient x_i y_j - x_j y_i."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length must equal dim=%d" % self.dim)
         out = [ZERO] * self.dim
-        for (i, j), v in self.brackets.items():
-            xi, yj, xj, yi = x[i], y[j], x[j], y[i]
-            c = xi * yj if xi and yj else ZERO
-            if xj and yi:
-                c = c - xj * yi
-            if c != 0:
-                for k, e in enumerate(v):
-                    if e != 0:
-                        out[k] += c * e
+        partners = self._partners
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            yi = y[i]
+            for j, terms in partners[i]:
+                yj = y[j]
+                if not yj:
+                    continue
+                if yi and x[j]:
+                    if j < i:
+                        continue  # expanded from j's side
+                    c = xi * yj - x[j] * yi
+                    if not c:
+                        continue
+                else:
+                    c = xi * yj
+                for k, e in terms:
+                    out[k] += c * e
         return tuple(out)
 
     def check_jacobi(self):
         """Return the list of basis triples violating the Jacobi identity."""
+        e = [self.basis_vector(i) for i in range(self.dim)]
+        br = self.bracket
         bad = []
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
-                    ei = tuple(ZERO if t != i else Fraction(1) for t in range(self.dim))
-                    ej = tuple(ZERO if t != j else Fraction(1) for t in range(self.dim))
-                    ek = tuple(ZERO if t != k else Fraction(1) for t in range(self.dim))
                     s = vec_add(
-                        vec_add(self.bracket(self.bracket(ei, ej), ek),
-                                self.bracket(self.bracket(ej, ek), ei)),
-                        self.bracket(self.bracket(ek, ei), ej))
+                        vec_add(br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i])),
+                        br(br(e[k], e[i]), e[j]))
                     if not vec_is_zero(s):
                         bad.append((i, j, k))
         return bad
 
     def basis_vector(self, i):
-        return tuple(Fraction(1) if t == i else ZERO for t in range(self.dim))
+        return unit(self.dim, i)
 
     def graded_component_indices(self, n):
         if self.grading is None:
@@ -167,27 +185,38 @@ def lower_central_series(L):
     Raises NonNilpotentError when the chain fails to shrink before reaching
     zero, which characterises non-nilpotent input.
     """
-    full = [L.basis_vector(i) for i in range(L.dim)]
-    chain = [LieIdeal(L, full, check=False)]
-    while chain[-1].dim > 0:
-        prev = chain[-1]
-        gens = []
-        for e in full:
-            for v in prev.basis:
-                gens.append(L.bracket(e, v))
-        nxt = LieIdeal(L, gens, check=False)
-        if nxt.dim >= prev.dim:
-            raise NonNilpotentError("lower central series does not shrink")
-        chain.append(nxt)
-    return chain
+    return [LieIdeal(L, basis, check=False) for basis in _lcs_bases(L)]
+
+
+def _lcs_bases(L):
+    """RREF bases of the lower central series, computed once per algebra.
+
+    G_{n+1} is spanned by the nonzero products [e_i, b] over the basis b of
+    G_n.  Only plain tuples are cached on L (ideals would point back at it).
+    """
+    if L._lcs is None:
+        chain = [tuple(L.basis_vector(i) for i in range(L.dim))]
+        while chain[-1]:
+            span = IncrementalSpan()
+            for i in range(L.dim):
+                e = L.basis_vector(i)
+                for b in chain[-1]:
+                    v = L.bracket(e, b)
+                    if not vec_is_zero(v):
+                        span.add(v)
+            if span.dim >= len(chain[-1]):
+                raise NonNilpotentError("lower central series does not shrink")
+            chain.append(tuple(echelon_basis(span.rows, L.dim)))
+        L._lcs = tuple(chain)
+    return L._lcs
 
 
 def nilpotency_class(L):
-    return len(lower_central_series(L)) - 1
+    return len(_lcs_bases(L)) - 1
 
 
 def lcs_dims(L):
-    return [t.dim for t in lower_central_series(L)]
+    return [len(basis) for basis in _lcs_bases(L)]
 
 
 class GradedLieAlgebra:

@@ -40,6 +40,13 @@ def vec_zero(n):
     return (ZERO,) * n
 
 
+def unit(n, i):
+    """The i-th standard basis vector of length n."""
+    v = [ZERO] * n
+    v[i] = ONE
+    return tuple(v)
+
+
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -73,7 +80,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls([unit(n, i) for i in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -192,7 +199,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    aug = Matrix([list(m.data[i]) + list(Matrix.identity(n).data[i]) for i in range(n)])
+    aug = Matrix([row + unit(n, i) for i, row in enumerate(m.data)])
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

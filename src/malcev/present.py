@@ -16,14 +16,14 @@ from fractions import Fraction
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_add, vec_scale, vec_sub,
     vec_zero, vec_is_zero, echelon_basis, span_contains, spans_equal,
-    kernel_basis, solve_affine, rank, inverse,
+    kernel_basis, solve_affine, rank, inverse, unit,
 )
 from .lie import (
     LieAlgebra, lower_central_series, nilpotency_class,
     associated_graded, quotient_by_ideal,
 )
 from .freelie import (
-    free_nilpotent, degree, graded_ideal_closure,
+    free_nilpotent, degree, graded_ideal_closure, evaluate_hall_words,
 )
 from .bch import (
     SemidirectElement, GroupPresentation, evaluate_word, check_representation,
@@ -133,17 +133,7 @@ class QuadraticVerdict:
 
 def _graded_surjection(F: LieAlgebra, G, gr1_images):
     """Images in gr L of every Hall basis vector of F, as a list of vectors."""
-    images = []
-    for w in F.hall_words:
-        images.append(_eval_hall_word(w, gr1_images, G))
-    return images
-
-
-def _eval_hall_word(w, gen_images, G):
-    if isinstance(w, int):
-        return gen_images[w]
-    return G.bracket(_eval_hall_word(w[0], gen_images, G),
-                     _eval_hall_word(w[1], gen_images, G))
+    return evaluate_hall_words(F.hall_words, gr1_images, G.bracket)
 
 
 def is_quadratically_presented(L: LieAlgebra, rng=None, attempts=8):
@@ -168,9 +158,7 @@ def is_quadratically_presented(L: LieAlgebra, rng=None, attempts=8):
     gr1 = gr.graded_component_indices(1)
     k = len(gr1)
     if c == 1:
-        W = [tuple(Fraction(1) if t == s else ZERO
-                   for t in range(k * (k - 1) // 2))
-             for s in range(k * (k - 1) // 2)]
+        W = [unit(k * (k - 1) // 2, s) for s in range(k * (k - 1) // 2)]
         return QuadraticVerdict(True, W=W, theta=Matrix.from_columns(
             G.from_parent, rows=L.dim), graded=G)
     gr1_images = [gr.basis_vector(i) for i in gr1]
@@ -383,8 +371,7 @@ def direct_summand_quadratic(L1: LieAlgebra, L2: LieAlgebra,
         coords = to_gr.mul_vec(v)
         emb_cols.append(tuple(cf if gr.grading[t] == d else ZERO
                               for t, cf in enumerate(coords)))
-    proj1 = Matrix([[Fraction(1) if j == i else ZERO for j in range(L.dim)]
-                    for i in range(L1.dim)])
+    proj1 = Matrix([unit(L.dim, i) for i in range(L1.dim)])
     theta1 = proj1 * theta * Matrix.from_columns(emb_cols, rows=L.dim)
     if not _verify_filtered_iso(L1, G1, chain1, theta1):
         raise ValueError("composed map failed verification; summand not recovered")
@@ -393,8 +380,7 @@ def direct_summand_quadratic(L1: LieAlgebra, L2: LieAlgebra,
     k = len(gr1)
     if c1 == 1:
         m = k * (k - 1) // 2
-        W = [tuple(Fraction(1) if t == s else ZERO for t in range(m))
-             for s in range(m)]
+        W = [unit(m, s) for s in range(m)]
         return QuadraticVerdict(True, W=W, theta=theta1, graded=G1)
     F = free_nilpotent(k, c1)
     images = _graded_surjection(F, G1.algebra,
@@ -522,14 +508,13 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
         raise ValueError("need 2 <= k <= class of U")
     Lk, pk = quotient_by_ideal(U, chain[k - 1])
     Lk1, pk1 = quotient_by_ideal(U, chain[k])
-    # projection Lk1 -> Lk and a section the other way
-    proj_cols = []
+    # preimages in U of the basis of Lk1; projection Lk1 -> Lk through them
+    lifts = []
     for j in range(Lk1.dim):
-        target = tuple(Fraction(1) if t == j else ZERO for t in range(Lk1.dim))
-        sol = solve_affine(pk1, target)
+        sol = solve_affine(pk1, unit(Lk1.dim, j))
         assert sol is not None
-        proj_cols.append(pk.mul_vec(sol[0]))
-    proj = Matrix.from_columns(proj_cols, rows=Lk.dim)
+        lifts.append(sol[0])
+    proj = Matrix.from_columns([pk.mul_vec(v) for v in lifts], rows=Lk.dim)
     kern = kernel_basis(proj)
     for v in kern:
         for i in range(Lk1.dim):
@@ -546,31 +531,25 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     for g in p.generators:
         img = assignment[g]
         if isinstance(img, SemidirectElement):
-            log, aut = img.log, img.aut
+            log = img.log
         else:
-            log, aut = tuple(scalar(c) for c in img), None
+            log = tuple(scalar(c) for c in img)
         if len(log) != Lk.dim:
             raise ValueError("assignment for %r has wrong dimension" % g)
         aut1 = Matrix.identity(Lk1.dim)
         if ambient_auts is not None and g in ambient_auts:
             A = ambient_auts[g]
-            cols = [pk1.mul_vec(A.mul_vec(section_full(U, pk1, j)))
-                    for j in range(Lk1.dim)]
+            cols = [pk1.mul_vec(A.mul_vec(v)) for v in lifts]
             aut1 = Matrix.from_columns(cols, rows=Lk1.dim)
         base[g] = SemidirectElement(Lk1, section(log), aut1, cls=cls_k1)
     # verify the input really is a representation at level k
     level_k = {}
     for g in p.generators:
-        log1 = base[g].log
         autk = None
         if ambient_auts is not None and g in ambient_auts:
-            cols = [proj.mul_vec(base[g].aut.mul_vec(
-                tuple(Fraction(1) if t == j else ZERO for t in range(Lk1.dim))))
-                for j in range(Lk1.dim)]
             # push the automorphism down along proj via a section
             autk = Matrix.from_columns(
-                [proj.mul_vec(base[g].aut.mul_vec(section(
-                    tuple(Fraction(1) if t == j else ZERO for t in range(Lk.dim)))))
+                [proj.mul_vec(base[g].aut.mul_vec(section(unit(Lk.dim, j))))
                  for j in range(Lk.dim)], rows=Lk.dim)
         level_k[g] = SemidirectElement(
             Lk, proj.mul_vec(base[g].log),
@@ -627,11 +606,3 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     if check_representation(p, lifted):
         raise AssertionError("solved lift failed post-hoc verification")
     return LiftResult(True, images=lifted)
-
-
-def section_full(U, pk1, j):
-    """Preimage in U of the j-th basis vector of U/G_{k+1}."""
-    target = tuple(Fraction(1) if t == j else ZERO for t in range(pk1.rows))
-    sol = solve_affine(pk1, target)
-    assert sol is not None
-    return sol[0]

@@ -192,3 +192,28 @@ def naive_betti(dims, d_mats):
         below = ranks[n - 1] if n else 0
         out.append(dims[n] - ranks[n] - below)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense bracket from structure constants (the textbook double sum over all
+# ordered basis pairs; no sparsity, no shared code with the library).
+
+def dense_bracket(dim, table, x, y):
+    """[x, y] = sum_{i, j} x_i y_j [e_i, e_j], where table[(i, j)] is the
+    dense coordinate vector of [e_i, e_j] for i < j, [e_j, e_i] = -[e_i, e_j],
+    and pairs missing from the table bracket to zero."""
+    out = [Fraction(0)] * dim
+    for i in range(dim):
+        for j in range(dim):
+            if i < j:
+                v, sign = table.get((i, j)), 1
+            elif j < i:
+                v, sign = table.get((j, i)), -1
+            else:
+                continue
+            if v is None:
+                continue
+            c = sign * Fraction(x[i]) * Fraction(y[j])
+            for k in range(dim):
+                out[k] += c * Fraction(v[k])
+    return tuple(out)

@@ -12,7 +12,9 @@ from malcev.bch import (
     lattice_closed_under_bch, commutator_index,
 )
 
-from oracles import envelope_bch, hall_expansion_in_envelope
+from oracles import (
+    am_exp, am_log, am_mul, envelope_bch, hall_expansion_in_envelope,
+)
 
 
 def test_class2_formula():
@@ -35,6 +37,25 @@ def test_universal_expansion_matches_envelope_oracle():
         mine = hall_expansion_in_envelope(bch_universal(c), c)
         theirs = envelope_bch(c)
         assert mine == theirs
+
+
+def test_bch_matches_envelope_oracle_through_class_6():
+    c = 6
+    F = free_nilpotent(2, c)
+
+    def envelope(v):
+        return hall_expansion_in_envelope(
+            [(w, cf) for w, cf in zip(F.hall_words, v) if cf], c)
+
+    z = bch(F.basis_vector(0), F.basis_vector(1), F)
+    assert envelope(z) == envelope_bch(c)
+    rng = random.Random(6)
+    for _ in range(2):
+        x, y = (tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                      if rng.random() < 0.4 else Fraction(0) for _ in range(F.dim))
+                for _ in range(2))
+        X, Y = envelope(x), envelope(y)
+        assert envelope(bch(x, y, F)) == am_log(am_mul(am_exp(X, c), am_exp(Y, c), c), c)
 
 
 def test_identity_and_inverse():

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 
 from malcev.cli import main
@@ -43,6 +45,26 @@ def test_bch_free_and_algebra(capsys):
 
 def test_bch_dimension_mismatch_is_input_error(capsys):
     code, _ = run(capsys, "bch", "[1,0]", "[0,1]", "--algebra", HEIS_JSON)
+    assert code == 2
+
+
+def test_bch_class_below_nilpotency_class_is_input_error(capsys):
+    code = main(["bch", "[1,0,0]", "[0,1,0]", "--algebra", HEIS_JSON,
+                 "--class", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --class 1 is below the nilpotency class 2\n"
+    code, out = run_json(capsys, "bch", "[1,0,0]", "[0,1,0]", "--algebra",
+                         HEIS_JSON, "--class", "3")
+    assert code == 0 and out["verdicts"]["product"] == ["1", "1", "1/2"]
+
+
+def test_bch_non_nilpotent_algebra_is_input_error(capsys):
+    sl2 = json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "value": ["0", "0", "1"]},
+        {"i": 0, "j": 2, "value": ["-2", "0", "0"]},
+        {"i": 1, "j": 2, "value": ["0", "2", "0"]}]})
+    code, _ = run(capsys, "bch", "[1,0,0]", "[0,1,0]", "--algebra", sl2)
     assert code == 2
 
 
@@ -202,6 +224,21 @@ def test_reports_are_deterministic(capsys):
     c, out1 = run(capsys, "mc", CE_HEIS_JSON, HEIS_JSON, "--out", "json")
     c, out2 = run(capsys, "mc", CE_HEIS_JSON, HEIS_JSON, "--out", "json")
     assert out1 == out2
+
+
+def test_main_leaves_no_parser_garbage(capsys):
+    main(["heisenberg-demo", "--out", "json"])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(["heisenberg-demo", "--out", "json"])
+        gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert parsers == []
 
 
 def test_malformed_json_is_input_error(capsys):

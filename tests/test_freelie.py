@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
 
-from malcev.lie import lcs_dims
+from malcev.lie import lcs_dims, quotient_by_ideal
 from malcev.freelie import (
     hall_basis, is_hall_word, degree, word_to_json, word_from_json,
     FreeLieElement, get_rewriter, rewrite_to_hall, free_nilpotent,
-    element_to_vector, graded_ideal_closure, quotient,
+    element_to_vector, graded_ideal_closure,
 )
 
 from oracles import witt_dim
@@ -95,7 +95,7 @@ def test_graded_ideal_closure_full_degree2():
     gen = element_to_vector(rewrite_to_hall((0, 1), 2, 3), F)
     ideal, per_degree = graded_ideal_closure(F, [gen])
     assert [len(b) for b in per_degree] == [0, 1, 2]
-    Q, _ = quotient(F, ideal)
+    Q, _ = quotient_by_ideal(F, ideal)
     assert Q.dim == 2
     assert not Q.brackets  # abelian quotient
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -50,6 +51,21 @@ def test_json_round_trip():
     h = heisenberg()
     h2 = LieAlgebra.from_json(h.to_json())
     assert h2.dim == h.dim and h2.brackets == h.brackets
+
+
+def test_brackets_and_json_round_trip_byte_identically():
+    F = free_nilpotent(2, 3)
+    halves = {key: tuple(c / 2 for c in v) for key, v in F.brackets.items()}
+    for L in (heisenberg(), free_nilpotent(3, 3), LieAlgebra(F.dim, halves),
+              direct_sum(heisenberg(), F)):
+        text = json.dumps(L.to_json(), sort_keys=True)
+        again = LieAlgebra.from_json(json.loads(text))
+        assert json.dumps(again.to_json(), sort_keys=True) == text
+        assert again.brackets == L.brackets
+        rebuilt = LieAlgebra(L.dim, L.brackets, L.basis_names, L.grading)
+        assert json.dumps(rebuilt.to_json(), sort_keys=True) == text
+    with pytest.raises(TypeError):
+        L.brackets[(0, 1)] = L.basis_vector(2)
 
 
 def test_ideal_verification():

@@ -1,0 +1,68 @@
+"""The sparse structure-constant bracket against the dense oracle."""
+
+from fractions import Fraction
+
+import pytest
+
+from malcev.lie import LieAlgebra
+from malcev.freelie import free_nilpotent
+
+from oracles import dense_bracket, naive_solve
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SCALARS = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                               Fraction(-3, 2)]
+FREE = [(2, 2), (2, 3), (2, 4), (3, 2)]
+
+
+def conjugated_table(dim, table, m_rows):
+    """Structure constants in the basis given by the columns of m_rows:
+    [f_i, f_j] = M^-1 [M e_i, M e_j], computed with the oracles only."""
+    cols = [tuple(m_rows[r][c] for r in range(dim)) for c in range(dim)]
+    out = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = dense_bracket(dim, table, cols[i], cols[j])
+            if any(v):
+                out[(i, j)] = tuple(naive_solve(m_rows, v))
+    return out
+
+
+@st.composite
+def nilpotent_tables(draw):
+    """(dim, table): a free nilpotent algebra, or a random table with
+    [e_i, e_j] in span(e_k : k > j) (nilpotent, Jacobi not imposed: the
+    bracket expansion does not use it), optionally in a random basis."""
+    if draw(st.booleans()):
+        F = free_nilpotent(*draw(st.sampled_from(FREE)))
+        dim, table = F.dim, dict(F.brackets)
+    else:
+        dim = draw(st.integers(2, 7))
+        table = {}
+        for i in range(dim):
+            for j in range(i + 1, dim - 1):
+                if draw(st.booleans()):
+                    v = [Fraction(0)] * (j + 1) + [draw(st.sampled_from(SCALARS))
+                                                   for _ in range(dim - j - 1)]
+                    table[(i, j)] = tuple(v)
+    if draw(st.booleans()):
+        m_rows = [[Fraction(1) if r == c else
+                   (draw(st.sampled_from(SCALARS)) if r > c else Fraction(0))
+                   for c in range(dim)] for r in range(dim)]
+        perm = draw(st.permutations(range(dim)))
+        m_rows = [m_rows[p] for p in perm]
+        table = conjugated_table(dim, table, m_rows)
+    return dim, table
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(nilpotent_tables(), st.data())
+def test_sparse_bracket_matches_dense_oracle(dim_table, data):
+    dim, table = dim_table
+    L = LieAlgebra(dim, table)
+    vectors = st.lists(st.sampled_from(SCALARS), min_size=dim, max_size=dim)
+    x, y = tuple(data.draw(vectors)), tuple(data.draw(vectors))
+    assert L.bracket(x, y) == dense_bracket(dim, table, x, y)
+    assert L.bracket(x, x) == dense_bracket(dim, table, x, x)
