@@ -7,6 +7,7 @@ exit codes are reserved for malformed input and internal failures.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -52,6 +53,19 @@ def load_json(arg):
         raise InputError("invalid JSON in %s: %s" % (arg, e))
 
 
+@contextlib.contextmanager
+def parsing(what):
+    """Report a failure to build library objects from user JSON as an
+    InputError naming what was being read."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as e:
+        raise InputError("bad %s: %s" % (what, e))
+
+
 def scalars(values):
     try:
         return tuple(scalar(v) for v in values)
@@ -79,7 +93,8 @@ def report(args, command, inputs, verdicts, text_lines):
 # Subcommands
 
 def cmd_hall(args):
-    groups = hall_basis(args.k, args.cls)
+    with parsing("-k/--class"):
+        groups = hall_basis(args.k, args.cls)
     words = [w for grp in groups for w in grp]
     verdicts = {
         "counts": [len(g) for g in groups],
@@ -94,18 +109,22 @@ def cmd_hall(args):
     return report(args, "hall", {"k": args.k, "class": args.cls}, verdicts, lines)
 
 
+def load_algebra(arg):
+    """(LieAlgebra, its JSON) from inline JSON or a file."""
+    obj = load_json(arg)
+    with parsing("algebra JSON"):
+        return LieAlgebra.from_json(obj), obj
+
+
 def _bch_algebra(args):
     if args.algebra:
-        obj = load_json(args.algebra)
-        try:
-            return LieAlgebra.from_json(obj), obj
-        except (KeyError, ValueError) as e:
-            raise InputError("bad algebra JSON: %s" % e)
+        return load_algebra(args.algebra)
     if args.k is None:
         raise InputError("provide either --algebra or -k")
     if args.cls is None:
         raise InputError("free algebra needs --class")
-    return free_nilpotent(args.k, args.cls), {"free": [args.k, args.cls]}
+    with parsing("-k/--class"):
+        return free_nilpotent(args.k, args.cls), {"free": [args.k, args.cls]}
 
 
 def cmd_bch(args):
@@ -114,10 +133,7 @@ def cmd_bch(args):
     y = scalars(load_json(args.y))
     if len(x) != L.dim or len(y) != L.dim:
         raise InputError("elements must have %d coordinates" % L.dim)
-    try:
-        nil_cls = nilpotency_class(L)
-    except NonNilpotentError:
-        raise InputError("algebra is not nilpotent")
+    nil_cls = nilpotency_class(L)   # main reports a NonNilpotentError
     if args.cls is not None and args.cls < nil_cls:
         raise InputError("--class %d is below the nilpotency class %d"
                          % (args.cls, nil_cls))
@@ -129,11 +145,7 @@ def cmd_bch(args):
 
 
 def cmd_quadcheck(args):
-    obj = load_json(args.algebra)
-    try:
-        L = LieAlgebra.from_json(obj)
-    except (KeyError, ValueError) as e:
-        raise InputError("bad algebra JSON: %s" % e)
+    L, obj = load_algebra(args.algebra)
     bad = L.check_jacobi()
     if bad:
         raise InputError("input violates the Jacobi identity at triples %s" % bad)
@@ -149,10 +161,8 @@ def cmd_quadcheck(args):
 
 def cmd_malcev_model(args):
     obj = load_json(args.cup)
-    try:
+    with parsing("cup datum"):
         cd = CupDatum.from_json(obj)
-    except (KeyError, ValueError) as e:
-        raise InputError("bad cup datum: %s" % e)
     qp = malcev_model(cd)
     c = args.cls if args.cls is not None else 3
     L, stabilized = realize(qp, c)
@@ -177,11 +187,9 @@ def cmd_malcev_model(args):
 def cmd_mc(args):
     dga_obj = load_json(args.dga)
     coeff_obj = load_json(args.coeff)
-    try:
+    with parsing("input"):
         A = FiniteDGA.from_json(dga_obj)
         N = LieAlgebra.from_json(coeff_obj)
-    except (KeyError, ValueError) as e:
-        raise InputError("bad input: %s" % e)
     initial = scalars(load_json(args.initial)) if args.initial else None
     try:
         rep = mc_solve(A, N, initial=initial)
@@ -209,14 +217,19 @@ def cmd_mc(args):
 
 def cmd_massey(args):
     dga_obj = load_json(args.dga)
-    try:
+    with parsing("DGA JSON"):
         A = FiniteDGA.from_json(dga_obj)
-    except (KeyError, ValueError) as e:
-        raise InputError("bad DGA JSON: %s" % e)
     p, q, r = args.degrees
     a = scalars(load_json(args.a))
     b = scalars(load_json(args.b))
     c = scalars(load_json(args.c))
+    if min(p, q, r) < 1 or p + q + r - 1 > A.top:
+        raise InputError("--degrees need P, Q, R >= 1 and P + Q + R - 1 <= %d"
+                         % A.top)
+    for n, v in ((p, a), (q, b), (r, c)):
+        if len(v) != A.dims[n]:
+            raise InputError("a degree-%d element has %d coordinates"
+                             % (n, A.dims[n]))
     try:
         res = massey_triple(A, (p, a), (q, b), (r, c))
     except MasseyUndefined as e:
@@ -232,9 +245,9 @@ def cmd_massey(args):
 
 def cmd_lift(args):
     obj = load_json(args.data)
-    mode = obj.get("mode")
+    mode = obj.get("mode") if isinstance(obj, dict) else None
     if mode == "criterion":
-        try:
+        with parsing("criterion input"):
             qp = QuadraticPresentation.from_json(obj["presentation"])
             if "free" in obj:
                 k, c = obj["free"]
@@ -242,8 +255,6 @@ def cmd_lift(args):
             else:
                 U = LieAlgebra.from_json(obj["target"])
             rho2 = [scalars(v) for v in obj["rho2"]]
-        except (KeyError, ValueError) as e:
-            raise InputError("bad criterion input: %s" % e)
         res = lift_representation_criterion(qp, U, rho2)
         verdicts = {"lifted": res.lifted}
         if res.lifted:
@@ -257,7 +268,7 @@ def cmd_lift(args):
             lines = ["no lift: theta does not annihilate the relations"]
         return report(args, "lift", obj, verdicts, lines)
     if mode == "one-class":
-        try:
+        with parsing("one-class input"):
             p = GroupPresentation.from_json(obj["presentation"])
             if "free" in obj:
                 k0, c0 = obj["free"]
@@ -266,8 +277,6 @@ def cmd_lift(args):
                 U = LieAlgebra.from_json(obj["algebra"])
             assignment = {g: scalars(v) for g, v in obj["assignment"].items()}
             level = obj["k"]
-        except (KeyError, ValueError) as e:
-            raise InputError("bad one-class input: %s" % e)
         try:
             res = lift_one_class(p, assignment, U, level)
         except ValueError as e:
@@ -291,31 +300,29 @@ def cmd_lift(args):
     raise InputError("mode must be 'criterion' or 'one-class'")
 
 
+def lattice_basis(lobj, dim):
+    basis = [scalars(v) for v in lobj]
+    if not basis or any(len(v) != dim for v in basis):
+        raise InputError("need lattice vectors with %d coordinates" % dim)
+    return basis
+
+
 def cmd_lattice_check(args):
     if args.matrix:
         mobj = load_json(args.matrix)
-        try:
-            M = Matrix([scalars(row) for row in mobj])
-            idx = commutator_index(M)
-        except ValueError as e:
-            raise InputError(str(e))
+        with parsing("matrix"):
+            idx = commutator_index(Matrix([scalars(row) for row in mobj]))
         verdicts = {"commutator_index": idx}
         lines = ["commutator index: %s" % ("infinite" if idx is None else idx)]
         return report(args, "lattice-check", {"matrix": mobj}, verdicts, lines)
     if not args.lattice:
         raise InputError("provide --lattice or --matrix")
     if args.algebra:
-        alg_obj = load_json(args.algebra)
-        try:
-            L = LieAlgebra.from_json(alg_obj)
-        except (KeyError, ValueError) as e:
-            raise InputError("bad algebra JSON: %s" % e)
+        L, alg_obj = load_algebra(args.algebra)
     else:
         L, alg_obj = heisenberg(), "heisenberg"
     lobj = load_json(args.lattice)
-    basis = [scalars(v) for v in lobj]
-    if any(len(v) != L.dim for v in basis):
-        raise InputError("lattice vectors must have %d coordinates" % L.dim)
+    basis = lattice_basis(lobj, L.dim)
     witness = lattice_closed_under_bch(L, basis)
     closed = witness is None
     verdicts = {"closed": closed}
@@ -358,7 +365,7 @@ def cmd_heisenberg_demo(args):
 
     # (2) lattice closure under BCH
     lattice = load_json(args.lattice) if args.lattice else HEISENBERG_LATTICE
-    basis = [scalars(v) for v in lattice]
+    basis = lattice_basis(lattice, h.dim)
     witness = lattice_closed_under_bch(h, basis)
     if witness is None:
         step("lattice closed under group law", True, "all generator products inside")
@@ -376,6 +383,10 @@ def cmd_heisenberg_demo(args):
 
     gens = {"S": [[0, -1], [1, 0]], "T": [[1, 1], [0, 1]],
             "M": load_json(args.matrix) if args.matrix else DEMO_MATRIX}
+    with parsing("matrix"):
+        M = Matrix([scalars(row) for row in gens["M"]])
+    if (M.rows, M.cols) != (2, 2) or not M.is_integral():
+        raise InputError("the matrix must be an integral 2 x 2 matrix")
     auto_ok = all(check_automorphism(h, act(m)) for m in gens.values())
     step("integral symplectic action by automorphisms", auto_ok,
          "checked %s" % ", ".join(sorted(gens)))
@@ -390,7 +401,6 @@ def cmd_heisenberg_demo(args):
          "failing degree %s, defect dim %s" % (v.failing_degree, v.defect_dim))
 
     # (6) commutator index of the abelianized action
-    M = Matrix([scalars(row) for row in gens["M"]])
     idx = commutator_index(M)
     step("commutator subgroup of finite index", idx is not None,
          "index %s -> abelianization test %s"
@@ -517,10 +527,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except MasseyUndefined as e:
+    except (InputError, MasseyUndefined, NonNilpotentError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

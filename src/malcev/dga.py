@@ -22,10 +22,12 @@ class FiniteDGA:
     dims[n] is the dimension in degree n; d[n] the matrix of the
     differential degree n -> n+1; products[(p, q)][i][j] the coordinate
     vector in degree p+q of (i-th degree-p basis) * (j-th degree-q basis).
-    Tables are stored for all degree pairs with p + q <= D.
+    Tables are stored for all degree pairs with p + q <= D.  The shapes and
+    the DGA axioms are checked on construction (ValueError otherwise), so
+    every FiniteDGA is a DGA.
     """
 
-    def __init__(self, dims, d, products, validate=True):
+    def __init__(self, dims, d, products):
         self.dims = list(dims)
         self.top = len(self.dims) - 1
         self.d = [m if isinstance(m, Matrix) else Matrix(m) for m in d]
@@ -35,10 +37,20 @@ class FiniteDGA:
         for (p, q), table in products.items():
             self.products[(p, q)] = [[tuple(scalar(c) for c in cell) for cell in row]
                                      for row in table]
-        if validate:
-            errors = self.validate()
-            if errors:
-                raise ValueError("DGA axioms violated: " + "; ".join(errors))
+        if len(self.d) > self.top + 1 or any(
+                m.rows != self._dim_at(n + 1) or (m.rows and m.cols != self.dims[n])
+                for n, m in enumerate(self.d)):
+            raise ValueError("differentials do not match dims %s" % self.dims)
+        for (p, q), table in self.products.items():
+            if (min(p, q) < 0 or p + q > self.top or len(table) != self.dims[p]
+                    or any(len(row) != self.dims[q] or
+                           any(len(cell) != self.dims[p + q] for cell in row)
+                           for row in table)):
+                raise ValueError("product table (%d,%d) does not match dims %s"
+                                 % (p, q, self.dims))
+        errors = self.validate()
+        if errors:
+            raise ValueError("DGA axioms violated: " + "; ".join(errors))
 
     def _dim_at(self, n):
         return self.dims[n] if 0 <= n <= self.top else 0

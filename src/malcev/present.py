@@ -10,7 +10,7 @@ presentations through a central quotient stage.
 """
 
 import itertools
-import random
+from collections import Counter
 from fractions import Fraction
 
 from .linalg import (
@@ -136,7 +136,7 @@ def _graded_surjection(F: LieAlgebra, G, gr1_images):
     return evaluate_hall_words(F.hall_words, gr1_images, G.bracket)
 
 
-def is_quadratically_presented(L: LieAlgebra, rng=None, attempts=8):
+def is_quadratically_presented(L: LieAlgebra):
     """Decide whether L is isomorphic to some L(V)/<W> with W in wedge^2 V.
 
     Stage 1 checks the associated graded: with V = gr_1 L and W_2 the kernel
@@ -144,10 +144,10 @@ def is_quadratically_presented(L: LieAlgebra, rng=None, attempts=8):
     L(V) -> gr L in every degree up to the class c, and must exhaust the
     whole degree-(c+1) component of the free algebra (otherwise the algebra
     is a truncation, not a quadratic quotient -- this is what rules out the
-    Heisenberg algebra at degree 3).  Stage 2 searches for a filtered
-    isomorphism theta: gr L -> L with gr(theta) = id; the system is affine
-    for class <= 3 and solved by exact Newton steps with randomized restarts
-    above that, with every yes-certificate re-verified exactly.
+    Heisenberg algebra at degree 3).  Stage 2 decides whether a filtered
+    isomorphism theta: gr L -> L with gr(theta) = id exists by one exact
+    linear solve (see _filtered_iso), so a "no" at stage "lift" is a proof
+    and a "yes" carries a verified theta.
     """
     chain = lower_central_series(L)
     c = len(chain) - 1
@@ -213,7 +213,7 @@ def is_quadratically_presented(L: LieAlgebra, rng=None, attempts=8):
                                 stage="graded")
 
     # stage 2: theta with gr(theta) = id
-    theta = _filtered_iso(L, G, chain, rng=rng, attempts=attempts)
+    theta = _filtered_iso(L, G, chain)
     if theta is None:
         return QuadraticVerdict(False, failing_degree=None, defect_dim=None,
                                 stage="lift")
@@ -226,91 +226,74 @@ def _w2_pair_coords(v, deg2, F, pairs):
     return [by_word.get(p, ZERO) for p in pairs]
 
 
-def _filtered_iso(L, G, chain, rng=None, attempts=8):
-    """Search for a Lie isomorphism theta: gr L -> L with gr(theta) = id.
+def _filtered_iso(L, G, chain):
+    """A Lie isomorphism theta: gr L -> L with gr(theta) = id, or None.
 
-    theta(v) = p(v) + correction, where p is the adapted-basis splitting and
-    the correction of a degree-d vector lies in the next filtration step.
-    The homomorphism equations are affine in the corrections for class <= 3
-    and quadratic above; exact Newton iteration from zero converges in the
-    affine case in one step and otherwise is retried from random starts.
-    Every success is verified exactly before being returned.
+    Such a theta exists iff L has a derivation D that acts on each gr_n as
+    multiplication by n: given theta, D = theta deg theta^-1; given D, its
+    n-eigenspaces V_n grade L, and theta(e_i) is the projection of the
+    adapted vector p_i onto V_{deg i}.  In the adapted basis D = diag(deg)
+    + E, where E takes p_i into the span of deeper adapted vectors, and the
+    derivation equations are linear in E, so one exact solve decides.  None
+    is therefore a proof; a returned theta is verified exactly.
     """
-    rng = rng or random.Random(96321)
-    gr = G.algebra
-    dim = L.dim
-    degrees = list(gr.grading)
+    dim, degrees = L.dim, G.algebra.grading
     split = [tuple(v) for v in G.from_parent]
-    # correction directions per graded basis vector: adapted vectors deeper
-    # than its degree
-    dirs = []   # list of (basis index, direction vector)
-    for i in range(dim):
-        for j in range(dim):
-            if degrees[j] > degrees[i]:
-                dirs.append((i, j))
-
-    def theta_columns(t):
-        cols = [list(split[i]) for i in range(dim)]
-        for (i, j), cf in zip(dirs, t):
-            if cf != 0:
-                col = cols[i]
-                for r in range(dim):
-                    col[r] += cf * split[j][r]
-        return [tuple(col) for col in cols]
-
-    pairs_ij = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-    def residual(t):
-        cols = theta_columns(t)
-        out = []
-        for (i, j) in pairs_ij:
-            lhs_coords = gr.basis_bracket(i, j)
-            lhs = vec_zero(dim)
-            for r, cf in enumerate(lhs_coords):
-                if cf != 0:
-                    lhs = vec_add(lhs, vec_scale(cf, cols[r]))
-            out.extend(vec_sub(L.bracket(cols[i], cols[j]), lhs))
-        return tuple(out)
-
-    nvars = len(dirs)
-
-    def jacobian(t):
-        # exact directional derivatives: the residual is quadratic, so
-        # J e = resid(t + e) - resid(t) - (pure quadratic part); compute via
-        # the symmetric difference (resid(t+e) - resid(t-e)) / 2
-        cols = []
-        for s in range(nvars):
-            tp = list(t)
-            tm = list(t)
-            tp[s] += 1
-            tm[s] -= 1
-            rp = residual(tuple(tp))
-            rm = residual(tuple(tm))
-            cols.append(tuple((a - b) / 2 for a, b in zip(rp, rm)))
-        return cols
-
-    zero_t = tuple(ZERO for _ in range(nvars))
-    for attempt in range(attempts):
-        if attempt == 0:
-            t = zero_t
-        else:
-            t = tuple(Fraction(rng.randint(-2, 2)) for _ in range(nvars))
-        for _ in range(2 * len(chain)):
-            r = residual(t)
-            if vec_is_zero(r):
-                m = Matrix.from_columns(theta_columns(t))
-                assert _verify_filtered_iso(L, G, chain, m)
-                return m
-            J = jacobian(t)
-            sol = solve_affine(Matrix.from_columns(J, rows=len(r)),
-                               vec_scale(-1, r)) if J else None
-            if sol is None:
-                break
-            step, _ = sol
-            t = tuple(a + b for a, b in zip(t, step))
-        if nvars == 0:
-            break
-    return None
+    P = Matrix.from_columns(split, rows=dim)
+    if _verify_filtered_iso(L, G, chain, P):
+        return P   # E = 0: the adapted basis already grades L
+    to_adapted = inverse(P)
+    ad = [[] for _ in range(dim)]   # ad[a]: (b, [p_a, p_b] adapted), if nonzero
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            v = L.bracket(split[a], split[b])
+            if not vec_is_zero(v):
+                v = to_adapted.mul_vec(v)
+                ad[a].append((b, v))
+                ad[b].append((a, vec_scale(-1, v)))
+    # delta(D)(a, b) = D[p_a, p_b] - [D p_a, p_b] - [p_a, D p_b] is linear in
+    # D; solve delta(E) = -delta(diag(deg)) on its (a, b, r) entries, a < b
+    rhs = Counter()
+    for a in range(dim):
+        for b, v in ad[a]:
+            for r, c in enumerate(v):
+                if a < b and c and degrees[r] != degrees[a] + degrees[b]:
+                    rhs[a, b, r] = (degrees[a] + degrees[b] - degrees[r]) * c
+    unknowns = [(i, j) for i in range(dim) for j in range(dim)
+                if degrees[j] > degrees[i]]   # the p_j-coefficient of E p_i
+    cols = []
+    for i, j in unknowns:
+        col = Counter()
+        for a in range(dim):
+            for b, v in ad[a]:
+                if a < b and v[i]:
+                    col[a, b, j] += v[i]               # E[p_a, p_b]
+        for b, v in ad[j]:                             # -[E p_i, p_b] = -[p_j, p_b]
+            if b != i:
+                for r, c in enumerate(v):
+                    col[min(i, b), max(i, b), r] -= c if i < b else -c
+        cols.append(col)
+    keys = sorted(set(rhs).union(*cols))
+    sol = solve_affine(Matrix([[col[k] for col in cols] for k in keys]),
+                       [rhs[k] for k in keys])
+    if sol is None:
+        return None
+    D = [[degrees[i] if r == i else ZERO for i in range(dim)] for r in range(dim)]
+    for (i, j), cf in zip(unknowns, sol[0]):
+        D[j][i] = cf
+    D = Matrix(D)
+    # p_i has no component below degree n = deg i, so the factors
+    # (D - m) / (n - m) with m > n already project it onto V_n
+    proj = []
+    for i, n in enumerate(degrees):
+        v = unit(dim, i)
+        for m in range(n + 1, max(degrees) + 1):
+            v = vec_scale(Fraction(1, n - m), vec_sub(D.mul_vec(v), vec_scale(m, v)))
+        proj.append(v)
+    theta = P * Matrix.from_columns(proj)
+    if not _verify_filtered_iso(L, G, chain, theta):
+        raise AssertionError("filtered isomorphism failed verification")
+    return theta
 
 
 def _verify_filtered_iso(L, G, chain, m: Matrix) -> bool:

@@ -262,16 +262,16 @@ def test_criterion_8_quadratic_round_trip():
     rng = random.Random(1008)
     for trial in range(50):
         qp, Q = _random_stabilized(rng)
-        v = is_quadratically_presented(Q, rng=rng)
+        v = is_quadratically_presented(Q)
         assert v.yes, "round trip failed on %r" % (qp.to_json(),)
         assert spans_equal(v.W, list(qp.relations))
         if trial % 5 == 0:
             strict = is_quadratically_presented(
-                _conjugate_filtered(Q, rng, strict=True), rng=rng)
+                _conjugate_filtered(Q, rng, strict=True))
             assert strict.yes
             assert spans_equal(strict.W, list(qp.relations))
             loose = is_quadratically_presented(
-                _conjugate_filtered(Q, rng), rng=rng)
+                _conjugate_filtered(Q, rng))
             assert loose.yes  # the verdict survives arbitrary basis changes
     budget.done("criterion 8: 50 quadratic round trips with basis-change "
                 "invariance")
@@ -285,7 +285,7 @@ def test_criterion_9_direct_summand():
     while checked < 4:
         qp, L1 = _random_stabilized(rng)
         L2 = partners[checked % len(partners)]
-        v = is_quadratically_presented(direct_sum(L1, L2), rng=rng)
+        v = is_quadratically_presented(direct_sum(L1, L2))
         if not v.yes:
             continue
         v1 = direct_summand_quadratic(L1, L2, v)

@@ -246,3 +246,47 @@ def test_malformed_json_is_input_error(capsys):
     assert code == 2
     code, _ = run(capsys, "quadcheck", "/no/such/file.json")
     assert code == 2
+
+
+def run_error(capsys, *argv):
+    """Exit code and stderr of a run that must not print a report."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_hall_zero_generators_is_input_error(capsys):
+    code, err = run_error(capsys, "hall", "-k", "0", "--class", "2")
+    assert code == 2 and err == "error: bad -k/--class: need k >= 1 and c >= 1\n"
+
+
+def test_lattice_check_empty_lattice_is_input_error(capsys):
+    code, err = run_error(capsys, "lattice-check", "--lattice", "[]")
+    assert code == 2 and err.count("\n") == 1
+
+
+def test_quadcheck_non_nilpotent_is_input_error(capsys):
+    code, err = run_error(capsys, "quadcheck", json.dumps(
+        {"dim": 2, "brackets": [{"i": 0, "j": 1, "value": ["0", "1"]}]}))
+    assert code == 2 and err.startswith("error: algebra is not nilpotent")
+
+
+def test_zero_denominator_is_input_error(capsys):
+    code, err = run_error(capsys, "quadcheck", json.dumps(
+        {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": ["0", "0", "1/0"]}]}))
+    assert code == 2 and err.startswith("error: bad algebra JSON")
+
+
+def test_brackets_as_dict_is_input_error(capsys):
+    code, err = run_error(capsys, "quadcheck", json.dumps(
+        {"dim": 3, "brackets": {"i": 0, "j": 1, "value": ["0", "0", "1"]}}))
+    assert code == 2 and err.startswith("error: bad algebra JSON")
+
+
+def test_massey_dims_mismatch_is_input_error(capsys):
+    # two degrees but a differential out of degree 1
+    dga = json.dumps({"dims": [1, 2], "d": [[["0"], ["0"]], [["0", "0"]]]})
+    code, err = run_error(capsys, "massey", dga, "--degrees", "1", "1", "1",
+                          "--a", "[1,0]", "--b", "[1,0]", "--c", "[0,1]")
+    assert code == 2 and err.startswith("error: bad DGA JSON")

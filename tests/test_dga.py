@@ -48,6 +48,14 @@ def test_validation_rejects_non_square_zero():
         FiniteDGA([1, 1, 1], [d0, d1], {})
 
 
+def test_validation_rejects_shapes_that_do_not_match_dims():
+    zero = Matrix([[Fraction(0)], [Fraction(0)]])
+    with pytest.raises(ValueError, match="differentials"):
+        FiniteDGA([1, 2], [zero, Matrix([[Fraction(0), Fraction(0)]])], {})
+    with pytest.raises(ValueError, match="product table"):
+        FiniteDGA([1, 2, 1], [zero], {(1, 1): [[[1]]]})
+
+
 def test_validation_rejects_non_commutative_product():
     A = chevalley_eilenberg(heisenberg())
     products = {k: [list(row) for row in table] for k, table in A.products.items()}

@@ -30,6 +30,13 @@ def test_tensor_axioms_verified_on_construction():
         assert t.verify() == []
 
 
+def test_tensor_dgla_rejects_non_jacobi_coefficients():
+    from malcev.lie import LieAlgebra
+    bad = LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
+    with pytest.raises(ValueError, match="Jacobi"):
+        tensor_dgla(chevalley_eilenberg(heisenberg()), bad)
+
+
 def test_residual_routes_agree():
     A = chevalley_eilenberg(heisenberg())
     t = tensor_dgla(A, heisenberg())

@@ -86,6 +86,12 @@ def test_quotient_is_homomorphism():
     assert nilpotency_class(Q) == 2
 
 
+def test_quotient_rejects_non_ideal():
+    h = heisenberg()
+    with pytest.raises(ValueError, match="not an ideal"):
+        quotient_by_ideal(h, LieIdeal(h, [h.basis_vector(0)], check=False))
+
+
 def test_associated_graded_of_graded_is_self():
     F = free_nilpotent(2, 3)
     G = associated_graded(F)

@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from malcev.linalg import Matrix, inverse, vec_is_zero, spans_equal
-from malcev.lie import LieAlgebra, heisenberg, abelian, direct_sum
+from malcev.lie import (
+    LieAlgebra, heisenberg, abelian, direct_sum, associated_graded,
+    lower_central_series,
+)
 from malcev.freelie import free_nilpotent
 from malcev.bch import GroupPresentation, check_representation
 from malcev.present import (
     pair_index, QuadraticPresentation, realize, realized_graded_dims,
     is_quadratically_presented, direct_summand_quadratic, CupDatum,
     malcev_model, weight_decomposition, lift_representation_criterion,
-    lift_one_class,
+    lift_one_class, _filtered_iso, _verify_filtered_iso,
 )
 
 
@@ -158,7 +161,7 @@ def test_round_trip_recovers_relations():
     rng = random.Random(21)
     for _ in range(10):
         qp, Q = rand_stabilized(rng)
-        v = is_quadratically_presented(Q, rng=rng)
+        v = is_quadratically_presented(Q)
         assert v.yes
         assert spans_equal(v.W, list(qp.relations))
 
@@ -179,9 +182,53 @@ def test_verdict_invariant_under_filtered_basis_change():
             if not vec_is_zero(v):
                 brackets[(i, j)] = v
     conj = LieAlgebra(n, brackets)
-    v = is_quadratically_presented(conj, rng=rng)
+    v = is_quadratically_presented(conj)
     assert v.yes
     assert spans_equal(v.W, list(qp.relations))
+
+
+def basis_algebra(dim, products):
+    """Brackets [e_i, e_j] = e_k from a dict (i, j) -> k."""
+    return LieAlgebra(dim, {(i, j): [1 if t == k else 0 for t in range(dim)]
+                            for (i, j), k in products.items()})
+
+
+def filtered_iso(L):
+    G, chain = associated_graded(L), lower_central_series(L)
+    theta = _filtered_iso(L, G, chain)
+    assert theta is None or _verify_filtered_iso(L, G, chain, theta)
+    return theta
+
+
+MODEL_FILIFORM = {(0, 1): 2, (0, 2): 3, (0, 3): 4}
+
+
+def test_filtered_iso_none_on_l56():
+    # L_{5,6}: the model filiform brackets plus [e1, e2] = e4.  Its gr is the
+    # model filiform algebra, but it has no grading derivation, so no theta
+    L56 = basis_algebra(5, {**MODEL_FILIFORM, (1, 2): 4})
+    gr = associated_graded(L56).algebra
+    assert sorted(gr.brackets) == sorted(MODEL_FILIFORM)
+    assert filtered_iso(L56) is None
+
+
+def test_filtered_iso_found_at_class_4():
+    assert filtered_iso(basis_algebra(5, MODEL_FILIFORM)) is not None
+    # a loose unipotent basis change of the class-4 free algebra on 2
+    # generators mixes degrees both ways, so theta needs a real solve
+    rng = random.Random(23)
+    F = free_nilpotent(2, 4)
+    n = F.dim
+    M = Matrix([[Fraction(1) if i == j else
+                 (Fraction(rng.randint(-1, 1)) if i > j else Fraction(0))
+                 for j in range(n)] for i in range(n)])
+    Mi = inverse(M)
+    cols = M.columns()
+    conj = LieAlgebra(n, {(i, j): Mi.mul_vec(F.bracket(cols[i], cols[j]))
+                          for i in range(n) for j in range(i + 1, n)})
+    G = associated_graded(conj)
+    theta = filtered_iso(conj)
+    assert theta is not None and theta != Matrix.from_columns(G.from_parent)
 
 
 def test_direct_summand_quadratic():
