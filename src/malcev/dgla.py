@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .linalg import (
     Matrix, ZERO, vec_add, vec_scale, vec_sub, vec_zero, vec_is_zero,
-    solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit,
+    solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit, right_inverse,
 )
 from .lie import (
     LieAlgebra, lower_central_series, nilpotency_class, lcs_dims, abelian,
@@ -181,12 +181,14 @@ def gauge(t: TensorDGLA, alpha, x):
 
 
 class SmallExtensionSpec:
-    """Central extension data 0 -> I -> N -> M -> 0 with [N, I] = 0."""
+    """Central extension data 0 -> I -> N -> M -> 0 with [N, I] = 0; ValueError
+    unless the projection is onto and the kernel maps to zero and is central."""
 
     def __init__(self, N: LieAlgebra, M: LieAlgebra, projection: Matrix, kernel_basis_vectors):
         self.N = N
         self.M = M
         self.projection = projection
+        self._section = right_inverse(projection)
         self.kernel = [tuple(v) for v in kernel_basis_vectors]
         for v in self.kernel:
             if not vec_is_zero(projection.mul_vec(v)):
@@ -196,29 +198,26 @@ class SmallExtensionSpec:
                     raise ValueError("kernel is not central: extension not semi-small")
 
     def section(self) -> Matrix:
-        """A linear section s of the projection (p s = id)."""
-        cols = []
-        for j in range(self.M.dim):
-            sol = solve_affine(self.projection, unit(self.M.dim, j))
-            assert sol is not None, "projection is not surjective"
-            cols.append(sol[0])
-        return Matrix.from_columns(cols, rows=self.N.dim)
+        """The linear section s of the projection (p s = id), zero on its free
+        coordinates."""
+        return self._section
 
 
 def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
-    """The LCS stage N/G_{k+1} -> N/G_k as a semi-small extension."""
+    """The LCS stage N/G_{k+1} -> N/G_k as a semi-small extension, for
+    1 <= k <= class of N (ValueError otherwise); it also records the quotient
+    map N -> N/G_{k+1} as ``quotient``.  MC staging and one-class lifting of
+    group representations both build their stages here."""
     chain = lower_central_series(N)
+    if not 1 <= k < len(chain):
+        raise ValueError("LCS stage %d needs 1 <= k <= class %d of the algebra"
+                         % (k, len(chain) - 1))
     upper, pu = quotient_by_ideal(N, chain[k])       # N/G_{k+1}
     lower, pl = quotient_by_ideal(N, chain[k - 1])   # N/G_k
-    # projection upper -> lower: factor pl through pu
-    cols = []
-    for j in range(upper.dim):
-        sol = solve_affine(pu, unit(upper.dim, j))
-        assert sol is not None
-        cols.append(pl.mul_vec(sol[0]))
-    proj = Matrix.from_columns(cols, rows=lower.dim)
-    kernel = kernel_basis(proj)
-    return SmallExtensionSpec(upper, lower, proj, kernel)
+    proj = pl * right_inverse(pu)                    # factor pl through pu
+    stage = SmallExtensionSpec(upper, lower, proj, kernel_basis(proj))
+    stage.quotient = pu
+    return stage
 
 
 def _blockwise(s: Matrix, x, count):
@@ -234,8 +233,6 @@ def _central_correction(tn: TensorDGLA, kernel, h):
     by du alone, so this solves the lift exactly.
     """
     dirs = tn.tensor_basis(1, kernel)
-    if not dirs:
-        return (tn.zero(1), []) if vec_is_zero(h) else None
     sol = solve_affine(Matrix.from_columns([tn.diff(1, u) for u in dirs], rows=tn.dim(2)),
                        vec_scale(-1, h))
     if sol is None:
@@ -261,6 +258,8 @@ def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, H: CohomologyDat
     H = H or cohomology(dga)
     s = section if section is not None else e.section()
     h = mc_residual(TensorDGLA(dga, e.N), _blockwise(s, x, dga.dims[1]))
+    if dga.top < 2:  # A^2 = 0: nothing obstructs the lift
+        return [() for _ in e.kernel], h
     mN = e.N.dim
     # h lives in A^2 ox I; express the I-components in kernel coordinates
     coords = [coords_in_basis(e.kernel, h[i * mN:(i + 1) * mN])
@@ -271,16 +270,14 @@ def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, H: CohomologyDat
     return classes, h
 
 
-def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec,
-                         section: Matrix = None) -> bool:
+def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:
     """Directly solve the affine lift system; True iff a lift to N exists.
 
     Because the kernel is central the unknown correction u in A^1 ox I
     enters only through du, so solvability is an exact affine question.
     """
-    s = section if section is not None else e.section()
     tn = TensorDGLA(dga, e.N)
-    h = mc_residual(tn, _blockwise(s, x, dga.dims[1]))
+    h = mc_residual(tn, _blockwise(e.section(), x, dga.dims[1]))
     return _central_correction(tn, e.kernel, h) is not None
 
 
@@ -316,8 +313,7 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     M1 = ext1.N  # N / G_2, the abelianisation
     t1 = TensorDGLA(dga, M1)
     cols = [t1.diff(1, unit(t1.dim(1), i)) for i in range(t1.dim(1))]
-    kern = kernel_basis(Matrix.from_columns(cols, rows=t1.dim(2))) if t1.dim(2) \
-        else [unit(t1.dim(1), i) for i in range(t1.dim(1))]
+    kern = kernel_basis(Matrix.from_columns(cols, rows=t1.dim(2)))
     x = tuple(initial) if initial is not None else t1.zero(1)
     if not is_mc(t1, x):
         raise ValueError("initial stage-1 element is not Maurer-Cartan")
@@ -326,8 +322,7 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     current = x
     for k in range(2, cls + 1):
         e = lcs_extension(N, k)
-        s = e.section()
-        classes, h = obstruction_class(dga, current, e, H=H, section=s)
+        classes, h = obstruction_class(dga, current, e, H=H)
         obstructed = any(any(cc != 0 for cc in c) for c in classes)
         if obstructed:
             stages.append(MCStage(k, None, 0, True, classes))
@@ -337,7 +332,7 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
         sol = _central_correction(tn, e.kernel, h)
         assert sol is not None, "zero obstruction class but unsolvable system"
         u, kernel_dirs = sol
-        current = vec_add(_blockwise(s, current, dga.dims[1]), u)
+        current = vec_add(_blockwise(e.section(), current, dga.dims[1]), u)
         assert is_mc(tn, current)
         stages.append(MCStage(k, None, len(kernel_dirs), False, classes))
     return MCSolveReport(stages, current, True)
@@ -507,8 +502,7 @@ def deformation_census(dga: FiniteDGA, N: LieAlgebra):
     for k in range(1, len(dims)):
         t = TensorDGLA(dga, abelian(dims[k - 1] - dims[k]))
         cols1 = [t.diff(1, unit(t.dim(1), i)) for i in range(t.dim(1))]
-        z1 = len(kernel_basis(Matrix.from_columns(cols1, rows=t.dim(2)))) \
-            if t.dim(2) else t.dim(1)
+        z1 = len(kernel_basis(Matrix.from_columns(cols1, rows=t.dim(2))))
         cols0 = [t.diff(0, unit(t.dim(0), i)) for i in range(t.dim(0))]
         b1 = len(echelon_basis(cols0, t.dim(1))) if cols0 else 0
         out.append((k, z1 - b1))

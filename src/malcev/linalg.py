@@ -91,8 +91,8 @@ class Matrix:
     @classmethod
     def from_columns(cls, columns, rows=None):
         columns = [tuple(c) for c in columns]
-        if not columns:
-            return cls.zeros(rows if rows is not None else 0, 0)
+        if not columns or not columns[0]:
+            return cls.zeros(0 if columns else rows or 0, len(columns))
         return cls(list(zip(*columns)))
 
     def column(self, j):
@@ -114,6 +114,8 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
+            if not self.rows:
+                return Matrix.zeros(0, other.cols)
             ot = other.transpose()
             return Matrix([[sum((r[k] * c[k] for k in range(self.cols)), ZERO)
                             for c in ot.data] for r in self.data])
@@ -195,24 +197,33 @@ def det(m: Matrix) -> Fraction:
     return d
 
 
+def right_inverse(m: Matrix) -> Matrix:
+    """The s with m s = id, for m onto (ValueError otherwise), from one RREF
+    of [m | id]: column j solves m x = e_j with every free variable zero."""
+    n = m.rows
+    red, pivots = rref(Matrix([row + unit(n, i) for i, row in enumerate(m.data)]))
+    if pivots and pivots[-1] >= m.cols:
+        raise ValueError("matrix is not onto")
+    s = [vec_zero(n)] * m.cols
+    for i, pc in enumerate(pivots):
+        s[pc] = red.data[i][m.cols:]
+    return Matrix(s)
+
+
 def inverse(m: Matrix) -> Matrix:
+    """A square matrix is onto iff invertible: its inverse is right_inverse."""
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    aug = Matrix([row + unit(n, i) for i, row in enumerate(m.data)])
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in red.data])
+    return right_inverse(m)
 
 
-def kernel_basis(m: Matrix):
-    """Basis of the exact null space {v : m v = 0}, as a list of vectors."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+def _null_space(red, pivots, cols):
+    """Kernel basis of a matrix with cols columns, read off an RREF whose
+    first cols columns are the RREF of that matrix."""
+    free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [ZERO] * m.cols
+        v = [ZERO] * cols
         v[fc] = ONE
         for i, pc in enumerate(pivots):
             v[pc] = -red.data[i][fc]
@@ -220,10 +231,17 @@ def kernel_basis(m: Matrix):
     return basis
 
 
+def kernel_basis(m: Matrix):
+    """Basis of the exact null space {v : m v = 0}, as a list of vectors."""
+    return _null_space(*rref(m), m.cols)
+
+
 def solve_affine(m: Matrix, b):
     """Solve m x = b exactly.
 
     Returns (particular solution, kernel basis), or None when unsolvable.
+    Pivots are chosen column by column, so the first m.cols columns of the
+    RREF of [m | b] are the RREF of m: the kernel is read off the same RREF.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
@@ -236,7 +254,7 @@ def solve_affine(m: Matrix, b):
         x[pc] = red.data[i][m.cols]
     x = tuple(x)
     assert m.mul_vec(x) == tuple(b)
-    return x, kernel_basis(m)
+    return x, _null_space(red, pivots, m.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_add, vec_scale, vec_sub,
     vec_zero, vec_is_zero, echelon_basis, span_contains, spans_equal,
-    kernel_basis, solve_affine, rank, inverse, unit,
+    kernel_basis, solve_affine, rank, inverse, unit, right_inverse,
 )
 from .lie import (
     LieAlgebra, lower_central_series, nilpotency_class,
@@ -28,6 +28,7 @@ from .freelie import (
 from .bch import (
     SemidirectElement, GroupPresentation, evaluate_word, check_representation,
 )
+from .dgla import lcs_extension
 
 
 def pair_index(k):
@@ -486,29 +487,12 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     kernel is central), so solvability is one exact linear system.  A
     returned lift is re-verified with check_representation.
     """
-    chain = lower_central_series(U)
-    if k < 2 or k >= len(chain):
+    if not 2 <= k <= nilpotency_class(U):
         raise ValueError("need 2 <= k <= class of U")
-    Lk, pk = quotient_by_ideal(U, chain[k - 1])
-    Lk1, pk1 = quotient_by_ideal(U, chain[k])
-    # preimages in U of the basis of Lk1; projection Lk1 -> Lk through them
-    lifts = []
-    for j in range(Lk1.dim):
-        sol = solve_affine(pk1, unit(Lk1.dim, j))
-        assert sol is not None
-        lifts.append(sol[0])
-    proj = Matrix.from_columns([pk.mul_vec(v) for v in lifts], rows=Lk.dim)
-    kern = kernel_basis(proj)
-    for v in kern:
-        for i in range(Lk1.dim):
-            if not vec_is_zero(Lk1.bracket(Lk1.basis_vector(i), v)):
-                raise ValueError("quotient stage kernel is not central")
-
-    def section(v):
-        sol = solve_affine(proj, v)
-        assert sol is not None
-        return sol[0]
-
+    e = lcs_extension(U, k)
+    Lk1, Lk, proj, kern, s = e.N, e.M, e.projection, e.kernel, e.section()
+    if ambient_auts is not None:
+        lift = right_inverse(e.quotient)   # Lk1 -> U, for the action on Lk1
     cls_k1 = nilpotency_class(Lk1)
     base = {}
     for g in p.generators:
@@ -521,23 +505,17 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
             raise ValueError("assignment for %r has wrong dimension" % g)
         aut1 = Matrix.identity(Lk1.dim)
         if ambient_auts is not None and g in ambient_auts:
-            A = ambient_auts[g]
-            cols = [pk1.mul_vec(A.mul_vec(v)) for v in lifts]
-            aut1 = Matrix.from_columns(cols, rows=Lk1.dim)
-        base[g] = SemidirectElement(Lk1, section(log), aut1, cls=cls_k1)
+            aut1 = e.quotient * ambient_auts[g] * lift
+        base[g] = SemidirectElement(Lk1, s.mul_vec(log), aut1, cls=cls_k1)
     # verify the input really is a representation at level k
     level_k = {}
     for g in p.generators:
-        autk = None
+        autk = Matrix.identity(Lk.dim)
         if ambient_auts is not None and g in ambient_auts:
-            # push the automorphism down along proj via a section
-            autk = Matrix.from_columns(
-                [proj.mul_vec(base[g].aut.mul_vec(section(unit(Lk.dim, j))))
-                 for j in range(Lk.dim)], rows=Lk.dim)
-        level_k[g] = SemidirectElement(
-            Lk, proj.mul_vec(base[g].log),
-            autk if autk is not None else Matrix.identity(Lk.dim),
-            cls=nilpotency_class(Lk) if Lk.dim else 1)
+            # push the automorphism down along proj via the section
+            autk = proj * base[g].aut * s
+        level_k[g] = SemidirectElement(Lk, proj.mul_vec(base[g].log), autk,
+                                       cls=nilpotency_class(Lk) if Lk.dim else 1)
     if check_representation(p, level_k):
         raise ValueError("assignment does not satisfy the relators at level k")
 
@@ -572,11 +550,7 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     target = []
     for d in d0:
         target.extend(vec_scale(-1, d))
-    if cols:
-        sol = solve_affine(Matrix.from_columns(cols, rows=len(target)),
-                           tuple(target))
-    else:
-        sol = ((), []) if vec_is_zero(tuple(target)) else None
+    sol = solve_affine(Matrix.from_columns(cols, rows=len(target)), tuple(target))
     if sol is None:
         return LiftResult(False, witness=list(zip([list(r) for r in p.relators], d0)))
     corr = dict(zero_corr)

@@ -100,6 +100,21 @@ def test_mc(capsys):
     assert [s["level"] for s in v["stages"]] == [1, 2]
 
 
+def test_mc_top_degree_one(capsys):
+    # A^2 = 0, so no stage is obstructed and every correction is free
+    dga = '{"dims":[1,1],"d":[[["0"]]],"product":{"0,0":[[["1"]]],"0,1":[[["1"]]]}}'
+    code, out = run_json(capsys, "mc", dga, HEIS_JSON)
+    assert code == 0
+    v = out["verdicts"]
+    assert v["completed"] is True
+    assert v["stages"][1]["solution_dim"] == 1
+
+
+def test_mc_zero_coefficients_is_input_error(capsys):
+    code, err = run_error(capsys, "mc", CE_HEIS_JSON, '{"dim":0,"brackets":[]}')
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_mc_bad_initial_is_input_error(capsys):
     code, _ = run(capsys, "mc", CE_HEIS_JSON, HEIS_JSON, "--initial", "[1]")
     assert code == 2

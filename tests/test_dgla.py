@@ -75,6 +75,25 @@ def test_lcs_extension_is_semi_small():
         assert e.projection * s == Matrix.identity(e.M.dim)
 
 
+def test_lcs_extension_validates_level():
+    N = heisenberg()  # class 2
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            lcs_extension(N, k)
+
+
+def test_first_lcs_stage_kernel_is_the_abelianisation():
+    e = lcs_extension(heisenberg(), 1)
+    assert (e.projection.rows, e.projection.cols) == (0, 2)
+    assert len(e.kernel) == 2
+
+
+def test_projection_that_is_not_onto_rejected():
+    proj = Matrix([[1, 0], [0, 0]])
+    with pytest.raises(ValueError):
+        SmallExtensionSpec(abelian(2), abelian(2), proj, [unit(2, 1)])
+
+
 def test_non_central_kernel_rejected():
     N = free_nilpotent(2, 2)
     chain = lower_central_series(N)

@@ -320,6 +320,28 @@ def test_lift_one_class_succeeds():
     assert res.images["z"].log == (0, 0, Fraction(1, 2))
 
 
+def test_lift_one_class_with_ambient_automorphism():
+    # H_Z x|_M Z with M = [[2, 1], [1, 1]]: t acts on the Heisenberg group by
+    # the automorphism of U = heisenberg() that is M on the generators
+    p = GroupPresentation(
+        ["x", "y", "z", "t"],
+        [["x", "y", "x^-1", "y^-1", "z^-1"],
+         ["x", "z", "x^-1", "z^-1"],
+         ["y", "z", "y^-1", "z^-1"],
+         ["t", "x", "t^-1", "y^-1", "x^-1", "x^-1"],
+         ["t", "y", "t^-1", "y^-1", "x^-1"],
+         ["t", "z", "t^-1", "z^-1"]])
+    assignment = {"x": (1, 0), "y": (0, 1), "z": (0, 0), "t": (0, 0)}
+    A = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    res = lift_one_class(p, assignment, heisenberg(), 2, ambient_auts={"t": A})
+    assert res.lifted
+    assert check_representation(p, res.images) == []
+    half = Fraction(1, 2)
+    assert {g: el.log for g, el in res.images.items()} == {
+        "x": (1, 0, -half), "y": (0, 1, -half), "z": (0, 0, 1), "t": (0, 0, 0)}
+    assert res.images["t"].aut == A
+
+
 def test_lift_one_class_validates_level():
     U = heisenberg()
     p = GroupPresentation(["a", "b"], [["a", "b", "a^-1", "b^-1"]])
