@@ -32,13 +32,13 @@ class FiniteDGA:
         self.top = len(self.dims) - 1
         self.d = [m if isinstance(m, Matrix) else Matrix(m) for m in d]
         while len(self.d) < self.top + 1:
-            self.d.append(Matrix.zeros(self._dim_at(len(self.d) + 1), self.dims[len(self.d)]))
+            self.d.append(Matrix.zeros(self.dim(len(self.d) + 1), self.dims[len(self.d)]))
         self.products = {}
         for (p, q), table in products.items():
             self.products[(p, q)] = [[tuple(scalar(c) for c in cell) for cell in row]
                                      for row in table]
         if len(self.d) > self.top + 1 or any(
-                m.rows != self._dim_at(n + 1) or (m.rows and m.cols != self.dims[n])
+                m.rows != self.dim(n + 1) or (m.rows and m.cols != self.dims[n])
                 for n, m in enumerate(self.d)):
             raise ValueError("differentials do not match dims %s" % self.dims)
         for (p, q), table in self.products.items():
@@ -52,11 +52,12 @@ class FiniteDGA:
         if errors:
             raise ValueError("DGA axioms violated: " + "; ".join(errors))
 
-    def _dim_at(self, n):
+    def dim(self, n):
+        """The dimension in degree n, 0 outside 0..top."""
         return self.dims[n] if 0 <= n <= self.top else 0
 
     def diff(self, n, v):
-        if self._dim_at(n + 1) == 0:
+        if self.dim(n + 1) == 0:
             return ()
         return self.d[n].mul_vec(v)
 

@@ -51,7 +51,7 @@ class TensorDGLA:
         (outer loop) and each v in vectors (inner loop)."""
         m = self.N.dim
         out = []
-        for i in range(self.dga.dims[n]):
+        for i in range(self.dga.dim(n)):
             for v in vectors:
                 u = [ZERO] * self.dim(n)
                 u[i * m:(i + 1) * m] = v
@@ -61,7 +61,7 @@ class TensorDGLA:
     def _split(self, n, v):
         """View a degree-n vector as rows indexed by the DGA basis."""
         m = self.N.dim
-        return [v[i * m:(i + 1) * m] for i in range(self.dga.dims[n])]
+        return [v[i * m:(i + 1) * m] for i in range(self.dga.dim(n))]
 
     def diff(self, n, v):
         out = [ZERO] * self.dim(n + 1)
@@ -182,12 +182,15 @@ def gauge(t: TensorDGLA, alpha, x):
 
 class SmallExtensionSpec:
     """Central extension data 0 -> I -> N -> M -> 0 with [N, I] = 0; ValueError
-    unless the projection is onto and the kernel maps to zero and is central."""
+    unless the projection is onto and the kernel maps to zero and is central.
+    quotient is a map from an ambient algebra onto N, or None if unknown."""
 
-    def __init__(self, N: LieAlgebra, M: LieAlgebra, projection: Matrix, kernel_basis_vectors):
+    def __init__(self, N: LieAlgebra, M: LieAlgebra, projection: Matrix, kernel_basis_vectors,
+                 quotient: Matrix = None):
         self.N = N
         self.M = M
         self.projection = projection
+        self.quotient = quotient
         self._section = right_inverse(projection)
         self.kernel = [tuple(v) for v in kernel_basis_vectors]
         for v in self.kernel:
@@ -205,9 +208,9 @@ class SmallExtensionSpec:
 
 def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
     """The LCS stage N/G_{k+1} -> N/G_k as a semi-small extension, for
-    1 <= k <= class of N (ValueError otherwise); it also records the quotient
-    map N -> N/G_{k+1} as ``quotient``.  MC staging and one-class lifting of
-    group representations both build their stages here."""
+    1 <= k <= class of N (ValueError otherwise), whose quotient is the map
+    N -> N/G_{k+1}.  MC staging and one-class lifting of group
+    representations both build their stages here."""
     chain = lower_central_series(N)
     if not 1 <= k < len(chain):
         raise ValueError("LCS stage %d needs 1 <= k <= class %d of the algebra"
@@ -215,9 +218,7 @@ def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
     upper, pu = quotient_by_ideal(N, chain[k])       # N/G_{k+1}
     lower, pl = quotient_by_ideal(N, chain[k - 1])   # N/G_k
     proj = pl * right_inverse(pu)                    # factor pl through pu
-    stage = SmallExtensionSpec(upper, lower, proj, kernel_basis(proj))
-    stage.quotient = pu
-    return stage
+    return SmallExtensionSpec(upper, lower, proj, kernel_basis(proj), quotient=pu)
 
 
 def _blockwise(s: Matrix, x, count):
@@ -257,7 +258,7 @@ def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, H: CohomologyDat
         raise ValueError("input is not a Maurer-Cartan element over the base")
     H = H or cohomology(dga)
     s = section if section is not None else e.section()
-    h = mc_residual(TensorDGLA(dga, e.N), _blockwise(s, x, dga.dims[1]))
+    h = mc_residual(TensorDGLA(dga, e.N), _blockwise(s, x, dga.dim(1)))
     if dga.top < 2:  # A^2 = 0: nothing obstructs the lift
         return [() for _ in e.kernel], h
     mN = e.N.dim
@@ -277,7 +278,7 @@ def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:
     enters only through du, so solvability is an exact affine question.
     """
     tn = TensorDGLA(dga, e.N)
-    h = mc_residual(tn, _blockwise(e.section(), x, dga.dims[1]))
+    h = mc_residual(tn, _blockwise(e.section(), x, dga.dim(1)))
     return _central_correction(tn, e.kernel, h) is not None
 
 
@@ -332,7 +333,7 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
         sol = _central_correction(tn, e.kernel, h)
         assert sol is not None, "zero obstruction class but unsolvable system"
         u, kernel_dirs = sol
-        current = vec_add(_blockwise(e.section(), current, dga.dims[1]), u)
+        current = vec_add(_blockwise(e.section(), current, dga.dim(1)), u)
         assert is_mc(tn, current)
         stages.append(MCStage(k, None, len(kernel_dirs), False, classes))
     return MCSolveReport(stages, current, True)

@@ -487,7 +487,7 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     kernel is central), so solvability is one exact linear system.  A
     returned lift is re-verified with check_representation.
     """
-    if not 2 <= k <= nilpotency_class(U):
+    if k < 2:
         raise ValueError("need 2 <= k <= class of U")
     e = lcs_extension(U, k)
     Lk1, Lk, proj, kern, s = e.N, e.M, e.projection, e.kernel, e.section()

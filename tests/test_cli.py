@@ -2,6 +2,8 @@ import argparse
 import gc
 import json
 
+import pytest
+
 from malcev.cli import main
 from malcev.dga import chevalley_eilenberg
 from malcev.lie import heisenberg
@@ -100,14 +102,18 @@ def test_mc(capsys):
     assert [s["level"] for s in v["stages"]] == [1, 2]
 
 
-def test_mc_top_degree_one(capsys):
+@pytest.mark.parametrize("dga, solution_dims", [
     # A^2 = 0, so no stage is obstructed and every correction is free
-    dga = '{"dims":[1,1],"d":[[["0"]]],"product":{"0,0":[[["1"]]],"0,1":[[["1"]]]}}'
+    ('{"dims":[1,1],"d":[[["0"]]],"product":{"0,0":[[["1"]]],"0,1":[[["1"]]]}}', [2, 1]),
+    # A^1 = 0, so the only MC element is 0 and it lifts through every stage
+    ('{"dims":[1],"d":[],"product":{"0,0":[[["1"]]]}}', [0, 0]),
+], ids=["top-1", "top-0"])
+def test_mc_low_top_degree(capsys, dga, solution_dims):
     code, out = run_json(capsys, "mc", dga, HEIS_JSON)
     assert code == 0
     v = out["verdicts"]
     assert v["completed"] is True
-    assert v["stages"][1]["solution_dim"] == 1
+    assert [s["solution_dim"] for s in v["stages"]] == solution_dims
 
 
 def test_mc_zero_coefficients_is_input_error(capsys):
