@@ -1,13 +1,16 @@
 """Finite graded-commutative DGAs, cohomology rings, and Massey products.
 
 Degrees run 0..D with dense per-degree bases.  The differential raises
-degree by one; products are stored as per-degree-pair tables.  The
-Chevalley-Eilenberg functor turns any finite-dimensional Lie algebra into a
-test-case DGA whose d^2 = 0 is equivalent to the Jacobi identity.
+degree by one.  The products of a ``FiniteDGA`` are immutable: they run on
+one sparse table, built once, and ``products`` is a read-only dense view of
+the per-degree-pair tables it was given.  The Chevalley-Eilenberg functor turns
+any finite-dimensional Lie algebra into a test-case DGA whose d^2 = 0 is
+equivalent to the Jacobi identity.
 """
 
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_add, vec_scale, vec_sub,
@@ -20,11 +23,15 @@ class FiniteDGA:
     """Graded-commutative DGA on finite per-degree bases.
 
     dims[n] is the dimension in degree n; d[n] the matrix of the
-    differential degree n -> n+1; products[(p, q)][i][j] the coordinate
-    vector in degree p+q of (i-th degree-p basis) * (j-th degree-q basis).
-    Tables are stored for all degree pairs with p + q <= D.  The shapes and
-    the DGA axioms are checked on construction (ValueError otherwise), so
-    every FiniteDGA is a DGA.
+    differential degree n -> n+1; products, a read-only dense view,
+    maps (p, q) to the table whose [i][j] is the coordinate vector in
+    degree p+q of (i-th degree-p basis) * (j-th degree-q basis), for the
+    degree pairs given.  A pair given in one order only is read in the other
+    by graded commutativity; pairs given in neither order multiply to zero.
+    Products run on the sparse table _mult: per degree pair (p, q) with
+    p + q <= D and per degree-p index i, {j: ((k, c), ...)} with
+    a_i a_j = sum c a_k != 0.  The shapes and the DGA axioms are checked on
+    construction (ValueError otherwise), so every FiniteDGA is a DGA.
     """
 
     def __init__(self, dims, d, products):
@@ -33,10 +40,9 @@ class FiniteDGA:
         self.d = [m if isinstance(m, Matrix) else Matrix(m) for m in d]
         while len(self.d) < self.top + 1:
             self.d.append(Matrix.zeros(self.dim(len(self.d) + 1), self.dims[len(self.d)]))
-        self.products = {}
-        for (p, q), table in products.items():
-            self.products[(p, q)] = [[tuple(scalar(c) for c in cell) for cell in row]
-                                     for row in table]
+        self.products = MappingProxyType({
+            key: tuple(tuple(tuple(scalar(c) for c in cell) for cell in row) for row in table)
+            for key, table in products.items()})
         if len(self.d) > self.top + 1 or any(
                 m.rows != self.dim(n + 1) or (m.rows and m.cols != self.dims[n])
                 for n, m in enumerate(self.d)):
@@ -48,6 +54,17 @@ class FiniteDGA:
                            for row in table)):
                 raise ValueError("product table (%d,%d) does not match dims %s"
                                  % (p, q, self.dims))
+        self._mult = {(p, q): tuple({} for _ in range(self.dims[p]))
+                      for p in range(self.top + 1) for q in range(self.top + 1 - p)}
+        for (p, q), table in self.products.items():
+            sign = (-1) ** (p * q)
+            for i, row in enumerate(table):
+                for j, cell in enumerate(row):
+                    terms = tuple((k, c) for k, c in enumerate(cell) if c)
+                    if terms:
+                        self._mult[(p, q)][i][j] = terms
+                        if (q, p) not in self.products:
+                            self._mult[(q, p)][j][i] = tuple((k, sign * c) for k, c in terms)
         errors = self.validate()
         if errors:
             raise ValueError("DGA axioms violated: " + "; ".join(errors))
@@ -61,37 +78,29 @@ class FiniteDGA:
             return ()
         return self.d[n].mul_vec(v)
 
+    def basis_products(self, p, q):
+        """Per degree-p index i, {j: ((k, c), ...)} with a_i a_j = sum c a_k
+        != 0, for p + q <= top."""
+        return self._mult[(p, q)]
+
     def product(self, p, vp, q, vq):
+        """vp * vq by bilinear expansion over the nonzeros of vp and the
+        nonzero products of their basis vectors."""
         n = p + q
         if n > self.top:
             return ()
         out = [ZERO] * self.dims[n]
-        table = self.products.get((p, q))
-        if table is None:
-            # derive from graded commutativity
-            table_qp = self.products.get((q, p))
-            if table_qp is None:
-                return tuple(out)
-            sign = Fraction(-1) ** (p * q)
-            for i, a in enumerate(vp):
-                if a == 0:
-                    continue
-                for j, b in enumerate(vq):
-                    if b == 0:
-                        continue
-                    cell = table_qp[j][i]
-                    for k, c in enumerate(cell):
-                        out[k] += sign * a * b * c
-            return tuple(out)
+        rows = self._mult[(p, q)]
         for i, a in enumerate(vp):
-            if a == 0:
+            if not a:
                 continue
-            for j, b in enumerate(vq):
-                if b == 0:
+            for j, terms in rows[i].items():
+                b = vq[j]
+                if not b:
                     continue
-                cell = table[i][j]
-                for k, c in enumerate(cell):
-                    out[k] += a * b * c
+                ab = a * b
+                for k, c in terms:
+                    out[k] += ab * c
         return tuple(out)
 
     def basis_vector(self, n, i):
@@ -104,41 +113,22 @@ class FiniteDGA:
             if not (self.d[n + 1] * self.d[n]).is_zero():
                 errors.append("d^2 != 0 at degree %d" % n)
         basis = lambda n: [self.basis_vector(n, i) for i in range(self.dims[n])]
+        mul, d = self.product, self.diff
         for p in range(self.top + 1):
             for q in range(self.top + 1 - p):
-                sign = Fraction(-1) ** (p * q)
-                for i, a in enumerate(basis(p)):
-                    for j, b in enumerate(basis(q)):
-                        ab = self.product(p, a, q, b)
-                        ba = self.product(q, b, p, a)
-                        if ab != vec_scale(sign, ba):
-                            errors.append("graded commutativity fails at (%d,%d)" % (p, q))
-                            break
-                    else:
-                        continue
-                    break
-        for p in range(self.top + 1):
-            for q in range(self.top + 1 - p):
+                if any(mul(p, a, q, b) != vec_scale((-1) ** (p * q), mul(q, b, p, a))
+                       for a in basis(p) for b in basis(q)):
+                    errors.append("graded commutativity fails at (%d,%d)" % (p, q))
                 for r in range(self.top + 1 - p - q):
-                    for a in basis(p):
-                        for b in basis(q):
-                            for c in basis(r):
-                                lhs = self.product(p + q, self.product(p, a, q, b), r, c)
-                                rhs = self.product(p, a, q + r, self.product(q, b, r, c))
-                                if lhs != rhs:
-                                    errors.append(
-                                        "associativity fails at (%d,%d,%d)" % (p, q, r))
-                                    break
-        for p in range(self.top + 1):
-            for q in range(self.top - p):
-                sign = Fraction(-1) ** p
-                for a in basis(p):
-                    for b in basis(q):
-                        lhs = self.diff(p + q, self.product(p, a, q, b))
-                        rhs = vec_add(self.product(p + 1, self.diff(p, a), q, b),
-                                      vec_scale(sign, self.product(p, a, q + 1, self.diff(q, b))))
-                        if lhs != rhs:
-                            errors.append("Leibniz fails at (%d,%d)" % (p, q))
+                    if any(mul(p + q, mul(p, a, q, b), r, c) != mul(p, a, q + r, mul(q, b, r, c))
+                           for a in basis(p) for b in basis(q) for c in basis(r)):
+                        errors.append("associativity fails at (%d,%d,%d)" % (p, q, r))
+                if p + q < self.top and any(
+                        d(p + q, mul(p, a, q, b)) != vec_add(
+                            mul(p + 1, d(p, a), q, b),
+                            vec_scale((-1) ** p, mul(p, a, q + 1, d(q, b))))
+                        for a in basis(p) for b in basis(q)):
+                    errors.append("Leibniz fails at (%d,%d)" % (p, q))
         return sorted(set(errors))
 
     def to_json(self):

@@ -17,7 +17,7 @@ from .linalg import (
     solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit, right_inverse,
 )
 from .lie import (
-    LieAlgebra, lower_central_series, nilpotency_class, lcs_dims, abelian,
+    LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims, abelian,
     quotient_by_ideal,
 )
 from .dga import FiniteDGA, CohomologyData, cohomology
@@ -80,31 +80,29 @@ class TensorDGLA:
         return tuple(out)
 
     def bracket(self, p, vp, q, vq):
+        """Sum over the nonzero products a_i a_j = sum c a_k of A, read off
+        its sparse table, of (a_i a_j) ox [block_i, block_j]."""
         n = p + q
         if n > self.top:
             return ()
         m = self.N.dim
         out = [ZERO] * self.dim(n)
-        rows_p = self._split(p, vp)
         rows_q = self._split(q, vq)
-        for i, bi in enumerate(rows_p):
+        table = self.dga.basis_products(p, q)
+        for i, bi in enumerate(self._split(p, vp)):
             if vec_is_zero(bi):
                 continue
-            for j, bj in enumerate(rows_q):
+            for j, terms in table[i].items():
+                bj = rows_q[j]
                 if vec_is_zero(bj):
-                    continue
-                prod = self.dga.product(p, self.dga.basis_vector(p, i),
-                                        q, self.dga.basis_vector(q, j))
-                if vec_is_zero(prod):
                     continue
                 lie = self.N.bracket(bi, bj)
                 if vec_is_zero(lie):
                     continue
-                for k, c in enumerate(prod):
-                    if c != 0:
-                        for r in range(m):
-                            if lie[r] != 0:
-                                out[k * m + r] += c * lie[r]
+                for k, c in terms:
+                    for r, e in enumerate(lie):
+                        if e != 0:
+                            out[k * m + r] += c * e
         return tuple(out)
 
     def degree0_lie_algebra(self) -> LieAlgebra:
@@ -216,8 +214,8 @@ def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
         raise ValueError("LCS stage %d needs 1 <= k <= class %d of the algebra"
                          % (k, len(chain) - 1))
     upper, pu = quotient_by_ideal(N, chain[k])       # N/G_{k+1}
-    lower, pl = quotient_by_ideal(N, chain[k - 1])   # N/G_k
-    proj = pl * right_inverse(pu)                    # factor pl through pu
+    image = LieIdeal(upper, [pu.mul_vec(v) for v in chain[k - 1].basis], check=False)
+    lower, proj = quotient_by_ideal(upper, image)    # N/G_k as upper / (G_k/G_{k+1})
     return SmallExtensionSpec(upper, lower, proj, kernel_basis(proj), quotient=pu)
 
 
@@ -437,15 +435,11 @@ def gauge_equivalent(dga: FiniteDGA, N: LieAlgebra, x, y, retries=4,
 
 
 def _bracket_is_zero(t: TensorDGLA) -> bool:
-    for p in range(t.top + 1):
-        for q in range(p, t.top + 1 - p):
-            for i in range(t.dim(p)):
-                ei = unit(t.dim(p), i)
-                for j in range(t.dim(q)):
-                    ej = unit(t.dim(q), j)
-                    if not vec_is_zero(t.bracket(p, ei, q, ej)):
-                        return False
-    return True
+    """[a ox m, b ox n] = ab ox [m, n] is nonzero whenever ab and [m, n] are,
+    so the bracket vanishes iff N is abelian or every product in A does."""
+    A = t.dga
+    return not t.N.brackets or not any(
+        any(A.basis_products(p, q)) for p in range(A.top + 1) for q in range(A.top + 1 - p))
 
 
 # ---------------------------------------------------------------------------

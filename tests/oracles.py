@@ -217,3 +217,27 @@ def dense_bracket(dim, table, x, y):
             for k in range(dim):
                 out[k] += c * Fraction(v[k])
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# DGA product from dense per-degree-pair tables (the textbook double sum;
+# a pair given in one order only is read in the other by graded
+# commutativity, a_j a_i = (-1)^{pq} a_i a_j).
+
+def dga_product(products, dim_out, p, vp, q, vq):
+    """vp * vq = sum_{i, j} vp_i vq_j (a_i a_j) in degree p + q, where
+    products[(p, q)][i][j] is the dense coordinate vector of a_i a_j and
+    pairs given in neither order multiply to zero."""
+    out = [Fraction(0)] * dim_out
+    for i in range(len(vp)):
+        for j in range(len(vq)):
+            if (p, q) in products:
+                cell, sign = products[(p, q)][i][j], 1
+            elif (q, p) in products:
+                cell, sign = products[(q, p)][j][i], (-1) ** (p * q)
+            else:
+                continue
+            c = sign * Fraction(vp[i]) * Fraction(vq[j])
+            for k in range(dim_out):
+                out[k] += c * Fraction(cell[k])
+    return tuple(out)

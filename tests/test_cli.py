@@ -311,3 +311,20 @@ def test_massey_dims_mismatch_is_input_error(capsys):
     code, err = run_error(capsys, "massey", dga, "--degrees", "1", "1", "1",
                           "--a", "[1,0]", "--b", "[1,0]", "--c", "[0,1]")
     assert code == 2 and err.startswith("error: bad DGA JSON")
+
+
+@pytest.mark.parametrize("dga, errors", [
+    ('{"dims":[1,1],"d":[[["0"]]],'
+     '"product":{"0,0":[[["1"]]],"1,0":[[["1"]]],"0,1":[[["2"]]]}}',
+     "associativity fails at (0,0,1); graded commutativity fails at (0,1); "
+     "graded commutativity fails at (1,0)"),
+    ('{"dims":[1,1,1],"d":[[["1"]],[["0"]]],'
+     '"product":{"0,0":[[["1"]]],"0,1":[[["1"]]],"0,2":[[["1"]]],"1,1":[[["0"]]]}}',
+     "Leibniz fails at (0,0)"),
+    ('{"dims":[1,1,1],"d":[[["0"]],[["0"]]],"product":{"0,0":[[["1"]]],"1,1":[[["1"]]]}}',
+     "graded commutativity fails at (1,1)"),
+], ids=["associativity", "leibniz", "odd-square"])
+def test_dga_axiom_failures_are_input_errors(capsys, dga, errors):
+    code, err = run_error(capsys, "mc", dga, HEIS_JSON)
+    assert code == 2
+    assert err == "error: bad input: DGA axioms violated: %s\n" % errors

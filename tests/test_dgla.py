@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from malcev.linalg import Matrix, vec_scale
-from malcev.lie import heisenberg, abelian, lower_central_series
+from malcev.lie import heisenberg, abelian, lower_central_series, quotient_by_ideal
 from malcev.freelie import free_nilpotent
 from malcev.dga import chevalley_eilenberg, cohomology, adjoin_acyclic
 from malcev.dgla import (
@@ -86,6 +86,15 @@ def test_first_lcs_stage_kernel_is_the_abelianisation():
     e = lcs_extension(heisenberg(), 1)
     assert (e.projection.rows, e.projection.cols) == (0, 2)
     assert len(e.kernel) == 2
+
+
+def test_lcs_stage_projection_factors_the_direct_quotient():
+    for N in (heisenberg(), free_nilpotent(2, 3), free_nilpotent(3, 2)):
+        chain = lower_central_series(N)
+        for k in range(1, len(chain)):
+            e = lcs_extension(N, k)
+            direct = quotient_by_ideal(N, chain[k - 1])[1]  # N -> N/G_k
+            assert e.projection * e.quotient == direct
 
 
 def test_projection_that_is_not_onto_rejected():
