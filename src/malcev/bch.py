@@ -129,6 +129,11 @@ def group_inverse(x, L=None):
 # ---------------------------------------------------------------------------
 # Semidirect products exp(u) x| G
 
+@functools.lru_cache(maxsize=None)
+def _identity(n):
+    return Matrix.identity(n)
+
+
 class SemidirectElement:
     """Element (n, g) of exp(u) x| G: unipotent log part plus an automorphism.
 
@@ -139,33 +144,41 @@ class SemidirectElement:
     def __init__(self, L, log, aut=None, check=False, cls=None):
         self.L = L
         self.log = tuple(log)
-        self.aut = aut if aut is not None else Matrix.identity(L.dim)
+        self.aut = aut if aut is not None else _identity(L.dim)
         self.cls = cls if cls is not None else nilpotency_class(L)
         if check and not check_automorphism(L, self.aut):
             raise ValueError("automorphism part is not a Lie algebra automorphism")
 
     @classmethod
     def identity(cls, L, nilp_cls=None):
-        return cls(L, vec_zero(L.dim), Matrix.identity(L.dim), cls=nilp_cls)
+        return cls(L, vec_zero(L.dim), cls=nilp_cls)
 
     def __mul__(self, other):
+        """An identity automorphism part is neither applied nor multiplied."""
         if not isinstance(other, SemidirectElement):
             return NotImplemented
-        return SemidirectElement(
-            self.L, bch(self.log, self.aut.mul_vec(other.log), self.L, cls=self.cls),
-            self.aut * other.aut, cls=self.cls)
+        one = _identity(self.L.dim)
+        if self.aut == one:
+            log, aut = other.log, other.aut
+        else:
+            log = self.aut.mul_vec(other.log)
+            aut = self.aut if other.aut == one else self.aut * other.aut
+        return SemidirectElement(self.L, bch(self.log, log, self.L, cls=self.cls), aut,
+                                 cls=self.cls)
 
     def inverse(self):
+        neg = vec_scale(-1, self.log)
+        if self.aut == _identity(self.L.dim):
+            return SemidirectElement(self.L, neg, self.aut, cls=self.cls)
         ai = inverse(self.aut)
-        return SemidirectElement(self.L, ai.mul_vec(vec_scale(-1, self.log)), ai,
-                                 cls=self.cls)
+        return SemidirectElement(self.L, ai.mul_vec(neg), ai, cls=self.cls)
 
     def __eq__(self, other):
         return (isinstance(other, SemidirectElement) and self.log == other.log
                 and self.aut == other.aut)
 
     def is_identity(self):
-        return vec_is_zero(self.log) and self.aut == Matrix.identity(self.L.dim)
+        return vec_is_zero(self.log) and self.aut == _identity(self.L.dim)
 
     def __repr__(self):
         return "SemidirectElement(log=%r)" % (self.log,)

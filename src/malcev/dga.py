@@ -6,6 +6,14 @@ one sparse table, built once, and ``products`` is a read-only dense view of
 the per-degree-pair tables it was given.  The Chevalley-Eilenberg functor turns
 any finite-dimensional Lie algebra into a test-case DGA whose d^2 = 0 is
 equivalent to the Jacobi identity.
+
+The DGA axioms are proved on construction on a generating set S of the
+algebra, not swept over all basis triples: the elements on which
+associativity holds against everything form a subalgebra, and given
+associativity so do the elements that graded-commute, and those on which d
+obeys Leibniz; given Leibniz, d^2 is a derivation, so its kernel is a
+subalgebra too.  Each axiom that holds on S therefore holds on all of A (see
+``FiniteDGA.validate``).  A full sweep runs only to name the failures.
 """
 
 import itertools
@@ -14,8 +22,8 @@ from types import MappingProxyType
 
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_add, vec_scale, vec_sub,
-    vec_zero, vec_is_zero, kernel_basis, solve_affine,
-    echelon_basis, span_contains, unit,
+    vec_zero, vec_is_zero, kernel_basis, echelon_basis, span_contains, unit,
+    IncrementalSpan, AffineSolver,
 )
 
 
@@ -31,7 +39,8 @@ class FiniteDGA:
     Products run on the sparse table _mult: per degree pair (p, q) with
     p + q <= D and per degree-p index i, {j: ((k, c), ...)} with
     a_i a_j = sum c a_k != 0.  The shapes and the DGA axioms are checked on
-    construction (ValueError otherwise), so every FiniteDGA is a DGA.
+    construction (ValueError otherwise), so every FiniteDGA is a DGA.  A
+    zero-row d[n] keeps dims[n] columns.
     """
 
     def __init__(self, dims, d, products):
@@ -47,6 +56,8 @@ class FiniteDGA:
                 m.rows != self.dim(n + 1) or (m.rows and m.cols != self.dims[n])
                 for n, m in enumerate(self.d)):
             raise ValueError("differentials do not match dims %s" % self.dims)
+        # a zero-row differential keeps its column count (JSON gives it none)
+        self.d = [m if m.rows else Matrix.zeros(0, self.dims[n]) for n, m in enumerate(self.d)]
         for (p, q), table in self.products.items():
             if (min(p, q) < 0 or p + q > self.top or len(table) != self.dims[p]
                     or any(len(row) != self.dims[q] or
@@ -107,7 +118,115 @@ class FiniteDGA:
         return unit(self.dims[n], i)
 
     def validate(self):
-        """Check d^2 = 0, graded commutativity, associativity, Leibniz."""
+        """The DGA axioms: [] for a DGA, else the failing degrees as errors.
+
+        The axioms are proved on a generating set S (``_generators``): every
+        basis vector of A^0, and in each degree n >= 1 unit vectors that
+        complete the span of the decomposables A^p A^q (p, q >= 1, p + q = n).
+        By induction on the degree, S generates A as an algebra.  For every s
+        in S and all basis vectors y, z the checks are
+
+        - associativity (s y) z = s (y z);
+        - graded commutativity s y = (-1)^{|s||y|} y s;
+        - Leibniz d(s y) = ds y + (-1)^{|s|} s dy;
+        - d^2 s = 0.
+
+        Each then holds on all of A, because the elements that satisfy it
+        form a subalgebra.  The x with (x y) z = x (y z) for all y, z form a
+        subspace, closed under products: ((x x') y) z = (x (x' y)) z =
+        x ((x' y) z) = x (x' (y z)) = (x x') (y z).  Given associativity,
+        the same three steps close the x that graded-commute with every y,
+        and the x on which d obeys Leibniz against every y.  Given Leibniz,
+        d^2 is an even derivation, d^2(x y) = d^2x y + x d^2y, so its kernel
+        is a subalgebra too.  The checks read the sparse table, so they cost
+        |S| times the nonzero products of A rather than a sweep over all
+        basis triples.
+
+        Only when a check on S fails does the sweep over all basis vectors
+        run, to name every failing degree.
+        """
+        if self._axioms_hold_on(self._generators()):
+            return []
+        return self._sweep()
+
+    def _generators(self):
+        """(degree, index) of the generating set S of ``validate``.  In
+        degree n >= 1 the products a_i a_j with |a_i| = p, 1 <= p <= n - p,
+        go into one echelon span until it is full; the unit vectors off its
+        pivots complete it.  The products with p > n - p are not needed: S
+        generates A as long as each product taken has factors of lower
+        degree."""
+        gens = [(0, i) for i in range(self.dims[0])]
+        for n in range(1, self.top + 1):
+            span = IncrementalSpan()
+            products = (terms for p in range(1, n // 2 + 1)
+                        for row in self._mult[(p, n - p)] for terms in row.values())
+            for terms in products:
+                if span.dim == self.dims[n]:
+                    break
+                v = [ZERO] * self.dims[n]
+                for k, c in terms:
+                    v[k] = c
+                span.add(v)
+            pivots = set(span.pivots)
+            gens += [(n, k) for k in range(self.dims[n]) if k not in pivots]
+        return gens
+
+    def _axioms_hold_on(self, gens):
+        """The four checks of ``validate`` for s in gens, read off the
+        sparse table and the nonzeros of each column of d.  Each side of an
+        identity is summed into one dict, which must come out zero."""
+        mult, top, none = self._mult, self.top, ()
+        dcol = [[tuple((k, row[j]) for k, row in enumerate(m.data) if row[j])
+                 for j in range(self.dims[n])] for n, m in enumerate(self.d)]
+        for p, i in gens:
+            p_sign = (-1) ** p
+            acc = {}
+            for m, e in dcol[p][i]:                      # d^2 s
+                for t, f in dcol[p + 1][m]:
+                    acc[t] = acc.get(t, ZERO) + e * f
+            if any(acc.values()):
+                return False
+            for q in range(top + 1 - p):
+                sign = (-1) ** (p * q)
+                s_row, s_col = mult[(p, q)][i], mult[(q, p)]
+                for j in range(self.dims[q]):
+                    sy = s_row.get(j, none)
+                    if sy != tuple((k, sign * c) for k, c in s_col[j].get(i, none)):
+                        return False
+                    acc = {}                             # (s y) z - s (y z)
+                    for r in range(top + 1 - p - q):
+                        for k, c in sy:
+                            for z, terms in mult[(p + q, r)][k].items():
+                                for t, e in terms:
+                                    key = (r, z, t)
+                                    acc[key] = acc.get(key, ZERO) + c * e
+                        for z, terms in mult[(q, r)][j].items():
+                            for m, e in terms:
+                                for t, f in mult[(p, q + r)][i].get(m, none):
+                                    key = (r, z, t)
+                                    acc[key] = acc.get(key, ZERO) - e * f
+                    if any(acc.values()):
+                        return False
+                    if p + q == top:
+                        continue
+                    acc = {}                             # d(s y) - ds y - (-1)^p s dy
+                    for k, c in sy:
+                        for t, e in dcol[p + q][k]:
+                            acc[t] = acc.get(t, ZERO) + c * e
+                    for m, e in dcol[p][i]:
+                        for t, f in mult[(p + 1, q)][m].get(j, none):
+                            acc[t] = acc.get(t, ZERO) - e * f
+                    for m, e in dcol[q][j]:
+                        for t, f in mult[(p, q + 1)][i].get(m, none):
+                            acc[t] = acc.get(t, ZERO) - p_sign * e * f
+                    if any(acc.values()):
+                        return False
+        return True
+
+    def _sweep(self):
+        """Every failing degree of d^2 = 0, graded commutativity,
+        associativity and Leibniz, by a sweep over all basis vectors."""
         errors = []
         for n in range(self.top - 1):
             if not (self.d[n + 1] * self.d[n]).is_zero():
@@ -156,11 +275,17 @@ class FiniteDGA:
 # Cohomology of a cochain complex
 
 class CohomologyData:
-    """Betti numbers and representative bases of a finite cochain complex."""
+    """Betti numbers and representative bases of a finite cochain complex.
+
+    The linear systems it answers, class coordinates and preimages under d,
+    each get one AffineSolver per degree, made on first use and kept.
+    """
 
     def __init__(self, dims, d_mats):
         self.dims = list(dims)
         self.top = len(self.dims) - 1
+        self.d = d_mats
+        self._solvers = {}
         self.cocycles = []
         self.coboundaries = []
         self.representatives = []
@@ -188,15 +313,26 @@ class CohomologyData:
     def betti(self):
         return [len(r) for r in self.representatives]
 
+    def _solver(self, key, matrix):
+        if key not in self._solvers:
+            self._solvers[key] = AffineSolver(matrix())
+        return self._solvers[key]
+
     def class_coordinates(self, n, v):
         """Coordinates of a closed vector's class in the representative basis."""
-        cols = list(self.representatives[n]) + list(self.coboundaries[n])
+        cols = self.representatives[n] + self.coboundaries[n]
         if not cols:
             assert vec_is_zero(v)
             return ()
-        sol = solve_affine(Matrix.from_columns(cols, rows=self.dims[n]), v)
-        assert sol is not None, "vector is not a cocycle"
-        return sol[0][:len(self.representatives[n])]
+        x = self._solver(("class", n),
+                         lambda: Matrix.from_columns(cols, rows=self.dims[n])).solve(v)
+        assert x is not None, "vector is not a cocycle"
+        return x[:len(self.representatives[n])]
+
+    def preimage(self, n, v):
+        """The x in degree n - 1 with d x = v and free variables zero, or
+        None when v is not exact."""
+        return self._solver(("d", n - 1), lambda: self.d[n - 1]).solve(v)
 
 
 def cohomology(dga: FiniteDGA) -> CohomologyData:
@@ -395,7 +531,8 @@ def massey_triple(dga: FiniteDGA, pa, pb, pc, H=None) -> MasseyResult:
     """Triple Massey product of cocycles a, b, c given as (degree, vector).
 
     Requires da = db = dc = 0 and both a.b and b.c exact; raises
-    MasseyUndefined otherwise.
+    MasseyUndefined otherwise.  H, the cohomology of dga, keeps the
+    eliminations of dx = ab and of the class coordinates between calls.
     """
     H = H or cohomology(dga)
     (p, a), (q, b), (r, c) = pa, pb, pc
@@ -405,12 +542,10 @@ def massey_triple(dga: FiniteDGA, pa, pb, pc, H=None) -> MasseyResult:
             raise MasseyUndefined("input in degree %d is not a cocycle" % n)
     ab = dga.product(p, a, q, b)
     bc = dga.product(q, b, r, c)
-    sol_x = solve_affine(dga.d[p + q - 1], ab) if dga.dims[p + q] else ((), [])
-    sol_y = solve_affine(dga.d[q + r - 1], bc) if dga.dims[q + r] else ((), [])
-    if sol_x is None or sol_y is None:
+    x = H.preimage(p + q, ab)
+    y = H.preimage(q + r, bc)
+    if x is None or y is None:
         raise MasseyUndefined("products are not exact; Massey product undefined")
-    x = sol_x[0] if dga.dims[p + q] else vec_zero(dga.dims[p + q - 1])
-    y = sol_y[0] if dga.dims[q + r] else vec_zero(dga.dims[q + r - 1])
     n_out = p + q + r - 1
     sign = Fraction(-1) ** p
     rep = vec_sub(dga.product(p, a, q + r - 1, y),

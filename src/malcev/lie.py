@@ -47,6 +47,7 @@ class LieAlgebra:
         self.brackets = MappingProxyType(table)
         self._partners = tuple(tuple(p) for p in partners)
         self._lcs = None  # RREF bases of the lower central series, on demand
+        self._jacobi = None  # basis triples failing Jacobi, on demand
         self.grading = tuple(grading) if grading is not None else None
         if self.grading is not None:
             if len(self.grading) != dim:
@@ -97,19 +98,24 @@ class LieAlgebra:
         return tuple(out)
 
     def check_jacobi(self):
-        """Return the list of basis triples violating the Jacobi identity."""
-        e = [self.basis_vector(i) for i in range(self.dim)]
-        br = self.bracket
-        bad = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    s = vec_add(
-                        vec_add(br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i])),
-                        br(br(e[k], e[i]), e[j]))
-                    if not vec_is_zero(s):
-                        bad.append((i, j, k))
-        return bad
+        """Return the list of basis triples violating the Jacobi identity.
+
+        The algebra is immutable, so the sweep runs once per algebra; each
+        call returns a fresh list of the kept triples."""
+        if self._jacobi is None:
+            e = [self.basis_vector(i) for i in range(self.dim)]
+            br = self.bracket
+            bad = []
+            for i in range(self.dim):
+                for j in range(i + 1, self.dim):
+                    for k in range(j + 1, self.dim):
+                        s = vec_add(
+                            vec_add(br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i])),
+                            br(br(e[k], e[i]), e[j]))
+                        if not vec_is_zero(s):
+                            bad.append((i, j, k))
+            self._jacobi = tuple(bad)
+        return list(self._jacobi)
 
     def basis_vector(self, i):
         return unit(self.dim, i)

@@ -197,16 +197,44 @@ def det(m: Matrix) -> Fraction:
     return d
 
 
+class AffineSolver:
+    """m x = b for many right-hand sides b from one RREF of [m | id].
+
+    That RREF is [R | E] with E invertible and R = E m the RREF of m.  So
+    m x = b is solvable iff the entries of E b past the rank of m vanish,
+    and the solution with every free variable zero, entry for entry the
+    particular solution of ``solve_affine``, has x[pivots[i]] = (E b)_i.
+    """
+
+    def __init__(self, m: Matrix):
+        n = m.rows
+        red, pivots = rref(Matrix([row + unit(n, i) for i, row in enumerate(m.data)]))
+        self.m = m
+        self.pivots = [c for c in pivots if c < m.cols]
+        self.E = Matrix([row[m.cols:] for row in red.data])
+
+    def solve(self, b):
+        """The solution of m x = b with free variables zero, or None."""
+        eb = self.E.mul_vec(b)
+        if any(eb[len(self.pivots):]):
+            return None
+        x = [ZERO] * self.m.cols
+        for i, pc in enumerate(self.pivots):
+            x[pc] = eb[i]
+        x = tuple(x)
+        assert self.m.mul_vec(x) == tuple(b)
+        return x
+
+
 def right_inverse(m: Matrix) -> Matrix:
-    """The s with m s = id, for m onto (ValueError otherwise), from one RREF
-    of [m | id]: column j solves m x = e_j with every free variable zero."""
-    n = m.rows
-    red, pivots = rref(Matrix([row + unit(n, i) for i, row in enumerate(m.data)]))
-    if pivots and pivots[-1] >= m.cols:
+    """The s with m s = id, for m onto (ValueError otherwise), from one
+    AffineSolver: column j solves m x = e_j with every free variable zero."""
+    solver = AffineSolver(m)
+    if len(solver.pivots) < m.rows:
         raise ValueError("matrix is not onto")
-    s = [vec_zero(n)] * m.cols
-    for i, pc in enumerate(pivots):
-        s[pc] = red.data[i][m.cols:]
+    s = [vec_zero(m.rows)] * m.cols
+    for i, pc in enumerate(solver.pivots):
+        s[pc] = solver.E.data[i]
     return Matrix(s)
 
 

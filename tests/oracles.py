@@ -231,6 +231,8 @@ def dga_product(products, dim_out, p, vp, q, vq):
     out = [Fraction(0)] * dim_out
     for i in range(len(vp)):
         for j in range(len(vq)):
+            if not vp[i] or not vq[j]:
+                continue
             if (p, q) in products:
                 cell, sign = products[(p, q)][i][j], 1
             elif (q, p) in products:
@@ -241,3 +243,50 @@ def dga_product(products, dim_out, p, vp, q, vq):
             for k in range(dim_out):
                 out[k] += c * Fraction(cell[k])
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# The DGA axioms by a full sweep over basis vectors (products by dga_product,
+# the differential by dense matrix-vector products).
+
+def dga_axioms_hold(dims, d, products):
+    """True iff d^2 = 0, the product is graded commutative and associative,
+    and d obeys Leibniz, each checked on every tuple of basis vectors.  d[n]
+    is the dense matrix (a list of rows) of d from degree n to n + 1; a
+    missing or empty d[n] is zero."""
+    top = len(dims) - 1
+
+    def dim(n):
+        return dims[n] if 0 <= n <= top else 0
+
+    def basis(n):
+        return [tuple(Fraction(int(t == i)) for t in range(dims[n])) for i in range(dims[n])]
+
+    def diff(n, v):
+        rows = d[n] if n < len(d) else []
+        if not rows or not dim(n + 1):
+            return (Fraction(0),) * dim(n + 1)
+        return tuple(sum((Fraction(row[j]) * v[j] for j in range(len(v))), Fraction(0))
+                     for row in rows)
+
+    def mul(p, a, q, b):
+        return dga_product(products, dim(p + q), p, a, q, b)
+
+    def add(u, v, c=1):
+        return tuple(x + c * y for x, y in zip(u, v))
+
+    pairs = [(p, a, q, b) for p in range(top + 1) for q in range(top + 1 - p)
+             for a in basis(p) for b in basis(q)]
+    if any(any(diff(n + 1, diff(n, a))) for n in range(top + 1) for a in basis(n)):
+        return False
+    if any(any(add(mul(p, a, q, b), mul(q, b, p, a), -(-1) ** (p * q)))
+           for p, a, q, b in pairs):
+        return False
+    if any(any(add(diff(p + q, mul(p, a, q, b)), add(mul(p + 1, diff(p, a), q, b),
+                                                     mul(p, a, q + 1, diff(q, b)), (-1) ** p),
+                   -1))
+           for p, a, q, b in pairs if p + q < top):
+        return False
+    return not any(any(add(mul(p + q, mul(p, a, q, b), r, c),
+                           mul(p, a, q + r, mul(q, b, r, c)), -1))
+                   for p, a, q, b in pairs for r in range(top + 1 - p - q) for c in basis(r))

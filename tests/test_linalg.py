@@ -6,7 +6,7 @@ import pytest
 from malcev.linalg import (
     Matrix, scalar, format_scalar, rank, det, inverse, kernel_basis,
     solve_affine, echelon_basis, span_contains, spans_equal, coords_in_basis,
-    smith_normal_form, vec_is_zero,
+    smith_normal_form, vec_is_zero, AffineSolver,
 )
 
 from oracles import naive_solve, naive_rank
@@ -126,3 +126,22 @@ def test_smith_normal_form_known():
     A = Matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     _, D, _ = smith_normal_form(A)
     assert [D.data[i][i] for i in range(3)] == [2, 2, 156]
+
+
+def test_affine_solver_matches_solve_affine():
+    """One AffineSolver per matrix gives solve_affine's particular solution
+    entry for entry, and None exactly when the oracle finds no solution."""
+    rng = random.Random(17)
+    for _ in range(40):
+        m = rand_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), -2, 2)
+        if rng.random() < 0.5 and m.rows:  # make it rank deficient
+            m = Matrix(m.data[:-1] + (m.data[0],))
+        solver = AffineSolver(m)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                b = m.mul_vec(tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.cols)))
+            else:
+                b = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.rows))
+            sol = solve_affine(m, b)
+            assert solver.solve(b) == (None if sol is None else sol[0])
+            assert (sol is None) is (naive_solve(m.data, b) is None)
