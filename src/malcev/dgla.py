@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .linalg import (
     Matrix, ZERO, vec_add, vec_scale, vec_sub, vec_zero, vec_is_zero,
-    solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit, right_inverse,
+    solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit, right_inverse, rank,
 )
 from .lie import (
     LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims, abelian,
@@ -78,6 +78,16 @@ class TensorDGLA:
                     for r in range(m):
                         out[k * m + r] += c * block[r]
         return tuple(out)
+
+    def diff_matrix(self, n):
+        """d ox id from degree n as the Kronecker product of dga.d[n] with the
+        identity of N: d[n][k][i] at row k * m + r, column i * m + r."""
+        rows, cols = self.dim(n + 1), self.dim(n)
+        if not rows or not cols:
+            return Matrix.zeros(rows, cols)
+        m = self.N.dim
+        return Matrix([[drow[j // m] if j % m == r else ZERO for j in range(cols)]
+                       for drow in self.dga.d[n].data for r in range(m)])
 
     def bracket(self, p, vp, q, vq):
         """Sum over the nonzero products a_i a_j = sum c a_k of A, read off
@@ -311,8 +321,7 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     ext1 = lcs_extension(N, 1)
     M1 = ext1.N  # N / G_2, the abelianisation
     t1 = TensorDGLA(dga, M1)
-    cols = [t1.diff(1, unit(t1.dim(1), i)) for i in range(t1.dim(1))]
-    kern = kernel_basis(Matrix.from_columns(cols, rows=t1.dim(2)))
+    kern = kernel_basis(t1.diff_matrix(1))
     x = tuple(initial) if initial is not None else t1.zero(1)
     if not is_mc(t1, x):
         raise ValueError("initial stage-1 element is not Maurer-Cartan")
@@ -496,11 +505,7 @@ def deformation_census(dga: FiniteDGA, N: LieAlgebra):
     out = []
     for k in range(1, len(dims)):
         t = TensorDGLA(dga, abelian(dims[k - 1] - dims[k]))
-        cols1 = [t.diff(1, unit(t.dim(1), i)) for i in range(t.dim(1))]
-        z1 = len(kernel_basis(Matrix.from_columns(cols1, rows=t.dim(2))))
-        cols0 = [t.diff(0, unit(t.dim(0), i)) for i in range(t.dim(0))]
-        b1 = len(echelon_basis(cols0, t.dim(1))) if cols0 else 0
-        out.append((k, z1 - b1))
+        out.append((k, t.dim(1) - rank(t.diff_matrix(1)) - rank(t.diff_matrix(0))))
     return out
 
 

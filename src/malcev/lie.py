@@ -12,7 +12,7 @@ from types import MappingProxyType
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec, vec_add, vec_scale,
     vec_zero, vec_is_zero, echelon_basis, span_contains,
-    rank, inverse, unit, IncrementalSpan,
+    rank, inverse, unit, IncrementalSpan, ONE,
 )
 
 
@@ -47,6 +47,7 @@ class LieAlgebra:
         self.brackets = MappingProxyType(table)
         self._partners = tuple(tuple(p) for p in partners)
         self._lcs = None  # RREF bases of the lower central series, on demand
+        self._gens = None  # indices of a proven generating set, on demand
         self._jacobi = None  # basis triples failing Jacobi, on demand
         self.grading = tuple(grading) if grading is not None else None
         if self.grading is not None:
@@ -68,6 +69,16 @@ class LieAlgebra:
         if i < j:
             return self.brackets.get((i, j), vec_zero(self.dim))
         return vec_scale(-1, self.brackets.get((j, i), vec_zero(self.dim)))
+
+    def ad(self, i, v):
+        """[e_i, v], read off the sparse partner row of i."""
+        out = [ZERO] * self.dim
+        for j, terms in self._partners[i]:
+            vj = v[j]
+            if vj:
+                for k, c in terms:
+                    out[k] += vj * c
+        return tuple(out)
 
     def bracket(self, x, y):
         """[x, y] by bilinear expansion over the nonzeros of x and their
@@ -161,12 +172,8 @@ class LieIdeal:
 
     def is_ideal(self):
         span = IncrementalSpan(self.basis)
-        for i in range(self.parent.dim):
-            e = self.parent.basis_vector(i)
-            for v in self.basis:
-                if not span.contains(self.parent.bracket(e, v)):
-                    return False
-        return True
+        return all(span.contains(self.parent.ad(i, v))
+                   for i in range(self.parent.dim) for v in self.basis)
 
     def contains(self, v):
         return span_contains(self.basis, v)
@@ -197,23 +204,20 @@ def lower_central_series(L):
 def _lcs_bases(L):
     """RREF bases of the lower central series, computed once per algebra.
 
-    G_{n+1} is spanned by the nonzero products [e_i, b] over the basis b of
-    G_n.  Only plain tuples are cached on L (ideals would point back at it).
+    G_2 = [L, L] is the span of the table values; G_{n+1} for n >= 2 is
+    spanned by the [e_i, b] over the basis b of G_n.  Only plain tuples are
+    cached on L (ideals would point back at it).
     """
     if L._lcs is None:
         chain = [tuple(L.basis_vector(i) for i in range(L.dim))]
         while chain[-1]:
-            span = IncrementalSpan()
-            for i in range(L.dim):
-                e = L.basis_vector(i)
-                for b in chain[-1]:
-                    v = L.bracket(e, b)
-                    if not vec_is_zero(v):
-                        span.add(v)
-            if span.dim >= len(chain[-1]):
+            rows = L.brackets.values() if len(chain) == 1 else [
+                L.ad(i, b) for i in range(L.dim) for b in chain[-1]]
+            nxt = echelon_basis(rows, L.dim)
+            if len(nxt) >= len(chain[-1]):
                 raise NonNilpotentError(
                     "algebra is not nilpotent: its lower central series does not shrink")
-            chain.append(tuple(echelon_basis(span.rows, L.dim)))
+            chain.append(tuple(nxt))
         L._lcs = tuple(chain)
     return L._lcs
 
@@ -255,40 +259,42 @@ def adapted_basis(L):
 
     Returns (vectors, degrees): vectors form a basis of L where the tail
     vectors of degree >= n span G_n; degrees[i] is the filtration step the
-    i-th vector represents.
+    i-th vector represents, ascending, so graded components are contiguous.
     """
     chain = lower_central_series(L)
-    vectors = []
-    degrees = []
+    vectors, degrees = [], []
     for n in range(len(chain) - 1):
-        lower = chain[n + 1].basis
-        # extend a basis of G_{n+1} to G_n; the new vectors represent gr_n
-        current = IncrementalSpan(lower)
+        # extend a basis of G_{n+1} to G_n; the new vectors represent gr_{n+1}
+        current = IncrementalSpan(chain[n + 1].basis)
         for v in chain[n].basis:
             if current.add(v):
                 vectors.append(v)
                 degrees.append(n + 1)
-    # order by degree so graded components are contiguous
-    order = sorted(range(len(vectors)), key=lambda i: degrees[i])
-    return [vectors[i] for i in order], [degrees[i] for i in order]
+    return vectors, degrees
 
 
 def associated_graded(L):
-    """gr L with gr_n = G_n / G_{n+1} and the induced graded bracket."""
+    """gr L with gr_n = G_n / G_{n+1} and the induced graded bracket.
+
+    [G_a, G_b] lies in G_{a+b}, zero past the class; otherwise only the
+    degree-(a+b) rows of the inverse basis matrix are read."""
     vectors, degrees = adapted_basis(L)
-    basis_matrix = Matrix.from_columns(vectors)
-    inv = inverse(basis_matrix)
+    inv = inverse(Matrix.from_columns(vectors)).data
     dim = L.dim
+    top = max(degrees, default=0)
+    rows_of = {w: [k for k in range(dim) if degrees[k] == w] for w in range(1, top + 1)}
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             w = degrees[i] + degrees[j]
-            b = L.bracket(vectors[i], vectors[j])
-            coords = inv.mul_vec(b)
-            # quotient by the deeper filtration: keep only degree-w coordinates
-            out = tuple(c if degrees[k] == w else ZERO for k, c in enumerate(coords))
-            if not vec_is_zero(out):
-                brackets[(i, j)] = out
+            if w > top:
+                continue
+            nz = [(t, x) for t, x in enumerate(L.bracket(vectors[i], vectors[j])) if x]
+            out = [ZERO] * dim
+            for k in rows_of[w]:
+                out[k] = sum((inv[k][t] * x for t, x in nz), ZERO)
+            if any(out):
+                brackets[(i, j)] = tuple(out)
     algebra = LieAlgebra(dim, brackets, grading=degrees)
     return GradedLieAlgebra(algebra, from_parent=vectors)
 
@@ -312,60 +318,77 @@ def check_automorphism(L, m: Matrix) -> bool:
     """True iff m is invertible and m[x, y] = [mx, my] for all basis pairs."""
     if m.rows != L.dim or m.cols != L.dim:
         raise ValueError("matrix must be %d x %d" % (L.dim, L.dim))
-    if rank(m) < L.dim:
-        return False
     cols = m.columns()
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            lhs = m.mul_vec(L.basis_bracket(i, j))
-            rhs = L.bracket(cols[i], cols[j])
-            if lhs != rhs:
-                return False
-    return True
+    return rank(m) == L.dim and all(
+        m.mul_vec(L.basis_bracket(i, j)) == L.bracket(cols[i], cols[j])
+        for i in range(L.dim) for j in range(i + 1, L.dim))
+
+
+def _generators(L):
+    """Indices of unit vectors that generate L, proven once per algebra.
+
+    S is the unit vectors completing [L, L] (the span of the table values).
+    The subalgebra S generates is the smallest ad(S)-invariant subspace
+    containing S, as ad[s, u] = [ad s, ad u] (Jacobi); S is kept if that is
+    L, as it is for nilpotent L, and otherwise every index is returned.
+    """
+    if L._gens is None:
+        derived = {next(k for k, c in enumerate(v) if c)
+                   for v in echelon_basis(L.brackets.values(), L.dim)}
+        gens = [i for i in range(L.dim) if i not in derived]
+        span, todo = IncrementalSpan(), [L.basis_vector(i) for i in gens]
+        while todo and span.dim < L.dim:
+            v = todo.pop()
+            if span.add(v):
+                todo += [L.ad(i, v) for i in gens]
+        L._gens = tuple(gens) if span.dim == L.dim else tuple(range(L.dim))
+    return L._gens
 
 
 def quotient_by_ideal(L, ideal):
-    """Quotient algebra L / I on a complement basis.
+    """Quotient algebra L / I on a complement basis; L must satisfy Jacobi.
 
-    Returns (Q, projection) where projection is a Matrix sending parent
-    coordinates to quotient coordinates.  The projection is verified to be a
-    Lie homomorphism, which also proves that the span is an ideal: for v in
-    it, proj [v, e_j] = [proj v, proj e_j] = 0.  ValueError otherwise.
+    Returns (Q, projection), a Matrix from parent to quotient coordinates.
+    The complement is the unit vectors e_c, ascending, not in I plus the
+    earlier e_j: the non-pivot columns of the RREF of I with columns
+    reversed (pivot p at the last nonzero of its row R_p).  As
+    e_p = R_p - sum_c R_p[c] e_c, the projection sends e_c to the unit vector
+    at c and e_p to -(R_p on the complement), kept as sparse columns; Q's
+    table is read off the partner rows of the complement, and its grading
+    is L's on the (homogeneous) unit vectors.
+
+    The ideal check is [s, b] in I for s in a generating set S of L
+    (``_generators``) and b in the basis of I.  That is a proof: by Jacobi
+    {x : [x, I] in I} is a subalgebra, and it contains S, so it is L; then Q
+    is the quotient algebra by construction.  ValueError otherwise.
     """
-    comp = []
-    current = IncrementalSpan(ideal.basis)
-    for i in range(L.dim):
-        v = L.basis_vector(i)
-        if current.add(v):
-            comp.append(v)
-    qdim = len(comp)
-    # parent coords -> (ideal, complement) coords; keep the complement block
-    basis_matrix = Matrix.from_columns(list(ideal.basis) + comp)
-    inv = inverse(basis_matrix)
-    proj = Matrix(inv.data[len(ideal.basis):]) if qdim else Matrix.zeros(0, L.dim)
+    n = L.dim
+    last = {n - 1 - next(k for k, c in enumerate(v) if c): v[::-1]
+            for v in echelon_basis([v[::-1] for v in ideal.basis], n)}
+    comp = [c for c in range(n) if c not in last]
+    at = {c: q for q, c in enumerate(comp)}
+    cols = [((at[c], ONE),) if c in at else
+            tuple((at[k], -x) for k, x in enumerate(last[c]) if x and k in at)
+            for c in range(n)]
+
+    def project(terms):
+        out = [ZERO] * len(comp)
+        for k, x in terms:
+            for q, c in cols[k]:
+                out[q] += x * c
+        return out
+
     brackets = {}
-    for i in range(qdim):
-        for j in range(i + 1, qdim):
-            v = proj.mul_vec(L.bracket(comp[i], comp[j]))
-            if not vec_is_zero(v):
-                brackets[(i, j)] = v
-    grading = None
-    if L.grading is not None:
-        # the quotient inherits a grading only if the complement is homogeneous
-        degs = []
-        homogeneous = True
-        for v in comp:
-            ws = {L.grading[k] for k, c in enumerate(v) if c != 0}
-            if len(ws) != 1:
-                homogeneous = False
-                break
-            degs.append(ws.pop())
-        if homogeneous:
-            grading = degs
-    Q = LieAlgebra(qdim, brackets, grading=grading)
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            lhs = proj.mul_vec(L.basis_bracket(i, j))
-            if lhs != Q.bracket(proj.column(i), proj.column(j)):
+    for i, a in enumerate(comp):
+        for j, terms in L._partners[a]:
+            if at.get(j, -1) > i:
+                v = project(terms)
+                if any(v):
+                    brackets[(i, at[j])] = tuple(v)
+    Q = LieAlgebra(len(comp), brackets,
+                   grading=None if L.grading is None else [L.grading[c] for c in comp])
+    for s in _generators(L):
+        for b in ideal.basis:
+            if any(project((k, x) for k, x in enumerate(L.ad(s, b)) if x)):
                 raise ValueError("not an ideal")
-    return Q, proj
+    return Q, Matrix.from_columns([project([(c, ONE)]) for c in range(n)], rows=len(comp))

@@ -7,6 +7,7 @@ Vectors are tuples of Fractions; matrices are dense and row-major.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def scalar(x) -> Fraction:
@@ -83,10 +84,15 @@ class Matrix:
         return cls([unit(n, i) for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows, cols):
-        m = cls([[ZERO] * cols for _ in range(rows)])
-        m.cols = cols  # keep the column count even when there are no rows
+    def _of_rows(cls, data, cols):
+        """A tuple of Fraction row tuples, taken as is; keeps cols if empty."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = len(data), cols, data
         return m
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls._of_rows(((ZERO,) * cols,) * rows, cols)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -148,27 +154,43 @@ class Matrix:
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form.  Returns (R, pivot column list)."""
-    rows = [list(r) for r in m.data]
+    """Reduced row echelon form.  Returns (R, pivot column list).
+
+    Fraction-free (Bareiss, Math. Comp. 22, 1968): each row is scaled to
+    integers, cleared at a pivot by cross multiplication and divided by the
+    gcd of its entries.  That keeps the span and the pivots, and the RREF is
+    unique, so dividing each pivot row by its pivot at the end gives it."""
+    rows = []
+    for row in m.data:
+        ratios = [e.as_integer_ratio() for e in row]
+        den = lcm(*[d for _, d in ratios])
+        rows.append([n * (den // d) for n, d in ratios])
     pivots = []
     r = 0
     for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [e / pv if e else e for e in rows[r]]
+        prow = rows[pr]
+        g = gcd(*prow)
+        if g > 1:
+            prow = [a // g for a in prow]
+        rows[pr] = rows[r]
+        rows[r] = prow
+        pv = prow[c]
         for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a
-                           for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                row = [pv * a - f * b if b else pv * a for a, b in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
-    return Matrix(rows), pivots
+    out = tuple(tuple(Fraction(a, row[c]) if a else ZERO for a in row)
+                for row, c in zip(rows, pivots))
+    return Matrix._of_rows(out + ((ZERO,) * m.cols,) * (m.rows - r), m.cols), pivots
 
 
 def rank(m: Matrix) -> int:

@@ -205,6 +205,8 @@ def dense_bracket(dim, table, x, y):
     out = [Fraction(0)] * dim
     for i in range(dim):
         for j in range(dim):
+            if not x[i] or not y[j]:
+                continue
             if i < j:
                 v, sign = table.get((i, j)), 1
             elif j < i:
@@ -290,3 +292,97 @@ def dga_axioms_hold(dims, d, products):
     return not any(any(add(mul(p + q, mul(p, a, q, b), r, c),
                            mul(p, a, q + r, mul(q, b, r, c)), -1))
                    for p, a, q, b in pairs for r in range(top + 1 - p - q) for c in basis(r))
+
+
+# ---------------------------------------------------------------------------
+# Reduced row echelon form by textbook Gauss-Jordan elimination over Fraction
+# (first nonzero entry of a column as pivot, pivot row divided by the pivot,
+# the column cleared in every other row).
+
+def gauss_jordan(rows, ncols):
+    """(R, pivots): the RREF of the matrix with the given rows and ncols
+    columns, as a list of row tuples, and its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(a)):
+            if a[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][col]
+        a[r] = [x / p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    return [tuple(row) for row in a], pivots
+
+
+# ---------------------------------------------------------------------------
+# Quotient of a Lie algebra by an ideal, densely: a greedy complement of unit
+# vectors, the inverse of the basis matrix [ideal | complement], and the
+# quotient bracket as the projection of the table values.
+
+def dense_quotient(dim, table, ideal_basis):
+    """(complement, brackets, projection rows) of L / I, where L is given as
+    for dense_bracket and I by any basis.  The complement takes e_i, for i
+    ascending, unless it lies in I plus the unit vectors taken before; the
+    projection is the complement block of the inverse basis matrix; brackets
+    maps (i, j), i < j, to the projection of [e_ci, e_cj] = table[(ci, cj)]
+    when nonzero."""
+    units = [tuple(Fraction(int(t == i)) for t in range(dim)) for i in range(dim)]
+    echelon = []  # (pivot, row): each row is 1 at its pivot, 0 at earlier ones
+
+    def insert(v):
+        v = list(v)
+        for p, row in echelon:
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        p = next((k for k in range(dim) if v[k] != 0), None)
+        if p is not None:
+            echelon.append((p, [a / v[p] for a in v]))
+        return p is not None
+
+    for v in ideal_basis:
+        insert(v)
+    comp = [i for i in range(dim) if insert(units[i])]
+    cols = [tuple(v) for v in ideal_basis] + [units[i] for i in comp]
+    aug = [tuple(c[r] for c in cols) + units[r] for r in range(dim)]
+    red, _ = gauss_jordan(aug, 2 * dim)
+    proj = [row[dim:] for row in red[len(ideal_basis):]]
+
+    def apply(v):
+        nz = [k for k in range(dim) if v[k]]
+        return tuple(sum((row[k] * v[k] for k in nz), Fraction(0)) for row in proj)
+
+    brackets = {}
+    for i in range(len(comp)):
+        for j in range(i + 1, len(comp)):
+            v = apply(table.get((comp[i], comp[j]), (Fraction(0),) * dim))
+            if any(v):
+                brackets[(i, j)] = v
+    return comp, brackets, proj
+
+
+# ---------------------------------------------------------------------------
+# Lower central series by its definition: G_1 = L, G_{n+1} = [L, G_n] as the
+# RREF of all brackets of a unit vector with a basis vector of G_n.
+
+def naive_lcs(dim, table):
+    """RREF bases of G_1, G_2, ... down to the first zero term (assumes L
+    nilpotent), each a list of row tuples."""
+    units = [tuple(Fraction(int(t == i)) for t in range(dim)) for i in range(dim)]
+    chain = [units]
+    while chain[-1]:
+        rows = [dense_bracket(dim, table, e, b) for e in units for b in chain[-1]]
+        red, pivots = gauss_jordan([v for v in rows if any(v)], dim)
+        chain.append(red[:len(pivots)])
+    return chain

@@ -6,7 +6,7 @@ import pytest
 from malcev.linalg import Matrix, vec_scale
 from malcev.lie import heisenberg, abelian, lower_central_series, quotient_by_ideal
 from malcev.freelie import free_nilpotent
-from malcev.dga import chevalley_eilenberg, cohomology, adjoin_acyclic
+from malcev.dga import chevalley_eilenberg, cohomology, adjoin_acyclic, FiniteDGA
 from malcev.dgla import (
     TensorDGLA, tensor_dgla, mc_residual, is_mc, mc_residual_augmented,
     gauge, SmallExtensionSpec, lcs_extension, obstruction_class,
@@ -289,3 +289,19 @@ def test_census_values_heisenberg():
     # stage k census = b1 * dim(gr_k) with b1 = 2
     assert deformation_census(A, heisenberg()) == [(1, 4), (2, 2)]
     assert deformation_census(A, abelian(2)) == [(1, 4)]
+
+
+def test_diff_matrix_is_the_columns_of_diff():
+    # d ox id as a Kronecker product, entry for entry the columns of diff,
+    # including the empty shapes below degree 0 and at and past the top
+    dgas = [chevalley_eilenberg(heisenberg()), chevalley_eilenberg(abelian(2)),
+            adjoin_acyclic(chevalley_eilenberg(heisenberg()), deg=0)[0],
+            FiniteDGA([2], [], {}), FiniteDGA([0, 1], [], {})]
+    for A in dgas:
+        for N in (heisenberg(), abelian(2), abelian(0)):
+            t = TensorDGLA(A, N)
+            for n in range(-1, A.top + 2):
+                cols = [t.diff(n, unit(t.dim(n), i)) for i in range(t.dim(n))]
+                expected = Matrix.from_columns(cols, rows=t.dim(n + 1))
+                m = t.diff_matrix(n)
+                assert (m.data, m.rows, m.cols) == (expected.data, expected.rows, expected.cols)
