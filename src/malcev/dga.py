@@ -2,10 +2,10 @@
 
 Degrees run 0..D with dense per-degree bases.  The differential raises
 degree by one.  The products of a ``FiniteDGA`` are immutable: they run on
-one sparse table, built once, and ``products`` is a read-only dense view of
-the per-degree-pair tables it was given.  The Chevalley-Eilenberg functor turns
-any finite-dimensional Lie algebra into a test-case DGA whose d^2 = 0 is
-equivalent to the Jacobi identity.
+one sparse table, built once, and ``products`` is a read-only dense view
+derived from it for the degree pairs given.  The Chevalley-Eilenberg functor
+turns any finite-dimensional Lie algebra into a test-case DGA whose d^2 = 0
+is equivalent to the Jacobi identity.
 
 The DGA axioms are proved on construction on a generating set S of the
 algebra, not swept over all basis triples: the elements on which
@@ -21,7 +21,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .linalg import (
-    Matrix, ZERO, scalar, format_scalar, vec_add, vec_scale, vec_sub,
+    Matrix, ZERO, ONE, scalar, format_scalar, vec_add, vec_scale, vec_sub,
     vec_zero, vec_is_zero, kernel_basis, echelon_basis, span_contains, unit,
     IncrementalSpan, AffineSolver,
 )
@@ -31,54 +31,86 @@ class FiniteDGA:
     """Graded-commutative DGA on finite per-degree bases.
 
     dims[n] is the dimension in degree n; d[n] the matrix of the
-    differential degree n -> n+1; products, a read-only dense view,
-    maps (p, q) to the table whose [i][j] is the coordinate vector in
-    degree p+q of (i-th degree-p basis) * (j-th degree-q basis), for the
-    degree pairs given.  A pair given in one order only is read in the other
-    by graded commutativity; pairs given in neither order multiply to zero.
-    Products run on the sparse table _mult: per degree pair (p, q) with
-    p + q <= D and per degree-p index i, {j: ((k, c), ...)} with
-    a_i a_j = sum c a_k != 0.  The shapes and the DGA axioms are checked on
-    construction (ValueError otherwise), so every FiniteDGA is a DGA.  A
-    zero-row d[n] keeps dims[n] columns.
+    differential degree n -> n+1; products maps (p, q) to the table whose
+    [i][j] is the coordinate vector in degree p+q of (i-th degree-p basis) *
+    (j-th degree-q basis), for the degree pairs given.  A pair given in one
+    order only is read in the other by graded commutativity; pairs given in
+    neither order multiply to zero.  Products run on the one sparse table
+    _mult: per degree pair (p, q) with p + q <= D and per degree-p index i,
+    {j: ((k, c), ...)} with a_i a_j = sum c a_k != 0.  The dense input is not
+    kept: products is a read-only view derived from _mult.  The shapes and
+    the DGA axioms are checked on construction (ValueError otherwise), so
+    every FiniteDGA is a DGA.  A zero-row d[n] keeps dims[n] columns.
     """
 
     def __init__(self, dims, d, products):
-        self.dims = list(dims)
-        self.top = len(self.dims) - 1
-        self.d = [m if isinstance(m, Matrix) else Matrix(m) for m in d]
-        while len(self.d) < self.top + 1:
-            self.d.append(Matrix.zeros(self.dim(len(self.d) + 1), self.dims[len(self.d)]))
-        self.products = MappingProxyType({
-            key: tuple(tuple(tuple(scalar(c) for c in cell) for cell in row) for row in table)
-            for key, table in products.items()})
-        if len(self.d) > self.top + 1 or any(
-                m.rows != self.dim(n + 1) or (m.rows and m.cols != self.dims[n])
-                for n, m in enumerate(self.d)):
-            raise ValueError("differentials do not match dims %s" % self.dims)
-        # a zero-row differential keeps its column count (JSON gives it none)
-        self.d = [m if m.rows else Matrix.zeros(0, self.dims[n]) for n, m in enumerate(self.d)]
-        for (p, q), table in self.products.items():
+        products = {key: tuple(tuple(tuple(scalar(c) for c in cell) for cell in row)
+                               for row in table) for key, table in products.items()}
+        self._set_d(dims, d)
+        for (p, q), table in products.items():
             if (min(p, q) < 0 or p + q > self.top or len(table) != self.dims[p]
                     or any(len(row) != self.dims[q] or
                            any(len(cell) != self.dims[p + q] for cell in row)
                            for row in table)):
                 raise ValueError("product table (%d,%d) does not match dims %s"
                                  % (p, q, self.dims))
-        self._mult = {(p, q): tuple({} for _ in range(self.dims[p]))
-                      for p in range(self.top + 1) for q in range(self.top + 1 - p)}
-        for (p, q), table in self.products.items():
+        mult = {(p, q): tuple({} for _ in range(self.dims[p]))
+                for p in range(self.top + 1) for q in range(self.top + 1 - p)}
+        for (p, q), table in products.items():
             sign = (-1) ** (p * q)
             for i, row in enumerate(table):
                 for j, cell in enumerate(row):
                     terms = tuple((k, c) for k, c in enumerate(cell) if c)
                     if terms:
-                        self._mult[(p, q)][i][j] = terms
-                        if (q, p) not in self.products:
-                            self._mult[(q, p)][j][i] = tuple((k, sign * c) for k, c in terms)
+                        mult[(p, q)][i][j] = terms
+                        if (q, p) not in products:
+                            mult[(q, p)][j][i] = tuple((k, sign * c) for k, c in terms)
+        self._set_products(mult, tuple(products))
+
+    @classmethod
+    def _from_sparse(cls, dims, d, mult, keys):
+        """The DGA whose products are the sparse table mult (the ``_mult``
+        shape, every degree pair filled in) and whose ``products`` view
+        shows the degree pairs keys."""
+        A = cls.__new__(cls)
+        A._set_d(dims, d)
+        A._set_products(mult, keys)
+        return A
+
+    def _set_d(self, dims, d):
+        self.dims = list(dims)
+        self.top = len(self.dims) - 1
+        self.d = [m if isinstance(m, Matrix) else Matrix(m) for m in d]
+        while len(self.d) < self.top + 1:
+            self.d.append(Matrix.zeros(self.dim(len(self.d) + 1), self.dims[len(self.d)]))
+        if len(self.d) > self.top + 1 or any(
+                m.rows != self.dim(n + 1) or (m.rows and m.cols != self.dims[n])
+                for n, m in enumerate(self.d)):
+            raise ValueError("differentials do not match dims %s" % self.dims)
+        # a zero-row differential keeps its column count (JSON gives it none)
+        self.d = [m if m.rows else Matrix.zeros(0, self.dims[n]) for n, m in enumerate(self.d)]
+
+    def _set_products(self, mult, keys):
+        self._mult, self._keys, self._products = mult, keys, None
         errors = self.validate()
         if errors:
             raise ValueError("DGA axioms violated: " + "; ".join(errors))
+
+    @property
+    def products(self):
+        """The read-only dense tables of the degree pairs given, derived from
+        _mult on first use and kept."""
+        if self._products is None:
+            def cells(p, q, row):
+                for j in range(self.dims[q]):
+                    cell = [ZERO] * self.dims[p + q]
+                    for k, c in row.get(j, ()):
+                        cell[k] = c
+                    yield tuple(cell)
+            self._products = MappingProxyType({
+                (p, q): tuple(tuple(cells(p, q, row)) for row in self._mult[(p, q)])
+                for p, q in self._keys})
+        return self._products
 
     def dim(self, n):
         """The dimension in degree n, 0 outside 0..top."""
@@ -407,34 +439,23 @@ def adjoin_acyclic(dga: FiniteDGA, deg: int = 1):
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg complex
 
-def _wedge_single(i, basis_tuple):
-    """Insert generator i into a sorted tuple; returns (sign, tuple) or None."""
-    if i in basis_tuple:
+def _wedge(s, t):
+    """s ^ t for sorted tuples of generators: (sign, sorted union), or None
+    when they meet.  Moving each a in s past the b < a of t gives the shuffle
+    sign (-1)^{#{(a, b) in s x t : a > b}}."""
+    if not set(s).isdisjoint(t):
         return None
-    pos = 0
-    while pos < len(basis_tuple) and basis_tuple[pos] < i:
-        pos += 1
-    sign = Fraction(-1) ** pos
-    return sign, basis_tuple[:pos] + (i,) + basis_tuple[pos:]
-
-
-def _wedge_tuples(s, t):
-    sign = Fraction(1)
-    out = t
-    for i in reversed(s):
-        step = _wedge_single(i, out)
-        if step is None:
-            return None
-        sg, out = step
-        sign *= sg
-    return sign, out
+    inversions = sum(1 for a in s for b in t if a > b)
+    return (-ONE if inversions % 2 else ONE), tuple(sorted(s + t))
 
 
 def chevalley_eilenberg(L) -> FiniteDGA:
     """Exterior algebra on the dual of L with the differential dual to the
     bracket: d xi^k = - sum_{i<j} c^k_{ij} xi^i ^ xi^j, extended as an odd
     derivation.  d^2 = 0 is equivalent to the Jacobi identity, which is
-    verified up front.
+    verified up front.  The products go straight into the sparse table, one
+    signed entry per basis pair s, t with s ^ t != 0; ``products`` shows every
+    degree pair p + q <= dim L.
     """
     if L.check_jacobi():
         raise ValueError("Jacobi identity fails; CE differential would not square to zero")
@@ -457,9 +478,9 @@ def chevalley_eilenberg(L) -> FiniteDGA:
         out = {}
         for pos, g in enumerate(t):
             rest = t[:pos] + t[pos + 1:]
-            sign = Fraction(-1) ** pos
+            sign = -1 if pos % 2 else 1
             for pair, c in dgen[g].items():
-                merged = _wedge_tuples(pair, rest)
+                merged = _wedge(pair, rest)
                 if merged is None:
                     continue
                 sg, w = merged
@@ -476,23 +497,16 @@ def chevalley_eilenberg(L) -> FiniteDGA:
             cols.append(tuple(col))
         d_mats.append(Matrix.from_columns(cols, rows=dims[k + 1]))
 
-    products = {}
+    mult = {}
     for p in range(n + 1):
         for q in range(n + 1 - p):
-            table = []
-            for s in bases[p]:
-                row = []
-                for t in bases[q]:
-                    cell = [ZERO] * dims[p + q]
-                    merged = _wedge_tuples(s, t)
-                    if merged is not None:
-                        sg, w = merged
-                        cell[index[p + q][w]] = sg
-                    row.append(tuple(cell))
-                table.append(row)
-            products[(p, q)] = table
-
-    return FiniteDGA(dims, d_mats, products)
+            rows = mult[(p, q)] = tuple({} for _ in bases[p])
+            for i, s in enumerate(bases[p]):
+                off = tuple(g for g in range(n) if g not in s)
+                for t in itertools.combinations(off, q):
+                    sign, w = _wedge(s, t)
+                    rows[i][index[q][t]] = ((index[p + q][w], sign),)
+    return FiniteDGA._from_sparse(dims, d_mats, mult, tuple(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +541,20 @@ class MasseyUndefined(ValueError):
     pass
 
 
+def _massey(dga, H, pa, q, pc, x, y, indeterminacy):
+    """<a, b, c> with |b| = q from the preimages dx = ab, dy = bc and the
+    echelon basis of its indeterminacy: the representative
+    a y - (-1)^{|a|} x c, its class, and whether the class lies in the
+    indeterminacy."""
+    (p, a), (r, c) = pa, pc
+    n_out = p + q + r - 1
+    rep = vec_sub(dga.product(p, a, q + r - 1, y),
+                  vec_scale((-1) ** p, dga.product(p + q - 1, x, r, c)))
+    rep_class = H.class_coordinates(n_out, rep)
+    return MasseyResult(n_out, rep, rep_class, indeterminacy,
+                        span_contains(indeterminacy, rep_class))
+
+
 def massey_triple(dga: FiniteDGA, pa, pb, pc, H=None) -> MasseyResult:
     """Triple Massey product of cocycles a, b, c given as (degree, vector).
 
@@ -540,46 +568,52 @@ def massey_triple(dga: FiniteDGA, pa, pb, pc, H=None) -> MasseyResult:
         dv = dga.diff(n, v)
         if dv and not vec_is_zero(dv):
             raise MasseyUndefined("input in degree %d is not a cocycle" % n)
-    ab = dga.product(p, a, q, b)
-    bc = dga.product(q, b, r, c)
-    x = H.preimage(p + q, ab)
-    y = H.preimage(q + r, bc)
+    x = H.preimage(p + q, dga.product(p, a, q, b))
+    y = H.preimage(q + r, dga.product(q, b, r, c))
     if x is None or y is None:
         raise MasseyUndefined("products are not exact; Massey product undefined")
     n_out = p + q + r - 1
-    sign = Fraction(-1) ** p
-    rep = vec_sub(dga.product(p, a, q + r - 1, y),
-                  vec_scale(sign, dga.product(p + q - 1, x, r, c)))
-    rep_class = H.class_coordinates(n_out, rep)
     # indeterminacy: a . H^{q+r-1} + H^{p+q-1} . c, as classes
-    indet = []
-    for h in H.representatives[q + r - 1]:
-        indet.append(H.class_coordinates(n_out, dga.product(p, a, q + r - 1, h)))
-    for h in H.representatives[p + q - 1]:
-        indet.append(H.class_coordinates(n_out, dga.product(p + q - 1, h, r, c)))
-    indet = echelon_basis(indet, len(rep_class))
-    vanishes = span_contains(indet, rep_class)
-    return MasseyResult(n_out, rep, rep_class, indet, vanishes)
+    indet = [H.class_coordinates(n_out, dga.product(p, a, q + r - 1, h))
+             for h in H.representatives[q + r - 1]]
+    indet += [H.class_coordinates(n_out, dga.product(p + q - 1, h, r, c))
+              for h in H.representatives[p + q - 1]]
+    return _massey(dga, H, pa, q, pc, x, y, echelon_basis(indet))
 
 
 def formality_consequence_report(dga: FiniteDGA):
     """Scan degree-1 triple Massey products for formality obstructions.
 
     Returns (witnesses, undefined_count) where each witness is
-    ((i, j, k), MasseyResult) over indices into the H^1 representative basis.
+    ((i, j, k), MasseyResult), the result of ``massey_triple`` on the H^1
+    representatives a_i, a_j, a_k.  The scan works on pairs: each a_i is
+    checked to be a cocycle once, and per pair a_i a_j, its preimage x_ij
+    under d and its class cup[i][j] are computed once.  A triple is undefined
+    when x_ij or x_jk does not exist.  In degree 1, a_i . H^1 is the row
+    cup[i][.] and H^1 . a_k the column cup[.][k], so the indeterminacy
+    depends on (i, k) only.  Below top degree 2 every triple is defined and
+    lands in H^2 = 0, so the report is empty.
     """
+    if dga.top < 2:
+        return [], 0
     H = cohomology(dga)
-    reps = H.representatives[1] if dga.top >= 1 else []
-    witnesses = []
-    undefined = 0
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            for k, c in enumerate(reps):
-                try:
-                    res = massey_triple(dga, (1, a), (1, b), (1, c), H=H)
-                except MasseyUndefined:
-                    undefined += 1
-                    continue
-                if not res.vanishes:
-                    witnesses.append(((i, j, k), res))
+    reps = H.representatives[1]
+    b = len(reps)
+    closed = [vec_is_zero(dga.diff(1, a)) for a in reps]
+    x, cup = {}, {}
+    for i, j in itertools.product(range(b), repeat=2):
+        if closed[i] and closed[j]:
+            ab = dga.product(1, reps[i], 1, reps[j])
+            x[i, j], cup[i, j] = H.preimage(2, ab), H.class_coordinates(2, ab)
+    witnesses, undefined, indet = [], 0, {}
+    for i, j, k in itertools.product(range(b), repeat=3):
+        if x.get((i, j)) is None or x.get((j, k)) is None:
+            undefined += 1
+            continue
+        if (i, k) not in indet:
+            indet[i, k] = echelon_basis([cup[i, m] for m in range(b)] +
+                                        [cup[m, k] for m in range(b)])
+        res = _massey(dga, H, (1, reps[i]), 1, (1, reps[k]), x[i, j], x[j, k], indet[i, k])
+        if not res.vanishes:
+            witnesses.append(((i, j, k), res))
     return witnesses, undefined

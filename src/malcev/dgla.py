@@ -312,8 +312,12 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     Stage 1 solves the cocycle condition over gr_1; each later stage lifts
     the current solution through the semi-small LCS extension, recording the
     obstruction class in H^2(A) ox gr_k and, when it vanishes, a particular
-    correction.  initial optionally picks the stage-1 cocycle.
+    correction.  initial optionally picks the stage-1 cocycle.  N must
+    satisfy Jacobi (ValueError otherwise): the LCS quotients assume it.
     """
+    bad = N.check_jacobi()
+    if bad:
+        raise ValueError("input violates the Jacobi identity at triples %s" % bad)
     H = cohomology(dga)
     cls = nilpotency_class(N)
     stages = []

@@ -386,3 +386,78 @@ def naive_lcs(dim, table):
         red, pivots = gauss_jordan([v for v in rows if any(v)], dim)
         chain.append(red[:len(pivots)])
     return chain
+
+
+# ---------------------------------------------------------------------------
+# Chevalley-Eilenberg complex by the invariant formula: forms on L evaluated
+# on basis vectors (determinant convention, xi^T(e_T) = 1), the wedge sign as
+# the parity of a permutation by its cycles, and
+# (d w)(x_0, ..., x_k) = sum_{a<b} (-1)^{a+b} w([x_a, x_b], x_0, ..^a..^b.., x_k).
+
+def _parity(seq):
+    """+1 or -1: the sign of the permutation that sorts seq (distinct)."""
+    order = sorted(range(len(seq)), key=lambda i: seq[i])
+    seen, sign = set(), 1
+    for start in range(len(seq)):
+        length = 0
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = order[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def ce_dga(dim, brackets):
+    """(dims, d, products) of the CE complex of the Lie algebra with
+    structure constants brackets (as for dense_bracket): bases of k-forms are
+    the k-subsets of range(dim) in lexicographic order, d[k] is the dense
+    matrix (rows) of d from degree k to k + 1, and products[(p, q)] the
+    dense table of xi^S ^ xi^T for every p + q <= dim."""
+    from itertools import combinations
+    bases = [list(combinations(range(dim), k)) for k in range(dim + 1)]
+    index = [{t: i for i, t in enumerate(b)} for b in bases]
+    dims = [len(b) for b in bases]
+    units = [tuple(Fraction(int(t == i)) for t in range(dim)) for i in range(dim)]
+
+    def evaluate(T, vectors):
+        """xi^T(v_0, ..., v_{k-1}) = det of the T-rows of the v's."""
+        if not vectors:
+            return Fraction(1)
+        total = Fraction(0)
+        for m, c in enumerate(vectors[0]):
+            if c and m in T:
+                rest = tuple(t for t in T if t != m)
+                total += c * _parity((m,) + rest) * evaluate(rest, vectors[1:])
+        return total
+
+    d = []
+    for k in range(dim):
+        rows = [[Fraction(0)] * dims[k] for _ in range(dims[k + 1])]
+        for col, T in enumerate(bases[k]):
+            for row, W in enumerate(bases[k + 1]):
+                val = Fraction(0)
+                for a in range(k + 1):
+                    for b in range(a + 1, k + 1):
+                        xab = dense_bracket(dim, brackets, units[W[a]], units[W[b]])
+                        rest = [units[w] for i, w in enumerate(W) if i not in (a, b)]
+                        val += (-1) ** (a + b) * evaluate(T, [xab] + rest)
+                rows[row][col] = val
+        d.append(rows)
+
+    products = {}
+    for p in range(dim + 1):
+        for q in range(dim + 1 - p):
+            table = []
+            for S in bases[p]:
+                row = []
+                for T in bases[q]:
+                    cell = [Fraction(0)] * dims[p + q]
+                    if not set(S) & set(T):
+                        cell[index[p + q][tuple(sorted(S + T))]] = Fraction(_parity(S + T))
+                    row.append(tuple(cell))
+                table.append(tuple(row))
+            products[(p, q)] = tuple(table)
+    return dims, d, products

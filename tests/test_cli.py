@@ -121,6 +121,16 @@ def test_mc_zero_coefficients_is_input_error(capsys):
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_mc_non_jacobi_coefficients_is_input_error(capsys):
+    bad = json.dumps({"dim": 5, "brackets": [
+        {"i": 0, "j": 1, "value": [0, 0, 1, 0, 0]}, {"i": 0, "j": 2, "value": [0, 0, 0, 1, 0]},
+        {"i": 1, "j": 3, "value": [0, 0, 0, 0, 1]}]})
+    code, err = run_error(capsys, "mc", CE_HEIS_JSON, bad)
+    assert code == 2
+    assert err == "error: input violates the Jacobi identity at triples [(0, 1, 2)]\n"
+    assert run_error(capsys, "quadcheck", bad) == (code, err)
+
+
 def test_mc_bad_initial_is_input_error(capsys):
     code, _ = run(capsys, "mc", CE_HEIS_JSON, HEIS_JSON, "--initial", "[1]")
     assert code == 2
