@@ -11,12 +11,15 @@ class bound.
 
 import functools
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     Matrix, ZERO, vec_scale, vec_zero, vec_is_zero, inverse,
     solve_affine, smith_normal_form,
 )
-from .lie import LieAlgebra, nilpotency_class, check_automorphism
+from .lie import (
+    LieAlgebra, nilpotency_class, check_automorphism, integer_table, sparse_bracket,
+)
 from .freelie import hall_basis, evaluate_hall_words
 
 
@@ -83,12 +86,12 @@ def bch_universal(c):
     """Hall coordinates of log(exp X . exp Y) on two generators, class c.
 
     Returns a list of (hall_word, coefficient) pairs; the class-2 truncation
-    is X + Y + 1/2 [X, Y].
+    is X + Y + 1/2 [X, Y], and at class 0 (the zero algebra) it is empty.
     """
     X = {(0,): Fraction(1)}
     Y = {(1,): Fraction(1)}
     z = _assoc_log(_assoc_mul(_assoc_exp(X, c), _assoc_exp(Y, c), c), c)
-    groups = hall_basis(2, c)
+    groups = hall_basis(2, c) if c else ()
     coeffs = []
     for n in range(1, c + 1):
         words = groups[n - 1]
@@ -108,17 +111,57 @@ def bch_universal(c):
     return tuple(coeffs)
 
 
-def bch(x, y, L: LieAlgebra, cls=None):
-    """Group product log(exp x . exp y) in a nilpotent Lie algebra."""
-    c = cls if cls is not None else nilpotency_class(L)
+@functools.lru_cache(maxsize=None)
+def _bch_terms(c):
+    """bch_universal(c) split for integer evaluation: the Hall words, and per
+    word (numerator, denominator, x-letters, y-letters) of its term."""
+    def letters(w):
+        if isinstance(w, int):
+            return (1 - w, w)
+        (a0, b0), (a1, b1) = letters(w[0]), letters(w[1])
+        return (a0 + a1, b0 + b1)
+
     terms = bch_universal(c)
-    values = evaluate_hall_words([w for w, _ in terms], (x, y), L.bracket)
-    out = [ZERO] * L.dim
-    for (_, cf), v in zip(terms, values):
+    return (tuple(w for w, _ in terms),
+            tuple((cf.numerator, cf.denominator) + letters(w) for w, cf in terms))
+
+
+def _numerators(v):
+    """(d, V) with v = V / d: d the lcm of the denominators, V integers."""
+    ratios = [e.as_integer_ratio() for e in v]
+    d = lcm(*(q for _, q in ratios))
+    return d, tuple(p * (d // q) for p, q in ratios)
+
+
+def bch(x, y, L: LieAlgebra, cls=None):
+    """Group product log(exp x . exp y) in a nilpotent Lie algebra.
+
+    Evaluated fraction-free: x = X / dx and y = Y / dy with X, Y integer, and
+    the Hall words of ``bch_universal`` are evaluated on X, Y with the
+    integer view (D, D c) of the structure constants.  A word with a letters
+    x and b letters y, of degree n = a + b, then has the integer value V_w =
+    w(x, y) dx^a dy^b D^(n-1).  Each coordinate sums p_w (T / t_w) V_w over
+    T, the lcm of the term denominators t_w = q_w dx^a dy^b D^(n-1) (the
+    coefficient being p_w / q_w), and one Fraction per coordinate is built.
+    """
+    if len(x) != L.dim or len(y) != L.dim:
+        raise ValueError("vector length must equal dim=%d" % L.dim)
+    c = cls if cls is not None else nilpotency_class(L)
+    words, terms = _bch_terms(c)
+    D, rows = integer_table(L)
+    dx, X = _numerators(x)
+    dy, Y = _numerators(y)
+    values = evaluate_hall_words(words, (X, Y),
+                                 lambda u, v: sparse_bracket(rows, u, v, 0))
+    denoms = [q * dx ** a * dy ** b * D ** (a + b - 1) for _, q, a, b in terms]
+    T = lcm(*denoms)
+    out = [0] * L.dim
+    for (p, _, _, _), t, v in zip(terms, denoms, values):
+        m = p * (T // t)
         for k, e in enumerate(v):
             if e:
-                out[k] += cf * e
-    return tuple(out)
+                out[k] += m * e
+    return tuple(Fraction(e, T) if e else ZERO for e in out)
 
 
 def group_inverse(x, L=None):
@@ -247,38 +290,33 @@ def check_representation(presentation: GroupPresentation, assignment):
 # Lattices
 
 def lattice_membership_test(basis_vectors):
-    """Exact membership test for the integer span of rational vectors."""
+    """Exact membership test for the integer span of rational vectors.
+
+    The vectors, scaled by denom (the lcm of their denominators), are the
+    integer columns of B; with U B V = diag(d) in Smith normal form, v lies
+    in the span iff w = denom v is integral, (U w)_i is divisible by d_i
+    below the rank r, and (U w)_i = 0 from r on.  The rows of U are kept as
+    ints, so a test is integer arithmetic only."""
     cols = [tuple(v) for v in basis_vectors]
     n = len(cols[0])
-    denom = 1
-    for v in cols:
-        for e in v:
-            denom = denom * e.denominator // _gcd(denom, e.denominator)
-    B = Matrix.from_columns([vec_scale(denom, v) for v in cols], rows=n)
+    denom, flat = _numerators([e for v in cols for e in v])
+    B = Matrix.from_columns([flat[t * n:t * n + n] for t in range(len(cols))], rows=n)
     U, D, V = smith_normal_form(B)
     diag = [int(D.data[i][i]) for i in range(min(D.rows, D.cols))]
     r = sum(1 for d in diag if d != 0)
+    rows = [[e.numerator for e in row] for row in U.data]
 
     def contains(v):
-        w = vec_scale(denom, v)
-        if any(e.denominator != 1 for e in w):
+        d, w = _numerators(v)  # denom v = (denom / d) w is integral iff d | denom
+        if denom % d:
             return False
-        uv = U.mul_vec(w)
-        for i, e in enumerate(uv):
-            if i < r:
-                if e % diag[i] != 0:
-                    return False
-            elif e != 0:
+        for i, row in enumerate(rows):
+            s = sum(a * b for a, b in zip(row, w, strict=True) if b) * (denom // d)
+            if s % diag[i] if i < r else s:
                 return False
         return True
 
     return contains
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def lattice_closed_under_bch(L: LieAlgebra, basis_vectors):

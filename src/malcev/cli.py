@@ -110,10 +110,15 @@ def cmd_hall(args):
 
 
 def load_algebra(arg):
-    """(LieAlgebra, its JSON) from inline JSON or a file."""
+    """(LieAlgebra, its JSON) from inline JSON or a file; an algebra failing
+    the Jacobi identity is an InputError."""
     obj = load_json(arg)
     with parsing("algebra JSON"):
-        return LieAlgebra.from_json(obj), obj
+        L = LieAlgebra.from_json(obj)
+    bad = L.check_jacobi()
+    if bad:
+        raise InputError("input violates the Jacobi identity at triples %s" % bad)
+    return L, obj
 
 
 def _bch_algebra(args):
@@ -146,9 +151,6 @@ def cmd_bch(args):
 
 def cmd_quadcheck(args):
     L, obj = load_algebra(args.algebra)
-    bad = L.check_jacobi()
-    if bad:
-        raise InputError("input violates the Jacobi identity at triples %s" % bad)
     v = is_quadratically_presented(L)
     verdicts = v.to_json()
     if v.yes:

@@ -7,6 +7,7 @@ Ideals are explicit lists of coordinate vectors in the parent's basis, which
 keeps every downstream computation linear-algebraic.
 """
 
+from math import lcm
 from types import MappingProxyType
 
 from .linalg import (
@@ -49,6 +50,7 @@ class LieAlgebra:
         self._lcs = None  # RREF bases of the lower central series, on demand
         self._gens = None  # indices of a proven generating set, on demand
         self._jacobi = None  # basis triples failing Jacobi, on demand
+        self._integer = None  # integer view of _partners, on demand
         self.grading = tuple(grading) if grading is not None else None
         if self.grading is not None:
             if len(self.grading) != dim:
@@ -81,32 +83,10 @@ class LieAlgebra:
         return tuple(out)
 
     def bracket(self, x, y):
-        """[x, y] by bilinear expansion over the nonzeros of x and their
-        partners.  A pair (i, j) where both x_i y_j and x_j y_i are nonzero
-        is expanded once, with coefficient x_i y_j - x_j y_i."""
+        """[x, y], by ``sparse_bracket`` on the sparse table."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length must equal dim=%d" % self.dim)
-        out = [ZERO] * self.dim
-        partners = self._partners
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            yi = y[i]
-            for j, terms in partners[i]:
-                yj = y[j]
-                if not yj:
-                    continue
-                if yi and x[j]:
-                    if j < i:
-                        continue  # expanded from j's side
-                    c = xi * yj - x[j] * yi
-                    if not c:
-                        continue
-                else:
-                    c = xi * yj
-                for k, e in terms:
-                    out[k] += c * e
-        return tuple(out)
+        return sparse_bracket(self._partners, x, y, ZERO)
 
     def check_jacobi(self):
         """Return the list of basis triples violating the Jacobi identity.
@@ -155,6 +135,49 @@ class LieAlgebra:
                     for b in obj.get("brackets", [])}
         return cls(obj["dim"], brackets, basis_names=obj.get("basis"),
                    grading=obj.get("grading"))
+
+
+def sparse_bracket(partners, x, y, zero):
+    """[x, y] from a partner table (``LieAlgebra._partners`` or the rows of
+    ``integer_table``), by bilinear expansion over the nonzeros of x and
+    their partners.  A pair (i, j) where both x_i y_j and x_j y_i are nonzero
+    is expanded once, with coefficient x_i y_j - x_j y_i.  The coordinates
+    start at zero, so integer vectors on an integer table stay integers."""
+    out = [zero] * len(partners)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        yi = y[i]
+        for j, terms in partners[i]:
+            yj = y[j]
+            if not yj:
+                continue
+            if yi and x[j]:
+                if j < i:
+                    continue  # expanded from j's side
+                c = xi * yj - x[j] * yi
+                if not c:
+                    continue
+            else:
+                c = xi * yj
+            for k, e in terms:
+                out[k] += c * e
+    return tuple(out)
+
+
+def integer_table(L):
+    """(D, rows): D is the lcm of the structure-constant denominators and
+    rows the partner table with every coefficient c replaced by the int D c,
+    built once per algebra.  On integer vectors u, v,
+    ``sparse_bracket(rows, u, v, 0)`` is the integer vector D [u, v]."""
+    if L._integer is None:
+        D = lcm(*(c.denominator for row in L._partners
+                  for _, terms in row for _, c in terms))
+        L._integer = (D, tuple(
+            tuple((j, tuple((k, c.numerator * (D // c.denominator)) for k, c in terms))
+                  for j, terms in row)
+            for row in L._partners))
+    return L._integer
 
 
 class LieIdeal:

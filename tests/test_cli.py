@@ -131,6 +131,31 @@ def test_mc_non_jacobi_coefficients_is_input_error(capsys):
     assert run_error(capsys, "quadcheck", bad) == (code, err)
 
 
+NON_JACOBI = json.dumps({"dim": 5, "brackets": [
+    {"i": 0, "j": 1, "value": [0, 0, 1, 0, 0]}, {"i": 0, "j": 2, "value": [0, 0, 0, 1, 0]},
+    {"i": 1, "j": 3, "value": [0, 0, 0, 0, 1]}]})
+JACOBI_ERROR = "error: input violates the Jacobi identity at triples [(0, 1, 2)]\n"
+
+
+def test_bch_non_jacobi_algebra_is_input_error(capsys):
+    assert run_error(capsys, "bch", "[1,0,0,0,0]", "[0,1,0,0,0]",
+                     "--algebra", NON_JACOBI) == (2, JACOBI_ERROR)
+
+
+def test_lattice_check_non_jacobi_algebra_is_input_error(capsys):
+    lattice = json.dumps([[1 if i == j else 0 for j in range(5)] for i in range(5)])
+    assert run_error(capsys, "lattice-check", "--algebra", NON_JACOBI,
+                     "--lattice", lattice) == (2, JACOBI_ERROR)
+
+
+def test_bch_and_lattice_check_on_the_zero_algebra(capsys):
+    zero = '{"dim": 0, "brackets": []}'
+    code, out = run_json(capsys, "bch", "[]", "[]", "--algebra", zero)
+    assert code == 0 and out["verdicts"]["product"] == []
+    code, out = run_json(capsys, "lattice-check", "--algebra", zero, "--lattice", "[[]]")
+    assert code == 0 and out["verdicts"]["closed"] is True
+
+
 def test_mc_bad_initial_is_input_error(capsys):
     code, _ = run(capsys, "mc", CE_HEIS_JSON, HEIS_JSON, "--initial", "[1]")
     assert code == 2
