@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import (
-    Matrix, ZERO, vec_scale, vec_zero, vec_is_zero, inverse,
+    Matrix, ZERO, vec_neg, vec_zero, vec_is_zero, inverse,
     solve_affine, smith_normal_form,
 )
 from .lie import (
@@ -166,7 +166,7 @@ def bch(x, y, L: LieAlgebra, cls=None):
 
 def group_inverse(x, L=None):
     """Inverse in the exp group; exp(-x) since bch(x, -x) = 0 termwise."""
-    return vec_scale(-1, x)
+    return vec_neg(x)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ class SemidirectElement:
                                  cls=self.cls)
 
     def inverse(self):
-        neg = vec_scale(-1, self.log)
+        neg = vec_neg(self.log)
         if self.aut == _identity(self.L.dim):
             return SemidirectElement(self.L, neg, self.aut, cls=self.cls)
         ai = inverse(self.aut)
@@ -330,7 +330,7 @@ def lattice_closed_under_bch(L: LieAlgebra, basis_vectors):
     gens = []
     for v in basis_vectors:
         gens.append(tuple(v))
-        gens.append(vec_scale(-1, v))
+        gens.append(vec_neg(v))
     for x in gens:
         for y in gens:
             z = bch(x, y, L, cls=c)

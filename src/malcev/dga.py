@@ -13,11 +13,15 @@ associativity holds against everything form a subalgebra, and given
 associativity so do the elements that graded-commute, and those on which d
 obeys Leibniz; given Leibniz, d^2 is a derivation, so its kernel is a
 subalgebra too.  Each axiom that holds on S therefore holds on all of A (see
-``FiniteDGA.validate``).  A full sweep runs only to name the failures.
+``FiniteDGA.validate``), on integer views of the tables.  A full sweep runs
+only to name the failures.  ``cohomology``, with one echelon span per degree
+for the representatives, is computed once per DGA and shared by all its
+Betti numbers, Massey products and MC stages.
 """
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from .linalg import (
@@ -92,6 +96,7 @@ class FiniteDGA:
 
     def _set_products(self, mult, keys):
         self._mult, self._keys, self._products = mult, keys, None
+        self._cohomology = None  # the CohomologyData, on demand
         errors = self.validate()
         if errors:
             raise ValueError("DGA axioms violated: " + "; ".join(errors))
@@ -207,16 +212,31 @@ class FiniteDGA:
     def _axioms_hold_on(self, gens):
         """The four checks of ``validate`` for s in gens, read off the
         sparse table and the nonzeros of each column of d.  Each side of an
-        identity is summed into one dict, which must come out zero."""
-        mult, top, none = self._mult, self.top, ()
+        identity is summed into one dict, which must come out zero.  They
+        run on ints: the table scaled by D_m, the lcm of its denominators,
+        and d by D_d.  Each identity is homogeneous in table factors (two
+        products on each side of associativity, one product and one d in
+        each Leibniz term, one product in graded commutativity, two d's in
+        d^2), so scaling multiplies all its terms by one D_m^2, D_m D_d, D_m
+        or D_d^2, and the scaled check is the same check."""
+        def scaled(terms, D):
+            return tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
+
+        top, none = self.top, ()
+        D = lcm(*(c.denominator for table in self._mult.values() for row in table
+                  for terms in row.values() for _, c in terms))
+        mult = {key: tuple({j: scaled(terms, D) for j, terms in row.items()} for row in table)
+                for key, table in self._mult.items()}
         dcol = [[tuple((k, row[j]) for k, row in enumerate(m.data) if row[j])
                  for j in range(self.dims[n])] for n, m in enumerate(self.d)]
+        D = lcm(*(c.denominator for col in dcol for terms in col for _, c in terms))
+        dcol = [[scaled(terms, D) for terms in col] for col in dcol]
         for p, i in gens:
             p_sign = (-1) ** p
             acc = {}
             for m, e in dcol[p][i]:                      # d^2 s
                 for t, f in dcol[p + 1][m]:
-                    acc[t] = acc.get(t, ZERO) + e * f
+                    acc[t] = acc.get(t, 0) + e * f
             if any(acc.values()):
                 return False
             for q in range(top + 1 - p):
@@ -232,12 +252,12 @@ class FiniteDGA:
                             for z, terms in mult[(p + q, r)][k].items():
                                 for t, e in terms:
                                     key = (r, z, t)
-                                    acc[key] = acc.get(key, ZERO) + c * e
+                                    acc[key] = acc.get(key, 0) + c * e
                         for z, terms in mult[(q, r)][j].items():
                             for m, e in terms:
                                 for t, f in mult[(p, q + r)][i].get(m, none):
                                     key = (r, z, t)
-                                    acc[key] = acc.get(key, ZERO) - e * f
+                                    acc[key] = acc.get(key, 0) - e * f
                     if any(acc.values()):
                         return False
                     if p + q == top:
@@ -245,13 +265,13 @@ class FiniteDGA:
                     acc = {}                             # d(s y) - ds y - (-1)^p s dy
                     for k, c in sy:
                         for t, e in dcol[p + q][k]:
-                            acc[t] = acc.get(t, ZERO) + c * e
+                            acc[t] = acc.get(t, 0) + c * e
                     for m, e in dcol[p][i]:
                         for t, f in mult[(p + 1, q)][m].get(j, none):
-                            acc[t] = acc.get(t, ZERO) - e * f
+                            acc[t] = acc.get(t, 0) - e * f
                     for m, e in dcol[q][j]:
                         for t, f in mult[(p, q + 1)][i].get(m, none):
-                            acc[t] = acc.get(t, ZERO) - p_sign * e * f
+                            acc[t] = acc.get(t, 0) - p_sign * e * f
                     if any(acc.values()):
                         return False
         return True
@@ -309,7 +329,11 @@ class FiniteDGA:
 class CohomologyData:
     """Betti numbers and representative bases of a finite cochain complex.
 
-    The linear systems it answers, class coordinates and preimages under d,
+    Per degree n: a kernel basis of d[n] (cocycles), the echelon basis of
+    the image of d[n-1] (coboundaries), and the cocycles, in order, that grow
+    one IncrementalSpan seeded with the coboundaries (representatives); all
+    tuples, as ``cohomology`` shares one CohomologyData per DGA.  The
+    linear systems it answers, class coordinates and preimages under d,
     each get one AffineSolver per degree, made on first use and kept.
     """
 
@@ -318,9 +342,7 @@ class CohomologyData:
         self.top = len(self.dims) - 1
         self.d = d_mats
         self._solvers = {}
-        self.cocycles = []
-        self.coboundaries = []
-        self.representatives = []
+        cocycles, coboundaries, representatives = [], [], []
         for n in range(self.top + 1):
             dn = d_mats[n] if n < len(d_mats) else None
             if dn is None or dn.rows == 0:
@@ -332,15 +354,12 @@ class CohomologyData:
             else:
                 prev = d_mats[n - 1]
                 b = echelon_basis(prev.transpose().data, self.dims[n]) if prev.rows else []
-            self.cocycles.append(z)
-            self.coboundaries.append(b)
-            reps = []
-            cur = list(b)
-            for v in z:
-                if not span_contains(cur, v):
-                    cur.append(v)
-                    reps.append(v)
-            self.representatives.append(reps)
+            span = IncrementalSpan(b)
+            cocycles.append(tuple(z))
+            coboundaries.append(tuple(b))
+            representatives.append(tuple(v for v in z if span.add(v)))
+        self.cocycles, self.coboundaries, self.representatives = map(
+            tuple, (cocycles, coboundaries, representatives))
 
     def betti(self):
         return [len(r) for r in self.representatives]
@@ -352,14 +371,14 @@ class CohomologyData:
 
     def class_coordinates(self, n, v):
         """Coordinates of a closed vector's class in the representative basis."""
-        cols = self.representatives[n] + self.coboundaries[n]
-        if not cols:
+        reps = self.representatives[n]
+        if not (reps or self.coboundaries[n]):
             assert vec_is_zero(v)
             return ()
-        x = self._solver(("class", n),
-                         lambda: Matrix.from_columns(cols, rows=self.dims[n])).solve(v)
+        x = self._solver(("class", n), lambda: Matrix.from_columns(
+            reps + self.coboundaries[n], rows=self.dims[n])).solve(v)
         assert x is not None, "vector is not a cocycle"
-        return x[:len(self.representatives[n])]
+        return x[:len(reps)]
 
     def preimage(self, n, v):
         """The x in degree n - 1 with d x = v and free variables zero, or
@@ -368,7 +387,11 @@ class CohomologyData:
 
 
 def cohomology(dga: FiniteDGA) -> CohomologyData:
-    return CohomologyData(dga.dims, dga.d)
+    """The cohomology of dga, computed once per DGA: a FiniteDGA is
+    immutable, so every caller shares one CohomologyData and its solvers."""
+    if dga._cohomology is None:
+        dga._cohomology = CohomologyData(dga.dims, dga.d)
+    return dga._cohomology
 
 
 def cohomology_ring(dga: FiniteDGA) -> FiniteDGA:
@@ -559,8 +582,8 @@ def massey_triple(dga: FiniteDGA, pa, pb, pc, H=None) -> MasseyResult:
     """Triple Massey product of cocycles a, b, c given as (degree, vector).
 
     Requires da = db = dc = 0 and both a.b and b.c exact; raises
-    MasseyUndefined otherwise.  H, the cohomology of dga, keeps the
-    eliminations of dx = ab and of the class coordinates between calls.
+    MasseyUndefined otherwise.  H defaults to ``cohomology(dga)``, which is
+    kept on dga with its eliminations of dx = ab and of class coordinates.
     """
     H = H or cohomology(dga)
     (p, a), (q, b), (r, c) = pa, pb, pc

@@ -13,14 +13,14 @@ import random
 from fractions import Fraction
 
 from .linalg import (
-    Matrix, ZERO, vec_add, vec_scale, vec_sub, vec_zero, vec_is_zero,
+    Matrix, ZERO, vec_add, vec_neg, vec_scale, vec_sub, vec_zero, vec_is_zero,
     solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit, right_inverse, rank,
 )
 from .lie import (
     LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims, abelian,
     quotient_by_ideal,
 )
-from .dga import FiniteDGA, CohomologyData, cohomology
+from .dga import FiniteDGA, cohomology
 from .bch import bch
 
 
@@ -243,7 +243,7 @@ def _central_correction(tn: TensorDGLA, kernel, h):
     """
     dirs = tn.tensor_basis(1, kernel)
     sol = solve_affine(Matrix.from_columns([tn.diff(1, u) for u in dirs], rows=tn.dim(2)),
-                       vec_scale(-1, h))
+                       vec_neg(h))
     if sol is None:
         return None
     u = tn.zero(1)
@@ -253,8 +253,7 @@ def _central_correction(tn: TensorDGLA, kernel, h):
     return u, sol[1]
 
 
-def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, H: CohomologyData = None,
-                      section: Matrix = None):
+def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix = None):
     """Class in H^2(A) ox I obstructing a lift of x along the extension.
 
     x must satisfy MC over A ox M.  Returns (class_coords, h) where
@@ -264,7 +263,7 @@ def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, H: CohomologyDat
     tm = TensorDGLA(dga, e.M)
     if not is_mc(tm, x):
         raise ValueError("input is not a Maurer-Cartan element over the base")
-    H = H or cohomology(dga)
+    H = cohomology(dga)
     s = section if section is not None else e.section()
     h = mc_residual(TensorDGLA(dga, e.N), _blockwise(s, x, dga.dim(1)))
     if dga.top < 2:  # A^2 = 0: nothing obstructs the lift
@@ -334,7 +333,7 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     current = x
     for k in range(2, cls + 1):
         e = lcs_extension(N, k)
-        classes, h = obstruction_class(dga, current, e, H=H)
+        classes, h = obstruction_class(dga, current, e)
         obstructed = any(any(cc != 0 for cc in c) for c in classes)
         if obstructed:
             stages.append(MCStage(k, None, 0, True, classes))

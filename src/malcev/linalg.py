@@ -61,6 +61,10 @@ def vec_scale(c, a):
     return tuple(c * x for x in a)
 
 
+def vec_neg(a):
+    return tuple(-x for x in a)
+
+
 def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
 

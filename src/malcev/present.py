@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .linalg import (
-    Matrix, ZERO, scalar, format_scalar, vec_add, vec_scale, vec_sub,
+    Matrix, ZERO, scalar, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
     vec_zero, vec_is_zero, echelon_basis, span_contains, spans_equal,
     kernel_basis, solve_affine, rank, inverse, unit, right_inverse,
 )
@@ -251,7 +251,7 @@ def _filtered_iso(L, G, chain):
             if not vec_is_zero(v):
                 v = to_adapted.mul_vec(v)
                 ad[a].append((b, v))
-                ad[b].append((a, vec_scale(-1, v)))
+                ad[b].append((a, vec_neg(v)))
     # delta(D)(a, b) = D[p_a, p_b] - [D p_a, p_b] - [p_a, D p_b] is linear in
     # D; solve delta(E) = -delta(diag(deg)) on its (a, b, r) entries, a < b
     rhs = Counter()
@@ -398,7 +398,7 @@ class CupDatum:
                     raise ValueError("pairing values must have h2 coordinates")
         for i in range(h1):
             for j in range(h1):
-                if self.pairing[i][j] != vec_scale(-1, self.pairing[j][i]):
+                if self.pairing[i][j] != vec_neg(self.pairing[j][i]):
                     raise ValueError("pairing is not antisymmetric at (%d,%d)" % (i, j))
 
     def to_json(self):
@@ -549,7 +549,7 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
             dirs.append((g, tuple(v)))
     target = []
     for d in d0:
-        target.extend(vec_scale(-1, d))
+        target.extend(vec_neg(d))
     sol = solve_affine(Matrix.from_columns(cols, rows=len(target)), tuple(target))
     if sol is None:
         return LiftResult(False, witness=list(zip([list(r) for r in p.relators], d0)))

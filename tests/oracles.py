@@ -179,6 +179,17 @@ def naive_rank(rows):
     return rank
 
 
+def greedy_complement(base, vectors):
+    """The vectors, in order, that raise the rank of base plus the vectors
+    kept before them (ranks by naive_rank)."""
+    kept, rows = [], [tuple(v) for v in base]
+    for v in vectors:
+        if naive_rank(rows + [tuple(v)]) > naive_rank(rows):
+            kept.append(tuple(v))
+            rows.append(tuple(v))
+    return kept
+
+
 def naive_betti(dims, d_mats):
     """Betti numbers of a cochain complex by rank-nullity."""
     top = len(dims) - 1
@@ -219,6 +230,20 @@ def dense_bracket(dim, table, x, y):
             for k in range(dim):
                 out[k] += c * Fraction(v[k])
     return tuple(out)
+
+
+def jacobi_violations(dim, table):
+    """The basis triples i < j < k with [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
+    + [[e_k, e_i], e_j] != 0, by dense_bracket."""
+    e = [tuple(Fraction(int(t == i)) for t in range(dim)) for i in range(dim)]
+
+    def br(x, y):
+        return dense_bracket(dim, table, x, y)
+
+    return [(i, j, k) for i in range(dim) for j in range(i + 1, dim) for k in range(j + 1, dim)
+            if any(a + b + c for a, b, c in zip(br(br(e[i], e[j]), e[k]),
+                                                br(br(e[j], e[k]), e[i]),
+                                                br(br(e[k], e[i]), e[j])))]
 
 
 # ---------------------------------------------------------------------------

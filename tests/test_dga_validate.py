@@ -2,6 +2,7 @@
 full sweep over basis vectors, on small DGAs and seeded corruptions of them."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -77,6 +78,40 @@ def test_validate_agrees_with_full_sweep(name, count):
         d, products = corrupt(A, rng)
         verdict = dga_axioms_hold(A.dims, d, products)
         assert builds(A.dims, d, products) is verdict
+        verdicts.append(verdict)
+    assert not all(verdicts)
+
+
+def rescaled(A, scales):
+    """A in the basis f = s a, with s = scales.get((n, i), 1) for the i-th
+    degree-n basis vector a: f_i f_j = sum s_i s_j c_k / s_k f_k, and
+    d f_j = sum s_j d_kj / s_k f_k, as dense tables."""
+    s = lambda n, i: Fraction(scales.get((n, i), 1))
+    d = [[[s(n, j) * c / s(n + 1, k) for j, c in enumerate(row)]
+          for k, row in enumerate(m.data)] for n, m in enumerate(A.d)]
+    products = {(p, q): [[[s(p, i) * s(q, j) * c / s(p + q, k) for k, c in enumerate(cell)]
+                          for j, cell in enumerate(row)] for i, row in enumerate(table)]
+                for (p, q), table in A.products.items()}
+    return d, products
+
+
+def test_validate_with_mixed_denominators():
+    """f = a/2, a/3 on two degree-1 vectors of CE(filiform4) and f = 7 a on
+    x0x2 in degree 2 put denominators 6 and 14 in the products and 7 in d,
+    so the integer view scales them by different lcms (42 and 7)."""
+    A = bases()["ce-filiform4"]
+    d, products = rescaled(A, {(1, 0): Fraction(1, 2), (1, 1): Fraction(1, 3), (2, 1): 7})
+    lcm_of = lambda values: math.lcm(*(Fraction(c).denominator for c in values))
+    assert lcm_of(c for t in products.values() for row in t for cell in row for c in cell) == 42
+    assert lcm_of(c for m in d for row in m for c in row) == 7
+    assert builds(A.dims, d, products)
+    B = FiniteDGA(A.dims, d, products)
+    rng = random.Random("mixed")
+    verdicts = []
+    for _ in range(8):
+        d, products = corrupt(B, rng)
+        verdict = dga_axioms_hold(B.dims, d, products)
+        assert builds(B.dims, d, products) is verdict
         verdicts.append(verdict)
     assert not all(verdicts)
 
