@@ -21,13 +21,12 @@ Betti numbers, Massey products and MC stages.
 
 import itertools
 from fractions import Fraction
-from math import lcm
 from types import MappingProxyType
 
 from .linalg import (
     Matrix, ZERO, ONE, scalar, format_scalar, vec_add, vec_scale, vec_sub,
     vec_zero, vec_is_zero, kernel_basis, echelon_basis, span_contains, unit,
-    IncrementalSpan, AffineSolver,
+    IncrementalSpan, AffineSolver, integer_terms,
 )
 
 
@@ -213,24 +212,22 @@ class FiniteDGA:
         """The four checks of ``validate`` for s in gens, read off the
         sparse table and the nonzeros of each column of d.  Each side of an
         identity is summed into one dict, which must come out zero.  They
-        run on ints: the table scaled by D_m, the lcm of its denominators,
-        and d by D_d.  Each identity is homogeneous in table factors (two
-        products on each side of associativity, one product and one d in
-        each Leibniz term, one product in graded commutativity, two d's in
-        d^2), so scaling multiplies all its terms by one D_m^2, D_m D_d, D_m
-        or D_d^2, and the scaled check is the same check."""
-        def scaled(terms, D):
-            return tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
-
+        run on ints (``integer_terms``): the table scaled by D_m, the lcm of
+        its denominators, and d by D_d.  Each identity is homogeneous in
+        table factors (two products on each side of associativity, one
+        product and one d in each Leibniz term, one product in graded
+        commutativity, two d's in d^2), so scaling multiplies all its terms
+        by one D_m^2, D_m D_d, D_m or D_d^2, and the scaled check is the same
+        check."""
         top, none = self.top, ()
-        D = lcm(*(c.denominator for table in self._mult.values() for row in table
-                  for terms in row.values() for _, c in terms))
-        mult = {key: tuple({j: scaled(terms, D) for j, terms in row.items()} for row in table)
+        flat = integer_terms([terms for table in self._mult.values()
+                              for row in table for terms in row.values()])[1]
+        mult = {key: tuple({j: next(flat) for j in row} for row in table)
                 for key, table in self._mult.items()}
         dcol = [[tuple((k, row[j]) for k, row in enumerate(m.data) if row[j])
                  for j in range(self.dims[n])] for n, m in enumerate(self.d)]
-        D = lcm(*(c.denominator for col in dcol for terms in col for _, c in terms))
-        dcol = [[scaled(terms, D) for terms in col] for col in dcol]
+        flat = integer_terms([terms for col in dcol for terms in col])[1]
+        dcol = [[next(flat) for _ in col] for col in dcol]
         for p, i in gens:
             p_sign = (-1) ** p
             acc = {}

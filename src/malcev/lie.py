@@ -8,13 +8,12 @@ keeps every downstream computation linear-algebraic.
 """
 
 from itertools import combinations
-from math import lcm
 from types import MappingProxyType
 
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec, vec_add, vec_neg,
     vec_zero, echelon_basis, span_contains,
-    rank, inverse, unit, IncrementalSpan, ONE,
+    rank, inverse, unit, IncrementalSpan, ONE, integer_terms,
 )
 
 
@@ -96,23 +95,25 @@ class LieAlgebra:
         with ad_x a derivation form a subalgebra: ad_[x,y] = [ad_x, ad_y] is
         a commutator of derivations.  So Jacobi on the basis triples that
         meet the generating set S of ``_generators``, whose iterated brackets
-        span L, proves it on L (antisymmetry covers the other orders), and
-        the sweep over all triples runs only to name failures.  Below dim 13,
-        finding S costs more than the triples it skips, so S is every index.
-        Both run on the integer table, which scales each Jacobi sum by D^2.
-        The algebra is immutable, so this runs once per algebra; each call
-        returns a fresh list of the kept triples."""
+        span L, proves it on L (antisymmetry covers the other orders).  Those
+        triples are made lazily, each once, at its first member in S; the
+        sweep over all triples runs only to name failures.  Both run on the
+        integer table, which scales each Jacobi sum by D^2.  The algebra is
+        immutable, so this runs once per algebra; each call returns a fresh
+        list of the kept triples."""
         if self._jacobi is None:
             n, rows = self.dim, integer_table(self)[1]
             e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
             br = lambda x, y: sparse_bracket(rows, x, y, 0)
-            fails = lambda i, j, k: any(vec_add(
-                vec_add(br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i])),
-                br(br(e[k], e[i]), e[j])))
-            triples = list(combinations(range(n), 3))
-            S = set(_generators(self) if n > 12 else range(n))
-            self._jacobi = tuple(t for t in triples if fails(*t)) if any(
-                fails(*t) for t in triples if not S.isdisjoint(t)) else ()
+            def fails(t):
+                x, y, z = (e[i] for i in t)
+                return any(vec_add(vec_add(br(br(x, y), z), br(br(y, z), x)), br(br(z, x), y)))
+            S = _generators(self)
+            meeting = (tuple(sorted((s, j, k))) for m, s in enumerate(S)
+                       for j, k in combinations([i for i in range(n)
+                                                 if i != s and i not in S[:m]], 2))
+            self._jacobi = tuple(filter(fails, combinations(range(n), 3))) if any(
+                map(fails, meeting)) else ()
         return list(self._jacobi)
 
     def basis_vector(self, i):
@@ -178,12 +179,9 @@ def integer_table(L):
     built once per algebra.  On integer vectors u, v,
     ``sparse_bracket(rows, u, v, 0)`` is the integer vector D [u, v]."""
     if L._integer is None:
-        D = lcm(*(c.denominator for row in L._partners
-                  for _, terms in row for _, c in terms))
-        L._integer = (D, tuple(
-            tuple((j, tuple((k, c.numerator * (D // c.denominator)) for k, c in terms))
-                  for j, terms in row)
-            for row in L._partners))
+        D, flat = integer_terms([terms for row in L._partners for _, terms in row])
+        L._integer = (D, tuple(tuple((j, next(flat)) for j, _ in row)
+                               for row in L._partners))
     return L._integer
 
 

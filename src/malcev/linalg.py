@@ -65,6 +65,15 @@ def vec_neg(a):
     return tuple(-x for x in a)
 
 
+def integer_terms(term_lists):
+    """(D, scaled) for a list of sparse term lists ((k, c), ...): D is the lcm
+    of the denominators of all the c, and scaled an iterator over the same
+    lists, in order, with each c replaced by the int D c."""
+    D = lcm(*(c.denominator for terms in term_lists for _, c in terms))
+    return D, (tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
+               for terms in term_lists)
+
+
 def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
