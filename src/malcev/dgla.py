@@ -9,7 +9,6 @@ The formal symbol d of the gauge formula is realised as an explicit extra
 degree-1 coordinate with [d, a] = da.
 """
 
-import random
 from fractions import Fraction
 
 from .linalg import (
@@ -353,105 +352,47 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
 # Gauge equivalence
 
 class GaugeDecision:
-    def __init__(self, status, alpha=None, residual=None):
-        self.status = status  # "yes" | "no" | "undecided-with-parameters"
+    def __init__(self, status, alpha=None, residual=None, stage=None):
+        self.status = status  # "yes" | "no"
         self.alpha = alpha
         self.residual = residual
+        self.stage = stage  # the LCS stage k that decided a "no"
 
 
-def gauge_equivalent(dga: FiniteDGA, N: LieAlgebra, x, y, retries=4,
-                     rng=None) -> GaugeDecision:
-    """Decide whether y = gauge(alpha, x) for some alpha, staging along the
-    LCS of N.
+def gauge_equivalent(dga: FiniteDGA, N: LieAlgebra, x, y) -> GaugeDecision:
+    """Decide whether y = gauge(alpha, x) for some alpha, by one exact linear
+    solve per LCS stage of N (Goldman-Millson).
 
-    The staged solve is a complete decision when H^0(A) = 0 (each stage has
-    at most one solution family) or when the bracket on A ox N vanishes.
-    Otherwise free stabiliser parameters are explored by randomised
-    restarts; a failure then reports "undecided-with-parameters" instead of
-    guessing "no".  Failure at the first stage is conclusive in every case:
-    the leading term of x modulo [N, N] moves only by coboundaries under any
-    gauge transformation, so its H^1 class is an invariant.
+    Suppose alpha.x = y mod A^1 ox G_k.  The gauges with that property are
+    alpha.s with s.x = x mod G_k.  For s = exp(b), s.x - x = phi(ad_b)(v)
+    with v = [b, x] - db and phi(t) = (e^t - 1)/t; phi(ad_b) is unipotent and
+    keeps the LCS filtration, so v lies in A^1 ox G_k and s.x - x = v mod
+    A^1 ox G_{k+1}, which is linear in b.  Stage k therefore solves
+    [b, x] - db = y - alpha.x mod A^1 ox G_{k+1} over all of A^0 ox N and
+    sets alpha to alpha.exp(b).  No solution proves "no" at stage k, with
+    residual y - alpha.x; a "yes" carries an alpha checked with gauge.
     """
     t = TensorDGLA(dga, N)
     if not is_mc(t, x) or not is_mc(t, y):
         raise ValueError("both elements must satisfy the Maurer-Cartan equation")
-    H = cohomology(dga)
-    cls = nilpotency_class(N)
+    y = tuple(y)
     chain = lower_central_series(N)
-    h0_zero = len(H.representatives[0]) == 0
-    abelian_bracket = _bracket_is_zero(t)
-    rng = rng or random.Random(20240817)
-
-    A0N = t.degree0_lie_algebra() if not abelian_bracket else None
-
-    attempts = max(1, retries if not (h0_zero or abelian_bracket) else 1)
-    last_residual = None
-    failed_stage = None
-    for attempt in range(attempts):
-        alpha = t.zero(0)
-        ok = True
-        for k in range(1, cls + 1):
-            gx = gauge(t, alpha, x)
-            diff = vec_sub(gx, y)
-            if vec_is_zero(diff):
-                break
-            # the difference must lie in A^1 ox G_k; solve d beta = diff
-            # for beta in A^0 ox (a complement of G_{k+1} in G_k)
-            dirs = t.tensor_basis(0, chain[k - 1].basis)
-            cols = [t.diff(0, u) for u in dirs]
-            # target: component of diff, but solving directly in A^1 ox G_k
-            # modulo A^1 ox G_{k+1} -- set up modulo the deeper piece
-            allcols = cols + t.tensor_basis(1, chain[k].basis)
-            if not allcols:
-                ok = False
-                last_residual = diff
-                failed_stage = k
-                break
-            sol = solve_affine(Matrix.from_columns(allcols, rows=t.dim(1)), diff)
-            if sol is None:
-                ok = False
-                last_residual = diff
-                failed_stage = k
-                break
-            coeffs, kdirs = sol
-            beta = t.zero(0)
-            for c, u in zip(coeffs[:len(dirs)], dirs):
-                if c != 0:
-                    beta = vec_add(beta, vec_scale(c, u))
-            if attempt > 0 and kdirs:
-                # explore the stabiliser: random shift inside the kernel
-                for kv in kdirs:
-                    if rng.random() < 0.5:
-                        shift = t.zero(0)
-                        for c, u in zip(kv[:len(dirs)], dirs):
-                            if c != 0:
-                                shift = vec_add(shift, vec_scale(c, u))
-                        beta = vec_add(beta, vec_scale(rng.randint(-2, 2), shift))
-            # gauge(beta, z) = z - d beta + (filtration >= k+1), so applying
-            # gauge(beta) after gauge(alpha) removes the G_k discrepancy
-            if abelian_bracket:
-                alpha = vec_add(beta, alpha)
-            else:
-                alpha = bch(beta, alpha, A0N)
-        if ok:
-            gx = gauge(t, alpha, x)
-            if gx == tuple(y):
-                return GaugeDecision("yes", alpha=alpha)
-            last_residual = vec_sub(gx, y)
-            ok = False
-        if h0_zero or abelian_bracket or failed_stage == 1:
+    A0N = t.degree0_lie_algebra()
+    moves = [vec_sub(t.bracket(0, e, 1, x), t.diff(0, e))
+             for e in (unit(t.dim(0), i) for i in range(t.dim(0)))]
+    alpha = t.zero(0)
+    for k in range(1, len(chain)):
+        target = vec_sub(y, gauge(t, alpha, x))
+        if vec_is_zero(target):
             break
-    if h0_zero or abelian_bracket or failed_stage == 1:
-        return GaugeDecision("no", residual=last_residual)
-    return GaugeDecision("undecided-with-parameters", residual=last_residual)
-
-
-def _bracket_is_zero(t: TensorDGLA) -> bool:
-    """[a ox m, b ox n] = ab ox [m, n] is nonzero whenever ab and [m, n] are,
-    so the bracket vanishes iff N is abelian or every product in A does."""
-    A = t.dga
-    return not t.N.brackets or not any(
-        any(A.basis_products(p, q)) for p in range(A.top + 1) for q in range(A.top + 1 - p))
+        cols = moves + t.tensor_basis(1, chain[k].basis)
+        sol = solve_affine(Matrix.from_columns(cols, rows=t.dim(1)), target)
+        if sol is None:
+            return GaugeDecision("no", residual=target, stage=k)
+        alpha = bch(alpha, sol[0][:len(moves)], A0N)
+    if gauge(t, alpha, x) != y:
+        raise AssertionError("gauge parameter failed verification")
+    return GaugeDecision("yes", alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,32 @@ def _graded_surjection(F: LieAlgebra, G, gr1_images):
     return evaluate_hall_words(F.hall_words, gr1_images, G.bracket)
 
 
+def _degree_indices(F: LieAlgebra, n):
+    """Indices of the Hall words of degree n in the free algebra F."""
+    return [i for i, w in enumerate(F.hall_words) if degree(w) == n]
+
+
+def _degree_kernel(images, idx, rows):
+    """Kernel of phi_n, the map of the Hall words idx of F into gr L (of
+    dimension rows), as coordinates over idx."""
+    return kernel_basis(Matrix.from_columns([images[i] for i in idx], rows=rows))
+
+
+def _relation_space(G, c):
+    """(W, F, images) for an algebra of class c >= 1 with associated graded
+    G: W is the kernel W_2 of wedge^2 gr_1 -> gr_2, F the free algebra
+    F(k, c) on k = dim gr_1 generators, and images those of its Hall basis
+    in gr.  At class 1, W is all of wedge^2 and F and images are None."""
+    gr = G.algebra
+    gr1 = gr.graded_component_indices(1)
+    k = len(gr1)
+    if c == 1:
+        return [unit(k * (k - 1) // 2, s) for s in range(k * (k - 1) // 2)], None, None
+    F = free_nilpotent(k, c)
+    images = _graded_surjection(F, gr, [gr.basis_vector(i) for i in gr1])
+    return [tuple(v) for v in _degree_kernel(images, _degree_indices(F, 2), gr.dim)], F, images
+
+
 def is_quadratically_presented(L: LieAlgebra):
     """Decide whether L is isomorphic to some L(V)/<W> with W in wedge^2 V.
 
@@ -155,43 +181,26 @@ def is_quadratically_presented(L: LieAlgebra):
     if c == 0:
         return QuadraticVerdict(True, W=[], theta=Matrix.identity(0), graded=None)
     G = associated_graded(L)
-    gr = G.algebra
-    gr1 = gr.graded_component_indices(1)
-    k = len(gr1)
+    W, F, images = _relation_space(G, c)
     if c == 1:
-        W = [unit(k * (k - 1) // 2, s) for s in range(k * (k - 1) // 2)]
         return QuadraticVerdict(True, W=W, theta=Matrix.from_columns(
             G.from_parent, rows=L.dim), graded=G)
-    gr1_images = [gr.basis_vector(i) for i in gr1]
-
-    F = free_nilpotent(k, c)
-    images = _graded_surjection(F, gr, gr1_images)
-    phi = Matrix.from_columns(images, rows=gr.dim)
-    # W_2 = kernel of the degree-2 block
-    deg2 = [i for i, w in enumerate(F.hall_words) if degree(w) == 2]
-    phi2 = Matrix.from_columns([images[i] for i in deg2], rows=gr.dim)
-    W2_coords = kernel_basis(phi2)
+    k = len(G.algebra.graded_component_indices(1))
+    deg2 = _degree_indices(F, 2)
     pairs = pair_index(k)
-    W = [tuple(v) for v in W2_coords]
-    W2_vectors = []
-    for v in W2_coords:
+
+    def into_F(coords, idx):
+        """Coordinates over the Hall words idx of F as a vector of F."""
         vec = [ZERO] * F.dim
-        for t, i in enumerate(deg2):
-            vec[i] = v[t]
-        W2_vectors.append(tuple(vec))
+        for t, i in enumerate(idx):
+            vec[i] = coords[t]
+        return tuple(vec)
 
     # stage 1: <W_2>_n == ker(phi_n) for n = 2..c
-    _, per_degree = graded_ideal_closure(F, W2_vectors)
+    _, per_degree = graded_ideal_closure(F, [into_F(v, deg2) for v in W])
     for n in range(2, c + 1):
-        idx = [i for i, w in enumerate(F.hall_words) if degree(w) == n]
-        phin = Matrix.from_columns([images[i] for i in idx], rows=gr.dim)
-        kern = kernel_basis(phin)
-        kern_full = []
-        for v in kern:
-            vec = [ZERO] * F.dim
-            for t, i in enumerate(idx):
-                vec[i] = v[t]
-            kern_full.append(tuple(vec))
+        idx = _degree_indices(F, n)
+        kern_full = [into_F(v, idx) for v in _degree_kernel(images, idx, G.algebra.dim)]
         ideal_n = per_degree[n - 1]
         if not spans_equal(ideal_n, kern_full):
             defect = len(echelon_basis(kern_full, F.dim)) - len(ideal_n)
@@ -200,7 +209,7 @@ def is_quadratically_presented(L: LieAlgebra):
     # top-degree condition in class c+1
     Fp = free_nilpotent(k, c + 1)
     W2_top = []
-    for v in W2_coords:
+    for v in W:
         vec = [ZERO] * Fp.dim
         for (i, j), cf in zip(pairs, _w2_pair_coords(v, deg2, F, pairs)):
             if cf != 0:
@@ -360,19 +369,7 @@ def direct_summand_quadratic(L1: LieAlgebra, L2: LieAlgebra,
     if not _verify_filtered_iso(L1, G1, chain1, theta1):
         raise ValueError("composed map failed verification; summand not recovered")
     # recompute the relation space of L1 for the certificate
-    gr1 = G1.algebra.graded_component_indices(1)
-    k = len(gr1)
-    if c1 == 1:
-        m = k * (k - 1) // 2
-        W = [unit(m, s) for s in range(m)]
-        return QuadraticVerdict(True, W=W, theta=theta1, graded=G1)
-    F = free_nilpotent(k, c1)
-    images = _graded_surjection(F, G1.algebra,
-                                [G1.algebra.basis_vector(i) for i in gr1])
-    deg2 = [i for i, w in enumerate(F.hall_words) if degree(w) == 2]
-    phi2 = Matrix.from_columns([images[i] for i in deg2], rows=G1.algebra.dim)
-    W = [tuple(v) for v in kernel_basis(phi2)]
-    return QuadraticVerdict(True, W=W, theta=theta1, graded=G1)
+    return QuadraticVerdict(True, W=_relation_space(G1, c1)[0], theta=theta1, graded=G1)
 
 
 # ---------------------------------------------------------------------------

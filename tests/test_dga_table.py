@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from malcev.lie import LieAlgebra, heisenberg, abelian
+from malcev.lie import LieAlgebra, heisenberg
 from malcev.freelie import free_nilpotent
 from malcev.dga import FiniteDGA, chevalley_eilenberg, adjoin_acyclic
-from malcev.dgla import TensorDGLA, _bracket_is_zero
+from malcev.dgla import TensorDGLA
 
 from oracles import dga_product, dense_bracket, naive_solve
 
@@ -101,23 +101,6 @@ def test_tensor_bracket_matches_oracle(N):
                             for r, e in enumerate(lie):
                                 want[k * m + r] += c * e
                 assert t.bracket(p, x, q, y) == tuple(want)
-
-
-def brute_bracket_is_zero(t):
-    return all(not any(t.bracket(p, unit(t.dim(p), i), q, unit(t.dim(q), j)))
-               for p in range(t.top + 1) for q in range(t.top + 1 - p)
-               for i in range(t.dim(p)) for j in range(t.dim(q)))
-
-
-@pytest.mark.parametrize("A, N, expected", [
-    (chevalley_eilenberg(heisenberg()), abelian(2), True),
-    (chevalley_eilenberg(heisenberg()), heisenberg(), False),
-    (FiniteDGA([0, 1], [], {}), heisenberg(), True),
-], ids=["abelian-coefficients", "heisenberg-coefficients", "zero-products"])
-def test_bracket_is_zero_matches_basis_pairs(A, N, expected):
-    t = TensorDGLA(A, N)
-    assert _bracket_is_zero(t) is expected
-    assert brute_bracket_is_zero(t) is expected
 
 
 def test_products_are_read_only():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from malcev.linalg import Matrix, vec_scale
+from malcev.linalg import Matrix, vec_add, vec_scale, kernel_basis
 from malcev.lie import heisenberg, abelian, lower_central_series, quotient_by_ideal
 from malcev.freelie import free_nilpotent
 from malcev.dga import chevalley_eilenberg, cohomology, adjoin_acyclic, FiniteDGA
@@ -260,6 +260,74 @@ def test_gauge_equivalent_validates_inputs():
     if not is_mc(t, tuple(bad)):
         with pytest.raises(ValueError):
             gauge_equivalent(A, N, tuple(bad), t.zero(1))
+
+
+def test_gauge_equivalent_no_at_stage_two_with_h0():
+    # dA^0 = 0 on CE(abelian(2)), so every gauge fixes x = 0 and y = e^1 ox z,
+    # an MC element with zero leading class, lies in another orbit
+    A = chevalley_eilenberg(abelian(2))
+    N = heisenberg()
+    t = tensor_dgla(A, N)
+    y = unit(t.dim(1), 2)  # e^1 ox z, z = [x, y] spanning G_2
+    assert is_mc(t, y)
+    dec = gauge_equivalent(A, N, t.zero(1), y)
+    assert (dec.status, dec.stage) == ("no", 2)
+    assert dec.residual == y
+
+
+def seeded_mc_elements(A, N, rng, count):
+    """MC elements of A ox N from mc_solve lifts of seeded stage-1 cocycles."""
+    t1 = TensorDGLA(A, lcs_extension(N, 1).N)
+    cocycles = kernel_basis(t1.diff_matrix(1))
+    out = []
+    while len(out) < count:
+        x0 = t1.zero(1)
+        for v in cocycles:
+            x0 = vec_add(x0, vec_scale(rng.randint(-2, 2), v))
+        rep = mc_solve(A, N, initial=x0)
+        if rep.completed:
+            out.append(rep.solution)
+    return out
+
+
+def test_gauge_equivalent_finds_a_checked_gauge_over_free_nilpotent():
+    N = free_nilpotent(2, 3)
+    rng = random.Random(18)
+    for A in (chevalley_eilenberg(heisenberg()), chevalley_eilenberg(abelian(2))):
+        t = tensor_dgla(A, N)
+        for x in seeded_mc_elements(A, N, rng, 3):
+            y = gauge(t, rand_vec(rng, t.dim(0)), x)
+            dec = gauge_equivalent(A, N, x, y)
+            assert dec.status == "yes"
+            assert gauge(t, dec.alpha, x) == y
+
+
+def test_gauge_equivalent_is_constant_on_orbits():
+    rng = random.Random(19)
+    statuses = set()
+    for A, N in ((chevalley_eilenberg(heisenberg()), heisenberg()),
+                 (chevalley_eilenberg(abelian(2)), heisenberg()),
+                 (chevalley_eilenberg(heisenberg()), free_nilpotent(2, 3))):
+        t = tensor_dgla(A, N)
+        xs = seeded_mc_elements(A, N, rng, 3)
+        # x + w for w in A^1 ox (last LCS term) with dw = 0 is MC again,
+        # since that term is central
+        central = t.tensor_basis(1, lower_central_series(N)[-2].basis)
+        pairs = [(xs[0], xs[1]), (xs[1], xs[2])]
+        for x in xs:
+            w = t.zero(1)
+            for u in central:
+                w = vec_add(w, vec_scale(rng.randint(-1, 1), u))
+            if is_mc(t, vec_add(x, w)):
+                pairs.append((x, vec_add(x, w)))
+            pairs.append((x, gauge(t, rand_vec(rng, t.dim(0)), x)))
+        for x, y in pairs:
+            status = gauge_equivalent(A, N, x, y).status
+            statuses.add(status)
+            beta, gamma = rand_vec(rng, t.dim(0)), rand_vec(rng, t.dim(0))
+            moved = gauge_equivalent(A, N, gauge(t, beta, x), gauge(t, gamma, y))
+            assert moved.status == status
+    assert statuses == {"yes", "no"}
 
 
 def test_dga_morphism_validation():
