@@ -288,14 +288,14 @@ def graded_ideal_closure(L: LieAlgebra, generators):
         d = homogeneous_degree(L, v)
         if d is not None:
             gens_by_degree[d].append(tuple(v))
-    deg1 = [L.basis_vector(i) for i in L.graded_component_indices(1)]
+    deg1 = L.graded_component_indices(1)
     per_degree = []
     prev = []
     for n in range(1, top + 1):
         cur = list(gens_by_degree[n])
-        for e in deg1:
+        for i in deg1:
             for v in prev:
-                cur.append(L.bracket(e, v))
+                cur.append(L.ad(i, v))
         prev = echelon_basis(cur, L.dim)
         per_degree.append(prev)
     ideal = LieIdeal(L, [v for grp in per_degree for v in grp], check=False)

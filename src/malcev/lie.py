@@ -7,13 +7,14 @@ Ideals are explicit lists of coordinate vectors in the parent's basis, which
 keeps every downstream computation linear-algebraic.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec, vec_add, vec_neg,
     vec_zero, echelon_basis, span_contains,
-    rank, inverse, unit, IncrementalSpan, ONE, integer_terms,
+    rank, inverse, unit, IncrementalSpan, ONE, integer_terms, integer_row,
 )
 
 
@@ -233,19 +234,23 @@ def _lcs_bases(L):
     """RREF bases of the lower central series, computed once per algebra.
 
     G_2 = [L, L] is the span of the table values; G_{n+1} for n >= 2 is
-    spanned by the [e_i, b] over the basis b of G_n.  Only plain tuples are
+    spanned by the [e_i, b] over the basis b of G_n, taken on the integer
+    table (int multiples, so the same span and RREF).  Only plain tuples are
     cached on L (ideals would point back at it).
     """
     if L._lcs is None:
-        chain = [tuple(L.basis_vector(i) for i in range(L.dim))]
+        n, table = L.dim, integer_table(L)[1]
+        e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        chain = [tuple(L.basis_vector(i) for i in range(n))]
+        rows = L.brackets.values()
         while chain[-1]:
-            rows = L.brackets.values() if len(chain) == 1 else [
-                L.ad(i, b) for i in range(L.dim) for b in chain[-1]]
-            nxt = echelon_basis(rows, L.dim)
+            nxt = echelon_basis(rows, n)
             if len(nxt) >= len(chain[-1]):
                 raise NonNilpotentError(
                     "algebra is not nilpotent: its lower central series does not shrink")
             chain.append(tuple(nxt))
+            bs = [integer_row(b)[1] for b in nxt]
+            rows = filter(any, (sparse_bracket(table, e[i], b, 0) for i in range(n) for b in bs))
         L._lcs = tuple(chain)
     return L._lcs
 
@@ -305,22 +310,35 @@ def associated_graded(L):
     """gr L with gr_n = G_n / G_{n+1} and the induced graded bracket.
 
     [G_a, G_b] lies in G_{a+b}, zero past the class; otherwise only the
-    degree-(a+b) rows of the inverse basis matrix are read."""
+    degree-(a+b) rows of the inverse basis matrix are read.  The brackets run
+    on ints: with each adapted vector p_i scaled by d_i to ints, the integer
+    table gives D d_i d_j [p_i, p_j], a zero result skips the pair, and the
+    inverse's integer view (Dinv times the inverse) gives the gr
+    coordinates times D Dinv d_i d_j, one Fraction per nonzero coordinate."""
     vectors, degrees = adapted_basis(L)
-    inv = inverse(Matrix.from_columns(vectors)).data
+    Dinv, inv = inverse(Matrix.from_columns(vectors)).integer_view()
+    D, table = integer_table(L)
+    scale = D * Dinv
+    scaled = [integer_row(v) for v in vectors]
     dim = L.dim
     top = max(degrees, default=0)
     rows_of = {w: [k for k in range(dim) if degrees[k] == w] for w in range(1, top + 1)}
     brackets = {}
-    for i in range(dim):
+    for i, (di, u) in enumerate(scaled):
         for j in range(i + 1, dim):
             w = degrees[i] + degrees[j]
             if w > top:
                 continue
-            nz = [(t, x) for t, x in enumerate(L.bracket(vectors[i], vectors[j])) if x]
+            dj, v = scaled[j]
+            b = sparse_bracket(table, u, v, 0)
+            if not any(b):
+                continue
+            den = scale * di * dj
             out = [ZERO] * dim
             for k in rows_of[w]:
-                out[k] = sum((inv[k][t] * x for t, x in nz), ZERO)
+                s = sum([c * b[t] for t, c in inv[k]])
+                if s:
+                    out[k] = Fraction(s, den)
             if any(out):
                 brackets[(i, j)] = tuple(out)
     algebra = LieAlgebra(dim, brackets, grading=degrees)

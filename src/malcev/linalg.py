@@ -78,10 +78,18 @@ def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
+def integer_row(row):
+    """(d, ints): d is the lcm of the denominators of the entries of row (ints
+    or Fractions), and ints the list of the entries times d."""
+    ratios = [e.as_integer_ratio() for e in row]
+    d = lcm(*[q for _, q in ratios])
+    return d, [p * (d // q) for p, q in ratios]
+
+
 class Matrix:
     """Immutable dense matrix of exact rationals."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_integer")
 
     def __init__(self, data):
         data = tuple(tuple(scalar(e) for e in row) for row in data)
@@ -91,6 +99,7 @@ class Matrix:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
         self.data = data
+        self._integer = None  # integer view, on demand
 
     @classmethod
     def identity(cls, n):
@@ -100,7 +109,7 @@ class Matrix:
     def _of_rows(cls, data, cols):
         """A tuple of Fraction row tuples, taken as is; keeps cols if empty."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.data = len(data), cols, data
+        m.rows, m.cols, m.data, m._integer = len(data), cols, data, None
         return m
 
     @classmethod
@@ -123,11 +132,28 @@ class Matrix:
     def transpose(self):
         return Matrix(list(zip(*self.data))) if self.rows else Matrix.zeros(self.cols, 0)
 
+    def integer_view(self):
+        """(D, rows): D is the lcm of the denominators of the entries, and
+        rows[i] the nonzero entries of row i as sparse terms (j, D m[i][j])
+        with int coefficients.  Built on first use and kept: the matrix is
+        immutable."""
+        if self._integer is None:
+            D, rows = integer_terms([[(j, e) for j, e in enumerate(row) if e]
+                                     for row in self.data])
+            self._integer = (D, tuple(rows))
+        return self._integer
+
     def mul_vec(self, v):
+        """m v on the integer view: v is scaled to ints once, each row takes
+        one integer dot product, and each nonzero entry is one Fraction."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch: %d cols, %d entries" % (self.cols, len(v)))
-        nz = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum((r[j] * x for j, x in nz), ZERO) for r in self.data)
+        D, rows = self.integer_view()
+        d, iv = integer_row(v)
+        if not any(iv):
+            return (ZERO,) * self.rows
+        sums = (sum([c * iv[j] for j, c in terms]) for terms in rows)
+        return tuple(Fraction(s, D * d) if s else ZERO for s in sums)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -166,22 +192,23 @@ class Matrix:
         return all(e == 0 for row in self.data for e in row)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.  Returns (R, pivot column list).
+def _rref_rows(rows, cols):
+    """(R, pivots) for a list of int rows with cols entries, which it
+    eliminates in place: R is the list of nonzero RREF rows as Fraction
+    tuples, and pivots their pivot columns.
 
-    Fraction-free (Bareiss, Math. Comp. 22, 1968): each row is scaled to
-    integers, cleared at a pivot by cross multiplication and divided by the
-    gcd of its entries.  That keeps the span and the pivots, and the RREF is
-    unique, so dividing each pivot row by its pivot at the end gives it."""
-    rows = []
-    for row in m.data:
-        ratios = [e.as_integer_ratio() for e in row]
-        den = lcm(*[d for _, d in ratios])
-        rows.append([n * (den // d) for n, d in ratios])
+    Fraction-free (Bareiss, Math. Comp. 22, 1968): each pivot row is divided
+    by the gcd of its entries and cleared out of the other rows by cross
+    multiplication, which keeps the span and the pivots.  The RREF is
+    unique, so dividing each pivot row by its pivot at the end, one Fraction
+    per nonzero entry, gives it."""
+    n = len(rows)
     pivots = []
     r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
+    for c in range(cols):
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
         if pr is None:
             continue
         prow = rows[pr]
@@ -191,7 +218,7 @@ def rref(m: Matrix):
         rows[pr] = rows[r]
         rows[r] = prow
         pv = prow[c]
-        for i in range(m.rows):
+        for i in range(n):
             f = rows[i][c]
             if f and i != r:
                 row = [pv * a - f * b if b else pv * a for a, b in zip(rows[i], prow)]
@@ -199,11 +226,16 @@ def rref(m: Matrix):
                 rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == m.rows:
-            break
-    out = tuple(tuple(Fraction(a, row[c]) if a else ZERO for a in row)
-                for row, c in zip(rows, pivots))
-    return Matrix._of_rows(out + ((ZERO,) * m.cols,) * (m.rows - r), m.cols), pivots
+    return [tuple(Fraction(a, row[c]) if a else ZERO for a in row)
+            for row, c in zip(rows, pivots)], pivots
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form.  Returns (R, pivot column list), from the
+    rows scaled to ints by ``_rref_rows``."""
+    red, pivots = _rref_rows([integer_row(row)[1] for row in m.data], m.cols)
+    red += [(ZERO,) * m.cols] * (m.rows - len(pivots))
+    return Matrix._of_rows(tuple(red), m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -324,12 +356,19 @@ def solve_affine(m: Matrix, b):
 # Subspace utilities (row-space form; canonical via RREF)
 
 def echelon_basis(vectors, dim=None):
-    """Canonical (RREF) basis of the span of the given vectors."""
-    vectors = [tuple(v) for v in vectors if not vec_is_zero(v)]
-    if not vectors:
-        return []
-    red, pivots = rref(Matrix(vectors))
-    return [tuple(red.data[i]) for i in range(len(pivots))]
+    """Canonical (RREF) basis of the span of the given vectors, each of
+    length dim (ValueError otherwise; with dim None, of one common length)."""
+    rows, cols = [], dim
+    for v in vectors:
+        if cols is None:
+            cols = len(v)
+        if len(v) != cols:
+            raise ValueError("ragged rows" if dim is None else
+                             "vector of length %d, expected %d" % (len(v), dim))
+        row = integer_row(v)[1]
+        if any(row):
+            rows.append(row)
+    return _rref_rows(rows, cols)[0] if rows else []
 
 
 class IncrementalSpan:

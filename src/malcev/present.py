@@ -314,12 +314,7 @@ def _verify_filtered_iso(L, G, chain, m: Matrix) -> bool:
     cols = m.columns()
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            coords = gr.basis_bracket(i, j)
-            lhs = vec_zero(L.dim)
-            for r, cf in enumerate(coords):
-                if cf != 0:
-                    lhs = vec_add(lhs, vec_scale(cf, cols[r]))
-            if lhs != L.bracket(cols[i], cols[j]):
+            if m.mul_vec(gr.basis_bracket(i, j)) != L.bracket(cols[i], cols[j]):
                 return False
     for i in range(L.dim):
         d = gr.grading[i]

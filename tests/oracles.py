@@ -414,6 +414,37 @@ def naive_lcs(dim, table):
 
 
 # ---------------------------------------------------------------------------
+# Associated graded of a nilpotent Lie algebra by its definition: an adapted
+# basis (for each n, the RREF rows of G_n that complete G_{n+1}, greedily),
+# the inverse of its basis matrix by Gauss-Jordan on [P | id], and [p_i, p_j]
+# in the adapted basis, keeping the coordinates of degree deg i + deg j.
+
+def dense_associated_graded(dim, table):
+    """(vectors, degrees, brackets): the adapted basis, the degree of each
+    vector and the graded table, mapping (i, j) with i < j to the nonzero
+    coordinate vector of [p_i, p_j] in gr L."""
+    chain = naive_lcs(dim, table)
+    vectors, degrees = [], []
+    for n in range(len(chain) - 1):
+        for v in greedy_complement(chain[n + 1], chain[n]):
+            vectors.append(v)
+            degrees.append(n + 1)
+    aug = [[vectors[c][r] for c in range(dim)] + [Fraction(int(r == c)) for c in range(dim)]
+           for r in range(dim)]
+    inv = [row[dim:] for row in gauss_jordan(aug, 2 * dim)[0]]
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = dense_bracket(dim, table, vectors[i], vectors[j])
+            coords = tuple(sum((inv[k][t] * v[t] for t in range(dim)), Fraction(0))
+                           if degrees[k] == degrees[i] + degrees[j] else Fraction(0)
+                           for k in range(dim))
+            if any(coords):
+                brackets[(i, j)] = coords
+    return vectors, degrees, brackets
+
+
+# ---------------------------------------------------------------------------
 # Chevalley-Eilenberg complex by the invariant formula: forms on L evaluated
 # on basis vectors (determinant convention, xi^T(e_T) = 1), the wedge sign as
 # the parity of a permutation by its cycles, and

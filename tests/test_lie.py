@@ -142,3 +142,8 @@ def test_check_automorphism():
     assert not check_automorphism(h, bad)
     singular = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert not check_automorphism(h, singular)
+
+
+def test_ideal_vectors_must_have_the_algebra_dimension():
+    with pytest.raises(ValueError):
+        LieIdeal(heisenberg(), [(Fraction(0), Fraction(1))], check=False)

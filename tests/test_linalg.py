@@ -98,6 +98,18 @@ def test_echelon_and_span_utilities():
     assert coords_in_basis([v1], v2) is None
 
 
+def test_echelon_basis_checks_vector_lengths():
+    with pytest.raises(ValueError):
+        echelon_basis([(Fraction(1), Fraction(0))], 3)
+    with pytest.raises(ValueError):
+        echelon_basis([(Fraction(0),) * 3, (Fraction(1), Fraction(0))], 3)   # zero vectors too
+    with pytest.raises(ValueError, match="ragged rows"):
+        echelon_basis([(Fraction(1), Fraction(0)), (Fraction(1),)])
+    assert echelon_basis([(Fraction(0), Fraction(2), Fraction(1))]) == [
+        (Fraction(0), Fraction(1), Fraction(1, 2))]
+    assert echelon_basis([], 3) == [] and echelon_basis([]) == []
+
+
 def test_smith_normal_form_properties():
     rng = random.Random(104)
     for _ in range(40):

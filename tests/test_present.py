@@ -347,3 +347,17 @@ def test_lift_one_class_validates_level():
     p = GroupPresentation(["a", "b"], [["a", "b", "a^-1", "b^-1"]])
     with pytest.raises(ValueError):
         lift_one_class(p, {"a": (1, 0), "b": (0, 1)}, U, 5)
+
+
+def test_verify_filtered_iso_rejects_a_broken_bracket():
+    # F(2,3) is graded, so its adapted basis is the unit vectors.  m adds the
+    # degree-3 vector e_3 to the image of e_2 = +-[e_0, e_1]: m is invertible
+    # and gr(m) = id, but m[e_0, e_1] != [m e_0, m e_1], and that pair is the
+    # only one that fails.
+    F = free_nilpotent(2, 3)
+    G, chain = associated_graded(F), lower_central_series(F)
+    assert [tuple(v) for v in G.from_parent] == [F.basis_vector(i) for i in range(F.dim)]
+    assert _verify_filtered_iso(F, G, chain, Matrix.identity(F.dim))
+    m = Matrix([[Fraction(int(r == c or (r, c) == (3, 2))) for c in range(F.dim)]
+                for r in range(F.dim)])
+    assert not _verify_filtered_iso(F, G, chain, m)

@@ -1,9 +1,12 @@
-"""linalg.rref against textbook Gauss-Jordan elimination over Fraction."""
+"""linalg.rref, echelon_basis and Matrix.mul_vec against textbook
+Gauss-Jordan elimination and the plain Fraction sum."""
 
 import random
 from fractions import Fraction
 
-from malcev.linalg import Matrix, rref
+import pytest
+
+from malcev.linalg import Matrix, echelon_basis, rref
 
 from oracles import gauss_jordan
 
@@ -53,3 +56,37 @@ def test_rref_matches_gauss_jordan():
         assert (pivots, R.data) == (expected_pivots, tuple(expected)), m
         assert (R.rows, R.cols) == (m.rows, m.cols), m
         assert all(isinstance(x, Fraction) for row in R.data for x in row)
+
+
+def test_echelon_basis_matches_gauss_jordan():
+    rng = random.Random(14)
+    for case in range(200):
+        m = random_matrix(rng, case)
+        vectors = list(m.data)
+        if vectors and case % 3 == 0:   # zero vectors and a repeated vector
+            vectors.insert(rng.randrange(len(vectors) + 1), (Fraction(0),) * m.cols)
+            vectors.append(vectors[rng.randrange(len(vectors))])
+        basis = echelon_basis(vectors, m.cols)
+        expected, pivots = gauss_jordan(vectors, m.cols)
+        assert basis == expected[:len(pivots)], vectors
+        assert all(isinstance(x, Fraction) for row in basis for x in row)
+        assert echelon_basis(vectors) == basis
+
+
+def test_mul_vec_matches_the_fraction_sum():
+    rng = random.Random(15)
+    for case in range(200):
+        m = random_matrix(rng, case)
+        twin = Matrix._of_rows(m.data, m.cols)   # never multiplied
+        for _ in range(2):   # the second call reads the kept integer view
+            v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.6
+                      else Fraction(0) for _ in range(m.cols))
+            expected = tuple(sum((r[j] * v[j] for j in range(m.cols)), Fraction(0))
+                             for r in m.data)
+            out = m.mul_vec(v)
+            assert out == expected, (m, v)
+            assert all(isinstance(x, Fraction) for x in out)
+        assert m.mul_vec((Fraction(0),) * m.cols) == (Fraction(0),) * m.rows
+        assert m == twin and hash(m) == hash(twin)
+        with pytest.raises(ValueError):
+            m.mul_vec((Fraction(1),) * (m.cols + 1))
