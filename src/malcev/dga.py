@@ -21,6 +21,7 @@ Betti numbers, Massey products and MC stages.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from .linalg import (
@@ -96,6 +97,7 @@ class FiniteDGA:
     def _set_products(self, mult, keys):
         self._mult, self._keys, self._products = mult, keys, None
         self._cohomology = None  # the CohomologyData, on demand
+        self._integer = None  # the integer view, on demand
         errors = self.validate()
         if errors:
             raise ValueError("DGA axioms violated: " + "; ".join(errors))
@@ -208,26 +210,42 @@ class FiniteDGA:
             gens += [(n, k) for k in range(self.dims[n]) if k not in pivots]
         return gens
 
+    def integer_view(self):
+        """(D_m, mult, D_d, dcol), built on first use and kept: the DGA is
+        immutable.  D_m is the lcm of the denominators of the product table
+        and mult the ``_mult`` table with every coefficient c replaced by the
+        int D_m c (``integer_terms``).  D_d is the lcm of the denominators of
+        all the d[n], and dcol[n][j] the nonzero entries (k, D_d d[n][k][j])
+        of column j of d[n], read off ``Matrix.integer_view``."""
+        if self._integer is None:
+            D_m, flat = integer_terms([terms for table in self._mult.values()
+                                       for row in table for terms in row.values()])
+            mult = {key: tuple({j: next(flat) for j in row} for row in table)
+                    for key, table in self._mult.items()}
+            views = [m.integer_view() for m in self.d]
+            D_d = lcm(*(D for D, _ in views))
+            dcol = []
+            for n, (D, rows) in enumerate(views):
+                cols = [[] for _ in range(self.dims[n])]
+                for k, terms in enumerate(rows):
+                    for j, c in terms:
+                        cols[j].append((k, c * (D_d // D)))
+                dcol.append(tuple(map(tuple, cols)))
+            self._integer = (D_m, mult, D_d, tuple(dcol))
+        return self._integer
+
     def _axioms_hold_on(self, gens):
         """The four checks of ``validate`` for s in gens, read off the
         sparse table and the nonzeros of each column of d.  Each side of an
         identity is summed into one dict, which must come out zero.  They
-        run on ints (``integer_terms``): the table scaled by D_m, the lcm of
-        its denominators, and d by D_d.  Each identity is homogeneous in
-        table factors (two products on each side of associativity, one
-        product and one d in each Leibniz term, one product in graded
-        commutativity, two d's in d^2), so scaling multiplies all its terms
-        by one D_m^2, D_m D_d, D_m or D_d^2, and the scaled check is the same
-        check."""
+        run on the integer view: the table scaled by D_m and d by D_d.  Each
+        identity is homogeneous in table factors (two products on each side
+        of associativity, one product and one d in each Leibniz term, one
+        product in graded commutativity, two d's in d^2), so scaling
+        multiplies all its terms by one D_m^2, D_m D_d, D_m or D_d^2, and the
+        scaled check is the same check."""
         top, none = self.top, ()
-        flat = integer_terms([terms for table in self._mult.values()
-                              for row in table for terms in row.values()])[1]
-        mult = {key: tuple({j: next(flat) for j in row} for row in table)
-                for key, table in self._mult.items()}
-        dcol = [[tuple((k, row[j]) for k, row in enumerate(m.data) if row[j])
-                 for j in range(self.dims[n])] for n, m in enumerate(self.d)]
-        flat = integer_terms([terms for col in dcol for terms in col])[1]
-        dcol = [[next(flat) for _ in col] for col in dcol]
+        _, mult, _, dcol = self.integer_view()
         for p, i in gens:
             p_sign = (-1) ** p
             acc = {}

@@ -13,11 +13,12 @@ from fractions import Fraction
 
 from .linalg import (
     Matrix, ZERO, vec_add, vec_neg, vec_scale, vec_sub, vec_zero, vec_is_zero,
-    solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit, right_inverse, rank,
+    solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit, right_inverse,
+    integer_row,
 )
 from .lie import (
-    LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims, abelian,
-    quotient_by_ideal,
+    LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims,
+    quotient_by_ideal, integer_table, sparse_bracket,
 )
 from .dga import FiniteDGA, cohomology
 from .bch import bch
@@ -31,6 +32,14 @@ class TensorDGLA:
     from the DGA axioms of A and the Lie axioms of N.  Every FiniteDGA proves
     its axioms on construction and antisymmetry of N holds by construction,
     so verify() checks the one remaining fact: the Jacobi identity of N.
+
+    The bracket and d run on integer views, each built once and kept on its
+    immutable owner: ``FiniteDGA.integer_view`` (the product table times
+    D_m, d times D_d) and ``lie.integer_table`` (the structure constants of
+    N times D_N).  An element is scaled once to an int vector u over its
+    lcm denominator; then ``_int_diff`` gives D_d (d ox id)(u) and
+    ``_int_bracket`` gives D_m D_N [u, v], all in ints, and the public
+    methods make one Fraction per nonzero output entry.
     """
 
     def __init__(self, dga: FiniteDGA, N: LieAlgebra):
@@ -57,26 +66,70 @@ class TensorDGLA:
                 out.append(tuple(u))
         return out
 
-    def _split(self, n, v):
-        """View a degree-n vector as rows indexed by the DGA basis."""
+    def _ints(self, n, v):
+        """(d, u): v, a vector of degree n (ValueError otherwise), as the int
+        vector u over its lcm denominator d."""
+        if len(v) != self.dim(n):
+            raise ValueError("element must live in degree %d" % n)
+        return integer_row(v)
+
+    def _scales(self):
+        """(D_d, D): the factors D_d of ``_int_diff`` and D = D_m D_N of
+        ``_int_bracket``."""
+        D_m, _, D_d, _ = self.dga.integer_view()
+        return D_d, D_m * integer_table(self.N)[0]
+
+    def _blocks(self, n, u):
+        """The nonzero coefficient blocks (i, u_i) of u = sum a_i ox u_i."""
         m = self.N.dim
-        return [v[i * m:(i + 1) * m] for i in range(self.dga.dim(n))]
+        return [(i, b) for i in range(self.dga.dim(n))
+                for b in (u[i * m:(i + 1) * m],) if any(b)]
+
+    def _int_diff(self, n, u):
+        """D_d (d ox id)(u) for an int vector u of degree n: block i of u
+        goes to block k with the coefficient D_d d[n][k][i]."""
+        m = self.N.dim
+        out = [0] * self.dim(n + 1)
+        if not out:
+            return out
+        col = self.dga.integer_view()[3][n]
+        for i, block in self._blocks(n, u):
+            for k, c in col[i]:
+                for r, e in enumerate(block, k * m):
+                    if e:
+                        out[r] += c * e
+        return out
+
+    def _int_bracket(self, p, u, q, v):
+        """D_m D_N [u, v] for int vectors u, v of degrees p, q: the sum over
+        the nonzero products a_i a_j = sum c a_k of the integer table of A of
+        (a_i a_j) ox [u_i, v_j], each Lie bracket taken on the integer table
+        of N."""
+        if p + q > self.top:
+            return []
+        m = self.N.dim
+        out = [0] * self.dim(p + q)
+        rows = self.dga.integer_view()[1][(p, q)]
+        table = integer_table(self.N)[1]
+        blocks_v = dict(self._blocks(q, v))
+        for i, ui in self._blocks(p, u):
+            for j, terms in rows[i].items():
+                vj = blocks_v.get(j)
+                if vj is None:
+                    continue
+                lie = sparse_bracket(table, ui, vj, 0)
+                if not any(lie):
+                    continue
+                for k, c in terms:
+                    for r, e in enumerate(lie, k * m):
+                        if e:
+                            out[r] += c * e
+        return out
 
     def diff(self, n, v):
-        out = [ZERO] * self.dim(n + 1)
-        if self.dim(n + 1) == 0:
-            return tuple(out)
-        m = self.N.dim
-        rows = self._split(n, v)
-        for i, block in enumerate(rows):
-            if vec_is_zero(block):
-                continue
-            col = self.dga.d[n].column(i)
-            for k, c in enumerate(col):
-                if c != 0:
-                    for r in range(m):
-                        out[k * m + r] += c * block[r]
-        return tuple(out)
+        """(d ox id)(v) for v in degree n."""
+        d, u = self._ints(n, v)
+        return _over(self._int_diff(n, u), self._scales()[0] * d)
 
     def diff_matrix(self, n):
         """d ox id from degree n as the Kronecker product of dga.d[n] with the
@@ -89,30 +142,10 @@ class TensorDGLA:
                        for drow in self.dga.d[n].data for r in range(m)])
 
     def bracket(self, p, vp, q, vq):
-        """Sum over the nonzero products a_i a_j = sum c a_k of A, read off
-        its sparse table, of (a_i a_j) ox [block_i, block_j]."""
-        n = p + q
-        if n > self.top:
-            return ()
-        m = self.N.dim
-        out = [ZERO] * self.dim(n)
-        rows_q = self._split(q, vq)
-        table = self.dga.basis_products(p, q)
-        for i, bi in enumerate(self._split(p, vp)):
-            if vec_is_zero(bi):
-                continue
-            for j, terms in table[i].items():
-                bj = rows_q[j]
-                if vec_is_zero(bj):
-                    continue
-                lie = self.N.bracket(bi, bj)
-                if vec_is_zero(lie):
-                    continue
-                for k, c in terms:
-                    for r, e in enumerate(lie):
-                        if e != 0:
-                            out[k * m + r] += c * e
-        return tuple(out)
+        """[vp, vq] for vp in degree p and vq in degree q; () past the top."""
+        dp, u = self._ints(p, vp)
+        dq, v = self._ints(q, vq)
+        return _over(self._int_bracket(p, u, q, v), self._scales()[1] * dp * dq)
 
     def degree0_lie_algebra(self) -> LieAlgebra:
         """A^0 ox N as an honest nilpotent Lie algebra (for the BCH law)."""
@@ -144,15 +177,29 @@ def tensor_dgla(dga: FiniteDGA, N: LieAlgebra) -> TensorDGLA:
 # ---------------------------------------------------------------------------
 # Maurer-Cartan machinery
 
+def _over(nums, den):
+    """The Fraction vector nums / den, one Fraction per nonzero entry."""
+    return tuple(Fraction(s, den) if s else ZERO for s in nums)
+
+
+def _mc_numerators(t: TensorDGLA, x):
+    """(nums, den) with nums / den = dx + 1/2 [x, x]: for x = u / d_x and
+    D = D_m D_N, dx = 2 D d_x _int_diff(u) / (2 D_d D d_x^2) and
+    1/2 [x, x] = D_d _int_bracket(u, u) / (2 D_d D d_x^2)."""
+    dx, u = t._ints(1, x)
+    D_d, D = t._scales()
+    dpart, bpart = t._int_diff(1, u), t._int_bracket(1, u, 1, u)
+    return [2 * D * dx * a + D_d * b for a, b in zip(dpart, bpart)], 2 * D_d * D * dx * dx
+
+
 def mc_residual(t: TensorDGLA, x):
     """dx + 1/2 [x, x] for a degree-1 element."""
-    if len(x) != t.dim(1):
-        raise ValueError("element must live in degree 1")
-    return vec_add(t.diff(1, x), vec_scale(Fraction(1, 2), t.bracket(1, x, 1, x)))
+    return _over(*_mc_numerators(t, x))
 
 
 def is_mc(t: TensorDGLA, x) -> bool:
-    return vec_is_zero(mc_residual(t, x))
+    """Whether dx + 1/2 [x, x] = 0, tested on its int numerators."""
+    return not any(_mc_numerators(t, x)[0])
 
 
 def mc_residual_augmented(t: TensorDGLA, x):
@@ -163,28 +210,35 @@ def mc_residual_augmented(t: TensorDGLA, x):
 
 
 def gauge(t: TensorDGLA, alpha, x):
-    """Gauge action exp(ad_alpha)(x + d) - d, a finite sum by nilpotence."""
+    """Gauge action exp(ad_alpha)(x + d) - d, a finite sum by nilpotence.
+
+    The series x + sum_{n >= 1} T_n / n!, with T_1 = [alpha, x] - d alpha
+    and T_{n+1} = [alpha, T_n], runs on ints.  With alpha = a / d_a,
+    x = u / d_x and D = D_m D_N, T_1 has the numerator
+    D_d _int_bracket(a, u) - D d_x _int_diff(a) over D D_d d_a d_x, and each
+    later term the numerator _int_bracket(a, .) of the last one over D d_a
+    times its denominator.  So the denominator of T_n / n! is that of the
+    sum so far times n D d_a (times D_d at n = 1), and the sum is kept as
+    one int vector over it.
+    """
     if len(alpha) != t.dim(0):
         raise ValueError("gauge parameter must live in degree 0")
-    # current term of the series, as (degree-1 part, coefficient of d)
-    cur_v, cur_d = tuple(x), Fraction(1)
-    out = list(x)
-    fact = 1
+    dx, u = t._ints(1, x)
+    da, a = integer_row(alpha)
+    D_d, D = t._scales()
+    term = [D_d * b - D * dx * e for b, e in zip(t._int_bracket(0, a, 1, u), t._int_diff(0, a))]
+    out, den, step = u, dx, D * da * D_d
     bound = nilpotency_class(t.N) + 2
     for n in range(1, bound + 2):
-        nxt = t.bracket(0, alpha, 1, cur_v)
-        if cur_d != 0:
-            # [alpha, d] = -[d, alpha] = -d(alpha)
-            nxt = vec_sub(nxt, vec_scale(cur_d, t.diff(0, alpha)))
-        cur_v, cur_d = nxt, Fraction(0)
-        if vec_is_zero(cur_v):
+        if not any(term):
             break
-        fact *= n
-        for i, c in enumerate(cur_v):
-            out[i] += c / fact
+        scale = n * step
+        out = [o * scale + c for o, c in zip(out, term)]
+        den *= scale
+        term, step = t._int_bracket(0, a, 1, term), D * da
     else:
         raise AssertionError("gauge series failed to terminate; N not nilpotent?")
-    return tuple(out)
+    return _over(out, den)
 
 
 class SmallExtensionSpec:
@@ -438,23 +492,26 @@ class DGAMorphism:
 
 
 def deformation_census(dga: FiniteDGA, N: LieAlgebra):
-    """Stagewise dimension count of the deformation space over N.
+    """Stagewise dimension count of the deformation space over N: the pairs
+    (k, dim gr_k * b^1(A)) for the LCS stages k of N.
 
-    At LCS stage k the lift corrections live in A^1 ox gr_k and the new
-    gauge directions are d(A^0 ox gr_k); both systems are built explicitly
-    as staged tensor complexes and the census records kernel dimension minus
-    gauge rank per stage.
+    At stage k the lift corrections are the cocycles of A^1 ox gr_k, and the
+    new gauge directions are d(A^0 ox gr_k), so the count is
+    dim(A^1 ox gr_k) - rank(d_1 ox id_m) - rank(d_0 ox id_m) with
+    m = dim gr_k.  In the basis a_i ox e_r, d ox id_m is the Kronecker
+    product of d with the identity of gr_k: after reordering rows and
+    columns by r it is m diagonal copies of d, so rank(d ox id_m) =
+    m rank d.  The count is therefore m (dim A^1 - rank d_1 - rank d_0)
+    = m b^1(A), with b^1 read off the memoised ``cohomology(dga)``.
     """
+    b1 = cohomology(dga).betti()[1] if dga.top >= 1 else 0
     dims = lcs_dims(N)
-    out = []
-    for k in range(1, len(dims)):
-        t = TensorDGLA(dga, abelian(dims[k - 1] - dims[k]))
-        out.append((k, t.dim(1) - rank(t.diff_matrix(1)) - rank(t.diff_matrix(0))))
-    return out
+    return [(k, (dims[k - 1] - dims[k]) * b1) for k in range(1, len(dims))]
 
 
 def compare_def_along_map(phi: DGAMorphism, N: LieAlgebra):
-    """Rank data of H^i(phi) plus an empirical stagewise census over N."""
+    """Rank data of H^i(phi) plus the deformation censuses over N of its
+    source and target (``deformation_census``)."""
     HA = cohomology(phi.source)
     HB = cohomology(phi.target)
     ranks = {}

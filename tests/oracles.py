@@ -517,3 +517,72 @@ def ce_dga(dim, brackets):
                 table.append(tuple(row))
             products[(p, q)] = tuple(table)
     return dims, d, products
+
+
+# ---------------------------------------------------------------------------
+# The tensor DGLA A ox N from dense data: products of A by dga_product,
+# brackets of N by dense_bracket, d as dense matrices.  A degree-n vector
+# sum_i a_i ox v_i has the coordinates of v_0, v_1, ... in order, so v_i
+# is the i-th block of m = dim N coordinates.
+
+def _tensor_blocks(v, m):
+    return [tuple(v[i * m:(i + 1) * m]) for i in range(len(v) // m)]
+
+
+def tensor_bracket(dims, products, m, table, p, vp, q, vq):
+    """[vp, vq] = sum_{i, j} (a_i a_j) ox [v_i, w_j] in degree p + q, for
+    A with per-degree dims and dense product tables products, and N of
+    dimension m with the bracket table table (as for dense_bracket)."""
+    dim_out = dims[p + q] if p + q < len(dims) else 0
+    out = [Fraction(0)] * (dim_out * m)
+    if not dim_out:
+        return tuple(out)
+    for i, v in enumerate(_tensor_blocks(vp, m)):
+        for j, w in enumerate(_tensor_blocks(vq, m)):
+            a = tuple(Fraction(int(t == i)) for t in range(dims[p]))
+            b = tuple(Fraction(int(t == j)) for t in range(dims[q]))
+            ab = dga_product(products, dim_out, p, a, q, b)
+            lie = dense_bracket(m, table, v, w)
+            for k in range(dim_out):
+                for r in range(m):
+                    out[k * m + r] += ab[k] * lie[r]
+    return tuple(out)
+
+
+def tensor_diff(dims, d, m, n, v):
+    """(d ox id)(v) for v of degree n, with d[n] the dense matrix (a list of
+    rows) of d from degree n to n + 1; a missing or empty d[n] is zero."""
+    dim_out = dims[n + 1] if n + 1 < len(dims) else 0
+    rows = d[n] if n < len(d) else []
+    out = [Fraction(0)] * (dim_out * m)
+    for k, row in enumerate(rows):
+        for i, v_i in enumerate(_tensor_blocks(v, m)):
+            for r in range(m):
+                out[k * m + r] += Fraction(row[i]) * v_i[r]
+    return tuple(out)
+
+
+def tensor_mc_residual(dims, products, d, m, table, x):
+    """dx + 1/2 [x, x] for x of degree 1."""
+    dx = tensor_diff(dims, d, m, 1, x)
+    xx = tensor_bracket(dims, products, m, table, 1, x, 1, x)
+    return tuple(a + Fraction(1, 2) * b for a, b in zip(dx, xx))
+
+
+def tensor_gauge(dims, products, d, m, table, alpha, x, cap=100):
+    """exp(ad_alpha)(x + d) - d = x + sum_{n >= 1} T_n / n!, where
+    T_1 = [alpha, x] - d alpha and T_{n+1} = [alpha, T_n], summed until a
+    term vanishes (AssertionError after cap terms)."""
+    def ad(v):
+        return tensor_bracket(dims, products, m, table, 0, alpha, 1, v)
+
+    total = [Fraction(c) for c in x]
+    term = [b - c for b, c in zip(ad(x), tensor_diff(dims, d, m, 0, alpha))]
+    n, fact = 1, 1
+    while any(term):
+        assert n <= cap, "gauge series did not vanish"
+        total = [s + c / fact for s, c in zip(total, term)]
+        term = ad(term)
+        n += 1
+        fact *= n
+    return tuple(total)

@@ -373,3 +373,33 @@ def test_diff_matrix_is_the_columns_of_diff():
                 expected = Matrix.from_columns(cols, rows=t.dim(n + 1))
                 m = t.diff_matrix(n)
                 assert (m.data, m.rows, m.cols) == (expected.data, expected.rows, expected.cols)
+
+
+def _ce_heisenberg_tensor():
+    # dim A^0 ox N = 3, dim A^1 ox N = 9, dim A^2 ox N = 9
+    return TensorDGLA(chevalley_eilenberg(heisenberg()), heisenberg())
+
+
+def test_diff_rejects_a_vector_of_the_wrong_degree():
+    t = _ce_heisenberg_tensor()
+    for v in (t.zero(1)[:5], t.zero(1) + t.zero(0), t.zero(0)):
+        with pytest.raises(ValueError, match="element must live in degree 1"):
+            t.diff(1, v)
+
+
+def test_bracket_rejects_vectors_of_the_wrong_degree():
+    t = _ce_heisenberg_tensor()
+    x = rand_vec(random.Random(14), t.dim(1))
+    with pytest.raises(ValueError, match="element must live in degree 0"):
+        t.bracket(0, x, 1, x)
+    with pytest.raises(ValueError, match="element must live in degree 1"):
+        t.bracket(1, x, 1, x[:5])
+
+
+def test_gauge_rejects_an_element_of_the_wrong_degree():
+    t = _ce_heisenberg_tensor()
+    for x in (t.zero(1)[:2], t.zero(1) + (0, 0)):
+        with pytest.raises(ValueError, match="element must live in degree 1"):
+            gauge(t, t.zero(0), x)
+    with pytest.raises(ValueError, match="gauge parameter must live in degree 0"):
+        gauge(t, t.zero(1), t.zero(1))
