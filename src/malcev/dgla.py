@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .linalg import (
     Matrix, ZERO, vec_add, vec_neg, vec_scale, vec_sub, vec_zero, vec_is_zero,
-    solve_affine, kernel_basis, echelon_basis, coords_in_basis, unit, right_inverse,
-    integer_row,
+    solve_affine, kernel_basis, echelon_basis, unit, right_inverse, integer_row,
+    AffineSolver,
 )
 from .lie import (
     LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims,
@@ -202,13 +202,6 @@ def is_mc(t: TensorDGLA, x) -> bool:
     return not any(_mc_numerators(t, x)[0])
 
 
-def mc_residual_augmented(t: TensorDGLA, x):
-    """The same residual via 1/2 [x+d, x+d] in the d-extended DGLA."""
-    half = Fraction(1, 2)
-    # [x+d, x+d] = [x,x] + [d,x] + [x,d] = [x,x] + 2 dx  (and [d,d] = 0)
-    return vec_add(vec_scale(half, t.bracket(1, x, 1, x)), t.diff(1, x))
-
-
 def gauge(t: TensorDGLA, alpha, x):
     """Gauge action exp(ad_alpha)(x + d) - d, a finite sum by nilpotence.
 
@@ -244,7 +237,9 @@ def gauge(t: TensorDGLA, alpha, x):
 class SmallExtensionSpec:
     """Central extension data 0 -> I -> N -> M -> 0 with [N, I] = 0; ValueError
     unless the projection is onto and the kernel maps to zero and is central.
-    quotient is a map from an ambient algebra onto N, or None if unknown."""
+    quotient is a map from an ambient algebra onto N, or None if unknown.
+    The stage keeps its solvers: the section, and one AffineSolver for
+    coordinates in the kernel basis, made on first use."""
 
     def __init__(self, N: LieAlgebra, M: LieAlgebra, projection: Matrix, kernel_basis_vectors,
                  quotient: Matrix = None):
@@ -253,7 +248,8 @@ class SmallExtensionSpec:
         self.projection = projection
         self.quotient = quotient
         self._section = right_inverse(projection)
-        self.kernel = [tuple(v) for v in kernel_basis_vectors]
+        self.kernel = tuple(tuple(v) for v in kernel_basis_vectors)
+        self._kernel_solver = None
         for v in self.kernel:
             if not vec_is_zero(projection.mul_vec(v)):
                 raise ValueError("kernel basis does not map to zero")
@@ -266,20 +262,32 @@ class SmallExtensionSpec:
         coordinates."""
         return self._section
 
+    def kernel_coords(self, v):
+        """The coordinates of v in the kernel basis, or None when v is not
+        in the kernel I."""
+        if self._kernel_solver is None:
+            self._kernel_solver = AffineSolver(Matrix.from_columns(self.kernel, rows=self.N.dim))
+        return self._kernel_solver.solve(v)
+
 
 def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
     """The LCS stage N/G_{k+1} -> N/G_k as a semi-small extension, for
     1 <= k <= class of N (ValueError otherwise), whose quotient is the map
-    N -> N/G_{k+1}.  MC staging and one-class lifting of group
-    representations both build their stages here."""
-    chain = lower_central_series(N)
-    if not 1 <= k < len(chain):
-        raise ValueError("LCS stage %d needs 1 <= k <= class %d of the algebra"
-                         % (k, len(chain) - 1))
-    upper, pu = quotient_by_ideal(N, chain[k])       # N/G_{k+1}
-    image = LieIdeal(upper, [pu.mul_vec(v) for v in chain[k - 1].basis], check=False)
-    lower, proj = quotient_by_ideal(upper, image)    # N/G_k as upper / (G_k/G_{k+1})
-    return SmallExtensionSpec(upper, lower, proj, kernel_basis(proj), quotient=pu)
+    N -> N/G_{k+1}.  Built once per (N, k) and kept on N, like the series
+    in ``lie._lcs_bases``: MC staging and one-class lifting of group
+    representations share the stage and its solvers."""
+    stage = N._stages.get(k)
+    if stage is None:
+        chain = lower_central_series(N)
+        if not 1 <= k < len(chain):
+            raise ValueError("LCS stage %d needs 1 <= k <= class %d of the algebra"
+                             % (k, len(chain) - 1))
+        upper, pu = quotient_by_ideal(N, chain[k])       # N/G_{k+1}
+        image = LieIdeal(upper, [pu.mul_vec(v) for v in chain[k - 1].basis], check=False)
+        lower, proj = quotient_by_ideal(upper, image)    # N/G_k as upper / (G_k/G_{k+1})
+        stage = N._stages[k] = SmallExtensionSpec(upper, lower, proj, kernel_basis(proj),
+                                                  quotient=pu)
+    return stage
 
 
 def _blockwise(s: Matrix, x, count):
@@ -288,22 +296,44 @@ def _blockwise(s: Matrix, x, count):
     return tuple(c for i in range(count) for c in s.mul_vec(x[i * m:(i + 1) * m]))
 
 
-def _central_correction(tn: TensorDGLA, kernel, h):
-    """(u, kernel of the system) for a u in A^1 ox I with du = -h, or None.
+def _kernel_components(dga: FiniteDGA, e: SmallExtensionSpec, h):
+    """The h_t in A^2 with h = sum_t h_t ox kappa_t over the kernel basis
+    kappa of e (one kernel solve per block), or None if h leaves A^2 ox I."""
+    m = e.N.dim
+    coords = [e.kernel_coords(h[i * m:(i + 1) * m]) for i in range(dga.dim(2))]
+    if None in coords:
+        return None
+    return [tuple(c[t] for c in coords) for t in range(len(e.kernel))]
+
+
+def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, h):
+    """(u, dimension of the solution space) for a u in A^1 ox I with
+    du = -h, or None.
 
     Because I is central, a correction u changes the MC residual of a lift
-    by du alone, so this solves the lift exactly.
+    by du alone, so this solves the lift exactly.  The system d_1 ox id_I
+    splits over the kernel basis: for h = sum h_t ox kappa_t, u = sum u_t ox
+    kappa_t with d u_t = -h_t from ``cohomology(dga).preimage``.  The pivots
+    of d_1 ox id_I are the (i, t) with i a pivot of d_1, so u is its solution
+    with free variables zero, in a space of dimension dim I * dim Z^1(A).
     """
-    dirs = tn.tensor_basis(1, kernel)
-    sol = solve_affine(Matrix.from_columns([tn.diff(1, u) for u in dirs], rows=tn.dim(2)),
-                       vec_neg(h))
-    if sol is None:
+    H = cohomology(dga)
+    count = len(e.kernel) * (len(H.cocycles[1]) if dga.top >= 1 else 0)
+    m = e.N.dim
+    u = [ZERO] * (dga.dim(1) * m)
+    if dga.top < 2:  # A^2 = 0: every u solves the system
+        return tuple(u), count
+    parts = _kernel_components(dga, e, h)
+    if parts is None:
         return None
-    u = tn.zero(1)
-    for c, d in zip(sol[0], dirs):
-        if c != 0:
-            u = vec_add(u, vec_scale(c, d))
-    return u, sol[1]
+    for kappa, ht in zip(e.kernel, parts):
+        ut = H.preimage(2, vec_neg(ht))
+        if ut is None:
+            return None
+        for i, c in enumerate(ut):
+            if c:
+                u[i * m:(i + 1) * m] = vec_add(u[i * m:(i + 1) * m], vec_scale(c, kappa))
+    return tuple(u), count
 
 
 def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix = None):
@@ -316,19 +346,14 @@ def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix 
     tm = TensorDGLA(dga, e.M)
     if not is_mc(tm, x):
         raise ValueError("input is not a Maurer-Cartan element over the base")
-    H = cohomology(dga)
     s = section if section is not None else e.section()
     h = mc_residual(TensorDGLA(dga, e.N), _blockwise(s, x, dga.dim(1)))
     if dga.top < 2:  # A^2 = 0: nothing obstructs the lift
         return [() for _ in e.kernel], h
-    mN = e.N.dim
-    # h lives in A^2 ox I; express the I-components in kernel coordinates
-    coords = [coords_in_basis(e.kernel, h[i * mN:(i + 1) * mN])
-              for i in range(dga.dims[2])]
-    assert None not in coords, "residual escaped the central kernel"
-    classes = [H.class_coordinates(2, tuple(c[t] for c in coords))
-               for t in range(len(e.kernel))]
-    return classes, h
+    parts = _kernel_components(dga, e, h)
+    assert parts is not None, "residual escaped the central kernel"
+    H = cohomology(dga)
+    return [H.class_coordinates(2, ht) for ht in parts], h
 
 
 def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:
@@ -337,9 +362,8 @@ def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:
     Because the kernel is central the unknown correction u in A^1 ox I
     enters only through du, so solvability is an exact affine question.
     """
-    tn = TensorDGLA(dga, e.N)
-    h = mc_residual(tn, _blockwise(e.section(), x, dga.dim(1)))
-    return _central_correction(tn, e.kernel, h) is not None
+    h = mc_residual(TensorDGLA(dga, e.N), _blockwise(e.section(), x, dga.dim(1)))
+    return _central_correction(dga, e, h) is not None
 
 
 class MCStage:
@@ -373,16 +397,16 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     H = cohomology(dga)
     cls = nilpotency_class(N)
     stages = []
-    # stage 1: x in Z^1(A) ox gr_1
-    ext1 = lcs_extension(N, 1)
-    M1 = ext1.N  # N / G_2, the abelianisation
+    # stage 1: x in Z^1(A) ox gr_1, of dimension dim gr_1 * dim Z^1(A) since
+    # rank(d ox id_m) = m rank d (``deformation_census``)
+    M1 = lcs_extension(N, 1).N  # N / G_2, the abelianisation
     t1 = TensorDGLA(dga, M1)
-    kern = kernel_basis(t1.diff_matrix(1))
     x = tuple(initial) if initial is not None else t1.zero(1)
     if not is_mc(t1, x):
         raise ValueError("initial stage-1 element is not Maurer-Cartan")
-    stages.append(MCStage(1, len(H.representatives[1]) * M1.dim if dga.top >= 1 else 0,
-                          len(kern), False, None))
+    top1 = dga.top >= 1
+    stages.append(MCStage(1, len(H.representatives[1]) * M1.dim if top1 else 0,
+                          len(H.cocycles[1]) * M1.dim if top1 else 0, False, None))
     current = x
     for k in range(2, cls + 1):
         e = lcs_extension(N, k)
@@ -392,13 +416,12 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
             stages.append(MCStage(k, None, 0, True, classes))
             return MCSolveReport(stages, current, False)
         # solve d u = -h for u in A^1 ox I and correct the section lift by u
-        tn = TensorDGLA(dga, e.N)
-        sol = _central_correction(tn, e.kernel, h)
+        sol = _central_correction(dga, e, h)
         assert sol is not None, "zero obstruction class but unsolvable system"
-        u, kernel_dirs = sol
+        u, solution_dim = sol
         current = vec_add(_blockwise(e.section(), current, dga.dim(1)), u)
-        assert is_mc(tn, current)
-        stages.append(MCStage(k, None, len(kernel_dirs), False, classes))
+        assert is_mc(TensorDGLA(dga, e.N), current)
+        stages.append(MCStage(k, None, solution_dim, False, classes))
     return MCSolveReport(stages, current, True)
 
 

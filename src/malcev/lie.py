@@ -49,6 +49,7 @@ class LieAlgebra:
         self.brackets = MappingProxyType(table)
         self._partners = tuple(tuple(p) for p in partners)
         self._lcs = None  # RREF bases of the lower central series, on demand
+        self._stages = {}  # LCS stages (dgla.lcs_extension) by k, on demand
         self._gens = None  # indices of a proven generating set, on demand
         self._jacobi = None  # basis triples failing Jacobi, on demand
         self._integer = None  # integer view of _partners, on demand

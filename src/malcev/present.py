@@ -523,22 +523,21 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
 
     zero_corr = {g: vec_zero(Lk1.dim) for g in p.generators}
     d0 = defects(zero_corr)
-    for d in d0:
-        if not span_contains(list(kern) or [vec_zero(Lk1.dim)], d):
-            raise AssertionError("relator defect escaped the central kernel")
+    if any(e.kernel_coords(d) is None for d in d0):
+        raise AssertionError("relator defect escaped the central kernel")
     # affine system over generator corrections in the central kernel
     cols = []
     dirs = []
     for g in p.generators:
         for v in kern:
             corr = dict(zero_corr)
-            corr[g] = tuple(v)
+            corr[g] = v
             dv = defects(corr)
             col = []
             for a, b in zip(dv, d0):
                 col.extend(vec_sub(a, b))
             cols.append(tuple(col))
-            dirs.append((g, tuple(v)))
+            dirs.append((g, v))
     target = []
     for d in d0:
         target.extend(vec_neg(d))
