@@ -167,6 +167,10 @@ def cmd_malcev_model(args):
         cd = CupDatum.from_json(obj)
     qp = malcev_model(cd)
     c = args.cls if args.cls is not None else 3
+    if c < 2:
+        raise InputError("--class must be at least 2")
+    if qp.k < 1:
+        raise InputError("the cup datum needs h1 >= 1")
     L, stabilized = realize(qp, c)
     dims = realized_graded_dims(L)
     weights = weight_decomposition(qp, L)

@@ -17,7 +17,7 @@ form [[0, 1], 0] ~ [[x, y], x] rewriting to -[x, [x, y]].
 import functools
 from fractions import Fraction
 
-from .linalg import ZERO, scalar, format_scalar, echelon_basis
+from .linalg import ZERO, echelon_basis
 from .lie import LieAlgebra, LieIdeal
 
 
@@ -100,57 +100,6 @@ def word_str(w, names=None):
     return "[%s,%s]" % (word_str(w[0], names), word_str(w[1], names))
 
 
-class FreeLieElement:
-    """Element of the free Lie algebra truncated at bracket class c."""
-
-    def __init__(self, k, c, coords=None):
-        self.k = k
-        self.c = c
-        self.coords = {}
-        for w, cf in (coords or {}).items():
-            cf = scalar(cf)
-            if cf != 0 and degree(w) <= c:
-                self.coords[w] = cf
-
-    def __add__(self, other):
-        out = dict(self.coords)
-        for w, cf in other.coords.items():
-            out[w] = out.get(w, ZERO) + cf
-        return FreeLieElement(self.k, self.c, out)
-
-    def __sub__(self, other):
-        out = dict(self.coords)
-        for w, cf in other.coords.items():
-            out[w] = out.get(w, ZERO) - cf
-        return FreeLieElement(self.k, self.c, out)
-
-    def scale(self, s):
-        s = scalar(s)
-        return FreeLieElement(self.k, self.c, {w: s * cf for w, cf in self.coords.items()})
-
-    def __eq__(self, other):
-        return (self.k, self.c, self.coords) == (other.k, other.c, other.coords)
-
-    def is_zero(self):
-        return not self.coords
-
-    def to_json(self):
-        return {repr_word(w): format_scalar(cf)
-                for w, cf in sorted(self.coords.items(), key=lambda t: _key(t[0]))}
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        terms = ["%s*%s" % (format_scalar(cf), word_str(w))
-                 for w, cf in sorted(self.coords.items(), key=lambda t: _key(t[0]))]
-        return " + ".join(terms)
-
-
-def repr_word(w):
-    import json
-    return json.dumps(word_to_json(w))
-
-
 class HallRewriter:
     """Rewrites brackets of Hall words into Hall coordinates.
 
@@ -160,19 +109,18 @@ class HallRewriter:
         [u, [a, b]] = [[u, a], b] + [a, [u, b]].
     """
 
-    def __init__(self, k, c):
-        self.k = k
+    def __init__(self, c):
         self.c = c
         self._cache = {}
 
-    def bracket_words(self, u, v):
+    def bracket(self, u, v):
         """Hall coordinates of [u, v], as a dict word -> coefficient."""
         if degree(u) + degree(v) > self.c:
             return {}
         if u == v:
             return {}
         if hall_less(v, u):
-            return {w: -cf for w, cf in self.bracket_words(v, u).items()}
+            return {w: -cf for w, cf in self.bracket(v, u).items()}
         key = (u, v)
         hit = self._cache.get(key)
         if hit is not None:
@@ -182,46 +130,15 @@ class HallRewriter:
         else:
             a, b = v
             out = {}
-            for w, cf in self.bracket_words(u, a).items():
-                for w2, cf2 in self.bracket_words(w, b).items():
+            for w, cf in self.bracket(u, a).items():
+                for w2, cf2 in self.bracket(w, b).items():
                     out[w2] = out.get(w2, ZERO) + cf * cf2
-            for w, cf in self.bracket_words(u, b).items():
-                for w2, cf2 in self.bracket_words(a, w).items():
+            for w, cf in self.bracket(u, b).items():
+                for w2, cf2 in self.bracket(a, w).items():
                     out[w2] = out.get(w2, ZERO) + cf * cf2
             out = {w: cf for w, cf in out.items() if cf != 0}
         self._cache[key] = out
         return out
-
-    def bracket(self, x: FreeLieElement, y: FreeLieElement) -> FreeLieElement:
-        out = {}
-        for u, cu in x.coords.items():
-            for v, cv in y.coords.items():
-                c = cu * cv
-                for w, cf in self.bracket_words(u, v).items():
-                    out[w] = out.get(w, ZERO) + c * cf
-        return FreeLieElement(self.k, self.c, out)
-
-    def rewrite(self, expr) -> FreeLieElement:
-        """Normal form of a formal bracket expression (nested ints/pairs)."""
-        if isinstance(expr, int):
-            if not 0 <= expr < self.k:
-                raise ValueError("generator index out of range: %d" % expr)
-            return FreeLieElement(self.k, self.c, {expr: Fraction(1)})
-        a, b = expr
-        return self.bracket(self.rewrite(a), self.rewrite(b))
-
-
-_rewriters = {}
-
-
-def get_rewriter(k, c) -> HallRewriter:
-    if (k, c) not in _rewriters:
-        _rewriters[(k, c)] = HallRewriter(k, c)
-    return _rewriters[(k, c)]
-
-
-def rewrite_to_hall(expr, k, c) -> FreeLieElement:
-    return get_rewriter(k, c).rewrite(expr)
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,13 +152,13 @@ def free_nilpotent(k, c) -> LieAlgebra:
     words = [w for grp in groups for w in grp]
     index = {w: i for i, w in enumerate(words)}
     dim = len(words)
-    rw = get_rewriter(k, c)
+    rw = HallRewriter(c)
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             if degree(words[i]) + degree(words[j]) > c:
                 continue
-            coords = rw.bracket_words(words[i], words[j])
+            coords = rw.bracket(words[i], words[j])
             if coords:
                 v = [ZERO] * dim
                 for w, cf in coords.items():
@@ -253,13 +170,6 @@ def free_nilpotent(k, c) -> LieAlgebra:
     L.hall_words = words
     L.hall_index = index
     return L
-
-
-def element_to_vector(el: FreeLieElement, L: LieAlgebra):
-    v = [ZERO] * L.dim
-    for w, cf in el.coords.items():
-        v[L.hall_index[w]] = cf
-    return tuple(v)
 
 
 def homogeneous_degree(L: LieAlgebra, v):

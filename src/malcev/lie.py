@@ -30,6 +30,8 @@ class LieAlgebra:
     """
 
     def __init__(self, dim, brackets, basis_names=None, grading=None):
+        if not isinstance(dim, int) or dim < 0:
+            raise ValueError("dimension must be a nonnegative integer")
         self.dim = dim
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "e%d" % (i + 1) for i in range(dim))

@@ -15,16 +15,14 @@ from fractions import Fraction
 
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
-    vec_zero, vec_is_zero, echelon_basis, span_contains, spans_equal,
+    vec_zero, vec_is_zero, echelon_basis, span_contains,
     kernel_basis, solve_affine, rank, inverse, unit, right_inverse,
 )
 from .lie import (
     LieAlgebra, lower_central_series, nilpotency_class,
     associated_graded, quotient_by_ideal,
 )
-from .freelie import (
-    free_nilpotent, degree, graded_ideal_closure, evaluate_hall_words,
-)
+from .freelie import free_nilpotent, graded_ideal_closure
 from .bch import (
     SemidirectElement, GroupPresentation, evaluate_word, check_representation,
 )
@@ -67,12 +65,13 @@ class QuadraticPresentation:
         return cls(obj["generators"], obj["relations"])
 
 
-def _relation_vectors(qp: QuadraticPresentation, F: LieAlgebra):
-    """Embed the relations into the degree-2 Hall component of F."""
+def _relation_vectors(k, relations, F: LieAlgebra):
+    """Embed relation rows over the canonical pair order of k generators into
+    the degree-2 Hall component of F."""
     out = []
-    for r in qp.relations:
+    for r in relations:
         v = [ZERO] * F.dim
-        for (i, j), c in zip(qp.pairs, r):
+        for (i, j), c in zip(pair_index(k), r):
             if c != 0:
                 v[F.hall_index[(i, j)]] = c
         out.append(tuple(v))
@@ -92,7 +91,7 @@ def realize(qp: QuadraticPresentation, c: int):
     if c < 2:
         raise ValueError("class cutoff must be at least 2")
     F = free_nilpotent(qp.k, c)
-    gens = _relation_vectors(qp, F)
+    gens = _relation_vectors(qp.k, qp.relations, F)
     ideal, per_degree = graded_ideal_closure(F, gens)
     Q, proj = quotient_by_ideal(F, ideal)
     stabilized = Q.grading is not None and c not in Q.grading
@@ -132,35 +131,14 @@ class QuadraticVerdict:
                 "defect_dim": self.defect_dim, "stage": self.stage}
 
 
-def _graded_surjection(F: LieAlgebra, G, gr1_images):
-    """Images in gr L of every Hall basis vector of F, as a list of vectors."""
-    return evaluate_hall_words(F.hall_words, gr1_images, G.bracket)
-
-
-def _degree_indices(F: LieAlgebra, n):
-    """Indices of the Hall words of degree n in the free algebra F."""
-    return [i for i, w in enumerate(F.hall_words) if degree(w) == n]
-
-
-def _degree_kernel(images, idx, rows):
-    """Kernel of phi_n, the map of the Hall words idx of F into gr L (of
-    dimension rows), as coordinates over idx."""
-    return kernel_basis(Matrix.from_columns([images[i] for i in idx], rows=rows))
-
-
-def _relation_space(G, c):
-    """(W, F, images) for an algebra of class c >= 1 with associated graded
-    G: W is the kernel W_2 of wedge^2 gr_1 -> gr_2, F the free algebra
-    F(k, c) on k = dim gr_1 generators, and images those of its Hall basis
-    in gr.  At class 1, W is all of wedge^2 and F and images are None."""
+def _relation_space(G):
+    """W_2, the kernel of wedge^2 gr_1 -> gr_2 for the associated graded G,
+    as coordinates over the canonical pair order of the k = dim gr_1
+    generators."""
     gr = G.algebra
     gr1 = gr.graded_component_indices(1)
-    k = len(gr1)
-    if c == 1:
-        return [unit(k * (k - 1) // 2, s) for s in range(k * (k - 1) // 2)], None, None
-    F = free_nilpotent(k, c)
-    images = _graded_surjection(F, gr, [gr.basis_vector(i) for i in gr1])
-    return [tuple(v) for v in _degree_kernel(images, _degree_indices(F, 2), gr.dim)], F, images
+    cols = [gr.basis_bracket(gr1[i], gr1[j]) for i, j in pair_index(len(gr1))]
+    return [tuple(v) for v in kernel_basis(Matrix.from_columns(cols, rows=gr.dim))]
 
 
 def is_quadratically_presented(L: LieAlgebra):
@@ -168,59 +146,36 @@ def is_quadratically_presented(L: LieAlgebra):
 
     Stage 1 checks the associated graded: with V = gr_1 L and W_2 the kernel
     of wedge^2 V -> gr_2 L, the graded ideal <W_2> must equal the kernel of
-    L(V) -> gr L in every degree up to the class c, and must exhaust the
-    whole degree-(c+1) component of the free algebra (otherwise the algebra
-    is a truncation, not a quadratic quotient -- this is what rules out the
-    Heisenberg algebra at degree 3).  Stage 2 decides whether a filtered
-    isomorphism theta: gr L -> L with gr(theta) = id exists by one exact
-    linear solve (see _filtered_iso), so a "no" at stage "lift" is a proof
-    and a "yes" carries a verified theta.
+    phi: L(V) -> gr L in every degree n = 2..c+1, where gr_{c+1} = 0 (at
+    c+1 this rules out truncations such as the Heisenberg algebra at degree
+    3).  phi is a Lie map onto gr L (gr L is generated by gr_1) that kills
+    W_2, so <W_2>_n lies in ker phi_n, and equality is the dimension count
+    dim <W_2>_n = dim F_n - dim gr_n L, read off one graded closure in the
+    free algebra F(k, c+1).  Stage 2 decides whether a filtered isomorphism
+    theta: gr L -> L with gr(theta) = id exists by one exact linear solve
+    (see _filtered_iso), so a "no" at stage "lift" is a proof and a "yes"
+    carries a verified theta.
     """
     chain = lower_central_series(L)
     c = len(chain) - 1
     if c == 0:
         return QuadraticVerdict(True, W=[], theta=Matrix.identity(0), graded=None)
     G = associated_graded(L)
-    W, F, images = _relation_space(G, c)
+    W = _relation_space(G)
     if c == 1:
         return QuadraticVerdict(True, W=W, theta=Matrix.from_columns(
             G.from_parent, rows=L.dim), graded=G)
-    k = len(G.algebra.graded_component_indices(1))
-    deg2 = _degree_indices(F, 2)
-    pairs = pair_index(k)
-
-    def into_F(coords, idx):
-        """Coordinates over the Hall words idx of F as a vector of F."""
-        vec = [ZERO] * F.dim
-        for t, i in enumerate(idx):
-            vec[i] = coords[t]
-        return tuple(vec)
-
-    # stage 1: <W_2>_n == ker(phi_n) for n = 2..c
-    _, per_degree = graded_ideal_closure(F, [into_F(v, deg2) for v in W])
-    for n in range(2, c + 1):
-        idx = _degree_indices(F, n)
-        kern_full = [into_F(v, idx) for v in _degree_kernel(images, idx, G.algebra.dim)]
-        ideal_n = per_degree[n - 1]
-        if not spans_equal(ideal_n, kern_full):
-            defect = len(echelon_basis(kern_full, F.dim)) - len(ideal_n)
+    gr = G.algebra
+    k = len(gr.graded_component_indices(1))
+    # stage 1: dim <W_2>_n == dim F_n - dim gr_n for n = 2..c+1
+    F = free_nilpotent(k, c + 1)
+    _, per_degree = graded_ideal_closure(F, _relation_vectors(k, W, F))
+    for n in range(2, c + 2):
+        defect = (len(F.graded_component_indices(n)) - len(gr.graded_component_indices(n))
+                  - len(per_degree[n - 1]))
+        if defect:
             return QuadraticVerdict(False, failing_degree=n,
                                     defect_dim=defect, stage="graded")
-    # top-degree condition in class c+1
-    Fp = free_nilpotent(k, c + 1)
-    W2_top = []
-    for v in W:
-        vec = [ZERO] * Fp.dim
-        for (i, j), cf in zip(pairs, _w2_pair_coords(v, deg2, F, pairs)):
-            if cf != 0:
-                vec[Fp.hall_index[(i, j)]] = cf
-        W2_top.append(tuple(vec))
-    _, per_degree_top = graded_ideal_closure(Fp, W2_top)
-    top_count = sum(1 for w in Fp.hall_words if degree(w) == c + 1)
-    if len(per_degree_top[c]) != top_count:
-        return QuadraticVerdict(False, failing_degree=c + 1,
-                                defect_dim=top_count - len(per_degree_top[c]),
-                                stage="graded")
 
     # stage 2: theta with gr(theta) = id
     theta = _filtered_iso(L, G, chain)
@@ -228,12 +183,6 @@ def is_quadratically_presented(L: LieAlgebra):
         return QuadraticVerdict(False, failing_degree=None, defect_dim=None,
                                 stage="lift")
     return QuadraticVerdict(True, W=W, theta=theta, graded=G)
-
-
-def _w2_pair_coords(v, deg2, F, pairs):
-    """Coordinates of a degree-2 kernel vector over the canonical pair order."""
-    by_word = {F.hall_words[i]: v[t] for t, i in enumerate(deg2)}
-    return [by_word.get(p, ZERO) for p in pairs]
 
 
 def _filtered_iso(L, G, chain):
@@ -364,7 +313,7 @@ def direct_summand_quadratic(L1: LieAlgebra, L2: LieAlgebra,
     if not _verify_filtered_iso(L1, G1, chain1, theta1):
         raise ValueError("composed map failed verification; summand not recovered")
     # recompute the relation space of L1 for the certificate
-    return QuadraticVerdict(True, W=_relation_space(G1, c1)[0], theta=theta1, graded=G1)
+    return QuadraticVerdict(True, W=_relation_space(G1), theta=theta1, graded=G1)
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,52 @@ def dense_associated_graded(dim, table):
 
 
 # ---------------------------------------------------------------------------
+# Stage 1 of the quadraticity test by dimension count in the free associative
+# algebra: with V = gr_1 (k generators) and W_2 the kernel of the bracket
+# wedge^2 V -> gr_2 of the dense associated graded, <W_2>_n is spanned by the
+# iterated brackets [x_i1, [x_i2, ..., [x_i(n-2), w]]] with w in W_2.  The
+# free Lie algebra embeds into the free associative algebra (PBW), so
+# dim <W_2>_n is the rank of their associative images, and the stage holds in
+# degree n iff witt_dim(k, n) - dim <W_2>_n = dim gr_n.
+
+def quadratic_stage1(dim, table):
+    """(failing degree, defect dim) of stage 1 for a nilpotent algebra of
+    class c >= 2 given as for dense_bracket, or None when the count holds in
+    every degree n = 2..c+1 (gr_{c+1} = 0); the defect is witt_dim(k, n) -
+    dim gr_n - dim <W_2>_n."""
+    _, degrees, brackets = dense_associated_graded(dim, table)
+    k, c = degrees.count(1), max(degrees)
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    zero = (Fraction(0),) * dim
+    cols = [brackets.get(p, zero) for p in pairs]   # gr_1 is e_0 .. e_(k-1)
+    red, pivots = gauss_jordan([[col[r] for col in cols] for r in range(dim)], len(pairs))
+    level = []
+    for f in range(len(pairs)):
+        if f in pivots:
+            continue
+        # the kernel vector with free column f: 1 there, -red[r][f] at pivot r
+        w = {pairs[p]: -red[r][f] for r, p in enumerate(pivots) if red[r][f]}
+        w[pairs[f]] = Fraction(1)
+        elt = {}
+        for p, cf in w.items():
+            elt = am_add(elt, {u: cf * x for u, x in embed_bracket_word(p, 2).items()})
+        level.append(elt)
+    gens = [{(i,): Fraction(1)} for i in range(k)]
+    for n in range(2, c + 2):
+        if n > 2:
+            level = [am_add(am_mul(x, e, n), {u: -cf for u, cf in am_mul(e, x, n).items()})
+                     for x in gens for e in level]
+        words = sorted({u for e in level for u in e})
+        red, pivots = gauss_jordan([[e.get(u, Fraction(0)) for u in words] for e in level],
+                                   len(words))
+        level = [{u: x for u, x in zip(words, row) if x} for row in red[:len(pivots)]]
+        defect = witt_dim(k, n) - degrees.count(n) - len(pivots)
+        if defect:
+            return n, defect
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Chevalley-Eilenberg complex by the invariant formula: forms on L evaluated
 # on basis vectors (determinant convention, xi^T(e_T) = 1), the wedge sign as
 # the parity of a permutation by its cycles, and

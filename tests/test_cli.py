@@ -317,6 +317,24 @@ def test_hall_zero_generators_is_input_error(capsys):
     assert code == 2 and err == "error: bad -k/--class: need k >= 1 and c >= 1\n"
 
 
+@pytest.mark.parametrize("cup, cls, err", [
+    (TORUS_CUP, "1", "--class must be at least 2"),
+    (TORUS_CUP, "-3", "--class must be at least 2"),
+    ('{"h1": 0, "h2": 0, "pairing": []}', "3", "the cup datum needs h1 >= 1"),
+    ('{"h1": 0, "h2": 2, "pairing": []}', "3", "the cup datum needs h1 >= 1"),
+], ids=["class-1", "class-negative", "h1-zero", "h1-zero-h2-two"])
+def test_malcev_model_degenerate_input_is_input_error(capsys, cup, cls, err):
+    code, stderr = run_error(capsys, "malcev-model", cup, "--class", cls)
+    assert code == 2 and stderr == "error: %s\n" % err
+
+
+@pytest.mark.parametrize("dim", ["-2", '"3"', "2.5"])
+def test_quadcheck_bad_dimension_is_input_error(capsys, dim):
+    code, err = run_error(capsys, "quadcheck", '{"dim": %s, "brackets": []}' % dim)
+    assert code == 2
+    assert err == "error: bad algebra JSON: dimension must be a nonnegative integer\n"
+
+
 def test_lattice_check_empty_lattice_is_input_error(capsys):
     code, err = run_error(capsys, "lattice-check", "--lattice", "[]")
     assert code == 2 and err.count("\n") == 1
