@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .linalg import Matrix, scalar, format_scalar
+from .linalg import Matrix, scalar, format_scalar, echelon_basis
 from .lie import (
     LieAlgebra, heisenberg, lcs_dims, check_automorphism,
     nilpotency_class, NonNilpotentError,
@@ -310,6 +310,8 @@ def lattice_basis(lobj, dim):
     basis = [scalars(v) for v in lobj]
     if not basis or any(len(v) != dim for v in basis):
         raise InputError("need lattice vectors with %d coordinates" % dim)
+    if len(echelon_basis(basis, dim)) < dim:
+        raise InputError("lattice vectors must span all %d dimensions of the algebra" % dim)
     return basis
 
 

@@ -482,6 +482,7 @@ class DGAMorphism:
         self.source = source
         self.target = target
         self.matrices = [m if isinstance(m, Matrix) else Matrix(m) for m in matrices]
+        self._ranks = None  # rank data of H^i(phi), on demand
         errors = self.verify()
         if errors:
             raise ValueError("not a DGA morphism: " + "; ".join(errors))
@@ -534,17 +535,19 @@ def deformation_census(dga: FiniteDGA, N: LieAlgebra):
 
 def compare_def_along_map(phi: DGAMorphism, N: LieAlgebra):
     """Rank data of H^i(phi) plus the deformation censuses over N of its
-    source and target (``deformation_census``)."""
-    HA = cohomology(phi.source)
-    HB = cohomology(phi.target)
-    ranks = {}
-    for i in range(min(phi.source.top, phi.target.top) + 1):
-        cols = [HB.class_coordinates(i, phi.apply(i, v)) for v in HA.representatives[i]]
-        dims_a = len(HA.representatives[i])
-        dims_b = len(HB.representatives[i])
-        r = len(echelon_basis(cols, dims_b)) if cols else 0
-        ranks[i] = {"dim_source": dims_a, "dim_target": dims_b, "rank": r,
-                    "injective": r == dims_a, "surjective": r == dims_b}
+    source and target (``deformation_census``).  The rank data is computed
+    once per phi and kept on it; each call returns fresh dicts."""
+    if phi._ranks is None:
+        HA, HB, ranks = cohomology(phi.source), cohomology(phi.target), {}
+        for i in range(min(phi.source.top, phi.target.top) + 1):
+            cols = [HB.class_coordinates(i, phi.apply(i, v)) for v in HA.representatives[i]]
+            dims_a = len(HA.representatives[i])
+            dims_b = len(HB.representatives[i])
+            r = len(echelon_basis(cols, dims_b)) if cols else 0
+            ranks[i] = {"dim_source": dims_a, "dim_target": dims_b, "rank": r,
+                        "injective": r == dims_a, "surjective": r == dims_b}
+        phi._ranks = ranks
+    ranks = {i: dict(r) for i, r in phi._ranks.items()}
     etale = ranks.get(1, {}).get("injective", False) and \
         ranks.get(1, {}).get("surjective", False) and \
         ranks.get(2, {}).get("injective", True)

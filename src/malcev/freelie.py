@@ -17,8 +17,8 @@ form [[0, 1], 0] ~ [[x, y], x] rewriting to -[x, [x, y]].
 import functools
 from fractions import Fraction
 
-from .linalg import ZERO, echelon_basis
-from .lie import LieAlgebra, LieIdeal
+from .linalg import ZERO, _rref_rows, integer_row
+from .lie import LieAlgebra, LieIdeal, integer_table
 
 
 def degree(w) -> int:
@@ -172,41 +172,56 @@ def free_nilpotent(k, c) -> LieAlgebra:
     return L
 
 
-def homogeneous_degree(L: LieAlgebra, v):
-    """Degree of a homogeneous vector of a graded algebra, or None for 0."""
-    degs = {L.grading[i] for i, c in enumerate(v) if c != 0}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError("vector is not homogeneous")
-    return degs.pop()
-
-
 def graded_ideal_closure(L: LieAlgebra, generators):
     """Smallest graded ideal of a degree-1-generated graded L containing the
-    given homogeneous generators.
+    given homogeneous generators (ValueError for one that is not).
 
-    Returns (ideal, per_degree) where per_degree[n] is a basis of the
+    Returns (ideal, per_degree) where per_degree[n] is the RREF basis of the
     degree-(n+1) piece.  Uses the recursion I_n = span(S_n) + [L_1, I_{n-1}],
-    valid because L is generated in degree 1.
+    valid because L is generated in degree 1.  Degree n runs on int rows over
+    the coordinates of L_n, from ``graded_component_indices(n)``: ad of each
+    degree-1 generator is read off ``integer_table(L)`` (int multiples, so
+    the same span), one ``_rref_rows`` gives the RREF, and its int rows feed
+    degree n+1.  The columns outside L_n are zero, so each RREF row padded to
+    L.dim is a row of the RREF of I_n in L.  The pieces have disjoint
+    supports, so their rows ordered by pivot column are the RREF of the
+    ideal, also when components interleave; the ideal keeps it as built.
     """
     if L.grading is None:
         raise ValueError("ambient algebra must be graded")
-    top = max(L.grading, default=0)
-    gens_by_degree = {n: [] for n in range(1, top + 1)}
+    comps = [L.graded_component_indices(n) for n in range(1, max(L.grading, default=0) + 1)]
+    rows_of = [[] for _ in comps]
     for v in generators:
-        d = homogeneous_degree(L, v)
-        if d is not None:
-            gens_by_degree[d].append(tuple(v))
-    deg1 = L.graded_component_indices(1)
-    per_degree = []
-    prev = []
-    for n in range(1, top + 1):
-        cur = list(gens_by_degree[n])
-        for i in deg1:
+        if len(v) != L.dim:
+            raise ValueError("vector of length %d, expected %d" % (len(v), L.dim))
+        degs = {L.grading[i] for i, c in enumerate(v) if c != 0}
+        if len(degs) > 1:
+            raise ValueError("vector is not homogeneous")
+        for d in degs:
+            rows_of[d - 1].append(integer_row([v[g] for g in comps[d - 1]])[1])
+    table = integer_table(L)[1]
+    per_degree, pivoted, prev, below = [], [], [], {}
+    for idx, rows in zip(comps, rows_of):
+        at = {g: p for p, g in enumerate(idx)}
+        for i in comps[0]:
+            ad = [(below[j], [(at[k], c) for k, c in terms])
+                  for j, terms in table[i] if j in below]
             for v in prev:
-                cur.append(L.ad(i, v))
-        prev = echelon_basis(cur, L.dim)
-        per_degree.append(prev)
-    ideal = LieIdeal(L, [v for grp in per_degree for v in grp], check=False)
-    return ideal, per_degree
+                out = [0] * len(idx)
+                for p, terms in ad:
+                    if v[p]:
+                        for q, c in terms:
+                            out[q] += v[p] * c
+                if any(out):
+                    rows.append(out)
+        red, pivots = _rref_rows(rows, len(idx))
+        prev, below, piece = rows[:len(pivots)], at, []
+        for r, p in zip(red, pivots):
+            v = [ZERO] * L.dim
+            for g, x in zip(idx, r):
+                v[g] = x
+            piece.append(tuple(v))
+            pivoted.append((idx[p], piece[-1]))
+        per_degree.append(piece)
+    pivoted.sort(key=lambda t: t[0])
+    return LieIdeal._of_rref(L, [v for _, v in pivoted]), per_degree

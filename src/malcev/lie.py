@@ -15,6 +15,7 @@ from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec, vec_add, vec_neg,
     vec_zero, echelon_basis, span_contains,
     rank, inverse, unit, IncrementalSpan, ONE, integer_terms, integer_row,
+    _rref_rows,
 )
 
 
@@ -190,13 +191,25 @@ def integer_table(L):
 
 
 class LieIdeal:
-    """Ideal of a LieAlgebra, by an explicit basis in parent coordinates."""
+    """Ideal of a LieAlgebra, by its RREF basis in parent coordinates.
+
+    The constructor echelonises the spanning vectors it is given and, with
+    check, proves their span is an ideal (ValueError otherwise).
+    ``_of_rref`` takes a list of tuples that is already the RREF basis of an
+    ideal, as ``lower_central_series`` and ``graded_ideal_closure`` build
+    it, as is."""
 
     def __init__(self, parent, basis, check=True):
         self.parent = parent
         self.basis = [tuple(v) for v in echelon_basis(basis, parent.dim)]
         if check and not self.is_ideal():
             raise ValueError("span is not an ideal")
+
+    @classmethod
+    def _of_rref(cls, parent, basis):
+        ideal = cls.__new__(cls)
+        ideal.parent, ideal.basis = parent, basis
+        return ideal
 
     @property
     def dim(self):
@@ -230,7 +243,7 @@ def lower_central_series(L):
     Raises NonNilpotentError when the chain fails to shrink before reaching
     zero, which characterises non-nilpotent input.
     """
-    return [LieIdeal(L, basis, check=False) for basis in _lcs_bases(L)]
+    return [LieIdeal._of_rref(L, list(basis)) for basis in _lcs_bases(L)]
 
 
 def _lcs_bases(L):
@@ -411,19 +424,24 @@ def quotient_by_ideal(L, ideal):
     The ideal check is [s, b] in I for s in a generating set S of L
     (``_generators``) and b in the basis of I.  That is a proof: by Jacobi
     {x : [x, I] in I} is a subalgebra, and it contains S, so it is L; then Q
-    is the quotient algebra by construction.  ValueError otherwise.
+    is the quotient algebra by construction.  ValueError otherwise.  It runs
+    on ints: b scaled by d_b, the table of ``integer_table`` (D [., .]) and
+    the projection columns scaled by their common denominator E give
+    D d_b E times the projection of [s, b], which is zero iff that
+    projection is, i.e. iff [s, b] lies in I.
     """
     n = L.dim
-    last = {n - 1 - next(k for k, c in enumerate(v) if c): v[::-1]
-            for v in echelon_basis([v[::-1] for v in ideal.basis], n)}
+    ib = [integer_row(b)[1] for b in ideal.basis]
+    red, pivots = _rref_rows([b[::-1] for b in ib], n)
+    last = {n - 1 - p: v[::-1] for v, p in zip(red, pivots)}
     comp = [c for c in range(n) if c not in last]
     at = {c: q for q, c in enumerate(comp)}
     cols = [((at[c], ONE),) if c in at else
             tuple((at[k], -x) for k, x in enumerate(last[c]) if x and k in at)
             for c in range(n)]
 
-    def project(terms):
-        out = [ZERO] * len(comp)
+    def project(terms, cols=cols, zero=ZERO):
+        out = [zero] * len(comp)
         for k, x in terms:
             for q, c in cols[k]:
                 out[q] += x * c
@@ -438,8 +456,10 @@ def quotient_by_ideal(L, ideal):
                     brackets[(i, at[j])] = tuple(v)
     Q = LieAlgebra(len(comp), brackets,
                    grading=None if L.grading is None else [L.grading[c] for c in comp])
+    table, icols = integer_table(L)[1], tuple(integer_terms(cols)[1])
     for s in _generators(L):
-        for b in ideal.basis:
-            if any(project((k, x) for k, x in enumerate(L.ad(s, b)) if x)):
+        for b in ib:
+            if any(project(((k, b[j] * x) for j, terms in table[s] if b[j]
+                            for k, x in terms), icols, 0)):
                 raise ValueError("not an ideal")
-    return Q, Matrix.from_columns([project([(c, ONE)]) for c in range(n)], rows=len(comp))
+    return Q, Matrix._of_rows(tuple(zip(*(project([(c, ONE)]) for c in range(n)))), n)

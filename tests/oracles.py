@@ -414,6 +414,35 @@ def naive_lcs(dim, table):
 
 
 # ---------------------------------------------------------------------------
+# The ideal generated by homogeneous elements of a graded Lie algebra, by its
+# definition: the span of the generators closed under ad(e_i) for every unit
+# vector e_i (not only those of degree 1), densely, until the rank stops
+# growing.  The ideal is graded, so its degree-n piece is the projection of
+# the ideal onto the coordinates of degree n.
+
+def graded_ideal_closure(dim, table, grading, generators):
+    """(ideal, per_degree): the RREF basis of the ideal generated by the
+    generators in L, given as for dense_bracket, and for n = 1..max grading
+    the RREF basis of its degree-n piece, each a list of row tuples."""
+    units = [tuple(Fraction(int(t == i)) for t in range(dim)) for i in range(dim)]
+    red, pivots = gauss_jordan([v for v in generators if any(v)], dim)
+    basis = red[:len(pivots)]
+    while True:
+        rows = basis + [dense_bracket(dim, table, e, b) for e in units for b in basis]
+        red, pivots = gauss_jordan([v for v in rows if any(v)], dim)
+        if len(pivots) == len(basis):
+            break
+        basis = red[:len(pivots)]
+    per_degree = []
+    for n in range(1, max(grading, default=0) + 1):
+        part = [tuple(x if grading[t] == n else Fraction(0) for t, x in enumerate(v))
+                for v in basis]
+        red, pivots = gauss_jordan([v for v in part if any(v)], dim)
+        per_degree.append(red[:len(pivots)])
+    return basis, per_degree
+
+
+# ---------------------------------------------------------------------------
 # Associated graded of a nilpotent Lie algebra by its definition: an adapted
 # basis (for each n, the RREF rows of G_n that complete G_{n+1}, greedily),
 # the inverse of its basis matrix by Gauss-Jordan on [P | id], and [p_i, p_j]

@@ -381,3 +381,23 @@ def test_dga_axiom_failures_are_input_errors(capsys, dga, errors):
     code, err = run_error(capsys, "mc", dga, HEIS_JSON)
     assert code == 2
     assert err == "error: bad input: DGA axioms violated: %s\n" % errors
+
+
+RANK_ERROR = "error: lattice vectors must span all 3 dimensions of the algebra\n"
+
+
+@pytest.mark.parametrize("lattice", [
+    '[["1","0","0"]]',
+    '[["1","0","0"],["0","1","0"],["1","1","0"]]',
+    '[["0","0","0"],["0","0","0"],["0","0","0"]]',
+])
+def test_lattice_of_lower_rank_is_input_error(capsys, lattice):
+    assert run_error(capsys, "lattice-check", "--lattice", lattice) == (2, RANK_ERROR)
+    assert run_error(capsys, "heisenberg-demo", "--lattice", lattice) == (2, RANK_ERROR)
+
+
+def test_lattice_spanning_set_of_full_rank_is_accepted(capsys):
+    # four vectors of rank 3: a spanning set, not a basis, is still a lattice
+    code, out = run_json(capsys, "lattice-check", "--lattice",
+                         '[["1","0","0"],["0","1","0"],["0","0","1/2"],["1","1","0"]]')
+    assert code == 0 and out["verdicts"]["closed"] is True

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 from malcev.linalg import Matrix, vec_add, vec_scale, kernel_basis
 from malcev.lie import heisenberg, abelian, lower_central_series, quotient_by_ideal
 from malcev.freelie import free_nilpotent
-from malcev.dga import chevalley_eilenberg, cohomology, adjoin_acyclic, FiniteDGA
+from malcev.dga import (
+    chevalley_eilenberg, cohomology, adjoin_acyclic, FiniteDGA, CohomologyData,
+)
 from malcev.dgla import (
     TensorDGLA, tensor_dgla, mc_residual, is_mc,
     gauge, SmallExtensionSpec, lcs_extension, obstruction_class,
@@ -354,6 +357,24 @@ def test_census_and_comparison_along_quasi_iso():
         assert out["etale"] and out["isomorphism"]
         assert out["census_match"]
         assert out["census_source"] == deformation_census(A, N)
+
+
+def test_comparison_ranks_h_of_phi_once(monkeypatch):
+    A = chevalley_eilenberg(heisenberg())
+    B, inc = adjoin_acyclic(A, deg=1)
+    phi = DGAMorphism(A, B, inc)
+    first = compare_def_along_map(phi, heisenberg())
+    kept = copy.deepcopy(first)
+    calls = []
+    original = CohomologyData.class_coordinates
+    monkeypatch.setattr(CohomologyData, "class_coordinates",
+                        lambda self, n, v: calls.append(n) or original(self, n, v))
+    second = compare_def_along_map(phi, heisenberg())
+    assert second == first and calls == []
+    # each call returns fresh dicts: changing one leaves the kept rank data
+    second["h_ranks"][1]["rank"] = -1
+    second["h_ranks"][2] = {}
+    assert compare_def_along_map(phi, heisenberg()) == first == kept
 
 
 def test_census_values_heisenberg():

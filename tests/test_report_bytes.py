@@ -1,0 +1,99 @@
+"""Pinned bytes of `quadcheck` and `malcev-model` reports.
+
+Each case runs the CLI in text and in json form and compares the sha256 of
+stdout with a value recorded before the graded-ideal layer moved to integer
+component coordinates.  A speed-up of the quadratic pipeline must leave every
+verdict, relation basis and realization table, and so these bytes, as they
+are.  The inputs are built here without randomness: a genus-2 cup model, its
+realization at class 3 (a truncation), a stabilized realization and a free
+truncation, the last two in a rational basis change made with the oracles.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from malcev.cli import main
+from malcev.freelie import free_nilpotent
+from malcev.linalg import format_scalar
+from malcev.present import CupDatum, QuadraticPresentation, malcev_model, realize
+
+from oracles import dense_bracket, gauss_jordan
+
+GENUS2 = json.dumps({"h1": 4, "h2": 1, "pairing": [
+    [["0"], ["1"], ["0"], ["0"]], [["-1"], ["0"], ["0"], ["0"]],
+    [["0"], ["0"], ["0"], ["1"]], [["0"], ["0"], ["-1"], ["0"]]]})
+TORUS = json.dumps({"h1": 2, "h2": 1, "pairing": [[["0"], ["1"]], [["-1"], ["0"]]]})
+# k = 4 with five relations: L(V)/<W> is the 5-dimensional Heisenberg algebra
+STABLE = QuadraticPresentation(4, [[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0],
+                                   [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]])
+TRUNCATED = QuadraticPresentation(3, [[1, 1, 0], [0, 1, 1]])
+
+
+def conjugated(L):
+    """L in the basis of the columns of a fixed unipotent matrix with
+    fractional entries and its rows rotated by one, computed with the
+    oracles; returned as algebra JSON."""
+    n = L.dim
+    rows = [[Fraction(1) if r == c else
+             Fraction((3 * r + 5 * c) % 5 - 2, 1 + (r + c) % 2) if r > c else Fraction(0)
+             for c in range(n)] for r in range(n)]
+    rows = rows[1:] + rows[:1]
+    cols = [tuple(rows[r][c] for r in range(n)) for c in range(n)]
+    inv = [row[n:] for row in gauss_jordan(
+        [rows[r] + [Fraction(int(r == c)) for c in range(n)] for r in range(n)], 2 * n)[0]]
+    brackets = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = dense_bracket(n, L.brackets, cols[i], cols[j])
+            w = [sum((r[k] * v[k] for k in range(n) if v[k]), Fraction(0)) for r in inv]
+            if any(w):
+                brackets.append({"i": i, "j": j, "value": [format_scalar(x) for x in w]})
+    return json.dumps({"dim": n, "brackets": brackets})
+
+
+def cases():
+    genus2 = realize(malcev_model(CupDatum.from_json(json.loads(GENUS2))), 3)[0]
+    return {
+        "model-genus2-c3": ["malcev-model", GENUS2, "--class", "3"],
+        "model-torus-c4": ["malcev-model", TORUS, "--class", "4"],
+        "quad-genus2-c3": ["quadcheck", json.dumps(genus2.to_json())],
+        "quad-stable-conj": ["quadcheck", conjugated(realize(STABLE, 3)[0])],
+        "quad-truncated-c4": ["quadcheck", json.dumps(realize(TRUNCATED, 4)[0].to_json())],
+        "quad-free-2-4-conj": ["quadcheck", conjugated(free_nilpotent(2, 4))],
+        "quad-free-3-2-conj": ["quadcheck", conjugated(free_nilpotent(3, 2))],
+    }
+
+
+PINNED = {
+    ("model-genus2-c3", "text"): "17f9dfc104ddfd91da0c72429d5e331a2274f2d0a885598c59b6d03550e3c0b3",
+    ("model-genus2-c3", "json"): "6eca7a8685221cf45111bc1e59a0a89d20da94888ca18503f4109a78b12d55e9",
+    ("model-torus-c4", "text"): "ede288f3395cc39e810cca5fc079672c4600966a8faf39c1428904e2dd5a3f07",
+    ("model-torus-c4", "json"): "33f0a8034bdc1f28b733f7ba37e93781668800c46b96b9aa1d3bd1fc18ef3d76",
+    ("quad-free-2-4-conj", "text"): "78c9f68a196258a1ac9efa20f9fa2128d271cc51309c649f61733c7030a2b2d7",
+    ("quad-free-2-4-conj", "json"): "3f49aff75d135e685dc7a50337e948119b211b9f6c6519eb547402fad0e8a388",
+    ("quad-free-3-2-conj", "text"): "2c12d0f727485cdf8a68e132d5f558edd2faebb486a5ccba3be2fe325c326cd6",
+    ("quad-free-3-2-conj", "json"): "c7bdd65a50d9b9f7728b800ef3754fd4b1a154770b6a2e3693910b14ef68be23",
+    ("quad-genus2-c3", "text"): "8d4a98ced7b152f85dbbb1c404a93029af793224a1491693a341856de32ec09e",
+    ("quad-genus2-c3", "json"): "f028232a6d11bff6f1d3e3331afca87331f8f01e7c52f25fb81f1a9f0eb6b792",
+    ("quad-stable-conj", "text"): "e8716c06aafd24bfd9ca6c687d6ea5e8ad20649546e179e512900a8249fa397b",
+    ("quad-stable-conj", "json"): "be2e6324543ce6b64ee18c7128c1da59643617b04032c3104a1cb01a9ca25b0b",
+    ("quad-truncated-c4", "text"): "78c9f68a196258a1ac9efa20f9fa2128d271cc51309c649f61733c7030a2b2d7",
+    ("quad-truncated-c4", "json"): "70b178f117c8b0fead8dd25a99eb6ddaec8096c03684e60c3ce26e83e7f2dba1",
+}
+
+
+def report_sha(capsys, argv, out):
+    assert main(argv + ["--out", out]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_every_case_is_pinned():
+    assert sorted(PINNED) == sorted((n, out) for n in cases() for out in ("text", "json"))
+
+
+@pytest.mark.parametrize("name, out", sorted(PINNED))
+def test_report_bytes_are_pinned(capsys, name, out):
+    assert report_sha(capsys, cases()[name], out) == PINNED[(name, out)]
