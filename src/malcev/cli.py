@@ -283,6 +283,8 @@ def cmd_lift(args):
                 U = LieAlgebra.from_json(obj["algebra"])
             assignment = {g: scalars(v) for g, v in obj["assignment"].items()}
             level = obj["k"]
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise InputError("k must be an integer, not %r" % (level,))
         try:
             res = lift_one_class(p, assignment, U, level)
         except ValueError as e:

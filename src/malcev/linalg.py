@@ -292,6 +292,16 @@ class AffineSolver:
         assert self.m.mul_vec(x) == tuple(b)
         return x
 
+    def refute(self, b):
+        """A y with y m = 0 and y . b != 0, which proves m x = b unsolvable
+        (the Fredholm alternative), or None when it is solvable: the first
+        row of E past the rank of m that does not vanish on b.  Those rows
+        of E m = R are zero."""
+        for y in self.E.data[len(self.pivots):]:
+            if sum(a * c for a, c in zip(y, b) if a):
+                return y
+        return None
+
 
 def right_inverse(m: Matrix) -> Matrix:
     """The s with m s = id, for m onto (ValueError otherwise), from one

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
     vec_zero, vec_is_zero, echelon_basis, span_contains,
-    kernel_basis, solve_affine, rank, inverse, unit, right_inverse,
+    kernel_basis, solve_affine, rank, inverse, unit, right_inverse, AffineSolver,
 )
 from .lie import (
     LieAlgebra, lower_central_series, nilpotency_class,
@@ -377,10 +377,16 @@ def weight_decomposition(qp: QuadraticPresentation, realization: LieAlgebra):
 # Representation lifting
 
 class LiftResult:
-    def __init__(self, lifted, images=None, witness=None):
+    """lifted, with the lift in images; or not, with the obstruction in
+    witness and, from lift_one_class, a refutation y of its system M x = t
+    (rows: per relator a block of U/G_{k+1} coordinates; columns: per
+    generator the kernel basis of the stage): y M = 0 and y . t != 0."""
+
+    def __init__(self, lifted, images=None, witness=None, refutation=None):
         self.lifted = lifted
         self.images = images
         self.witness = witness
+        self.refutation = refutation
 
 
 def lift_representation_criterion(qp: QuadraticPresentation, U: LieAlgebra,
@@ -416,17 +422,59 @@ def lift_representation_criterion(qp: QuadraticPresentation, U: LieAlgebra,
     return LiftResult(True, images=images)
 
 
+def _fox_columns(relators, generators, auts, kernel):
+    """The lift system's column per generator g and kernel vector v, in that
+    order: Fox's free derivative of each relator at g applied to v, the
+    blocks concatenated.  The letter g adds +A v and the letter g^-1 adds
+    -A a_g^-1 v, A being the automorphism part of the letters before it
+    (see lift_one_class).  auts[g] is a_g; None stands for the identity.
+    """
+    inverses = {g: a if a is None else inverse(a) for g, a in auts.items()}
+    fox = []   # per relator, {g: [(sign, A)]}
+    for rel in relators:
+        terms, A = {}, None
+        for letter in rel:
+            if letter.endswith("^-1"):
+                g = letter[:-3]
+                if inverses[g] is not None:
+                    A = inverses[g] if A is None else A * inverses[g]
+                terms.setdefault(g, []).append((-1, A))
+            else:
+                g = letter
+                terms.setdefault(g, []).append((1, A))
+                if auts[g] is not None:
+                    A = auts[g] if A is None else A * auts[g]
+        fox.append(terms)
+    cols = []
+    for g in generators:
+        for v in kernel:
+            col = []
+            for terms in fox:
+                dv = vec_zero(len(v))
+                for sign, A in terms.get(g, ()):
+                    w = v if A is None else A.mul_vec(v)
+                    dv = vec_add(dv, w) if sign > 0 else vec_sub(dv, w)
+                col.extend(dv)
+            cols.append(tuple(col))
+    return cols
+
+
 def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
                    ambient_auts=None) -> LiftResult:
     """Lift a representation into exp(U/G_k) one central stage, to U/G_{k+1}.
 
     assignment maps generator names to log coordinates over U/G_k (or to
     SemidirectElements when an automorphism part is present; ambient_auts
-    then gives the action on U itself).  Relator defects of an arbitrary
-    set-theoretic lift land in the central piece G_k/G_{k+1}; corrections of
-    the generator lifts shift the defects affinely (exactly, because the
-    kernel is central), so solvability is one exact linear system.  A
-    returned lift is re-verified with check_representation.
+    then gives the action on U itself).  Relator defects of a set-theoretic
+    lift land in the central piece I = G_k/G_{k+1}, so a lift is one exact
+    linear system M x = -d0 over corrections in I of the generator lifts,
+    d0 being the defects of the zero correction.  Its columns are Fox
+    derivatives (_fox_columns), read off the relator letters with no group
+    products.  They are exact: I is central and every automorphism maps I
+    to I, so (n', A)(c, 1) = (A c, 1)(n', A), and moving every correction
+    to the front leaves d0 plus the moved corrections.  A returned lift is
+    re-verified with check_representation; a "no" carries a refutation y
+    with y M = 0 and y . (-d0) != 0, checked before it is returned.
     """
     if k < 2:
         raise ValueError("need 2 <= k <= class of U")
@@ -435,8 +483,11 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     if ambient_auts is not None:
         lift = right_inverse(e.quotient)   # Lk1 -> U, for the action on Lk1
     cls_k1 = nilpotency_class(Lk1)
-    base = {}
+    one = Matrix.identity(Lk1.dim)
+    base, auts = {}, {}
     for g in p.generators:
+        if g not in assignment:
+            raise ValueError("assignment misses generator %r" % g)
         img = assignment[g]
         if isinstance(img, SemidirectElement):
             log = img.log
@@ -444,56 +495,44 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
             log = tuple(scalar(c) for c in img)
         if len(log) != Lk.dim:
             raise ValueError("assignment for %r has wrong dimension" % g)
-        aut1 = Matrix.identity(Lk1.dim)
+        aut1 = one
         if ambient_auts is not None and g in ambient_auts:
             aut1 = e.quotient * ambient_auts[g] * lift
         base[g] = SemidirectElement(Lk1, s.mul_vec(log), aut1, cls=cls_k1)
+        auts[g] = None if aut1 == one else aut1
     # verify the input really is a representation at level k
     level_k = {}
+    one_k, cls_k = Matrix.identity(Lk.dim), nilpotency_class(Lk) if Lk.dim else 1
     for g in p.generators:
-        autk = Matrix.identity(Lk.dim)
+        autk = one_k
         if ambient_auts is not None and g in ambient_auts:
             # push the automorphism down along proj via the section
             autk = proj * base[g].aut * s
-        level_k[g] = SemidirectElement(Lk, proj.mul_vec(base[g].log), autk,
-                                       cls=nilpotency_class(Lk) if Lk.dim else 1)
+        level_k[g] = SemidirectElement(Lk, proj.mul_vec(base[g].log), autk, cls=cls_k)
     if check_representation(p, level_k):
         raise ValueError("assignment does not satisfy the relators at level k")
 
-    def defects(corr):
-        cur = {g: SemidirectElement(Lk1, vec_add(base[g].log, corr[g]),
-                                    base[g].aut, cls=cls_k1)
-               for g in p.generators}
-        out = []
-        for rel in p.relators:
-            val = evaluate_word(cur, rel, L=Lk1, cls=cls_k1)
-            out.append(val.log)
-        return out
-
-    zero_corr = {g: vec_zero(Lk1.dim) for g in p.generators}
-    d0 = defects(zero_corr)
+    d0 = [evaluate_word(base, rel, L=Lk1, cls=cls_k1).log for rel in p.relators]
     if any(e.kernel_coords(d) is None for d in d0):
         raise AssertionError("relator defect escaped the central kernel")
     # affine system over generator corrections in the central kernel
-    cols = []
-    dirs = []
-    for g in p.generators:
-        for v in kern:
-            corr = dict(zero_corr)
-            corr[g] = v
-            dv = defects(corr)
-            col = []
-            for a, b in zip(dv, d0):
-                col.extend(vec_sub(a, b))
-            cols.append(tuple(col))
-            dirs.append((g, v))
+    cols = _fox_columns(p.relators, p.generators, auts, kern)
+    dirs = [(g, v) for g in p.generators for v in kern]
     target = []
     for d in d0:
         target.extend(vec_neg(d))
-    sol = solve_affine(Matrix.from_columns(cols, rows=len(target)), tuple(target))
+    M = Matrix.from_columns(cols, rows=len(target))
+    sol = solve_affine(M, tuple(target))
     if sol is None:
-        return LiftResult(False, witness=list(zip([list(r) for r in p.relators], d0)))
-    corr = dict(zero_corr)
+        y = AffineSolver(M).refute(target)
+
+        def dot(u):
+            return sum(a * b for a, b in zip(y, u) if a)
+        if y is None or any(map(dot, cols)) or not dot(target):
+            raise AssertionError("refutation of the lift system failed verification")
+        return LiftResult(False, witness=list(zip([list(r) for r in p.relators], d0)),
+                          refutation=y)
+    corr = {g: vec_zero(Lk1.dim) for g in p.generators}
     for cf, (g, v) in zip(sol[0], dirs):
         if cf != 0:
             corr[g] = vec_add(corr[g], vec_scale(cf, v))

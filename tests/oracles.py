@@ -5,6 +5,7 @@ deliberately shares no code with the library, so that each check compares
 two genuinely different routes to the same value.
 """
 
+import functools
 from fractions import Fraction
 
 
@@ -104,6 +105,31 @@ def envelope_bch(cutoff):
     x = {(0,): Fraction(1)}
     y = {(1,): Fraction(1)}
     return am_log(am_mul(am_exp(x, cutoff), am_exp(y, cutoff), cutoff), cutoff)
+
+
+@functools.lru_cache(maxsize=None)
+def _envelope_terms(cutoff):
+    return tuple(envelope_bch(cutoff).items())
+
+
+def dynkin_bch(dim, table, x, y, cutoff):
+    """log(exp x . exp y) in a nilpotent Lie algebra of class <= cutoff,
+    given by its dense table (as in dense_bracket).  The envelope series is
+    a Lie series whose degree-n part P satisfies theta(P) = n P for the
+    Dynkin-Specht-Wever map theta(a_1 ... a_n) = [a_1, [a_2, ... a_n]], so
+    each word w of coefficient c_w contributes c_w / |w| times its
+    right-nested bracket, with x for the letter 0 and y for the letter 1."""
+    letters = (tuple(map(Fraction, x)), tuple(map(Fraction, y)))
+    out = [Fraction(0)] * dim
+    for w, c in _envelope_terms(cutoff):
+        v = letters[w[-1]]
+        for a in reversed(w[:-1]):
+            if not any(v):
+                break
+            v = dense_bracket(dim, table, letters[a], v)
+        for k in range(dim):
+            out[k] += c / len(w) * v[k]
+    return tuple(out)
 
 
 def hall_expansion_in_envelope(coeffs, cutoff):

@@ -215,6 +215,24 @@ def test_lift_bad_mode(capsys):
     assert code == 2
 
 
+def one_class_input(assignment, k):
+    return json.dumps({
+        "mode": "one-class",
+        "presentation": {"generators": ["x", "y"],
+                         "relators": [["x", "y", "x^-1", "y^-1"]]},
+        "free": [2, 3], "assignment": assignment, "k": k})
+
+
+@pytest.mark.parametrize("assignment, k, err", [
+    ({"x": ["1", "0"]}, 2, "error: assignment misses generator 'y'\n"),
+    ({"x": ["1", "0"], "y": ["0", "1"]}, "2", "error: k must be an integer, not '2'\n"),
+    ({"x": ["1", "0"], "y": ["0", "1"]}, 2.5, "error: k must be an integer, not 2.5\n"),
+    ({"x": ["1", "0"], "y": ["0", "1"]}, True, "error: k must be an integer, not True\n"),
+])
+def test_lift_one_class_malformed_input_is_input_error(capsys, assignment, k, err):
+    assert run_error(capsys, "lift", one_class_input(assignment, k)) == (2, err)
+
+
 def test_lattice_check_matrix(capsys):
     code, out = run_json(capsys, "lattice-check", "--matrix", "[[2,3],[1,2]]")
     assert code == 0
