@@ -299,11 +299,14 @@ def cmd_lift(args):
             verdicts["defects"] = [
                 {"relator": rel, "defect": [format_scalar(c) for c in d]}
                 for rel, d in res.witness]
+            verdicts["refutation"] = [format_scalar(c) for c in res.refutation]
             lines = ["obstructed: relator defects cannot be removed by "
                      "central corrections"]
             for rel, d in res.witness:
                 lines.append("  %s -> [%s]" % (" ".join(rel),
                                                ", ".join(format_scalar(c) for c in d)))
+            lines.append("  refutation (y M = 0, y . (-d0) != 0): [%s]"
+                         % ", ".join(verdicts["refutation"]))
         return report(args, "lift", obj, verdicts, lines)
     raise InputError("mode must be 'criterion' or 'one-class'")
 

@@ -24,11 +24,28 @@ from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
 
+from .lie import integer_table
 from .linalg import (
     Matrix, ZERO, ONE, scalar, format_scalar, vec_add, vec_scale, vec_sub,
     vec_zero, vec_is_zero, kernel_basis, echelon_basis, span_contains, unit,
-    IncrementalSpan, AffineSolver, integer_terms,
+    IncrementalSpan, AffineSolver, integer_terms, _rref_rows,
 )
+
+
+def sparse_product(rows, u, v, n, zero):
+    """u v in a degree of dimension n, for rows a degree pair of ``_mult`` or
+    of its integer view, by bilinear expansion over the nonzeros of u and
+    their nonzero basis products; ints on the integer view stay ints."""
+    out = [zero] * n
+    for i, a in enumerate(u):
+        if a:
+            for j, terms in rows[i].items():
+                b = v[j]
+                if b:
+                    ab = a * b
+                    for k, c in terms:
+                        out[k] += ab * c
+    return out
 
 
 class FiniteDGA:
@@ -71,16 +88,6 @@ class FiniteDGA:
                             mult[(q, p)][j][i] = tuple((k, sign * c) for k, c in terms)
         self._set_products(mult, tuple(products))
 
-    @classmethod
-    def _from_sparse(cls, dims, d, mult, keys):
-        """The DGA whose products are the sparse table mult (the ``_mult``
-        shape, every degree pair filled in) and whose ``products`` view
-        shows the degree pairs keys."""
-        A = cls.__new__(cls)
-        A._set_d(dims, d)
-        A._set_products(mult, keys)
-        return A
-
     def _set_d(self, dims, d):
         self.dims = list(dims)
         self.top = len(self.dims) - 1
@@ -94,10 +101,10 @@ class FiniteDGA:
         # a zero-row differential keeps its column count (JSON gives it none)
         self.d = [m if m.rows else Matrix.zeros(0, self.dims[n]) for n, m in enumerate(self.d)]
 
-    def _set_products(self, mult, keys):
+    def _set_products(self, mult, keys, integer=None):
         self._mult, self._keys, self._products = mult, keys, None
         self._cohomology = None  # the CohomologyData, on demand
-        self._integer = None  # the integer view, on demand
+        self._integer = integer  # the integer view, on demand unless given
         errors = self.validate()
         if errors:
             raise ValueError("DGA axioms violated: " + "; ".join(errors))
@@ -133,24 +140,11 @@ class FiniteDGA:
         return self._mult[(p, q)]
 
     def product(self, p, vp, q, vq):
-        """vp * vq by bilinear expansion over the nonzeros of vp and the
-        nonzero products of their basis vectors."""
+        """vp * vq, by ``sparse_product`` on the sparse table."""
         n = p + q
         if n > self.top:
             return ()
-        out = [ZERO] * self.dims[n]
-        rows = self._mult[(p, q)]
-        for i, a in enumerate(vp):
-            if not a:
-                continue
-            for j, terms in rows[i].items():
-                b = vq[j]
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in terms:
-                    out[k] += ab * c
-        return tuple(out)
+        return tuple(sparse_product(self._mult[(p, q)], vp, vq, self.dims[n], ZERO))
 
     def basis_vector(self, n, i):
         return unit(self.dims[n], i)
@@ -188,26 +182,31 @@ class FiniteDGA:
         return self._sweep()
 
     def _generators(self):
-        """(degree, index) of the generating set S of ``validate``.  In
-        degree n >= 1 the products a_i a_j with |a_i| = p, 1 <= p <= n - p,
-        go into one echelon span until it is full; the unit vectors off its
-        pivots complete it.  The products with p > n - p are not needed: S
-        generates A as long as each product taken has factors of lower
-        degree."""
+        """(degree, index) of the generating set S of ``validate``: in
+        degree n >= 1, the unit vectors off the pivots of the span of the
+        products a_i a_j with |a_i| = p, 1 <= p <= n - p.  On the integer
+        view, a single-term product is a multiple of e_k, pivot k (the scan
+        stops once those fill the degree), and one ``_rref_rows`` of the
+        multi-term products with those coordinates dropped gives the other
+        pivots.  The products with p > n - p are not needed: S generates A
+        as long as each product taken has factors of lower degree."""
+        mult = self.integer_view()[1]
         gens = [(0, i) for i in range(self.dims[0])]
         for n in range(1, self.top + 1):
-            span = IncrementalSpan()
+            units, multi = set(), []
             products = (terms for p in range(1, n // 2 + 1)
-                        for row in self._mult[(p, n - p)] for terms in row.values())
+                        for row in mult[(p, n - p)] for terms in row.values())
             for terms in products:
-                if span.dim == self.dims[n]:
+                if len(units) == self.dims[n]:
                     break
-                v = [ZERO] * self.dims[n]
-                for k, c in terms:
-                    v[k] = c
-                span.add(v)
-            pivots = set(span.pivots)
-            gens += [(n, k) for k in range(self.dims[n]) if k not in pivots]
+                if len(terms) == 1:
+                    units.add(terms[0][0])
+                else:
+                    multi.append(terms)
+            rows = [[0 if k in units else dict(terms).get(k, 0) for k in range(self.dims[n])]
+                    for terms in multi]
+            units.update(_rref_rows(rows, self.dims[n])[1])
+            gens += [(n, k) for k in range(self.dims[n]) if k not in units]
         return gens
 
     def integer_view(self):
@@ -384,14 +383,20 @@ class CohomologyData:
             self._solvers[key] = AffineSolver(matrix())
         return self._solvers[key]
 
+    def class_solver(self, n):
+        """The AffineSolver of [representatives | coboundaries] in degree n:
+        as every column is a pivot, the first b_n rows of its E are a linear
+        map C that gives the class coordinates of every cocycle."""
+        return self._solver(("class", n), lambda: Matrix.from_columns(
+            self.representatives[n] + self.coboundaries[n], rows=self.dims[n]))
+
     def class_coordinates(self, n, v):
         """Coordinates of a closed vector's class in the representative basis."""
         reps = self.representatives[n]
         if not (reps or self.coboundaries[n]):
             assert vec_is_zero(v)
             return ()
-        x = self._solver(("class", n), lambda: Matrix.from_columns(
-            reps + self.coboundaries[n], rows=self.dims[n])).solve(v)
+        x = self.class_solver(n).solve(v)
         assert x is not None, "vector is not a cocycle"
         return x[:len(reps)]
 
@@ -414,17 +419,9 @@ def cohomology_ring(dga: FiniteDGA) -> FiniteDGA:
     H = cohomology(dga)
     dims = H.betti()
     top = dga.top
-    products = {}
-    for p in range(top + 1):
-        for q in range(top + 1 - p):
-            table = []
-            for a in H.representatives[p]:
-                row = []
-                for b in H.representatives[q]:
-                    ab = dga.product(p, a, q, b)
-                    row.append(H.class_coordinates(p + q, ab) if dims[p + q] else ())
-                table.append(row)
-            products[(p, q)] = table
+    products = {(p, q): [[H.class_coordinates(p + q, dga.product(p, a, q, b)) if dims[p + q]
+                          else () for b in H.representatives[q]] for a in H.representatives[p]]
+                for p in range(top + 1) for q in range(top + 1 - p)}
     d = [Matrix.zeros(dims[n + 1] if n + 1 <= top else 0, dims[n]) for n in range(top)]
     return FiniteDGA(dims, d, products)
 
@@ -441,50 +438,26 @@ def adjoin_acyclic(dga: FiniteDGA, deg: int = 1):
     dims = list(dga.dims)
     dims[deg] += 1
     dims[deg + 1] += 1
-    dmats = []
-    for n in range(dga.top):
-        rows, cols = (dims[n + 1], dims[n])
-        m = [[ZERO] * cols for _ in range(rows)]
-        for i in range(dga.dims[n + 1]):
-            for j in range(dga.dims[n]):
-                m[i][j] = dga.d[n].data[i][j]
-        if n == deg:
-            m[dims[deg + 1] - 1][dims[deg] - 1] = Fraction(1)
-        dmats.append(m)
-    products = {}
-    for (p, q), table in dga.products.items():
-        new_table = []
-        for i in range(dims[p]):
-            row = []
-            for j in range(dims[q]):
-                if i < dga.dims[p] and j < dga.dims[q]:
-                    cell = table[i][j]
-                    row.append(tuple(cell) + (ZERO,) * (dims[p + q] - dga.dims[p + q]))
-                else:
-                    row.append(vec_zero(dims[p + q]))
-            new_table.append(row)
-        products[(p, q)] = new_table
-    B = FiniteDGA(dims, dmats, products)
-    inclusions = []
-    for n in range(dga.top + 1):
-        m = [[ZERO] * dga.dims[n] for _ in range(dims[n])]
-        for i in range(dga.dims[n]):
-            m[i][i] = Fraction(1)
-        inclusions.append(Matrix(m))
-    return B, inclusions
+
+    def pad(rows, n, m):
+        """rows of width dga.dims[n] to width dims[n], and zero rows up to dims[m]."""
+        return [tuple(r) + (ZERO,) * (dims[n] - len(r)) for r in rows] + \
+            [vec_zero(dims[n])] * (dims[m] - len(rows))
+
+    dmats = [pad(dga.d[n].data, n, n + 1) for n in range(dga.top)]
+    dmats[deg][-1] = unit(dims[deg], dims[deg] - 1)
+    products = {(p, q): [pad(row, p + q, q) for row in table] +
+                [[vec_zero(dims[p + q])] * dims[q]] * (dims[p] - dga.dims[p])
+                for (p, q), table in dga.products.items()}
+    return FiniteDGA(dims, dmats, products), [
+        Matrix([unit(m, i) for i in range(m)] + [vec_zero(m)] * (dims[n] - m))
+        for n, m in enumerate(dga.dims)]
 
 
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg complex
 
-def _wedge(s, t):
-    """s ^ t for sorted tuples of generators: (sign, sorted union), or None
-    when they meet.  Moving each a in s past the b < a of t gives the shuffle
-    sign (-1)^{#{(a, b) in s x t : a > b}}."""
-    if not set(s).isdisjoint(t):
-        return None
-    inversions = sum(1 for a in s for b in t if a > b)
-    return (-ONE if inversions % 2 else ONE), tuple(sorted(s + t))
+MINUS_ONE = -ONE
 
 
 def chevalley_eilenberg(L) -> FiniteDGA:
@@ -494,23 +467,26 @@ def chevalley_eilenberg(L) -> FiniteDGA:
     verified up front.  The products go straight into the sparse table, one
     signed entry per basis pair s, t with s ^ t != 0; ``products`` shows every
     degree pair p + q <= dim L.
+
+    It is built on ints and seeds the integer view: D_m = 1 for the +-1
+    table, and D_d is the D of ``integer_table(L)``, as d on degree 1 has
+    the entries -c and the higher d[n] are integer combinations of them.
     """
     if L.check_jacobi():
         raise ValueError("Jacobi identity fails; CE differential would not square to zero")
     n = L.dim
+    D, partners = integer_table(L)
     bases = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     index = [{t: i for i, t in enumerate(bs)} for bs in bases]
     dims = [len(bs) for bs in bases]
 
-    # d on degree-1 generators
-    dgen = {}
-    for k in range(n):
-        out = {}
-        for (i, j), v in L.brackets.items():
-            c = v[k]
-            if c != 0:
-                out[(i, j)] = out.get((i, j), ZERO) - c
-        dgen[k] = out
+    # D d on degree-1 generators
+    dgen = [{} for _ in range(n)]
+    for i, row in enumerate(partners):
+        for j, terms in row:
+            if i < j:
+                for k, c in terms:
+                    dgen[k][(i, j)] = -c
 
     def d_on_tuple(t):
         out = {}
@@ -518,33 +494,41 @@ def chevalley_eilenberg(L) -> FiniteDGA:
             rest = t[:pos] + t[pos + 1:]
             sign = -1 if pos % 2 else 1
             for pair, c in dgen[g].items():
-                merged = _wedge(pair, rest)
-                if merged is None:
-                    continue
-                sg, w = merged
-                out[w] = out.get(w, ZERO) + sign * sg * c
-        return out
+                if pair[0] not in rest and pair[1] not in rest:
+                    # the shuffle sign of pair ^ rest: (-1)^{#{(a, b) in pair x rest : a > b}}
+                    w = tuple(sorted(pair + rest))
+                    odd = sum(1 for a in pair for b in rest if a > b) % 2
+                    out[w] = out.get(w, 0) + (-sign if odd else sign) * c
+        return tuple(sorted((index[len(t) + 1][w], c) for w, c in out.items() if c))
 
+    dcol = [[d_on_tuple(t) for t in bases[k]] for k in range(n)]
     d_mats = []
-    for k in range(n):
-        cols = []
-        for t in bases[k]:
-            col = [ZERO] * dims[k + 1]
-            for w, c in d_on_tuple(t).items():
-                col[index[k + 1][w]] = c
-            cols.append(tuple(col))
-        d_mats.append(Matrix.from_columns(cols, rows=dims[k + 1]))
+    for k, cols in enumerate(dcol):
+        data = [[ZERO] * dims[k] for _ in range(dims[k + 1])]
+        for j, col in enumerate(cols):
+            for r, c in col:
+                data[r][j] = Fraction(c, D)
+        d_mats.append(Matrix._of_rows(tuple(map(tuple, data)), dims[k]))
+    dcol = tuple(map(tuple, dcol)) + (((),) * dims[n],)
 
-    mult = {}
+    cells = [[(((k, ONE),), ((k, MINUS_ONE),), ((k, 1),), ((k, -1),)) for k in range(m)]
+             for m in dims]
+    mult = {(p, q): tuple({} for _ in bases[p]) for p in range(n + 1) for q in range(n + 1 - p)}
+    imult = {key: tuple({} for _ in rows) for key, rows in mult.items()}
     for p in range(n + 1):
-        for q in range(n + 1 - p):
-            rows = mult[(p, q)] = tuple({} for _ in bases[p])
-            for i, s in enumerate(bases[p]):
-                off = tuple(g for g in range(n) if g not in s)
+        for i, s in enumerate(bases[p]):
+            above = [sum(1 for a in s if a > b) for b in range(n)]
+            off = [b for b in range(n) if b not in s]
+            for q in range(n + 1 - p):
+                rows, irows = mult[(p, q)][i], imult[(p, q)][i]
                 for t in itertools.combinations(off, q):
-                    sign, w = _wedge(s, t)
-                    rows[i][index[q][t]] = ((index[p + q][w], sign),)
-    return FiniteDGA._from_sparse(dims, d_mats, mult, tuple(mult))
+                    j, odd = index[q][t], sum(above[b] for b in t) & 1
+                    cell = cells[p + q][index[p + q][tuple(sorted(s + t))]]
+                    rows[j], irows[j] = cell[odd], cell[2 + odd]
+    A = FiniteDGA.__new__(FiniteDGA)  # the sparse table and its integer view, as is
+    A._set_d(dims, d_mats)
+    A._set_products(mult, tuple(mult), (1, imult, D, dcol))
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -579,20 +563,6 @@ class MasseyUndefined(ValueError):
     pass
 
 
-def _massey(dga, H, pa, q, pc, x, y, indeterminacy):
-    """<a, b, c> with |b| = q from the preimages dx = ab, dy = bc and the
-    echelon basis of its indeterminacy: the representative
-    a y - (-1)^{|a|} x c, its class, and whether the class lies in the
-    indeterminacy."""
-    (p, a), (r, c) = pa, pc
-    n_out = p + q + r - 1
-    rep = vec_sub(dga.product(p, a, q + r - 1, y),
-                  vec_scale((-1) ** p, dga.product(p + q - 1, x, r, c)))
-    rep_class = H.class_coordinates(n_out, rep)
-    return MasseyResult(n_out, rep, rep_class, indeterminacy,
-                        span_contains(indeterminacy, rep_class))
-
-
 def massey_triple(dga: FiniteDGA, pa, pb, pc, H=None) -> MasseyResult:
     """Triple Massey product of cocycles a, b, c given as (degree, vector).
 
@@ -616,7 +586,18 @@ def massey_triple(dga: FiniteDGA, pa, pb, pc, H=None) -> MasseyResult:
              for h in H.representatives[q + r - 1]]
     indet += [H.class_coordinates(n_out, dga.product(p + q - 1, h, r, c))
               for h in H.representatives[p + q - 1]]
-    return _massey(dga, H, pa, q, pc, x, y, echelon_basis(indet))
+    indet = echelon_basis(indet)
+    rep = vec_sub(dga.product(p, a, q + r - 1, y),
+                  vec_scale((-1) ** p, dga.product(p + q - 1, x, r, c)))
+    rep_class = H.class_coordinates(n_out, rep)
+    return MasseyResult(n_out, rep, rep_class, indet, span_contains(indet, rep_class))
+
+
+def _integer_vectors(vectors):
+    """(d, ints): d is the lcm of the denominators of all the entries, and
+    ints the vectors times d, as int lists."""
+    d = lcm(*(e.denominator for v in vectors for e in v))
+    return d, [[e.numerator * (d // e.denominator) for e in v] for v in vectors]
 
 
 def formality_consequence_report(dga: FiniteDGA):
@@ -624,34 +605,64 @@ def formality_consequence_report(dga: FiniteDGA):
 
     Returns (witnesses, undefined_count) where each witness is
     ((i, j, k), MasseyResult), the result of ``massey_triple`` on the H^1
-    representatives a_i, a_j, a_k.  The scan works on pairs: each a_i is
-    checked to be a cocycle once, and per pair a_i a_j, its preimage x_ij
-    under d and its class cup[i][j] are computed once.  A triple is undefined
-    when x_ij or x_jk does not exist.  In degree 1, a_i . H^1 is the row
-    cup[i][.] and H^1 . a_k the column cup[.][k], so the indeterminacy
-    depends on (i, k) only.  Below top degree 2 every triple is defined and
-    lands in H^2 = 0, so the report is empty.
+    representatives a_i, a_j, a_k; a triple is undefined when the preimage
+    x_ij of a_i a_j or x_jk does not exist.  Below top degree 2 every triple
+    is defined and lands in H^2 = 0, so the report is empty.
+
+    It works by bilinearity, on ints scaled by common denominators (one
+    scale K for every P, one for every class; a witness divides them out).
+    P[i, j, k] = a_i x_jk is made once per i and defined pair (j, k), and by
+    graded commutativity in degree (1, 1) the representative a_i x_jk +
+    x_ij a_k is P[i, j, k] - P[k, i, j], of class C P[i, j, k] - C P[k, i, j]
+    for the linear class map C of ``CohomologyData.class_solver``.  It is a
+    cocycle with no check per triple: d(a y + x c) = -a (b c) + (a b) c = 0
+    by Leibniz and associativity, which ``validate`` proved; each witness is
+    still checked to have d rep = 0.  In degree 1, a_i . H^1 is the row
+    cup[i][.] and H^1 . a_k the column cup[.][k]: one indeterminacy span
+    per (i, k).
     """
     if dga.top < 2:
         return [], 0
     H = cohomology(dga)
     reps = H.representatives[1]
-    b = len(reps)
-    closed = [vec_is_zero(dga.diff(1, a)) for a in reps]
-    x, cup = {}, {}
-    for i, j in itertools.product(range(b), repeat=2):
-        if closed[i] and closed[j]:
-            ab = dga.product(1, reps[i], 1, reps[j])
-            x[i, j], cup[i, j] = H.preimage(2, ab), H.class_coordinates(2, ab)
+    b, n2 = len(reps), dga.dims[2]
+    D_m, mult, _, dcol = dga.integer_view()
+    T = mult[(1, 1)]
+    d_a, A = _integer_vectors(reps)
+    D_E, E_rows = H.class_solver(2).E.integer_view()
+    C = E_rows[:len(H.representatives[2])]
+
+    def cls(v):
+        return [sum([c * v[k] for k, c in terms]) for terms in C]
+
+    ab = {(i, j): sparse_product(T, A[i], A[j], n2, 0) for i in range(b) for j in range(b)}
+    cup = {pair: cls(v) for pair, v in ab.items()}
+    x = {pair: H.preimage(2, v) for pair, v in ab.items()}
+    defined = [pair for pair, v in x.items() if v is not None]
+    d_x, X = _integer_vectors([x[pair] for pair in defined])
+    P = {(i,) + pair: sparse_product(T, A[i], xs, n2, 0)
+         for i in range(b) for pair, xs in zip(defined, X)}
+    CP = {key: cls(v) for key, v in P.items()}
+    K = D_m * D_m * d_a ** 3 * d_x   # P = K a_i x_jk
     witnesses, undefined, indet = [], 0, {}
     for i, j, k in itertools.product(range(b), repeat=3):
-        if x.get((i, j)) is None or x.get((j, k)) is None:
+        if x[i, j] is None or x[j, k] is None:
             undefined += 1
             continue
         if (i, k) not in indet:
-            indet[i, k] = echelon_basis([cup[i, m] for m in range(b)] +
-                                        [cup[m, k] for m in range(b)])
-        res = _massey(dga, H, (1, reps[i]), 1, (1, reps[k]), x[i, j], x[j, k], indet[i, k])
-        if not res.vanishes:
-            witnesses.append(((i, j, k), res))
+            basis = echelon_basis([cup[i, m] for m in range(b)] + [cup[m, k] for m in range(b)])
+            indet[i, k] = basis, IncrementalSpan(basis)
+        basis, span = indet[i, k]
+        rep_class = [s - t for s, t in zip(CP[i, j, k], CP[k, i, j])]
+        if span.contains(rep_class):
+            continue
+        rep = [s - t for s, t in zip(P[i, j, k], P[k, i, j])]
+        d_rep = {}
+        for m, e in enumerate(rep):
+            for t, f in dcol[2][m]:
+                d_rep[t] = d_rep.get(t, 0) + e * f
+        assert not any(d_rep.values()), "Massey representative is not a cocycle"
+        witnesses.append(((i, j, k), MasseyResult(
+            2, tuple(Fraction(e, K) if e else ZERO for e in rep),
+            tuple(Fraction(c, D_E * K) if c else ZERO for c in rep_class), basis, False)))
     return witnesses, undefined

@@ -130,7 +130,8 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self):
-        return Matrix(list(zip(*self.data))) if self.rows else Matrix.zeros(self.cols, 0)
+        return Matrix._of_rows(tuple(zip(*self.data)), self.rows) if self.rows \
+            else Matrix.zeros(self.cols, 0)
 
     def integer_view(self):
         """(D, rows): D is the lcm of the denominators of the entries, and
@@ -271,26 +272,36 @@ class AffineSolver:
     m x = b is solvable iff the entries of E b past the rank of m vanish,
     and the solution with every free variable zero, entry for entry the
     particular solution of ``solve_affine``, has x[pivots[i]] = (E b)_i.
+    Row i goes into ``_rref_rows`` as the ints [d_i m_i | d_i e_i], d_i the
+    lcm of the denominators of m_i: a multiple of the row, so the same RREF.
     """
 
     def __init__(self, m: Matrix):
-        n = m.rows
-        red, pivots = rref(Matrix([row + unit(n, i) for i, row in enumerate(m.data)]))
+        n, cols = m.rows, m.cols
+        red, pivots = _rref_rows([ints + [0] * i + [d] + [0] * (n - 1 - i) for i, (d, ints)
+                                  in enumerate(map(integer_row, m.data))], cols + n)
         self.m = m
-        self.pivots = [c for c in pivots if c < m.cols]
-        self.E = Matrix([row[m.cols:] for row in red.data])
+        self.pivots = [c for c in pivots if c < cols]
+        self.E = Matrix._of_rows(tuple(row[cols:] for row in red), n)
 
     def solve(self, b):
-        """The solution of m x = b with free variables zero, or None."""
-        eb = self.E.mul_vec(b)
+        """The solution of m x = b with free variables zero, or None.  On
+        the integer views (E = E_int / D_E, m = M_int / D_m) and b = b_int /
+        d_b, E b = eb / (D_E d_b), so x = xs / (D_E d_b) with xs the entries
+        of eb on the pivots, and m x = b is M_int xs = D_m D_E b_int."""
+        if len(b) != self.m.rows:
+            raise ValueError("dimension mismatch: %d rows, %d entries" % (self.m.rows, len(b)))
+        (D_E, rows), (d_b, ib) = self.E.integer_view(), integer_row(b)
+        eb = [sum([c * ib[j] for j, c in terms]) for terms in rows]
         if any(eb[len(self.pivots):]):
             return None
-        x = [ZERO] * self.m.cols
+        xs = [0] * self.m.cols
         for i, pc in enumerate(self.pivots):
-            x[pc] = eb[i]
-        x = tuple(x)
-        assert self.m.mul_vec(x) == tuple(b)
-        return x
+            xs[pc] = eb[i]
+        D_m, rows = self.m.integer_view()
+        assert all(sum([c * xs[j] for j, c in terms]) == D_m * D_E * t
+                   for terms, t in zip(rows, ib))
+        return tuple(Fraction(a, D_E * d_b) if a else ZERO for a in xs)
 
     def refute(self, b):
         """A y with y m = 0 and y . b != 0, which proves m x = b unsolvable
@@ -312,7 +323,7 @@ def right_inverse(m: Matrix) -> Matrix:
     s = [vec_zero(m.rows)] * m.cols
     for i, pc in enumerate(solver.pivots):
         s[pc] = solver.E.data[i]
-    return Matrix(s)
+    return Matrix._of_rows(tuple(s), m.rows)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -382,15 +393,20 @@ def echelon_basis(vectors, dim=None):
 
 
 class IncrementalSpan:
-    """A growing subspace kept in row echelon form.
+    """A growing subspace kept in row echelon form, on primitive int rows.
 
+    Each row is kept as its sparse terms ((j, c), ...), primitive with a
+    positive pivot.  A vector is scaled to ints and reduced by cross
+    multiplication, v <- r_p v - v_p r: r_p times the Fraction step
+    v <- v - (v_p / r_p) r.  So every reduction is a nonzero multiple of the
+    one over Fractions, and the verdicts and pivots are the same.
     Membership queries and insertions both cost one reduction pass against
     the current rows, which is much cheaper than re-echelonizing from
     scratch when the same span is probed many times.
     """
 
     def __init__(self, vectors=()):
-        self.rows = []    # echelon rows, sorted by pivot column
+        self.rows = []    # sparse primitive echelon rows, sorted by pivot column
         self.pivots = []
         for v in vectors:
             self.add(v)
@@ -400,17 +416,23 @@ class IncrementalSpan:
         return len(self.rows)
 
     def reduce(self, v):
-        v = list(v)
-        for r, p in zip(self.rows, self.pivots):
+        """v (ints or Fractions) as ints, reduced against the rows."""
+        v = integer_row(v)[1]
+        for terms, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:
-                for j in range(p, len(v)):
-                    if r[j]:
-                        v[j] -= f * r[j]
+                rp = terms[0][1]
+                if rp != 1:
+                    v = [rp * a for a in v]
+                for j, c in terms:
+                    v[j] -= f * c
+                g = gcd(*v) if rp != 1 else 1
+                if g > 1:
+                    v = [a // g for a in v]
         return v
 
     def contains(self, v) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def add(self, v) -> bool:
         """Insert v if independent of the span; True when the span grew."""
@@ -418,11 +440,10 @@ class IncrementalSpan:
         p = next((j for j, x in enumerate(v) if x), None)
         if p is None:
             return False
-        inv = ONE / v[p]
-        row = tuple(x * inv if x else x for x in v)
+        g = gcd(*v) if v[p] > 0 else -gcd(*v)
         at = next((t for t, q in enumerate(self.pivots) if q > p),
                   len(self.pivots))
-        self.rows.insert(at, row)
+        self.rows.insert(at, tuple((j, a // g) for j, a in enumerate(v) if a))
         self.pivots.insert(at, p)
         return True
 

@@ -474,7 +474,9 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     to I, so (n', A)(c, 1) = (A c, 1)(n', A), and moving every correction
     to the front leaves d0 plus the moved corrections.  A returned lift is
     re-verified with check_representation; a "no" carries a refutation y
-    with y M = 0 and y . (-d0) != 0, checked before it is returned.
+    with y M = 0 and y . (-d0) != 0, checked before it is returned.  One
+    AffineSolver of M gives both: its solution is the particular solution
+    of ``solve_affine``, and its refutation needs no second elimination.
     """
     if k < 2:
         raise ValueError("need 2 <= k <= class of U")
@@ -521,10 +523,10 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     target = []
     for d in d0:
         target.extend(vec_neg(d))
-    M = Matrix.from_columns(cols, rows=len(target))
-    sol = solve_affine(M, tuple(target))
+    solver = AffineSolver(Matrix.from_columns(cols, rows=len(target)))
+    sol = solver.solve(target)
     if sol is None:
-        y = AffineSolver(M).refute(target)
+        y = solver.refute(target)
 
         def dot(u):
             return sum(a * b for a, b in zip(y, u) if a)
@@ -533,7 +535,7 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
         return LiftResult(False, witness=list(zip([list(r) for r in p.relators], d0)),
                           refutation=y)
     corr = {g: vec_zero(Lk1.dim) for g in p.generators}
-    for cf, (g, v) in zip(sol[0], dirs):
+    for cf, (g, v) in zip(sol, dirs):
         if cf != 0:
             corr[g] = vec_add(corr[g], vec_scale(cf, v))
     lifted = {g: SemidirectElement(Lk1, vec_add(base[g].log, corr[g]),

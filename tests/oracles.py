@@ -376,6 +376,31 @@ def gauss_jordan(rows, ncols):
     return [tuple(row) for row in a], pivots
 
 
+def echelon_insertions(vectors, probes):
+    """Insert vectors one by one into a span kept as Fraction rows in row
+    echelon form, each scaled to pivot 1 (textbook elimination): returns
+    the list of "the span grew" verdicts, the sorted pivot columns, and for
+    each probe whether it lies in the final span."""
+    rows = {}  # pivot column -> row with a 1 there
+
+    def reduce(v):
+        v = [Fraction(x) for x in v]
+        for p in sorted(rows):
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, rows[p])]
+        return v
+
+    grew = []
+    for v in vectors:
+        v = reduce(v)
+        p = next((j for j, x in enumerate(v) if x != 0), None)
+        grew.append(p is not None)
+        if p is not None:
+            rows[p] = [x / v[p] for x in v]
+    return grew, sorted(rows), [not any(reduce(v)) for v in probes]
+
+
 # ---------------------------------------------------------------------------
 # Quotient of a Lie algebra by an ideal, densely: a greedy complement of unit
 # vectors, the inverse of the basis matrix [ideal | complement], and the
