@@ -15,11 +15,9 @@ from math import lcm
 
 from .linalg import (
     Matrix, ZERO, vec_neg, vec_zero, vec_is_zero, inverse,
-    solve_affine, smith_normal_form,
+    solve_affine, smith_normal_form, integer_row,
 )
-from .lie import (
-    LieAlgebra, nilpotency_class, check_automorphism, integer_table, sparse_bracket,
-)
+from .lie import LieAlgebra, nilpotency_class, integer_table, sparse_bracket
 from .freelie import hall_basis, evaluate_hall_words
 
 
@@ -69,38 +67,32 @@ def _assoc_log(x, c):
     return {w: v for w, v in out.items() if v != 0}
 
 
-def _word_embed(w, c):
-    """Associative expansion of a Hall word via [a, b] = ab - ba."""
-    if isinstance(w, int):
-        return {(w,): Fraction(1)}
-    a = _word_embed(w[0], c)
-    b = _word_embed(w[1], c)
-    out = _assoc_mul(a, b, c)
-    for word, v in _assoc_mul(b, a, c).items():
-        out[word] = out.get(word, ZERO) - v
-    return {word: v for word, v in out.items() if v != 0}
-
-
 @functools.lru_cache(maxsize=None)
 def bch_universal(c):
     """Hall coordinates of log(exp X . exp Y) on two generators, class c.
 
     Returns a list of (hall_word, coefficient) pairs; the class-2 truncation
     is X + Y + 1/2 [X, Y], and at class 0 (the zero algebra) it is empty.
+    The Hall words are expanded by ``evaluate_hall_words`` with [a, b] =
+    ab - ba, and each degree of the logarithm is solved for in them.
     """
     X = {(0,): Fraction(1)}
     Y = {(1,): Fraction(1)}
     z = _assoc_log(_assoc_mul(_assoc_exp(X, c), _assoc_exp(Y, c), c), c)
     groups = hall_basis(2, c) if c else ()
+
+    def commutator(a, b):
+        ab, ba = _assoc_mul(a, b, c), _assoc_mul(b, a, c)
+        return {w: v for w in ab.keys() | ba.keys()
+                if (v := ab.get(w, ZERO) - ba.get(w, ZERO))}
+
     coeffs = []
     for n in range(1, c + 1):
         words = groups[n - 1]
         assoc_words = sorted({w for w in z if len(w) == n})
         target = [z.get(w, ZERO) for w in assoc_words]
-        cols = []
-        for hw in words:
-            emb = _word_embed(hw, c)
-            cols.append(tuple(emb.get(w, ZERO) for w in assoc_words))
+        cols = [tuple(emb.get(w, ZERO) for w in assoc_words)
+                for emb in evaluate_hall_words(words, (X, Y), commutator)]
         if not assoc_words:
             continue
         sol = solve_affine(Matrix.from_columns(cols, rows=len(assoc_words)), target)
@@ -126,13 +118,6 @@ def _bch_terms(c):
             tuple((cf.numerator, cf.denominator) + letters(w) for w, cf in terms))
 
 
-def _numerators(v):
-    """(d, V) with v = V / d: d the lcm of the denominators, V integers."""
-    ratios = [e.as_integer_ratio() for e in v]
-    d = lcm(*(q for _, q in ratios))
-    return d, tuple(p * (d // q) for p, q in ratios)
-
-
 def bch(x, y, L: LieAlgebra, cls=None):
     """Group product log(exp x . exp y) in a nilpotent Lie algebra.
 
@@ -149,8 +134,8 @@ def bch(x, y, L: LieAlgebra, cls=None):
     c = cls if cls is not None else nilpotency_class(L)
     words, terms = _bch_terms(c)
     D, rows = integer_table(L)
-    dx, X = _numerators(x)
-    dy, Y = _numerators(y)
+    dx, X = integer_row(x)
+    dy, Y = integer_row(y)
     values = evaluate_hall_words(words, (X, Y),
                                  lambda u, v: sparse_bracket(rows, u, v, 0))
     denoms = [q * dx ** a * dy ** b * D ** (a + b - 1) for _, q, a, b in terms]
@@ -162,11 +147,6 @@ def bch(x, y, L: LieAlgebra, cls=None):
             if e:
                 out[k] += m * e
     return tuple(Fraction(e, T) if e else ZERO for e in out)
-
-
-def group_inverse(x, L=None):
-    """Inverse in the exp group; exp(-x) since bch(x, -x) = 0 termwise."""
-    return vec_neg(x)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +164,11 @@ class SemidirectElement:
     i.e. the automorphism part acts on the left.
     """
 
-    def __init__(self, L, log, aut=None, check=False, cls=None):
+    def __init__(self, L, log, aut=None, cls=None):
         self.L = L
         self.log = tuple(log)
         self.aut = aut if aut is not None else _identity(L.dim)
         self.cls = cls if cls is not None else nilpotency_class(L)
-        if check and not check_automorphism(L, self.aut):
-            raise ValueError("automorphism part is not a Lie algebra automorphism")
 
     @classmethod
     def identity(cls, L, nilp_cls=None):
@@ -299,7 +277,7 @@ def lattice_membership_test(basis_vectors):
     ints, so a test is integer arithmetic only."""
     cols = [tuple(v) for v in basis_vectors]
     n = len(cols[0])
-    denom, flat = _numerators([e for v in cols for e in v])
+    denom, flat = integer_row([e for v in cols for e in v])
     B = Matrix.from_columns([flat[t * n:t * n + n] for t in range(len(cols))], rows=n)
     U, D, V = smith_normal_form(B)
     diag = [int(D.data[i][i]) for i in range(min(D.rows, D.cols))]
@@ -307,7 +285,7 @@ def lattice_membership_test(basis_vectors):
     rows = [[e.numerator for e in row] for row in U.data]
 
     def contains(v):
-        d, w = _numerators(v)  # denom v = (denom / d) w is integral iff d | denom
+        d, w = integer_row(v)  # denom v = (denom / d) w is integral iff d | denom
         if denom % d:
             return False
         for i, row in enumerate(rows):

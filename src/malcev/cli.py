@@ -261,7 +261,10 @@ def cmd_lift(args):
             else:
                 U = LieAlgebra.from_json(obj["target"])
             rho2 = [scalars(v) for v in obj["rho2"]]
-        res = lift_representation_criterion(qp, U, rho2)
+        try:
+            res = lift_representation_criterion(qp, U, rho2)
+        except ValueError as e:
+            raise InputError(str(e))
         verdicts = {"lifted": res.lifted}
         if res.lifted:
             verdicts["images"] = [[format_scalar(c) for c in v] for v in res.images]

@@ -13,10 +13,11 @@ associativity holds against everything form a subalgebra, and given
 associativity so do the elements that graded-commute, and those on which d
 obeys Leibniz; given Leibniz, d^2 is a derivation, so its kernel is a
 subalgebra too.  Each axiom that holds on S therefore holds on all of A (see
-``FiniteDGA.validate``), on integer views of the tables.  A full sweep runs
-only to name the failures.  ``cohomology``, with one echelon span per degree
-for the representatives, is computed once per DGA and shared by all its
-Betti numbers, Massey products and MC stages.
+``FiniteDGA.validate``), on integer views of the tables.  Only when a check
+fails do the same checks run over every basis vector, to name the failures.
+``cohomology``, with one echelon span per degree for the representatives, is
+computed once per DGA and shared by all its Betti numbers, Massey products
+and MC stages.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from types import MappingProxyType
 
 from .lie import integer_table
 from .linalg import (
-    Matrix, ZERO, ONE, scalar, format_scalar, vec_add, vec_scale, vec_sub,
+    Matrix, ZERO, ONE, scalar, format_scalar, vec_scale, vec_sub,
     vec_zero, vec_is_zero, kernel_basis, echelon_basis, span_contains, unit,
     IncrementalSpan, AffineSolver, integer_terms, _rref_rows,
 )
@@ -174,12 +175,14 @@ class FiniteDGA:
         |S| times the nonzero products of A rather than a sweep over all
         basis triples.
 
-        Only when a check on S fails does the sweep over all basis vectors
-        run, to name every failing degree.
+        Only when a check on S fails do the same checks run over every basis
+        vector in place of S, to name every failing degree: each is then the
+        plain check of its axiom on a basis pair or triple (s, y, z).
         """
-        if self._axioms_hold_on(self._generators()):
+        if next(self._axiom_failures(self._generators()), None) is None:
             return []
-        return self._sweep()
+        return sorted(set(self._axiom_failures(
+            (n, i) for n in range(self.top + 1) for i in range(self.dims[n]))))
 
     def _generators(self):
         """(degree, index) of the generating set S of ``validate``: in
@@ -233,16 +236,17 @@ class FiniteDGA:
             self._integer = (D_m, mult, D_d, tuple(dcol))
         return self._integer
 
-    def _axioms_hold_on(self, gens):
-        """The four checks of ``validate`` for s in gens, read off the
-        sparse table and the nonzeros of each column of d.  Each side of an
-        identity is summed into one dict, which must come out zero.  They
-        run on the integer view: the table scaled by D_m and d by D_d.  Each
-        identity is homogeneous in table factors (two products on each side
-        of associativity, one product and one d in each Leibniz term, one
-        product in graded commutativity, two d's in d^2), so scaling
-        multiplies all its terms by one D_m^2, D_m D_d, D_m or D_d^2, and the
-        scaled check is the same check."""
+    def _axiom_failures(self, gens):
+        """The four checks of ``validate`` for s in gens, lazily: the error
+        of each failing degree, once per failing (s, y) (and per degree of z
+        for associativity).  They read the sparse table and the nonzeros of
+        each column of d; each side of an identity is summed into one dict,
+        which must come out zero.  They run on the integer view: the table
+        scaled by D_m and d by D_d.  Each identity is homogeneous in table
+        factors (two products on each side of associativity, one product and
+        one d in each Leibniz term, one product in graded commutativity, two
+        d's in d^2), so scaling multiplies all its terms by one D_m^2,
+        D_m D_d, D_m or D_d^2, and the scaled check is the same check."""
         top, none = self.top, ()
         _, mult, _, dcol = self.integer_view()
         for p, i in gens:
@@ -252,14 +256,14 @@ class FiniteDGA:
                 for t, f in dcol[p + 1][m]:
                     acc[t] = acc.get(t, 0) + e * f
             if any(acc.values()):
-                return False
+                yield "d^2 != 0 at degree %d" % p
             for q in range(top + 1 - p):
                 sign = (-1) ** (p * q)
                 s_row, s_col = mult[(p, q)][i], mult[(q, p)]
                 for j in range(self.dims[q]):
                     sy = s_row.get(j, none)
                     if sy != tuple((k, sign * c) for k, c in s_col[j].get(i, none)):
-                        return False
+                        yield "graded commutativity fails at (%d,%d)" % (p, q)
                     acc = {}                             # (s y) z - s (y z)
                     for r in range(top + 1 - p - q):
                         for k, c in sy:
@@ -273,7 +277,8 @@ class FiniteDGA:
                                     key = (r, z, t)
                                     acc[key] = acc.get(key, 0) - e * f
                     if any(acc.values()):
-                        return False
+                        for r in sorted({r for (r, _, _), v in acc.items() if v}):
+                            yield "associativity fails at (%d,%d,%d)" % (p, q, r)
                     if p + q == top:
                         continue
                     acc = {}                             # d(s y) - ds y - (-1)^p s dy
@@ -287,34 +292,7 @@ class FiniteDGA:
                         for t, f in mult[(p, q + 1)][i].get(m, none):
                             acc[t] = acc.get(t, 0) - p_sign * e * f
                     if any(acc.values()):
-                        return False
-        return True
-
-    def _sweep(self):
-        """Every failing degree of d^2 = 0, graded commutativity,
-        associativity and Leibniz, by a sweep over all basis vectors."""
-        errors = []
-        for n in range(self.top - 1):
-            if not (self.d[n + 1] * self.d[n]).is_zero():
-                errors.append("d^2 != 0 at degree %d" % n)
-        basis = lambda n: [self.basis_vector(n, i) for i in range(self.dims[n])]
-        mul, d = self.product, self.diff
-        for p in range(self.top + 1):
-            for q in range(self.top + 1 - p):
-                if any(mul(p, a, q, b) != vec_scale((-1) ** (p * q), mul(q, b, p, a))
-                       for a in basis(p) for b in basis(q)):
-                    errors.append("graded commutativity fails at (%d,%d)" % (p, q))
-                for r in range(self.top + 1 - p - q):
-                    if any(mul(p + q, mul(p, a, q, b), r, c) != mul(p, a, q + r, mul(q, b, r, c))
-                           for a in basis(p) for b in basis(q) for c in basis(r)):
-                        errors.append("associativity fails at (%d,%d,%d)" % (p, q, r))
-                if p + q < self.top and any(
-                        d(p + q, mul(p, a, q, b)) != vec_add(
-                            mul(p + 1, d(p, a), q, b),
-                            vec_scale((-1) ** p, mul(p, a, q + 1, d(q, b))))
-                        for a in basis(p) for b in basis(q)):
-                    errors.append("Leibniz fails at (%d,%d)" % (p, q))
-        return sorted(set(errors))
+                        yield "Leibniz fails at (%d,%d)" % (p, q)
 
     def to_json(self):
         return {

@@ -131,16 +131,6 @@ class TensorDGLA:
         d, u = self._ints(n, v)
         return _over(self._int_diff(n, u), self._scales()[0] * d)
 
-    def diff_matrix(self, n):
-        """d ox id from degree n as the Kronecker product of dga.d[n] with the
-        identity of N: d[n][k][i] at row k * m + r, column i * m + r."""
-        rows, cols = self.dim(n + 1), self.dim(n)
-        if not rows or not cols:
-            return Matrix.zeros(rows, cols)
-        m = self.N.dim
-        return Matrix([[drow[j // m] if j % m == r else ZERO for j in range(cols)]
-                       for drow in self.dga.d[n].data for r in range(m)])
-
     def bracket(self, p, vp, q, vq):
         """[vp, vq] for vp in degree p and vq in degree q; () past the top."""
         dp, u = self._ints(p, vp)
@@ -283,7 +273,7 @@ def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
             raise ValueError("LCS stage %d needs 1 <= k <= class %d of the algebra"
                              % (k, len(chain) - 1))
         upper, pu = quotient_by_ideal(N, chain[k])       # N/G_{k+1}
-        image = LieIdeal(upper, [pu.mul_vec(v) for v in chain[k - 1].basis], check=False)
+        image = LieIdeal(upper, [pu.mul_vec(v) for v in chain[k - 1].basis])
         lower, proj = quotient_by_ideal(upper, image)    # N/G_k as upper / (G_k/G_{k+1})
         stage = N._stages[k] = SmallExtensionSpec(upper, lower, proj, kernel_basis(proj),
                                                   quotient=pu)

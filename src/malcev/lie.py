@@ -10,10 +10,11 @@ keeps every downstream computation linear-algebraic.
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec, vec_add, vec_neg,
-    vec_zero, echelon_basis, span_contains,
+    vec_zero, echelon_basis,
     rank, inverse, unit, IncrementalSpan, ONE, integer_terms, integer_row,
     _rref_rows,
 )
@@ -193,17 +194,15 @@ def integer_table(L):
 class LieIdeal:
     """Ideal of a LieAlgebra, by its RREF basis in parent coordinates.
 
-    The constructor echelonises the spanning vectors it is given and, with
-    check, proves their span is an ideal (ValueError otherwise).
-    ``_of_rref`` takes a list of tuples that is already the RREF basis of an
-    ideal, as ``lower_central_series`` and ``graded_ideal_closure`` build
-    it, as is."""
+    The constructor echelonises the spanning vectors it is given; it does
+    not prove that their span is an ideal (``is_ideal`` does, and
+    ``quotient_by_ideal`` proves it on a generating set).  ``_of_rref``
+    takes a list of tuples that is already the RREF basis of an ideal, as
+    ``lower_central_series`` and ``graded_ideal_closure`` build it, as is."""
 
-    def __init__(self, parent, basis, check=True):
+    def __init__(self, parent, basis):
         self.parent = parent
         self.basis = [tuple(v) for v in echelon_basis(basis, parent.dim)]
-        if check and not self.is_ideal():
-            raise ValueError("span is not an ideal")
 
     @classmethod
     def _of_rref(cls, parent, basis):
@@ -219,9 +218,6 @@ class LieIdeal:
         span = IncrementalSpan(self.basis)
         return all(span.contains(self.parent.ad(i, v))
                    for i in range(self.parent.dim) for v in self.basis)
-
-    def contains(self, v):
-        return span_contains(self.basis, v)
 
 
 def heisenberg():
@@ -279,28 +275,12 @@ def lcs_dims(L):
     return [len(basis) for basis in _lcs_bases(L)]
 
 
-class GradedLieAlgebra:
-    """Graded Lie algebra: a LieAlgebra with weights, plus filtration data.
-
-    algebra.grading holds the degree of each basis vector; when built from
-    associated_graded, from_parent maps the graded basis back to a
-    filtration-adapted basis of the original algebra.
-    """
-
-    def __init__(self, algebra, from_parent=None):
-        if algebra.grading is None:
-            raise ValueError("underlying algebra must be graded")
-        self.algebra = algebra
-        self.from_parent = from_parent  # list of parent-coordinate vectors
-
-    @property
-    def dim(self):
-        return self.algebra.dim
-
-    def component_dims(self):
-        top = max(self.algebra.grading, default=0)
-        return [len(self.algebra.graded_component_indices(n))
-                for n in range(1, top + 1)]
+class GradedLieAlgebra(NamedTuple):
+    """gr L from ``associated_graded``: the graded algebra, whose grading
+    holds the degree of each basis vector, and from_parent, the
+    filtration-adapted basis of L (parent coordinates) it maps back to."""
+    algebra: LieAlgebra
+    from_parent: list
 
 
 def adapted_basis(L):

@@ -449,10 +449,6 @@ class IncrementalSpan:
 
 
 def span_contains(basis, v) -> bool:
-    if vec_is_zero(v):
-        return True
-    if not basis:
-        return False
     return IncrementalSpan(basis).contains(v)
 
 

@@ -404,6 +404,8 @@ def lift_representation_criterion(qp: QuadraticPresentation, U: LieAlgebra,
     if len(rho2) != qp.k:
         raise ValueError("need one image per generator")
     images = [tuple(scalar(c) for c in v) for v in rho2]
+    if any(len(v) != U.dim for v in images):
+        raise ValueError("generator images must have %d coordinates" % U.dim)
     allowed = set(U.graded_component_indices(1)) | set(U.graded_component_indices(2))
     for v in images:
         for t, c in enumerate(v):

@@ -300,13 +300,14 @@ def dga_product(products, dim_out, p, vp, q, vq):
 
 # ---------------------------------------------------------------------------
 # The DGA axioms by a full sweep over basis vectors (products by dga_product,
-# the differential by dense matrix-vector products).
+# the differential by dense matrix-vector products), naming every failure.
 
-def dga_axioms_hold(dims, d, products):
-    """True iff d^2 = 0, the product is graded commutative and associative,
-    and d obeys Leibniz, each checked on every tuple of basis vectors.  d[n]
-    is the dense matrix (a list of rows) of d from degree n to n + 1; a
-    missing or empty d[n] is zero."""
+def dga_axiom_failures(dims, d, products):
+    """The failing degrees of d^2 = 0, graded commutativity, associativity
+    and Leibniz, each checked on every tuple of basis vectors, as the sorted
+    error strings that ``FiniteDGA`` reports.  d[n] is the dense matrix (a
+    list of rows) of d from degree n to n + 1; a missing or empty d[n] is
+    zero."""
     top = len(dims) - 1
 
     def dim(n):
@@ -328,21 +329,28 @@ def dga_axioms_hold(dims, d, products):
     def add(u, v, c=1):
         return tuple(x + c * y for x, y in zip(u, v))
 
-    pairs = [(p, a, q, b) for p in range(top + 1) for q in range(top + 1 - p)
-             for a in basis(p) for b in basis(q)]
-    if any(any(diff(n + 1, diff(n, a))) for n in range(top + 1) for a in basis(n)):
-        return False
-    if any(any(add(mul(p, a, q, b), mul(q, b, p, a), -(-1) ** (p * q)))
-           for p, a, q, b in pairs):
-        return False
-    if any(any(add(diff(p + q, mul(p, a, q, b)), add(mul(p + 1, diff(p, a), q, b),
-                                                     mul(p, a, q + 1, diff(q, b)), (-1) ** p),
-                   -1))
-           for p, a, q, b in pairs if p + q < top):
-        return False
-    return not any(any(add(mul(p + q, mul(p, a, q, b), r, c),
-                           mul(p, a, q + r, mul(q, b, r, c)), -1))
-                   for p, a, q, b in pairs for r in range(top + 1 - p - q) for c in basis(r))
+    errors = set()
+    for n in range(top + 1):
+        if any(any(diff(n + 1, diff(n, a))) for a in basis(n)):
+            errors.add("d^2 != 0 at degree %d" % n)
+    for p in range(top + 1):
+        for q in range(top + 1 - p):
+            pairs = [(a, b) for a in basis(p) for b in basis(q)]
+            if any(any(add(mul(p, a, q, b), mul(q, b, p, a), -(-1) ** (p * q)))
+                   for a, b in pairs):
+                errors.add("graded commutativity fails at (%d,%d)" % (p, q))
+            if p + q < top and any(
+                    any(add(diff(p + q, mul(p, a, q, b)),
+                            add(mul(p + 1, diff(p, a), q, b),
+                                mul(p, a, q + 1, diff(q, b)), (-1) ** p), -1))
+                    for a, b in pairs):
+                errors.add("Leibniz fails at (%d,%d)" % (p, q))
+            for r in range(top + 1 - p - q):
+                if any(any(add(mul(p + q, mul(p, a, q, b), r, c),
+                               mul(p, a, q + r, mul(q, b, r, c)), -1))
+                       for a, b in pairs for c in basis(r)):
+                    errors.add("associativity fails at (%d,%d,%d)" % (p, q, r))
+    return sorted(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +694,14 @@ def tensor_diff(dims, d, m, n, v):
             for r in range(m):
                 out[k * m + r] += Fraction(row[i]) * v_i[r]
     return tuple(out)
+
+
+def kron_identity(d, cols, m):
+    """d ox id_m as a dense matrix (a list of rows), for d a list of rows
+    with cols columns: the Kronecker product, with d[k][i] at row k m + r
+    and column i m + r for r < m."""
+    return [[Fraction(d[k][j // m]) if j % m == r else Fraction(0) for j in range(cols * m)]
+            for k in range(len(d)) for r in range(m)]
 
 
 def tensor_mc_residual(dims, products, d, m, table, x):

@@ -191,6 +191,21 @@ def test_lift_criterion(capsys):
     assert out["verdicts"]["obstruction"]
 
 
+@pytest.mark.parametrize("fields, error", [
+    ({"target": {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": ["0", "0", "1"]}]},
+      "rho2": [["1", "0", "0"], ["0", "1", "0"]]}, "target must be graded"),
+    ({"free": [2, 3], "rho2": [["1", "0", "0", "0", "0"]]}, "need one image per generator"),
+    ({"free": [2, 3], "rho2": [["1", "0", "0"], ["0", "1", "0"]]},
+     "generator images must have 5 coordinates"),
+    ({"free": [2, 3], "rho2": [["1", "0", "0", "1", "0"], ["0", "1", "0", "0", "0"]]},
+     "generator images must live in degrees 1 and 2"),
+], ids=["ungraded-target", "image-count", "image-length", "image-degree"])
+def test_lift_criterion_rejects_malformed_images(capsys, fields, error):
+    data = json.dumps({"mode": "criterion",
+                       "presentation": {"generators": 2, "relations": [["1"]]}, **fields})
+    assert run_error(capsys, "lift", data) == (2, "error: %s\n" % error)
+
+
 def test_lift_one_class(capsys):
     data = json.dumps({
         "mode": "one-class",

@@ -1,5 +1,6 @@
 """FiniteDGA.validate, which proves the axioms on a generating set, against a
-full sweep over basis vectors, on small DGAs and seeded corruptions of them."""
+full sweep over basis vectors, on small DGAs and seeded corruptions of them:
+the verdicts and the error messages that name the failing degrees."""
 
 import functools
 import math
@@ -14,7 +15,7 @@ from malcev.dga import (
     FiniteDGA, chevalley_eilenberg, adjoin_acyclic, cohomology, cohomology_ring,
 )
 
-from oracles import dga_axioms_hold, naive_betti
+from oracles import dga_axiom_failures, naive_betti
 
 FILIFORM4 = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)})
 VALUES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
@@ -57,12 +58,16 @@ def corrupt(A, rng):
     return d, products
 
 
-def builds(dims, d, products):
+def failures(dims, d, products):
+    """The errors of the ValueError that FiniteDGA raises on the tables, or
+    [] when it builds."""
+    prefix = "DGA axioms violated: "
     try:
         FiniteDGA(dims, d, products)
-    except ValueError:
-        return False
-    return True
+    except ValueError as e:
+        assert str(e).startswith(prefix)
+        return str(e)[len(prefix):].split("; ")
+    return []
 
 
 # 100 corruptions; fewer of the largest, whose full sweeps cost the most
@@ -71,14 +76,14 @@ def builds(dims, d, products):
     ("adjoin-acyclic-deg0", 16), ("cohomology-ring", 30)])
 def test_validate_agrees_with_full_sweep(name, count):
     A = bases()[name]
-    assert dga_axioms_hold(A.dims, [m.data for m in A.d], A.products)
+    assert dga_axiom_failures(A.dims, [m.data for m in A.d], A.products) == []
     rng = random.Random(name)
     verdicts = []
     for _ in range(count):
         d, products = corrupt(A, rng)
-        verdict = dga_axioms_hold(A.dims, d, products)
-        assert builds(A.dims, d, products) is verdict
-        verdicts.append(verdict)
+        errors = dga_axiom_failures(A.dims, d, products)
+        assert failures(A.dims, d, products) == errors
+        verdicts.append(not errors)
     assert not all(verdicts)
 
 
@@ -104,15 +109,14 @@ def test_validate_with_mixed_denominators():
     lcm_of = lambda values: math.lcm(*(Fraction(c).denominator for c in values))
     assert lcm_of(c for t in products.values() for row in t for cell in row for c in cell) == 42
     assert lcm_of(c for m in d for row in m for c in row) == 7
-    assert builds(A.dims, d, products)
     B = FiniteDGA(A.dims, d, products)
     rng = random.Random("mixed")
     verdicts = []
     for _ in range(8):
         d, products = corrupt(B, rng)
-        verdict = dga_axioms_hold(B.dims, d, products)
-        assert builds(B.dims, d, products) is verdict
-        verdicts.append(verdict)
+        errors = dga_axiom_failures(B.dims, d, products)
+        assert failures(B.dims, d, products) == errors
+        verdicts.append(not errors)
     assert not all(verdicts)
 
 

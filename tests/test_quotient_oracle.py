@@ -42,7 +42,7 @@ def conjugate(L, rng):
 def check_against_oracle(L, basis):
     """quotient_by_ideal(L, span(basis)) equals the dense oracle entry for
     entry; returns (Q, projection)."""
-    Q, proj = quotient_by_ideal(L, LieIdeal(L, basis, check=False))
+    Q, proj = quotient_by_ideal(L, LieIdeal(L, basis))
     comp, brackets, proj_rows = dense_quotient(L.dim, L.brackets, basis)
     assert dict(Q.brackets) == brackets
     assert proj.data == tuple(proj_rows)
@@ -102,7 +102,7 @@ def test_quotient_of_non_nilpotent_algebra():
     assert Q.dim == 1 and not Q.brackets
     # span(e) is normalised by h and by the Q summand, but [f, e] = -h
     with pytest.raises(ValueError, match="not an ideal"):
-        quotient_by_ideal(L, LieIdeal(L, units[:1], check=False))
+        quotient_by_ideal(L, LieIdeal(L, units[:1]))
 
 
 def test_generators_of_nilpotent_algebras():
