@@ -7,17 +7,20 @@ derived from it for the degree pairs given.  The Chevalley-Eilenberg functor
 turns any finite-dimensional Lie algebra into a test-case DGA whose d^2 = 0
 is equivalent to the Jacobi identity.
 
-The DGA axioms are proved on construction on a generating set S of the
-algebra, not swept over all basis triples: the elements on which
-associativity holds against everything form a subalgebra, and given
-associativity so do the elements that graded-commute, and those on which d
-obeys Leibniz; given Leibniz, d^2 is a derivation, so its kernel is a
-subalgebra too.  Each axiom that holds on S therefore holds on all of A (see
-``FiniteDGA.validate``), on integer views of the tables.  Only when a check
-fails do the same checks run over every basis vector, to name the failures.
-``cohomology``, with one echelon span per degree for the representatives, is
-computed once per DGA and shared by all its Betti numbers, Massey products
-and MC stages.
+Every ``FiniteDGA(...)`` proves the DGA axioms on construction, on a
+generating set S of the algebra rather than over all basis triples: the
+elements on which associativity holds against everything form a
+subalgebra, and given associativity so do the elements that graded-commute,
+and those on which d obeys Leibniz; given Leibniz, d^2 is a derivation, so
+its kernel is a subalgebra too.  Each axiom that holds on S therefore holds
+on all of A (see ``FiniteDGA.validate``), on integer views of the tables.
+Only when a check fails do the same checks run over every basis vector, to
+name the failures.  A Chevalley-Eilenberg complex is a DGA by construction
+and checks only d^2 = 0 on degree 1, which is Jacobi (the proof is in
+``chevalley_eilenberg``).  ``cohomology``, read off the RREF of the integer
+rows of each d[n], with one echelon span per degree for the
+representatives, is computed once per DGA and shared by all its Betti
+numbers, Massey products and MC stages.
 """
 
 import itertools
@@ -28,7 +31,7 @@ from types import MappingProxyType
 from .lie import integer_table
 from .linalg import (
     Matrix, ZERO, ONE, scalar, format_scalar, vec_scale, vec_sub,
-    vec_zero, vec_is_zero, kernel_basis, echelon_basis, span_contains, unit,
+    vec_zero, vec_is_zero, kernel_basis, image_basis, echelon_basis, span_contains, unit,
     IncrementalSpan, AffineSolver, integer_terms, _rref_rows,
 )
 
@@ -49,6 +52,16 @@ def sparse_product(rows, u, v, n, zero):
     return out
 
 
+def _d_squared(dcol, p, i):
+    """Whether d^2 of the i-th basis vector of degree p is nonzero, on the
+    integer columns dcol of d (the dcol of ``FiniteDGA.integer_view``)."""
+    acc = {}
+    for m, e in dcol[p][i]:
+        for t, f in dcol[p + 1][m]:
+            acc[t] = acc.get(t, 0) + e * f
+    return any(acc.values())
+
+
 class FiniteDGA:
     """Graded-commutative DGA on finite per-degree bases.
 
@@ -61,8 +74,9 @@ class FiniteDGA:
     _mult: per degree pair (p, q) with p + q <= D and per degree-p index i,
     {j: ((k, c), ...)} with a_i a_j = sum c a_k != 0.  The dense input is not
     kept: products is a read-only view derived from _mult.  The shapes and
-    the DGA axioms are checked on construction (ValueError otherwise), so
-    every FiniteDGA is a DGA.  A zero-row d[n] keeps dims[n] columns.
+    the DGA axioms are checked in __init__ (ValueError otherwise); the one
+    other constructor, ``chevalley_eilenberg``, builds a DGA by construction.
+    So every FiniteDGA is a DGA.  A zero-row d[n] keeps dims[n] columns.
     """
 
     def __init__(self, dims, d, products):
@@ -88,6 +102,9 @@ class FiniteDGA:
                         if (q, p) not in products:
                             mult[(q, p)][j][i] = tuple((k, sign * c) for k, c in terms)
         self._set_products(mult, tuple(products))
+        errors = self.validate()
+        if errors:
+            raise ValueError("DGA axioms violated: " + "; ".join(errors))
 
     def _set_d(self, dims, d):
         self.dims = list(dims)
@@ -106,9 +123,6 @@ class FiniteDGA:
         self._mult, self._keys, self._products = mult, keys, None
         self._cohomology = None  # the CohomologyData, on demand
         self._integer = integer  # the integer view, on demand unless given
-        errors = self.validate()
-        if errors:
-            raise ValueError("DGA axioms violated: " + "; ".join(errors))
 
     @property
     def products(self):
@@ -251,11 +265,7 @@ class FiniteDGA:
         _, mult, _, dcol = self.integer_view()
         for p, i in gens:
             p_sign = (-1) ** p
-            acc = {}
-            for m, e in dcol[p][i]:                      # d^2 s
-                for t, f in dcol[p + 1][m]:
-                    acc[t] = acc.get(t, 0) + e * f
-            if any(acc.values()):
+            if _d_squared(dcol, p, i):
                 yield "d^2 != 0 at degree %d" % p
             for q in range(top + 1 - p):
                 sign = (-1) ** (p * q)
@@ -321,12 +331,14 @@ class FiniteDGA:
 class CohomologyData:
     """Betti numbers and representative bases of a finite cochain complex.
 
-    Per degree n: a kernel basis of d[n] (cocycles), the echelon basis of
-    the image of d[n-1] (coboundaries), and the cocycles, in order, that grow
-    one IncrementalSpan seeded with the coboundaries (representatives); all
-    tuples, as ``cohomology`` shares one CohomologyData per DGA.  The
-    linear systems it answers, class coordinates and preimages under d,
-    each get one AffineSolver per degree, made on first use and kept.
+    Per degree n: a kernel basis of d[n] (cocycles) and the echelon basis
+    of the image of d[n-1] (coboundaries), both from the RREF of the int
+    rows of ``Matrix.integer_view``, which the solvers share; and the
+    cocycles, in order, that grow one IncrementalSpan seeded with the
+    coboundaries (representatives).  All are tuples, as ``cohomology``
+    shares one CohomologyData per DGA.  The linear systems it answers,
+    class coordinates and preimages under d, each get one AffineSolver per
+    degree, made on first use and kept.
     """
 
     def __init__(self, dims, d_mats):
@@ -341,11 +353,7 @@ class CohomologyData:
                 z = [unit(self.dims[n], i) for i in range(self.dims[n])]
             else:
                 z = kernel_basis(dn)
-            if n == 0 or self.dims[n] == 0:
-                b = []
-            else:
-                prev = d_mats[n - 1]
-                b = echelon_basis(prev.transpose().data, self.dims[n]) if prev.rows else []
+            b = image_basis(d_mats[n - 1]) if n and self.dims[n] else []
             span = IncrementalSpan(b)
             cocycles.append(tuple(z))
             coboundaries.append(tuple(b))
@@ -441,17 +449,34 @@ MINUS_ONE = -ONE
 def chevalley_eilenberg(L) -> FiniteDGA:
     """Exterior algebra on the dual of L with the differential dual to the
     bracket: d xi^k = - sum_{i<j} c^k_{ij} xi^i ^ xi^j, extended as an odd
-    derivation.  d^2 = 0 is equivalent to the Jacobi identity, which is
-    verified up front.  The products go straight into the sparse table, one
-    signed entry per basis pair s, t with s ^ t != 0; ``products`` shows every
+    derivation.  The products go straight into the sparse table, one signed
+    entry per basis pair s, t with s ^ t != 0; ``products`` shows every
     degree pair p + q <= dim L.
+
+    It is a DGA by construction, so ``validate`` is not run:
+
+    - the table is the wedge product of Lambda(L*) on sorted monomials
+      (xi^S xi^T = 0 if S, T meet, else the shuffle sign of S + T times
+      xi^{S u T}), which is associative and graded-commutative;
+    - ``d_on_tuple`` sets d 1 = 0 and d(xi^{t_0} ... xi^{t_{k-1}}) =
+      sum_pos (-1)^pos xi^{t_0} ... d xi^{t_pos} ... xi^{t_{k-1}}, the
+      unique odd derivation extending d on Lambda^1, as Lambda(L*) is free
+      graded-commutative on Lambda^1; so d obeys Leibniz;
+    - so d^2 = 1/2 [d, d] is an even derivation, d^2(x y) = d^2x y +
+      x d^2y (the terms -+ dx dy cancel), and its kernel is a subalgebra
+      holding 1: d^2 = 0 iff d^2 xi^k = 0 for every k;
+    - on e_a, e_b, e_c, d^2 xi^k is +- the k-th coordinate of the
+      Jacobiator [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b].
+
+    So the one check is d^2 = 0 on Lambda^1, which is Jacobi (ValueError
+    otherwise): ``_d_squared`` on the integer columns dcol, the check
+    ``validate`` makes on a degree-1 generator, in place of
+    ``L.check_jacobi()``.
 
     It is built on ints and seeds the integer view: D_m = 1 for the +-1
     table, and D_d is the D of ``integer_table(L)``, as d on degree 1 has
     the entries -c and the higher d[n] are integer combinations of them.
     """
-    if L.check_jacobi():
-        raise ValueError("Jacobi identity fails; CE differential would not square to zero")
     n = L.dim
     D, partners = integer_table(L)
     bases = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
@@ -479,15 +504,16 @@ def chevalley_eilenberg(L) -> FiniteDGA:
                     out[w] = out.get(w, 0) + (-sign if odd else sign) * c
         return tuple(sorted((index[len(t) + 1][w], c) for w, c in out.items() if c))
 
-    dcol = [[d_on_tuple(t) for t in bases[k]] for k in range(n)]
+    dcol = tuple(tuple(map(d_on_tuple, bases[k])) for k in range(n)) + (((),) * dims[n],)
+    if any(_d_squared(dcol, 1, k) for k in range(n)):
+        raise ValueError("Jacobi identity fails; CE differential would not square to zero")
     d_mats = []
-    for k, cols in enumerate(dcol):
+    for k, cols in enumerate(dcol[:n]):
         data = [[ZERO] * dims[k] for _ in range(dims[k + 1])]
         for j, col in enumerate(cols):
             for r, c in col:
                 data[r][j] = Fraction(c, D)
         d_mats.append(Matrix._of_rows(tuple(map(tuple, data)), dims[k]))
-    dcol = tuple(map(tuple, dcol)) + (((),) * dims[n],)
 
     cells = [[(((k, ONE),), ((k, MINUS_ONE),), ((k, 1),), ((k, -1),)) for k in range(m)]
              for m in dims]
@@ -503,7 +529,7 @@ def chevalley_eilenberg(L) -> FiniteDGA:
                     j, odd = index[q][t], sum(above[b] for b in t) & 1
                     cell = cells[p + q][index[p + q][tuple(sorted(s + t))]]
                     rows[j], irows[j] = cell[odd], cell[2 + odd]
-    A = FiniteDGA.__new__(FiniteDGA)  # the sparse table and its integer view, as is
+    A = FiniteDGA.__new__(FiniteDGA)  # table and integer view as built; no validate
     A._set_d(dims, d_mats)
     A._set_products(mult, tuple(mult), (1, imult, D, dcol))
     return A
@@ -594,10 +620,10 @@ def formality_consequence_report(dga: FiniteDGA):
     x_ij a_k is P[i, j, k] - P[k, i, j], of class C P[i, j, k] - C P[k, i, j]
     for the linear class map C of ``CohomologyData.class_solver``.  It is a
     cocycle with no check per triple: d(a y + x c) = -a (b c) + (a b) c = 0
-    by Leibniz and associativity, which ``validate`` proved; each witness is
-    still checked to have d rep = 0.  In degree 1, a_i . H^1 is the row
-    cup[i][.] and H^1 . a_k the column cup[.][k]: one indeterminacy span
-    per (i, k).
+    by Leibniz and associativity, proved by ``validate`` or by construction
+    (``chevalley_eilenberg``); each witness is still checked to have
+    d rep = 0.  In degree 1, a_i . H^1 is the row cup[i][.] and H^1 . a_k
+    the column cup[.][k]: one indeterminacy span per (i, k).
     """
     if dga.top < 2:
         return [], 0

@@ -11,12 +11,14 @@ from math import gcd, lcm
 
 
 def scalar(x) -> Fraction:
-    """Coerce ints, strings like "3/4", and Fractions to an exact rational."""
+    """Coerce ints, strings like "3/4", and Fractions to an exact rational.
+    A bool is not a scalar, though Python counts it as an int: JSON true
+    and false are rejected, not read as 1 and 0."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError("not an exact scalar: %r" % (x,))
 
@@ -69,9 +71,9 @@ def integer_terms(term_lists):
     """(D, scaled) for a list of sparse term lists ((k, c), ...): D is the lcm
     of the denominators of all the c, and scaled an iterator over the same
     lists, in order, with each c replaced by the int D c."""
-    D = lcm(*(c.denominator for terms in term_lists for _, c in terms))
-    return D, (tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
-               for terms in term_lists)
+    ratios = [[(k, c.as_integer_ratio()) for k, c in terms] for terms in term_lists]
+    D = lcm(*[q for terms in ratios for _, (_, q) in terms])
+    return D, (tuple([(k, p * (D // q)) for k, (p, q) in terms]) for terms in ratios)
 
 
 def vec_is_zero(a) -> bool:
@@ -129,10 +131,6 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self):
-        return Matrix._of_rows(tuple(zip(*self.data)), self.rows) if self.rows \
-            else Matrix.zeros(self.cols, 0)
-
     def integer_view(self):
         """(D, rows): D is the lcm of the denominators of the entries, and
         rows[i] the nonzero entries of row i as sparse terms (j, D m[i][j])
@@ -162,9 +160,9 @@ class Matrix:
                 raise ValueError("dimension mismatch")
             if not self.rows:
                 return Matrix.zeros(0, other.cols)
-            ot = other.transpose()
+            cols = other.columns()
             return Matrix([[sum((r[k] * c[k] for k in range(self.cols)), ZERO)
-                            for c in ot.data] for r in self.data])
+                            for c in cols] for r in self.data])
         return NotImplemented
 
     def __add__(self, other):
@@ -191,6 +189,17 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.data for e in row)
+
+
+def _integer_rows(m: Matrix):
+    """The rows of m times the D of its integer view, as dense int lists."""
+    out = []
+    for terms in m.integer_view()[1]:
+        row = [0] * m.cols
+        for j, c in terms:
+            row[j] = c
+        out.append(row)
+    return out
 
 
 def _rref_rows(rows, cols):
@@ -272,14 +281,15 @@ class AffineSolver:
     m x = b is solvable iff the entries of E b past the rank of m vanish,
     and the solution with every free variable zero, entry for entry the
     particular solution of ``solve_affine``, has x[pivots[i]] = (E b)_i.
-    Row i goes into ``_rref_rows`` as the ints [d_i m_i | d_i e_i], d_i the
-    lcm of the denominators of m_i: a multiple of the row, so the same RREF.
+    Row i goes into ``_rref_rows`` as the ints [D m_i | D e_i], read off the
+    integer view (D, rows) of m: a multiple of the row, so the same RREF.
     """
 
     def __init__(self, m: Matrix):
         n, cols = m.rows, m.cols
-        red, pivots = _rref_rows([ints + [0] * i + [d] + [0] * (n - 1 - i) for i, (d, ints)
-                                  in enumerate(map(integer_row, m.data))], cols + n)
+        D = m.integer_view()[0]
+        red, pivots = _rref_rows([row + [0] * i + [D] + [0] * (n - 1 - i)
+                                  for i, row in enumerate(_integer_rows(m))], cols + n)
         self.m = m
         self.pivots = [c for c in pivots if c < cols]
         self.E = Matrix._of_rows(tuple(row[cols:] for row in red), n)
@@ -334,22 +344,31 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def _null_space(red, pivots, cols):
-    """Kernel basis of a matrix with cols columns, read off an RREF whose
-    first cols columns are the RREF of that matrix."""
+    """Kernel basis of a matrix with cols columns, read off the rows of an
+    RREF whose first cols columns are the RREF of that matrix."""
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [ZERO] * cols
         v[fc] = ONE
         for i, pc in enumerate(pivots):
-            v[pc] = -red.data[i][fc]
+            v[pc] = -red[i][fc]
         basis.append(tuple(v))
     return basis
 
 
 def kernel_basis(m: Matrix):
-    """Basis of the exact null space {v : m v = 0}, as a list of vectors."""
-    return _null_space(*rref(m), m.cols)
+    """Basis of the exact null space {v : m v = 0}, as a list of vectors,
+    from the RREF of the nonzero rows of the integer view."""
+    return _null_space(*_rref_rows([row for row in _integer_rows(m) if any(row)], m.cols),
+                       m.cols)
+
+
+def image_basis(m: Matrix):
+    """The echelon basis of the column space of m, from the RREF of its
+    columns on the integer view: ``echelon_basis`` of the columns, as the
+    RREF of their span is unique."""
+    return _rref_rows([list(c) for c in zip(*_integer_rows(m)) if any(c)], m.rows)[0]
 
 
 def solve_affine(m: Matrix, b):
@@ -370,7 +389,7 @@ def solve_affine(m: Matrix, b):
         x[pc] = red.data[i][m.cols]
     x = tuple(x)
     assert m.mul_vec(x) == tuple(b)
-    return x, _null_space(red, pivots, m.cols)
+    return x, _null_space(red.data, pivots, m.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,19 @@ def test_lift_one_class_malformed_input_is_input_error(capsys, assignment, k, er
     assert run_error(capsys, "lift", one_class_input(assignment, k)) == (2, err)
 
 
+BOOL_ERROR = "error: bad scalar entry: not an exact scalar: True\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bch", "[true,0,0]", "[0,1,0]", "-k", "2", "--class", "2"),
+    ("lattice-check", "--matrix", "[[2,3],[true,2]]"),
+    ("massey", CE_HEIS_JSON, "--degrees", "1", "1", "1",
+     "--a", "[true,0,0]", "--b", "[1,0,0]", "--c", "[0,1,0]"),
+], ids=["bch", "lattice-check", "massey"])
+def test_json_booleans_are_not_scalars(capsys, argv):
+    assert run_error(capsys, *argv) == (2, BOOL_ERROR)
+
+
 def test_lattice_check_matrix(capsys):
     code, out = run_json(capsys, "lattice-check", "--matrix", "[[2,3],[1,2]]")
     assert code == 0
