@@ -15,7 +15,7 @@ from math import lcm
 
 from .linalg import (
     Matrix, ZERO, vec_neg, vec_zero, vec_is_zero, inverse,
-    solve_affine, smith_normal_form, integer_row,
+    smith_normal_form, integer_row, over, AffineSolver,
 )
 from .lie import LieAlgebra, nilpotency_class, integer_table, sparse_bracket
 from .freelie import hall_basis, evaluate_hall_words
@@ -95,9 +95,9 @@ def bch_universal(c):
                 for emb in evaluate_hall_words(words, (X, Y), commutator)]
         if not assoc_words:
             continue
-        sol = solve_affine(Matrix.from_columns(cols, rows=len(assoc_words)), target)
+        sol = AffineSolver(Matrix.from_columns(cols, rows=len(assoc_words))).solve(target)
         assert sol is not None, "logarithm failed to be a Lie element"
-        for hw, cf in zip(words, sol[0]):
+        for hw, cf in zip(words, sol):
             if cf != 0:
                 coeffs.append((hw, cf))
     return tuple(coeffs)
@@ -146,7 +146,7 @@ def bch(x, y, L: LieAlgebra, cls=None):
         for k, e in enumerate(v):
             if e:
                 out[k] += m * e
-    return tuple(Fraction(e, T) if e else ZERO for e in out)
+    return over(out, T)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .linalg import Matrix, scalar, format_scalar, echelon_basis
+from .linalg import Matrix, scalar, integer, format_scalar, echelon_basis
 from .lie import (
     LieAlgebra, heisenberg, lcs_dims, check_automorphism,
     nilpotency_class, NonNilpotentError,
@@ -257,7 +257,7 @@ def cmd_lift(args):
             qp = QuadraticPresentation.from_json(obj["presentation"])
             if "free" in obj:
                 k, c = obj["free"]
-                U = free_nilpotent(k, c)
+                U = free_nilpotent(integer(k), integer(c))
             else:
                 U = LieAlgebra.from_json(obj["target"])
             rho2 = [scalars(v) for v in obj["rho2"]]
@@ -281,7 +281,7 @@ def cmd_lift(args):
             p = GroupPresentation.from_json(obj["presentation"])
             if "free" in obj:
                 k0, c0 = obj["free"]
-                U = free_nilpotent(k0, c0)
+                U = free_nilpotent(integer(k0), integer(c0))
             else:
                 U = LieAlgebra.from_json(obj["algebra"])
             assignment = {g: scalars(v) for g, v in obj["assignment"].items()}

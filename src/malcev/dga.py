@@ -32,7 +32,7 @@ from .lie import integer_table
 from .linalg import (
     Matrix, ZERO, ONE, scalar, format_scalar, vec_scale, vec_sub,
     vec_zero, vec_is_zero, kernel_basis, image_basis, echelon_basis, span_contains, unit,
-    IncrementalSpan, AffineSolver, integer_terms, _rref_rows,
+    IncrementalSpan, AffineSolver, integer_terms, _rref_rows, over, integer,
 )
 
 
@@ -321,7 +321,8 @@ class FiniteDGA:
         for key, table in obj.get("product", {}).items():
             p, q = (int(t) for t in key.split(","))
             products[(p, q)] = table
-        return cls(obj["dims"], [Matrix(m) if m else Matrix.zeros(0, 0) for m in obj["d"]],
+        return cls([integer(n) for n in obj["dims"]],
+                   [Matrix(m) if m else Matrix.zeros(0, 0) for m in obj["d"]],
                    products)
 
 
@@ -667,6 +668,5 @@ def formality_consequence_report(dga: FiniteDGA):
                 d_rep[t] = d_rep.get(t, 0) + e * f
         assert not any(d_rep.values()), "Massey representative is not a cocycle"
         witnesses.append(((i, j, k), MasseyResult(
-            2, tuple(Fraction(e, K) if e else ZERO for e in rep),
-            tuple(Fraction(c, D_E * K) if c else ZERO for c in rep_class), basis, False)))
+            2, over(rep, K), over(rep_class, D_E * K), basis, False)))
     return witnesses, undefined

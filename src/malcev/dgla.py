@@ -9,12 +9,10 @@ The formal symbol d of the gauge formula is realised as an explicit extra
 degree-1 coordinate with [d, a] = da.
 """
 
-from fractions import Fraction
-
 from .linalg import (
     Matrix, ZERO, vec_add, vec_neg, vec_scale, vec_sub, vec_zero, vec_is_zero,
-    solve_affine, kernel_basis, echelon_basis, unit, right_inverse, integer_row,
-    AffineSolver,
+    kernel_basis, echelon_basis, unit, right_inverse, integer_row, AffineSolver,
+    over,
 )
 from .lie import (
     LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims,
@@ -129,13 +127,13 @@ class TensorDGLA:
     def diff(self, n, v):
         """(d ox id)(v) for v in degree n."""
         d, u = self._ints(n, v)
-        return _over(self._int_diff(n, u), self._scales()[0] * d)
+        return over(self._int_diff(n, u), self._scales()[0] * d)
 
     def bracket(self, p, vp, q, vq):
         """[vp, vq] for vp in degree p and vq in degree q; () past the top."""
         dp, u = self._ints(p, vp)
         dq, v = self._ints(q, vq)
-        return _over(self._int_bracket(p, u, q, v), self._scales()[1] * dp * dq)
+        return over(self._int_bracket(p, u, q, v), self._scales()[1] * dp * dq)
 
     def degree0_lie_algebra(self) -> LieAlgebra:
         """A^0 ox N as an honest nilpotent Lie algebra (for the BCH law)."""
@@ -167,11 +165,6 @@ def tensor_dgla(dga: FiniteDGA, N: LieAlgebra) -> TensorDGLA:
 # ---------------------------------------------------------------------------
 # Maurer-Cartan machinery
 
-def _over(nums, den):
-    """The Fraction vector nums / den, one Fraction per nonzero entry."""
-    return tuple(Fraction(s, den) if s else ZERO for s in nums)
-
-
 def _mc_numerators(t: TensorDGLA, x):
     """(nums, den) with nums / den = dx + 1/2 [x, x]: for x = u / d_x and
     D = D_m D_N, dx = 2 D d_x _int_diff(u) / (2 D_d D d_x^2) and
@@ -184,7 +177,7 @@ def _mc_numerators(t: TensorDGLA, x):
 
 def mc_residual(t: TensorDGLA, x):
     """dx + 1/2 [x, x] for a degree-1 element."""
-    return _over(*_mc_numerators(t, x))
+    return over(*_mc_numerators(t, x))
 
 
 def is_mc(t: TensorDGLA, x) -> bool:
@@ -221,7 +214,7 @@ def gauge(t: TensorDGLA, alpha, x):
         term, step = t._int_bracket(0, a, 1, term), D * da
     else:
         raise AssertionError("gauge series failed to terminate; N not nilpotent?")
-    return _over(out, den)
+    return over(out, den)
 
 
 class SmallExtensionSpec:
@@ -419,11 +412,12 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
 # Gauge equivalence
 
 class GaugeDecision:
-    def __init__(self, status, alpha=None, residual=None, stage=None):
+    def __init__(self, status, alpha=None, residual=None, stage=None, refutation=None):
         self.status = status  # "yes" | "no"
         self.alpha = alpha
         self.residual = residual
         self.stage = stage  # the LCS stage k that decided a "no"
+        self.refutation = refutation  # the checked y of a "no"
 
 
 def gauge_equivalent(dga: FiniteDGA, N: LieAlgebra, x, y) -> GaugeDecision:
@@ -437,7 +431,10 @@ def gauge_equivalent(dga: FiniteDGA, N: LieAlgebra, x, y) -> GaugeDecision:
     A^1 ox G_{k+1}, which is linear in b.  Stage k therefore solves
     [b, x] - db = y - alpha.x mod A^1 ox G_{k+1} over all of A^0 ox N and
     sets alpha to alpha.exp(b).  No solution proves "no" at stage k, with
-    residual y - alpha.x; a "yes" carries an alpha checked with gauge.
+    residual y - alpha.x and a refutation: a y with y . col = 0 for every
+    column col of [moves | A^1 ox G_{k+1}] and y . residual != 0, from the
+    stage's AffineSolver, which checks it.  A "yes" carries an alpha
+    checked with gauge.
     """
     t = TensorDGLA(dga, N)
     if not is_mc(t, x) or not is_mc(t, y):
@@ -453,10 +450,12 @@ def gauge_equivalent(dga: FiniteDGA, N: LieAlgebra, x, y) -> GaugeDecision:
         if vec_is_zero(target):
             break
         cols = moves + t.tensor_basis(1, chain[k].basis)
-        sol = solve_affine(Matrix.from_columns(cols, rows=t.dim(1)), target)
+        solver = AffineSolver(Matrix.from_columns(cols, rows=t.dim(1)))
+        sol = solver.solve(target)
         if sol is None:
-            return GaugeDecision("no", residual=target, stage=k)
-        alpha = bch(alpha, sol[0][:len(moves)], A0N)
+            return GaugeDecision("no", residual=target, stage=k,
+                                 refutation=solver.refute(target))
+        alpha = bch(alpha, sol[:len(moves)], A0N)
     if gauge(t, alpha, x) != y:
         raise AssertionError("gauge parameter failed verification")
     return GaugeDecision("yes", alpha=alpha)

@@ -13,7 +13,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .linalg import (
-    Matrix, ZERO, scalar, format_scalar, vec, vec_add, vec_neg,
+    Matrix, ZERO, scalar, integer, format_scalar, vec, vec_add, vec_neg,
     vec_zero, echelon_basis,
     rank, inverse, unit, IncrementalSpan, ONE, integer_terms, integer_row,
     _rref_rows,
@@ -32,7 +32,7 @@ class LieAlgebra:
     """
 
     def __init__(self, dim, brackets, basis_names=None, grading=None):
-        if not isinstance(dim, int) or dim < 0:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ValueError("dimension must be a nonnegative integer")
         self.dim = dim
         self.basis_names = tuple(basis_names) if basis_names else tuple(
@@ -145,10 +145,11 @@ class LieAlgebra:
 
     @classmethod
     def from_json(cls, obj):
-        brackets = {(b["i"], b["j"]): [scalar(c) for c in b["value"]]
+        brackets = {(integer(b["i"]), integer(b["j"])): [scalar(c) for c in b["value"]]
                     for b in obj.get("brackets", [])}
+        grading = obj.get("grading")
         return cls(obj["dim"], brackets, basis_names=obj.get("basis"),
-                   grading=obj.get("grading"))
+                   grading=None if grading is None else [integer(w) for w in grading])
 
 
 def sparse_bracket(partners, x, y, zero):
@@ -356,14 +357,21 @@ def direct_sum(L1, L2):
     return LieAlgebra(d1 + d2, brackets, basis_names=names, grading=grading)
 
 
+def is_lie_isomorphism(src, dst, m: Matrix) -> bool:
+    """True iff the dst.dim x src.dim matrix m has rank dst.dim and
+    m[e_i, e_j] = [m e_i, m e_j] for all basis pairs i < j of src: for
+    src.dim = dst.dim, m is a Lie isomorphism src -> dst."""
+    cols = m.columns()
+    return rank(m) == dst.dim and all(
+        m.mul_vec(src.basis_bracket(i, j)) == dst.bracket(cols[i], cols[j])
+        for i in range(src.dim) for j in range(i + 1, src.dim))
+
+
 def check_automorphism(L, m: Matrix) -> bool:
     """True iff m is invertible and m[x, y] = [mx, my] for all basis pairs."""
     if m.rows != L.dim or m.cols != L.dim:
         raise ValueError("matrix must be %d x %d" % (L.dim, L.dim))
-    cols = m.columns()
-    return rank(m) == L.dim and all(
-        m.mul_vec(L.basis_bracket(i, j)) == L.bracket(cols[i], cols[j])
-        for i in range(L.dim) for j in range(i + 1, L.dim))
+    return is_lie_isomorphism(L, L, m)
 
 
 def _generators(L):

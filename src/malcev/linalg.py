@@ -23,6 +23,14 @@ def scalar(x) -> Fraction:
     raise TypeError("not an exact scalar: %r" % (x,))
 
 
+def integer(x) -> int:
+    """An int read from JSON: as in ``scalar``, true and false are rejected,
+    not read as 1 and 0."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError("not an integer: %r" % (x,))
+
+
 def format_scalar(x: Fraction) -> str:
     """Serialize as "p/q", or just "p" when the denominator is 1."""
     x = Fraction(x)
@@ -78,6 +86,11 @@ def integer_terms(term_lists):
 
 def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
+
+
+def over(nums, den):
+    """The Fraction vector nums / den, one Fraction per nonzero entry."""
+    return tuple(Fraction(s, den) if s else ZERO for s in nums)
 
 
 def integer_row(row):
@@ -151,8 +164,7 @@ class Matrix:
         d, iv = integer_row(v)
         if not any(iv):
             return (ZERO,) * self.rows
-        sums = (sum([c * iv[j] for j, c in terms]) for terms in rows)
-        return tuple(Fraction(s, D * d) if s else ZERO for s in sums)
+        return over((sum([c * iv[j] for j, c in terms]) for terms in rows), D * d)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -163,11 +175,6 @@ class Matrix:
             cols = other.columns()
             return Matrix([[sum((r[k] * c[k] for k in range(self.cols)), ZERO)
                             for c in cols] for r in self.data])
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, Matrix):
-            return Matrix([vec_add(r, s) for r, s in zip(self.data, other.data, strict=True)])
         return NotImplemented
 
     def __sub__(self, other):
@@ -187,9 +194,6 @@ class Matrix:
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self.data for e in row)
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for row in self.data for e in row)
-
 
 def _integer_rows(m: Matrix):
     """The rows of m times the D of its integer view, as dense int lists."""
@@ -205,7 +209,9 @@ def _integer_rows(m: Matrix):
 def _rref_rows(rows, cols):
     """(R, pivots) for a list of int rows with cols entries, which it
     eliminates in place: R is the list of nonzero RREF rows as Fraction
-    tuples, and pivots their pivot columns.
+    tuples, and pivots their pivot columns.  Longer rows are pivoted on
+    their first cols entries only: R is then the pivot rows, and the rows
+    past them, left in place as ints, are zero on those entries.
 
     Fraction-free (Bareiss, Math. Comp. 22, 1968): each pivot row is divided
     by the gcd of its entries and cleared out of the other rows by cross
@@ -275,24 +281,26 @@ def det(m: Matrix) -> Fraction:
 
 
 class AffineSolver:
-    """m x = b for many right-hand sides b from one RREF of [m | id].
+    """m x = b for many right-hand sides b from one elimination of [m | id].
 
-    That RREF is [R | E] with E invertible and R = E m the RREF of m.  So
-    m x = b is solvable iff the entries of E b past the rank of m vanish,
-    and the solution with every free variable zero, entry for entry the
-    particular solution of ``solve_affine``, has x[pivots[i]] = (E b)_i.
+    The elimination pivots on the columns of m only.  Its pivot rows are
+    [R | E] with R = E m the RREF of m, and the others [0 | Y],
+    where the rows of Y span {y : y m = 0} (the rows of [m | id] are
+    independent).  So m x = b is solvable iff Y b = 0, and the solution
+    with every free variable zero has x[pivots[i]] = (E b)_i.  This is the
+    one exact solver: every m x = b in the library goes through it.
     Row i goes into ``_rref_rows`` as the ints [D m_i | D e_i], read off the
-    integer view (D, rows) of m: a multiple of the row, so the same RREF.
+    integer view (D, rows) of m: a multiple of the row, so the same R.
     """
 
     def __init__(self, m: Matrix):
         n, cols = m.rows, m.cols
         D = m.integer_view()[0]
-        red, pivots = _rref_rows([row + [0] * i + [D] + [0] * (n - 1 - i)
-                                  for i, row in enumerate(_integer_rows(m))], cols + n)
+        rows = [row + [0] * i + [D] + [0] * (n - 1 - i) for i, row in enumerate(_integer_rows(m))]
+        red, self.pivots = _rref_rows(rows, cols)
         self.m = m
-        self.pivots = [c for c in pivots if c < cols]
         self.E = Matrix._of_rows(tuple(row[cols:] for row in red), n)
+        self.Y = [row[cols:] for row in rows[len(red):]]
 
     def solve(self, b):
         """The solution of m x = b with free variables zero, or None.  On
@@ -302,24 +310,30 @@ class AffineSolver:
         if len(b) != self.m.rows:
             raise ValueError("dimension mismatch: %d rows, %d entries" % (self.m.rows, len(b)))
         (D_E, rows), (d_b, ib) = self.E.integer_view(), integer_row(b)
-        eb = [sum([c * ib[j] for j, c in terms]) for terms in rows]
-        if any(eb[len(self.pivots):]):
+        if any(sum([a * c for a, c in zip(y, ib) if a]) for y in self.Y):
             return None
+        eb = [sum([c * ib[j] for j, c in terms]) for terms in rows]
         xs = [0] * self.m.cols
         for i, pc in enumerate(self.pivots):
             xs[pc] = eb[i]
         D_m, rows = self.m.integer_view()
         assert all(sum([c * xs[j] for j, c in terms]) == D_m * D_E * t
                    for terms, t in zip(rows, ib))
-        return tuple(Fraction(a, D_E * d_b) if a else ZERO for a in xs)
+        return over(xs, D_E * d_b)
 
     def refute(self, b):
         """A y with y m = 0 and y . b != 0, which proves m x = b unsolvable
         (the Fredholm alternative), or None when it is solvable: the first
-        row of E past the rank of m that does not vanish on b.  Those rows
-        of E m = R are zero."""
-        for y in self.E.data[len(self.pivots):]:
-            if sum(a * c for a, c in zip(y, b) if a):
+        row of the RREF of Y that does not vanish on b.  These are the rows
+        past the rank of the full RREF of [m | id], as the RREF of a span is
+        unique.  y is checked against every column of m before it is
+        returned."""
+        def dot(u):
+            return sum(a * c for a, c in zip(y, u) if a)
+        for y in echelon_basis(self.Y, self.m.rows):
+            if dot(b):
+                if any(map(dot, self.m.columns())):
+                    raise AssertionError("refutation failed verification: y m != 0")
                 return y
         return None
 
@@ -343,25 +357,20 @@ def inverse(m: Matrix) -> Matrix:
     return right_inverse(m)
 
 
-def _null_space(red, pivots, cols):
-    """Kernel basis of a matrix with cols columns, read off the rows of an
-    RREF whose first cols columns are the RREF of that matrix."""
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(tuple(v))
-    return basis
-
-
 def kernel_basis(m: Matrix):
     """Basis of the exact null space {v : m v = 0}, as a list of vectors,
-    from the RREF of the nonzero rows of the integer view."""
-    return _null_space(*_rref_rows([row for row in _integer_rows(m) if any(row)], m.cols),
-                       m.cols)
+    one per free column of the RREF of the nonzero rows of the integer view.
+    The RREF is of m alone: the [m | id] of ``AffineSolver`` would widen
+    every elimination by m.rows columns."""
+    red, pivots = _rref_rows([row for row in _integer_rows(m) if any(row)], m.cols)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[fc] = ONE
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def image_basis(m: Matrix):
@@ -372,24 +381,8 @@ def image_basis(m: Matrix):
 
 
 def solve_affine(m: Matrix, b):
-    """Solve m x = b exactly.
-
-    Returns (particular solution, kernel basis), or None when unsolvable.
-    Pivots are chosen column by column, so the first m.cols columns of the
-    RREF of [m | b] are the RREF of m: the kernel is read off the same RREF.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side has wrong length")
-    aug = Matrix([list(row) + [bi] for row, bi in zip(m.data, b)])
-    red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = red.data[i][m.cols]
-    x = tuple(x)
-    assert m.mul_vec(x) == tuple(b)
-    return x, _null_space(red.data, pivots, m.cols)
+    """The solution of m x = b with free variables zero, or None."""
+    return AffineSolver(m).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +470,7 @@ def spans_equal(basis_a, basis_b) -> bool:
 
 def coords_in_basis(basis, v):
     """Coefficients of v in the given (independent) spanning list, or None."""
-    if not basis:
-        return () if vec_is_zero(v) else None
-    sol = solve_affine(Matrix.from_columns(basis), v)
-    return None if sol is None else sol[0]
+    return AffineSolver(Matrix.from_columns(basis, rows=len(v))).solve(v)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from collections import Counter
 from fractions import Fraction
 
 from .linalg import (
-    Matrix, ZERO, scalar, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
+    Matrix, ZERO, scalar, integer, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
     vec_zero, vec_is_zero, echelon_basis, span_contains,
-    kernel_basis, solve_affine, rank, inverse, unit, right_inverse, AffineSolver,
+    kernel_basis, inverse, unit, right_inverse, AffineSolver,
 )
 from .lie import (
     LieAlgebra, lower_central_series, nilpotency_class,
-    associated_graded, quotient_by_ideal,
+    associated_graded, quotient_by_ideal, is_lie_isomorphism,
 )
 from .freelie import free_nilpotent, graded_ideal_closure
 from .bch import (
@@ -62,7 +62,7 @@ class QuadraticPresentation:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["generators"], obj["relations"])
+        return cls(integer(obj["generators"]), obj["relations"])
 
 
 def _relation_vectors(k, relations, F: LieAlgebra):
@@ -233,12 +233,12 @@ def _filtered_iso(L, G, chain):
                     col[min(i, b), max(i, b), r] -= c if i < b else -c
         cols.append(col)
     keys = sorted(set(rhs).union(*cols))
-    sol = solve_affine(Matrix([[col[k] for col in cols] for k in keys]),
-                       [rhs[k] for k in keys])
+    sol = AffineSolver(Matrix([[col[k] for col in cols] for k in keys])).solve(
+        [rhs[k] for k in keys])
     if sol is None:
         return None
     D = [[degrees[i] if r == i else ZERO for i in range(dim)] for r in range(dim)]
-    for (i, j), cf in zip(unknowns, sol[0]):
+    for (i, j), cf in zip(unknowns, sol):
         D[j][i] = cf
     D = Matrix(D)
     # p_i has no component below degree n = deg i, so the factors
@@ -256,17 +256,12 @@ def _filtered_iso(L, G, chain):
 
 
 def _verify_filtered_iso(L, G, chain, m: Matrix) -> bool:
-    """theta is a Lie homomorphism, invertible, and gr(theta) = id."""
-    gr = G.algebra
-    if rank(m) < L.dim:
+    """theta is a Lie isomorphism gr L -> L, and gr(theta) = id."""
+    if not is_lie_isomorphism(G.algebra, L, m):
         return False
     cols = m.columns()
     for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            if m.mul_vec(gr.basis_bracket(i, j)) != L.bracket(cols[i], cols[j]):
-                return False
-    for i in range(L.dim):
-        d = gr.grading[i]
+        d = G.algebra.grading[i]
         diff = vec_sub(cols[i], G.from_parent[i])
         if not span_contains(chain[d].basis, diff):
             return False
@@ -349,7 +344,7 @@ class CupDatum:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["h1"], obj["h2"], obj["pairing"])
+        return cls(integer(obj["h1"]), integer(obj["h2"]), obj["pairing"])
 
 
 def malcev_model(cd: CupDatum) -> QuadraticPresentation:
@@ -477,8 +472,8 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     to the front leaves d0 plus the moved corrections.  A returned lift is
     re-verified with check_representation; a "no" carries a refutation y
     with y M = 0 and y . (-d0) != 0, checked before it is returned.  One
-    AffineSolver of M gives both: its solution is the particular solution
-    of ``solve_affine``, and its refutation needs no second elimination.
+    AffineSolver of M gives both: its refutation needs no second
+    elimination, and it checks y against every column of M.
     """
     if k < 2:
         raise ValueError("need 2 <= k <= class of U")
@@ -528,14 +523,8 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
     solver = AffineSolver(Matrix.from_columns(cols, rows=len(target)))
     sol = solver.solve(target)
     if sol is None:
-        y = solver.refute(target)
-
-        def dot(u):
-            return sum(a * b for a, b in zip(y, u) if a)
-        if y is None or any(map(dot, cols)) or not dot(target):
-            raise AssertionError("refutation of the lift system failed verification")
         return LiftResult(False, witness=list(zip([list(r) for r in p.relators], d0)),
-                          refutation=y)
+                          refutation=solver.refute(target))
     corr = {g: vec_zero(Lk1.dim) for g in p.generators}
     for cf, (g, v) in zip(sol, dirs):
         if cf != 0:

@@ -261,6 +261,37 @@ def test_json_booleans_are_not_scalars(capsys, argv):
     assert run_error(capsys, *argv) == (2, BOOL_ERROR)
 
 
+HEIS_BRACKET = '{"i":0,"j":1,"value":[0,0,1]}'
+CRITERION = '{"mode":"criterion","presentation":{"generators":%s,"relations":%s},' \
+    '"free":%s,"rho2":%s}'
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("quadcheck", '{"dim":true}'),
+     "bad algebra JSON: dimension must be a nonnegative integer"),
+    (("quadcheck", '{"dim":3,"brackets":[{"i":false,"j":1,"value":[0,0,1]}]}'),
+     "bad algebra JSON: not an integer: False"),
+    (("quadcheck", '{"dim":3,"brackets":[%s],"grading":[1,true,2]}' % HEIS_BRACKET),
+     "bad algebra JSON: not an integer: True"),
+    (("mc", '{"dims":[true,2,1],"d":[],"product":{}}', '{"dim":1}'),
+     "bad input: not an integer: True"),
+    (("malcev-model", '{"h1":2,"h2":true,"pairing":[[["0"],["1"]],[["-1"],["0"]]]}'),
+     "bad cup datum: not an integer: True"),
+    (("malcev-model", '{"h1":true,"h2":0,"pairing":[[[]]]}'),
+     "bad cup datum: not an integer: True"),
+    (("lift", CRITERION % ("true", "[]", "[2,3]", '[["1","0","0","0","0"]]')),
+     "bad criterion input: not an integer: True"),
+    (("lift", CRITERION % ("2", '[["1"]]', "[2,true]", '[["1","0"],["0","1"]]')),
+     "bad criterion input: not an integer: True"),
+    (("lift", '{"mode":"one-class","presentation":{"generators":["x"],"relators":[]},'
+      '"free":[false,3],"assignment":{"x":["1"]},"k":2}'),
+     "bad one-class input: not an integer: False"),
+], ids=["dim", "bracket-index", "grading", "dga-dims", "cup-h2", "cup-h1",
+        "generators", "criterion-free", "one-class-free"])
+def test_json_booleans_are_not_integers(capsys, argv, err):
+    assert run_error(capsys, *argv) == (2, "error: %s\n" % err)
+
+
 def test_lattice_check_matrix(capsys):
     code, out = run_json(capsys, "lattice-check", "--matrix", "[[2,3],[1,2]]")
     assert code == 0

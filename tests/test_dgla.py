@@ -18,7 +18,7 @@ from malcev.dgla import (
 )
 from malcev.bch import bch
 
-from oracles import kron_identity, tensor_mc_residual
+from oracles import kron_identity, naive_lcs, tensor_bracket, tensor_diff, tensor_mc_residual
 
 
 def unit(n, i):
@@ -217,6 +217,28 @@ def test_mc_solve_rejects_non_mc_initial():
     pytest.fail("never found a non-MC element")
 
 
+def assert_refuted(A, N, x, dec):
+    """The refutation of a "no" at stage k, against the dense oracles: y
+    pairs to zero with every move [e, x] - de over the unit vectors e of
+    A^0 ox N and with every a ox g for a unit a of A^1 and g in G_{k+1},
+    and pairs nonzero with the residual."""
+    y, m = dec.refutation, N.dim
+    dims, products, d = A.dims, A.products, [mat.data for mat in A.d]
+
+    def dot(v):
+        return sum(a * b for a, b in zip(y, v, strict=True))
+    for e in range(A.dims[0] * m):
+        u = unit(A.dims[0] * m, e)
+        assert not dot(tensor_bracket(dims, products, m, N.brackets, 0, u, 1, x)) - \
+            dot(tensor_diff(dims, d, m, 0, u))
+    for i in range(A.dims[1]):
+        for g in naive_lcs(m, N.brackets)[dec.stage]:
+            v = [Fraction(0)] * (A.dims[1] * m)
+            v[i * m:(i + 1) * m] = g
+            assert not dot(v)
+    assert dot(dec.residual)
+
+
 def test_gauge_equivalent_positive_and_negative():
     A = chevalley_eilenberg(heisenberg())
     N = heisenberg()
@@ -236,9 +258,10 @@ def test_gauge_equivalent_positive_and_negative():
     h1 = H.representatives[1][0]
     for i in range(A.dims[1]):
         lead[i * N.dim] = h1[i]
-    if is_mc(t, tuple(lead)):
-        dec = gauge_equivalent(A, N, tuple(lead), t.zero(1))
-        assert dec.status == "no"
+    assert is_mc(t, tuple(lead))
+    dec = gauge_equivalent(A, N, tuple(lead), t.zero(1))
+    assert (dec.status, dec.stage) == ("no", 1)
+    assert_refuted(A, N, tuple(lead), dec)
 
 
 def test_gauge_equivalent_abelian_coefficients_decisive():
@@ -255,7 +278,8 @@ def test_gauge_equivalent_abelian_coefficients_decisive():
     for i in range(A.dims[1]):
         closed[i * N.dim] = h1[i]
     dec = gauge_equivalent(A, N, tuple(closed), t.zero(1))
-    assert dec.status == "no"
+    assert (dec.status, dec.stage) == ("no", 1)
+    assert_refuted(A, N, tuple(closed), dec)
 
 
 def test_gauge_equivalent_validates_inputs():
@@ -280,6 +304,7 @@ def test_gauge_equivalent_no_at_stage_two_with_h0():
     dec = gauge_equivalent(A, N, t.zero(1), y)
     assert (dec.status, dec.stage) == ("no", 2)
     assert dec.residual == y
+    assert_refuted(A, N, t.zero(1), dec)
 
 
 def seeded_mc_elements(A, N, rng, count):

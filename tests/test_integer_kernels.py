@@ -18,7 +18,7 @@ from malcev.dga import (
 )
 from malcev.freelie import free_nilpotent
 from malcev.lie import LieAlgebra, abelian, direct_sum, heisenberg
-from malcev.linalg import AffineSolver, IncrementalSpan, Matrix, solve_affine
+from malcev.linalg import AffineSolver, IncrementalSpan, Matrix
 from malcev.present import GroupPresentation, lift_one_class
 
 from oracles import (
@@ -66,11 +66,13 @@ def test_int_span_matches_fraction_elimination(case):
 
 
 # ---------------------------------------------------------------------------
-# AffineSolver.solve against solve_affine
+# AffineSolver.solve against the Gauss-Jordan oracle
 
 def test_affine_solver_matches_solve_affine_on_fractions():
     """Fractional entries with non-unit denominators, rank-deficient and
-    empty shapes: the same particular solution entry for entry, or None."""
+    empty shapes: the oracle's particular solution (free variables zero)
+    entry for entry, or None; and exactly when None a refutation, the first
+    row of the oracle's RREF of {y : y m = 0} that does not vanish on b."""
     rng = random.Random(20)
     dens = [1, 2, 3, 5]
     entry = lambda: Fraction(rng.randint(-3, 3), rng.choice(dens))
@@ -81,16 +83,20 @@ def test_affine_solver_matches_solve_affine_on_fractions():
             u, v = m.data[0], m.data[-1]
             m = Matrix(m.data[:-1] + (tuple(Fraction(1, 2) * a - 3 * b for a, b in zip(u, v)),))
         solver = AffineSolver(m)
+        # the rows past the rank of the RREF of [m | id]: the RREF of {y : y m = 0}
+        red, pivots = gauss_jordan([row + tuple(int(i == j) for j in range(m.rows))
+                                    for i, row in enumerate(m.data)], m.cols + m.rows)
+        dual = [row[m.cols:] for row, p in zip(red, pivots) if p >= m.cols]
         for _ in range(4):
             if rng.random() < 0.5:
                 b = m.mul_vec(tuple(entry() for _ in range(m.cols)))
             else:
                 b = tuple(entry() for _ in range(m.rows))
-            sol = solve_affine(m, b)
-            assert solver.solve(b) == (None if sol is None else sol[0])
-            assert (sol is None) is (naive_solve(m.data, b) is None)
+            sol = naive_solve(m.data, b)
+            assert solver.solve(b) == (None if sol is None else tuple(sol))
             y = solver.refute(b)
             assert (y is None) is (sol is not None)
+            assert y == next((z for z in dual if sum(a * c for a, c in zip(z, b))), None)
             if y is not None:
                 assert not any(sum(a * c for a, c in zip(y, col)) for col in m.columns())
                 assert sum(a * c for a, c in zip(y, b))
