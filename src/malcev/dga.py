@@ -32,7 +32,7 @@ from .lie import integer_table
 from .linalg import (
     Matrix, ZERO, ONE, scalar, format_scalar, vec_scale, vec_sub,
     vec_zero, vec_is_zero, kernel_basis, image_basis, echelon_basis, span_contains, unit,
-    IncrementalSpan, AffineSolver, integer_terms, _rref_rows, over, integer,
+    IncrementalSpan, AffineSolver, integer_terms, _eliminate, over, integer,
 )
 
 
@@ -203,7 +203,7 @@ class FiniteDGA:
         degree n >= 1, the unit vectors off the pivots of the span of the
         products a_i a_j with |a_i| = p, 1 <= p <= n - p.  On the integer
         view, a single-term product is a multiple of e_k, pivot k (the scan
-        stops once those fill the degree), and one ``_rref_rows`` of the
+        stops once those fill the degree), and one ``_eliminate`` of the
         multi-term products with those coordinates dropped gives the other
         pivots.  The products with p > n - p are not needed: S generates A
         as long as each product taken has factors of lower degree."""
@@ -222,7 +222,7 @@ class FiniteDGA:
                     multi.append(terms)
             rows = [[0 if k in units else dict(terms).get(k, 0) for k in range(self.dims[n])]
                     for terms in multi]
-            units.update(_rref_rows(rows, self.dims[n])[1])
+            units.update(_eliminate(rows, self.dims[n]))
             gens += [(n, k) for k in range(self.dims[n]) if k not in units]
         return gens
 

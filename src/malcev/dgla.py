@@ -266,7 +266,7 @@ def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
             raise ValueError("LCS stage %d needs 1 <= k <= class %d of the algebra"
                              % (k, len(chain) - 1))
         upper, pu = quotient_by_ideal(N, chain[k])       # N/G_{k+1}
-        image = LieIdeal(upper, [pu.mul_vec(v) for v in chain[k - 1].basis])
+        image = LieIdeal(upper, [pu.mul_vec(r) for r in chain[k - 1].rows])
         lower, proj = quotient_by_ideal(upper, image)    # N/G_k as upper / (G_k/G_{k+1})
         stage = N._stages[k] = SmallExtensionSpec(upper, lower, proj, kernel_basis(proj),
                                                   quotient=pu)

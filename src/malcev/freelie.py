@@ -17,7 +17,7 @@ form [[0, 1], 0] ~ [[x, y], x] rewriting to -[x, [x, y]].
 import functools
 from fractions import Fraction
 
-from .linalg import ZERO, _rref_rows, integer_row
+from .linalg import ZERO, _eliminate, integer_row
 from .lie import LieAlgebra, LieIdeal, integer_table
 
 
@@ -176,16 +176,17 @@ def graded_ideal_closure(L: LieAlgebra, generators):
     """Smallest graded ideal of a degree-1-generated graded L containing the
     given homogeneous generators (ValueError for one that is not).
 
-    Returns (ideal, per_degree) where per_degree[n] is the RREF basis of the
-    degree-(n+1) piece.  Uses the recursion I_n = span(S_n) + [L_1, I_{n-1}],
-    valid because L is generated in degree 1.  Degree n runs on int rows over
-    the coordinates of L_n, from ``graded_component_indices(n)``: ad of each
+    Returns (ideal, dims) where dims[n] is the dimension of the degree-(n+1)
+    piece.  Uses the recursion I_n = span(S_n) + [L_1, I_{n-1}], valid
+    because L is generated in degree 1.  Degree n runs on int rows over the
+    coordinates of L_n, from ``graded_component_indices(n)``: ad of each
     degree-1 generator is read off ``integer_table(L)`` (int multiples, so
-    the same span), one ``_rref_rows`` gives the RREF, and its int rows feed
-    degree n+1.  The columns outside L_n are zero, so each RREF row padded to
-    L.dim is a row of the RREF of I_n in L.  The pieces have disjoint
-    supports, so their rows ordered by pivot column are the RREF of the
-    ideal, also when components interleave; the ideal keeps it as built.
+    the same span), one ``_eliminate`` gives the primitive RREF rows, and
+    they feed degree n+1.  The columns outside L_n are zero, so each row
+    padded to L.dim is a multiple of a row of the RREF of I_n in L.  The
+    pieces have disjoint supports, so their rows ordered by pivot column are
+    the int rows of the RREF of the ideal, also when components interleave;
+    the ideal keeps them as built.
     """
     if L.grading is None:
         raise ValueError("ambient algebra must be graded")
@@ -200,7 +201,7 @@ def graded_ideal_closure(L: LieAlgebra, generators):
         for d in degs:
             rows_of[d - 1].append(integer_row([v[g] for g in comps[d - 1]])[1])
     table = integer_table(L)[1]
-    per_degree, pivoted, prev, below = [], [], [], {}
+    dims, pivoted, prev, below = [], [], [], {}
     for idx, rows in zip(comps, rows_of):
         at = {g: p for p, g in enumerate(idx)}
         for i in comps[0]:
@@ -214,14 +215,13 @@ def graded_ideal_closure(L: LieAlgebra, generators):
                             out[q] += v[p] * c
                 if any(out):
                     rows.append(out)
-        red, pivots = _rref_rows(rows, len(idx))
-        prev, below, piece = rows[:len(pivots)], at, []
-        for r, p in zip(red, pivots):
-            v = [ZERO] * L.dim
+        pivots = _eliminate(rows, len(idx))
+        prev, below = rows[:len(pivots)], at
+        for r, p in zip(prev, pivots):
+            v = [0] * L.dim
             for g, x in zip(idx, r):
                 v[g] = x
-            piece.append(tuple(v))
-            pivoted.append((idx[p], piece[-1]))
-        per_degree.append(piece)
+            pivoted.append((idx[p], v))
+        dims.append(len(pivots))
     pivoted.sort(key=lambda t: t[0])
-    return LieIdeal._of_rref(L, [v for _, v in pivoted]), per_degree
+    return LieIdeal._of_rows(L, [v for _, v in pivoted]), dims

@@ -9,14 +9,15 @@ keeps every downstream computation linear-algebraic.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec, vec_add, vec_neg,
-    vec_zero, echelon_basis,
-    rank, inverse, unit, IncrementalSpan, ONE, integer_terms, integer_row,
-    _rref_rows,
+    vec_zero, echelon_rows,
+    rank, inverse, unit, IncrementalSpan, integer_terms, integer_row, over,
+    _eliminate,
 )
 
 
@@ -61,6 +62,8 @@ class LieAlgebra:
         if self.grading is not None:
             if len(self.grading) != dim:
                 raise ValueError("grading length mismatch")
+            if any(w < 1 for w in self.grading):
+                raise ValueError("grading weights must be positive")
             self._check_grading()
 
     def _check_grading(self):
@@ -80,13 +83,7 @@ class LieAlgebra:
 
     def ad(self, i, v):
         """[e_i, v], read off the sparse partner row of i."""
-        out = [ZERO] * self.dim
-        for j, terms in self._partners[i]:
-            vj = v[j]
-            if vj:
-                for k, c in terms:
-                    out[k] += vj * c
-        return tuple(out)
+        return tuple(_ad(self._partners[i], v, ZERO))
 
     def bracket(self, x, y):
         """[x, y], by ``sparse_bracket`` on the sparse table."""
@@ -152,18 +149,35 @@ class LieAlgebra:
                    grading=None if grading is None else [integer(w) for w in grading])
 
 
+def _ad(row, v, zero):
+    """sum_j v_j [e_i, e_j] as a list, for the partner row ((j, terms), ...)
+    of i: ad(e_i) v on a row of ``LieAlgebra._partners``, D ad(e_i) v on a
+    row of ``integer_table``."""
+    out = [zero] * len(v)
+    for j, terms in row:
+        vj = v[j]
+        if vj:
+            for k, c in terms:
+                out[k] += vj * c
+    return out
+
+
 def sparse_bracket(partners, x, y, zero):
     """[x, y] from a partner table (``LieAlgebra._partners`` or the rows of
     ``integer_table``), by bilinear expansion over the nonzeros of x and
-    their partners.  A pair (i, j) where both x_i y_j and x_j y_i are nonzero
-    is expanded once, with coefficient x_i y_j - x_j y_i.  The coordinates
-    start at zero, so integer vectors on an integer table stay integers."""
+    their partners; an empty partner row is skipped before x_i is read.  A
+    pair (i, j) where both x_i y_j and x_j y_i are nonzero is expanded once,
+    with coefficient x_i y_j - x_j y_i.  The coordinates start at zero, so
+    integer vectors on an integer table stay integers."""
     out = [zero] * len(partners)
-    for i, xi in enumerate(x):
+    for i, row in enumerate(partners):
+        if not row:
+            continue
+        xi = x[i]
         if not xi:
             continue
         yi = y[i]
-        for j, terms in partners[i]:
+        for j, terms in row:
             yj = y[j]
             if not yj:
                 continue
@@ -195,30 +209,45 @@ def integer_table(L):
 class LieIdeal:
     """Ideal of a LieAlgebra, by its RREF basis in parent coordinates.
 
-    The constructor echelonises the spanning vectors it is given; it does
-    not prove that their span is an ideal (``is_ideal`` does, and
-    ``quotient_by_ideal`` proves it on a generating set).  ``_of_rref``
-    takes a list of tuples that is already the RREF basis of an ideal, as
-    ``lower_central_series`` and ``graded_ideal_closure`` build it, as is."""
+    rows holds the basis as primitive int rows, one per pivot in order, each
+    a multiple of an RREF row; basis, the RREF rows as Fraction tuples, is
+    built from them on first read.  The constructor eliminates the spanning
+    vectors it is given; it does not prove that their span is an ideal
+    (``is_ideal`` does, and ``quotient_by_ideal`` proves it on a generating
+    set).  ``_of_rows`` takes int rows of that form, as
+    ``lower_central_series`` and ``graded_ideal_closure`` build them, as is."""
 
     def __init__(self, parent, basis):
         self.parent = parent
-        self.basis = [tuple(v) for v in echelon_basis(basis, parent.dim)]
+        self.rows = echelon_rows(basis, parent.dim)[0]
+        self._basis = None
 
     @classmethod
-    def _of_rref(cls, parent, basis):
+    def _of_rows(cls, parent, rows):
         ideal = cls.__new__(cls)
-        ideal.parent, ideal.basis = parent, basis
+        ideal.parent, ideal.rows, ideal._basis = parent, rows, None
         return ideal
 
     @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = [_over_pivot(r) for r in self.rows]
+        return self._basis
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def is_ideal(self):
-        span = IncrementalSpan(self.basis)
-        return all(span.contains(self.parent.ad(i, v))
-                   for i in range(self.parent.dim) for v in self.basis)
+        span = IncrementalSpan(self.rows)
+        return all(span.contains(self.parent.ad(i, r))
+                   for i in range(self.parent.dim) for r in self.rows)
+
+
+def _over_pivot(row):
+    """The RREF row of which the int row is a multiple: the row over its
+    pivot, its first nonzero entry."""
+    return over(row, next(a for a in row if a))
 
 
 def heisenberg():
@@ -240,30 +269,34 @@ def lower_central_series(L):
     Raises NonNilpotentError when the chain fails to shrink before reaching
     zero, which characterises non-nilpotent input.
     """
-    return [LieIdeal._of_rref(L, list(basis)) for basis in _lcs_bases(L)]
+    return [LieIdeal._of_rows(L, rows) for rows in _lcs_bases(L)]
 
 
 def _lcs_bases(L):
-    """RREF bases of the lower central series, computed once per algebra.
+    """The lower central series as the int rows of ``LieIdeal``, computed
+    once per algebra.
 
-    G_2 = [L, L] is the span of the table values; G_{n+1} for n >= 2 is
-    spanned by the [e_i, b] over the basis b of G_n, taken on the integer
-    table (int multiples, so the same span and RREF).  Only plain tuples are
-    cached on L (ideals would point back at it).
+    G_2 = [L, L] is the span of the table values (``echelon_rows``);
+    G_{n+1} for n >= 2 is spanned by ad(e_i) b over the rows b of G_n, for
+    each i whose row of ``integer_table(L)`` is not empty (an empty row
+    brackets everything to 0).  That table gives int multiples of the
+    [e_i, b], so the same span, and one ``_eliminate`` gives the rows of
+    G_{n+1}.  Only tuples of int tuples are cached on L (ideals would point
+    back at it).
     """
     if L._lcs is None:
-        n, table = L.dim, integer_table(L)[1]
-        e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-        chain = [tuple(L.basis_vector(i) for i in range(n))]
-        rows = L.brackets.values()
+        n = L.dim
+        partnered = [row for row in integer_table(L)[1] if row]
+        chain = [tuple(tuple(int(k == i) for k in range(n)) for i in range(n))]
+        rows = echelon_rows(L.brackets.values(), n)[0]
         while chain[-1]:
-            nxt = echelon_basis(rows, n)
-            if len(nxt) >= len(chain[-1]):
+            if len(rows) >= len(chain[-1]):
                 raise NonNilpotentError(
                     "algebra is not nilpotent: its lower central series does not shrink")
-            chain.append(tuple(nxt))
-            bs = [integer_row(b)[1] for b in nxt]
-            rows = filter(any, (sparse_bracket(table, e[i], b, 0) for i in range(n) for b in bs))
+            chain.append(tuple(map(tuple, rows)))
+            rows = [v for v in (_ad(row, b, 0) for row in partnered for b in chain[-1])
+                    if any(v)]
+            rows = rows[:len(_eliminate(rows, n))]
         L._lcs = tuple(chain)
     return L._lcs
 
@@ -290,15 +323,17 @@ def adapted_basis(L):
     Returns (vectors, degrees): vectors form a basis of L where the tail
     vectors of degree >= n span G_n; degrees[i] is the filtration step the
     i-th vector represents, ascending, so graded components are contiguous.
+    The choice runs on the int rows of the series: each vector is the RREF
+    row of an int row that ``IncrementalSpan`` adds.
     """
-    chain = lower_central_series(L)
+    chain = _lcs_bases(L)
     vectors, degrees = [], []
     for n in range(len(chain) - 1):
         # extend a basis of G_{n+1} to G_n; the new vectors represent gr_{n+1}
-        current = IncrementalSpan(chain[n + 1].basis)
-        for v in chain[n].basis:
-            if current.add(v):
-                vectors.append(v)
+        current = IncrementalSpan(chain[n + 1])
+        for row in chain[n]:
+            if current.add(row):
+                vectors.append(_over_pivot(row))
                 degrees.append(n + 1)
     return vectors, degrees
 
@@ -385,8 +420,7 @@ def _generators(L):
     returned.
     """
     if L._gens is None:
-        derived = {next(k for k, c in enumerate(v) if c)
-                   for v in echelon_basis(L.brackets.values(), L.dim)}
+        derived = set(echelon_rows(L.brackets.values(), L.dim)[1])
         gens = [i for i in range(L.dim) if i not in derived]
         span, todo = IncrementalSpan(), [L.basis_vector(i) for i in gens]
         while todo and span.dim < L.dim:
@@ -403,51 +437,55 @@ def quotient_by_ideal(L, ideal):
     Returns (Q, projection), a Matrix from parent to quotient coordinates.
     The complement is the unit vectors e_c, ascending, not in I plus the
     earlier e_j: the non-pivot columns of the RREF of I with columns
-    reversed (pivot p at the last nonzero of its row R_p).  As
+    reversed (pivot p at the last nonzero of its row R_p), from one
+    ``_eliminate`` of the reversed int rows of I.  As
     e_p = R_p - sum_c R_p[c] e_c, the projection sends e_c to the unit vector
-    at c and e_p to -(R_p on the complement), kept as sparse columns; Q's
-    table is read off the partner rows of the complement, and its grading
-    is L's on the (homogeneous) unit vectors.
+    at c and e_p to -(R_p on the complement).  It is kept as sparse int
+    columns over E, the lcm of the pivots of the int rows (R_p is such a row
+    over its pivot), and Q's table is the projection of the partner rows of
+    the complement in ``integer_table(L)`` (D times the table), one Fraction
+    per nonzero entry over D E.  Q's grading is L's on the (homogeneous)
+    unit vectors.
 
     The ideal check is [s, b] in I for s in a generating set S of L
-    (``_generators``) and b in the basis of I.  That is a proof: by Jacobi
+    (``_generators``) and b in the int rows of I.  That is a proof: by Jacobi
     {x : [x, I] in I} is a subalgebra, and it contains S, so it is L; then Q
-    is the quotient algebra by construction.  ValueError otherwise.  It runs
-    on ints: b scaled by d_b, the table of ``integer_table`` (D [., .]) and
-    the projection columns scaled by their common denominator E give
-    D d_b E times the projection of [s, b], which is zero iff that
-    projection is, i.e. iff [s, b] lies in I.
+    is the quotient algebra by construction.  ValueError otherwise.  The
+    projection of D [s, b] over the int columns is D E times the projection
+    of [s, b], which is zero iff [s, b] lies in I.
     """
     n = L.dim
-    ib = [integer_row(b)[1] for b in ideal.basis]
-    red, pivots = _rref_rows([b[::-1] for b in ib], n)
-    last = {n - 1 - p: v[::-1] for v, p in zip(red, pivots)}
+    rows = [list(b[::-1]) for b in ideal.rows]
+    pivots = _eliminate(rows, n)
+    last = {n - 1 - p: (r[::-1], r[p]) for r, p in zip(rows, pivots)}
+    E = lcm(*[pv for _, pv in last.values()])
     comp = [c for c in range(n) if c not in last]
     at = {c: q for q, c in enumerate(comp)}
-    cols = [((at[c], ONE),) if c in at else
-            tuple((at[k], -x) for k, x in enumerate(last[c]) if x and k in at)
+    cols = [((at[c], E),) if c in at else
+            tuple((at[k], -x * (E // last[c][1])) for k, x in enumerate(last[c][0])
+                  if x and k in at)
             for c in range(n)]
 
-    def project(terms, cols=cols, zero=ZERO):
-        out = [zero] * len(comp)
+    def project(terms):
+        out = [0] * len(comp)
         for k, x in terms:
             for q, c in cols[k]:
                 out[q] += x * c
         return out
 
+    D, table = integer_table(L)
     brackets = {}
     for i, a in enumerate(comp):
-        for j, terms in L._partners[a]:
+        for j, terms in table[a]:
             if at.get(j, -1) > i:
                 v = project(terms)
                 if any(v):
-                    brackets[(i, at[j])] = tuple(v)
+                    brackets[(i, at[j])] = over(v, D * E)
     Q = LieAlgebra(len(comp), brackets,
                    grading=None if L.grading is None else [L.grading[c] for c in comp])
-    table, icols = integer_table(L)[1], tuple(integer_terms(cols)[1])
     for s in _generators(L):
-        for b in ib:
-            if any(project(((k, b[j] * x) for j, terms in table[s] if b[j]
-                            for k, x in terms), icols, 0)):
+        for b in ideal.rows:
+            if any(project((k, b[j] * x) for j, terms in table[s] if b[j]
+                           for k, x in terms)):
                 raise ValueError("not an ideal")
-    return Q, Matrix._of_rows(tuple(zip(*(project([(c, ONE)]) for c in range(n)))), n)
+    return Q, Matrix._of_rows(tuple(zip(*(over(project([(c, 1)]), E) for c in range(n)))), n)

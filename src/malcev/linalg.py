@@ -157,13 +157,14 @@ class Matrix:
 
     def mul_vec(self, v):
         """m v on the integer view: v is scaled to ints once, each row takes
-        one integer dot product, and each nonzero entry is one Fraction."""
+        one integer dot product, and each nonzero entry is one Fraction.  A
+        zero v gives the zero vector before any scaling."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch: %d cols, %d entries" % (self.cols, len(v)))
+        if not any(v):
+            return (ZERO,) * self.rows
         D, rows = self.integer_view()
         d, iv = integer_row(v)
-        if not any(iv):
-            return (ZERO,) * self.rows
         return over((sum([c * iv[j] for j, c in terms]) for terms in rows), D * d)
 
     def __mul__(self, other):
@@ -206,18 +207,17 @@ def _integer_rows(m: Matrix):
     return out
 
 
-def _rref_rows(rows, cols):
-    """(R, pivots) for a list of int rows with cols entries, which it
-    eliminates in place: R is the list of nonzero RREF rows as Fraction
-    tuples, and pivots their pivot columns.  Longer rows are pivoted on
-    their first cols entries only: R is then the pivot rows, and the rows
-    past them, left in place as ints, are zero on those entries.
+def _eliminate(rows, cols):
+    """Fraction-free Gauss-Jordan elimination of a list of int rows with
+    cols entries, in place; returns the pivot columns.  rows[:len(pivots)]
+    are then primitive int rows, one per pivot in order, each a multiple of
+    the matching row of the RREF.  Longer rows are pivoted on their first
+    cols entries only: the rows past the pivot rows are zero on those
+    entries.
 
-    Fraction-free (Bareiss, Math. Comp. 22, 1968): each pivot row is divided
-    by the gcd of its entries and cleared out of the other rows by cross
-    multiplication, which keeps the span and the pivots.  The RREF is
-    unique, so dividing each pivot row by its pivot at the end, one Fraction
-    per nonzero entry, gives it."""
+    (Bareiss, Math. Comp. 22, 1968): each pivot row is divided by the gcd of
+    its entries and cleared out of the other rows by cross multiplication,
+    which keeps the span and the pivots."""
     n = len(rows)
     pivots = []
     r = 0
@@ -242,8 +242,16 @@ def _rref_rows(rows, cols):
                 rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    return [tuple(Fraction(a, row[c]) if a else ZERO for a in row)
-            for row, c in zip(rows, pivots)], pivots
+    return pivots
+
+
+def _rref_rows(rows, cols):
+    """(R, pivots) for a list of int rows, eliminated in place by
+    ``_eliminate``: R is the list of nonzero RREF rows as Fraction tuples.
+    The RREF is unique, so dividing each pivot row by its pivot, one
+    Fraction per nonzero entry, gives it."""
+    pivots = _eliminate(rows, cols)
+    return [over(row, row[c]) for row, c in zip(rows, pivots)], pivots
 
 
 def rref(m: Matrix):
@@ -255,7 +263,8 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """The number of pivots of the elimination of the integer view."""
+    return len(_eliminate(_integer_rows(m), m.cols))
 
 
 def det(m: Matrix) -> Fraction:
@@ -388,9 +397,11 @@ def solve_affine(m: Matrix, b):
 # ---------------------------------------------------------------------------
 # Subspace utilities (row-space form; canonical via RREF)
 
-def echelon_basis(vectors, dim=None):
-    """Canonical (RREF) basis of the span of the given vectors, each of
-    length dim (ValueError otherwise; with dim None, of one common length)."""
+def echelon_rows(vectors, dim=None):
+    """(rows, pivots): the primitive int rows of ``_eliminate``, one per
+    pivot in order, for the span of the given vectors (ints or Fractions),
+    each of length dim (ValueError otherwise; with dim None, of one common
+    length)."""
     rows, cols = [], dim
     for v in vectors:
         if cols is None:
@@ -401,7 +412,15 @@ def echelon_basis(vectors, dim=None):
         row = integer_row(v)[1]
         if any(row):
             rows.append(row)
-    return _rref_rows(rows, cols)[0] if rows else []
+    pivots = _eliminate(rows, cols) if rows else []
+    return rows[:len(pivots)], pivots
+
+
+def echelon_basis(vectors, dim=None):
+    """Canonical (RREF) basis of the span of the given vectors, each of
+    length dim: the rows of ``echelon_rows`` over their pivots."""
+    rows, pivots = echelon_rows(vectors, dim)
+    return [over(row, row[c]) for row, c in zip(rows, pivots)]
 
 
 class IncrementalSpan:

@@ -84,21 +84,14 @@ def realize(qp: QuadraticPresentation, c: int):
     Returns (L, stabilized) where stabilized means the degree-c component of
     the quotient is already zero, so the algebra is genuinely
     finite-dimensional rather than merely truncated.  The result carries the
-    canonical grading, plus the ideal's per-degree bases on
-    ``L.relation_ideal_degrees`` and the quotient projection on
-    ``L.realization_projection``.
+    canonical grading.
     """
     if c < 2:
         raise ValueError("class cutoff must be at least 2")
     F = free_nilpotent(qp.k, c)
     gens = _relation_vectors(qp.k, qp.relations, F)
-    ideal, per_degree = graded_ideal_closure(F, gens)
-    Q, proj = quotient_by_ideal(F, ideal)
-    stabilized = Q.grading is not None and c not in Q.grading
-    Q.relation_ideal_degrees = per_degree
-    Q.realization_projection = proj
-    Q.realization_free = F
-    return Q, stabilized
+    Q, _ = quotient_by_ideal(F, graded_ideal_closure(F, gens)[0])
+    return Q, Q.grading is not None and c not in Q.grading
 
 
 def realized_graded_dims(L: LieAlgebra):
@@ -169,10 +162,10 @@ def is_quadratically_presented(L: LieAlgebra):
     k = len(gr.graded_component_indices(1))
     # stage 1: dim <W_2>_n == dim F_n - dim gr_n for n = 2..c+1
     F = free_nilpotent(k, c + 1)
-    _, per_degree = graded_ideal_closure(F, _relation_vectors(k, W, F))
+    _, dims = graded_ideal_closure(F, _relation_vectors(k, W, F))
     for n in range(2, c + 2):
         defect = (len(F.graded_component_indices(n)) - len(gr.graded_component_indices(n))
-                  - len(per_degree[n - 1]))
+                  - dims[n - 1])
         if defect:
             return QuadraticVerdict(False, failing_degree=n,
                                     defect_dim=defect, stage="graded")
@@ -263,7 +256,7 @@ def _verify_filtered_iso(L, G, chain, m: Matrix) -> bool:
     for i in range(L.dim):
         d = G.algebra.grading[i]
         diff = vec_sub(cols[i], G.from_parent[i])
-        if not span_contains(chain[d].basis, diff):
+        if not span_contains(chain[d].rows, diff):
             return False
     return True
 

@@ -412,6 +412,14 @@ def test_quadcheck_bad_dimension_is_input_error(capsys, dim):
     assert err == "error: bad algebra JSON: dimension must be a nonnegative integer\n"
 
 
+@pytest.mark.parametrize("grading", ["[-1, 1]", "[0, 1]", "[1, 0]"])
+def test_quadcheck_nonpositive_grading_is_input_error(capsys, grading):
+    code, err = run_error(capsys, "quadcheck",
+                          '{"dim": 2, "brackets": [], "grading": %s}' % grading)
+    assert code == 2
+    assert err == "error: bad algebra JSON: grading weights must be positive\n"
+
+
 def test_lattice_check_empty_lattice_is_input_error(capsys):
     code, err = run_error(capsys, "lattice-check", "--lattice", "[]")
     assert code == 2 and err.count("\n") == 1

@@ -89,8 +89,9 @@ def test_graded_ideal_closure_full_degree2():
     F = free_nilpotent(2, 3)
     # the ideal generated by [x,y] is everything in degrees >= 2
     gen = unit(F.dim, F.hall_index[(0, 1)])
-    ideal, per_degree = graded_ideal_closure(F, [gen])
-    assert [len(b) for b in per_degree] == [0, 1, 2]
+    ideal, dims = graded_ideal_closure(F, [gen])
+    assert dims == [0, 1, 2]
+    assert [F.grading[next(t for t, c in enumerate(v) if c)] for v in ideal.basis] == [2, 3, 3]
     Q, _ = quotient_by_ideal(F, ideal)
     assert Q.dim == 2
     assert not Q.brackets  # abelian quotient
@@ -98,6 +99,6 @@ def test_graded_ideal_closure_full_degree2():
 
 def test_graded_ideal_closure_empty():
     F = free_nilpotent(2, 3)
-    ideal, per_degree = graded_ideal_closure(F, [])
-    assert ideal.dim == 0
-    assert [len(b) for b in per_degree] == [0, 0, 0]
+    ideal, dims = graded_ideal_closure(F, [])
+    assert ideal.dim == 0 and ideal.basis == []
+    assert dims == [0, 0, 0]

@@ -39,12 +39,20 @@ def seeded_generators(L, rng):
     return gens
 
 
+def per_degree(L, basis):
+    """The basis vectors grouped by the degree of their pivot, degrees 1 to
+    the top one: the RREF bases of the pieces when the span is graded."""
+    degree = [L.grading[next(t for t, c in enumerate(v) if c)] for v in basis]
+    return [[v for v, d in zip(basis, degree) if d == n] for n in range(1, max(L.grading) + 1)]
+
+
 def check_against_oracle(L, gens):
-    ideal, per_degree = graded_ideal_closure(L, gens)
+    ideal, dims = graded_ideal_closure(L, gens)
     basis, oracle_per_degree = oracles.graded_ideal_closure(L.dim, L.brackets, L.grading, gens)
-    assert per_degree == oracle_per_degree
     assert ideal.basis == basis
     assert ideal.basis == echelon_basis(ideal.basis, L.dim)
+    assert per_degree(L, ideal.basis) == oracle_per_degree
+    assert dims == [len(piece) for piece in oracle_per_degree]
     return ideal
 
 
@@ -70,11 +78,11 @@ def test_closure_matches_oracle_when_components_interleave():
 
 def test_closure_of_nothing_and_of_everything():
     F = free_nilpotent(3, 3)
-    ideal, per_degree = graded_ideal_closure(F, [])
-    assert ideal.basis == [] and per_degree == [[], [], []]
-    ideal, per_degree = graded_ideal_closure(F, [F.basis_vector(i) for i in range(3)])
+    ideal, dims = graded_ideal_closure(F, [])
+    assert ideal.basis == [] and dims == [0, 0, 0]
+    ideal, dims = graded_ideal_closure(F, [F.basis_vector(i) for i in range(3)])
     assert ideal.basis == [F.basis_vector(i) for i in range(F.dim)]
-    assert [len(p) for p in per_degree] == [3, 3, 8]
+    assert dims == [len(piece) for piece in per_degree(F, ideal.basis)] == [3, 3, 8]
 
 
 def test_closure_rejects_bad_generators():

@@ -37,6 +37,13 @@ def test_grading_validation():
     assert L.graded_component_indices(1) == [0, 1]
 
 
+@pytest.mark.parametrize("grading", [[-1, 1, 0], [0, 1, 1], [0, 0, 0]])
+def test_grading_weights_must_be_positive(grading):
+    # each grading is additive on [e1, e2] = e3: only positivity rejects it
+    with pytest.raises(ValueError, match="grading weights must be positive"):
+        LieAlgebra(3, {(0, 1): (0, 0, 1)}, grading=grading)
+
+
 def test_non_nilpotent_detected():
     # sl2-style: [h,e]=2e, [h,f]=-2f, [e,f]=h
     L = LieAlgebra(3, {(0, 1): (0, 0, 1),

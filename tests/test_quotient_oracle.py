@@ -11,6 +11,7 @@ from malcev.lie import (
 )
 from malcev.freelie import free_nilpotent, graded_ideal_closure
 from malcev.dgla import lcs_extension
+from malcev.linalg import echelon_basis
 
 from oracles import dense_bracket, dense_quotient, gauss_jordan, naive_lcs
 
@@ -129,4 +130,8 @@ def test_lcs_matches_oracle_on_basis_changes():
     for L in (heisenberg(), free_nilpotent(2, 4), free_nilpotent(3, 3)):
         for _ in range(2):
             C = conjugate(L, rng)
-            assert [list(b) for b in _lcs_bases(C)] == naive_lcs(C.dim, C.brackets)
+            assert [term.basis for term in lower_central_series(C)] == naive_lcs(C.dim, C.brackets)
+            # the kept terms are int rows, each a multiple of its RREF row
+            for rows, term in zip(_lcs_bases(C), lower_central_series(C)):
+                assert all(type(x) is int for r in rows for x in r)
+                assert echelon_basis(rows, C.dim) == term.basis
