@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec, vec_add, vec_neg,
     vec_zero, echelon_rows,
-    rank, inverse, unit, IncrementalSpan, integer_terms, integer_row, over,
+    rank, inverse, unit, IncrementalSpan, integer_terms, over,
     _eliminate,
 )
 
@@ -27,17 +27,23 @@ class LieAlgebra:
     brackets, a read-only dense view, maps (i, j) with i < j to the
     coordinate vector of [e_i, e_j]; missing pairs bracket to zero.  The
     bracket runs on the sparse table _partners: per index i, the (j, ((k, c),
-    ...)) with [e_i, e_j] = sum c e_k != 0.  An optional grading assigns a
-    positive integer weight to each basis vector; when present, brackets must
-    be additive in the weights.
+    ...)) with [e_i, e_j] = sum c e_k != 0.  basis_names, when given, is a
+    list of dim strings (e1, e2, ... otherwise).  An optional grading assigns
+    a positive integer weight to each basis vector; when present, brackets
+    must be additive in the weights.  ``from_json`` rejects a pair (i, j)
+    given twice.
     """
 
     def __init__(self, dim, brackets, basis_names=None, grading=None):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ValueError("dimension must be a nonnegative integer")
         self.dim = dim
-        self.basis_names = tuple(basis_names) if basis_names else tuple(
-            "e%d" % (i + 1) for i in range(dim))
+        if basis_names is None:
+            basis_names = ["e%d" % (i + 1) for i in range(dim)]
+        elif not (isinstance(basis_names, (list, tuple)) and len(basis_names) == dim
+                  and all(isinstance(s, str) for s in basis_names)):
+            raise ValueError("basis must be a list of %d names (strings)" % dim)
+        self.basis_names = tuple(basis_names)
         table = {}
         partners = [[] for _ in range(dim)]
         for (i, j), v in brackets.items():
@@ -142,8 +148,12 @@ class LieAlgebra:
 
     @classmethod
     def from_json(cls, obj):
-        brackets = {(integer(b["i"]), integer(b["j"])): [scalar(c) for c in b["value"]]
-                    for b in obj.get("brackets", [])}
+        brackets = {}
+        for b in obj.get("brackets", []):
+            key = (integer(b["i"]), integer(b["j"]))
+            if key in brackets:
+                raise ValueError("duplicate bracket entry (%d, %d)" % key)
+            brackets[key] = [scalar(c) for c in b["value"]]
         grading = obj.get("grading")
         return cls(obj["dim"], brackets, basis_names=obj.get("basis"),
                    grading=None if grading is None else [integer(w) for w in grading])
@@ -318,24 +328,26 @@ class GradedLieAlgebra(NamedTuple):
 
 
 def adapted_basis(L):
-    """Filtration-adapted basis of a nilpotent L.
+    """Filtration-adapted basis of a nilpotent L, as int rows.
 
-    Returns (vectors, degrees): vectors form a basis of L where the tail
-    vectors of degree >= n span G_n; degrees[i] is the filtration step the
-    i-th vector represents, ascending, so graded components are contiguous.
-    The choice runs on the int rows of the series: each vector is the RREF
-    row of an int row that ``IncrementalSpan`` adds.
+    Returns (rows, degrees): the rows form a basis of L where the tail rows
+    of degree >= n span G_n; degrees[i] is the filtration step the i-th row
+    represents, ascending, so graded components are contiguous.  Each row is
+    a primitive int row of the series (``_lcs_bases``) that
+    ``IncrementalSpan`` adds, a multiple of the RREF row ``_over_pivot``
+    gives; the degree-1 rows are the unit vectors of ``unit_complement`` of
+    G_2.
     """
     chain = _lcs_bases(L)
-    vectors, degrees = [], []
+    rows, degrees = [], []
     for n in range(len(chain) - 1):
-        # extend a basis of G_{n+1} to G_n; the new vectors represent gr_{n+1}
+        # extend a basis of G_{n+1} to G_n; the new rows represent gr_{n+1}
         current = IncrementalSpan(chain[n + 1])
         for row in chain[n]:
             if current.add(row):
-                vectors.append(_over_pivot(row))
+                rows.append(row)
                 degrees.append(n + 1)
-    return vectors, degrees
+    return rows, degrees
 
 
 def associated_graded(L):
@@ -343,29 +355,30 @@ def associated_graded(L):
 
     [G_a, G_b] lies in G_{a+b}, zero past the class; otherwise only the
     degree-(a+b) rows of the inverse basis matrix are read.  The brackets run
-    on ints: with each adapted vector p_i scaled by d_i to ints, the integer
-    table gives D d_i d_j [p_i, p_j], a zero result skips the pair, and the
-    inverse's integer view (Dinv times the inverse) gives the gr
-    coordinates times D Dinv d_i d_j, one Fraction per nonzero coordinate."""
-    vectors, degrees = adapted_basis(L)
+    on ints: with r_i the int row of ``adapted_basis`` for the adapted
+    vector p_i = r_i / d_i (d_i its pivot), the integer table gives
+    D d_i d_j [p_i, p_j], a zero result skips the pair, and the inverse's
+    integer view (Dinv times the inverse) gives the gr coordinates times
+    D Dinv d_i d_j, one Fraction per nonzero coordinate."""
+    rows, degrees = adapted_basis(L)
+    vectors = [_over_pivot(r) for r in rows]
     Dinv, inv = inverse(Matrix.from_columns(vectors)).integer_view()
     D, table = integer_table(L)
     scale = D * Dinv
-    scaled = [integer_row(v) for v in vectors]
+    pivots = [next(a for a in r if a) for r in rows]
     dim = L.dim
     top = max(degrees, default=0)
     rows_of = {w: [k for k in range(dim) if degrees[k] == w] for w in range(1, top + 1)}
     brackets = {}
-    for i, (di, u) in enumerate(scaled):
+    for i, u in enumerate(rows):
         for j in range(i + 1, dim):
             w = degrees[i] + degrees[j]
             if w > top:
                 continue
-            dj, v = scaled[j]
-            b = sparse_bracket(table, u, v, 0)
+            b = sparse_bracket(table, u, rows[j], 0)
             if not any(b):
                 continue
-            den = scale * di * dj
+            den = scale * pivots[i] * pivots[j]
             out = [ZERO] * dim
             for k in rows_of[w]:
                 s = sum([c * b[t] for t, c in inv[k]])
@@ -431,20 +444,34 @@ def _generators(L):
     return L._gens
 
 
+def unit_complement(rows, n):
+    """(comp, last) for int rows spanning a subspace I of Q^n.
+
+    comp lists the unit vectors e_c, ascending, that are not in I plus the
+    earlier e_j: the greedy unit complement of I, which ``adapted_basis``
+    picks as the degree-1 rows when I = G_2.  They are the non-pivot columns
+    of the RREF of I with its columns reversed, as e_c is in I + <e_j : j < c>
+    iff some vector of I ends at c; one ``_eliminate`` of the reversed rows
+    finds them.  last maps every other column p to (R_p, R_p[p]): R_p the int
+    row of that elimination whose last nonzero entry is at p, zero at the
+    other keys of last."""
+    rev = [list(r[::-1]) for r in rows]
+    pivots = _eliminate(rev, n)
+    last = {n - 1 - p: (r[::-1], r[p]) for r, p in zip(rev, pivots)}
+    return [c for c in range(n) if c not in last], last
+
+
 def quotient_by_ideal(L, ideal):
     """Quotient algebra L / I on a complement basis; L must satisfy Jacobi.
 
     Returns (Q, projection), a Matrix from parent to quotient coordinates.
-    The complement is the unit vectors e_c, ascending, not in I plus the
-    earlier e_j: the non-pivot columns of the RREF of I with columns
-    reversed (pivot p at the last nonzero of its row R_p), from one
-    ``_eliminate`` of the reversed int rows of I.  As
-    e_p = R_p - sum_c R_p[c] e_c, the projection sends e_c to the unit vector
-    at c and e_p to -(R_p on the complement).  It is kept as sparse int
-    columns over E, the lcm of the pivots of the int rows (R_p is such a row
-    over its pivot), and Q's table is the projection of the partner rows of
-    the complement in ``integer_table(L)`` (D times the table), one Fraction
-    per nonzero entry over D E.  Q's grading is L's on the (homogeneous)
+    The complement is ``unit_complement`` of the int rows of I.  As
+    e_p = R_p - sum_c R_p[c] e_c, R_p being the int row of I over its last
+    nonzero entry, the projection sends e_c to the unit vector at c and e_p
+    to -(R_p on the complement).  It is kept as sparse int columns over E,
+    the lcm of those last entries, and Q's table is the projection of the
+    partner rows of the complement in ``integer_table(L)`` (D times the
+    table), one Fraction per nonzero entry over D E.  Q's grading is L's on the (homogeneous)
     unit vectors.
 
     The ideal check is [s, b] in I for s in a generating set S of L
@@ -455,11 +482,8 @@ def quotient_by_ideal(L, ideal):
     of [s, b], which is zero iff [s, b] lies in I.
     """
     n = L.dim
-    rows = [list(b[::-1]) for b in ideal.rows]
-    pivots = _eliminate(rows, n)
-    last = {n - 1 - p: (r[::-1], r[p]) for r, p in zip(rows, pivots)}
+    comp, last = unit_complement(ideal.rows, n)
     E = lcm(*[pv for _, pv in last.values()])
-    comp = [c for c in range(n) if c not in last]
     at = {c: q for q, c in enumerate(comp)}
     cols = [((at[c], E),) if c in at else
             tuple((at[k], -x * (E // last[c][1])) for k, x in enumerate(last[c][0])

@@ -12,6 +12,7 @@ presentations through a central quotient stage.
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
@@ -19,8 +20,9 @@ from .linalg import (
     kernel_basis, inverse, unit, right_inverse, AffineSolver,
 )
 from .lie import (
-    LieAlgebra, lower_central_series, nilpotency_class,
-    associated_graded, quotient_by_ideal, is_lie_isomorphism,
+    LieAlgebra, lower_central_series, nilpotency_class, associated_graded,
+    quotient_by_ideal, is_lie_isomorphism, integer_table, unit_complement,
+    _lcs_bases,
 )
 from .freelie import free_nilpotent, graded_ideal_closure
 from .bch import (
@@ -124,14 +126,39 @@ class QuadraticVerdict:
                 "defect_dim": self.defect_dim, "stage": self.stage}
 
 
-def _relation_space(G):
-    """W_2, the kernel of wedge^2 gr_1 -> gr_2 for the associated graded G,
-    as coordinates over the canonical pair order of the k = dim gr_1
-    generators."""
-    gr = G.algebra
-    gr1 = gr.graded_component_indices(1)
-    cols = [gr.basis_bracket(gr1[i], gr1[j]) for i, j in pair_index(len(gr1))]
-    return [tuple(v) for v in kernel_basis(Matrix.from_columns(cols, rows=gr.dim))]
+def _relation_space(L):
+    """W_2, the kernel of wedge^2 gr_1 -> gr_2 for a nilpotent L, as
+    coordinates over the canonical pair order of the k = dim gr_1
+    generators, read off the int rows of the lower central series.
+
+    gr_1 has the basis of the unit vectors e_c of ``unit_complement`` of
+    G_2, as in ``adapted_basis``.  With r_p the int rows of G_3, a_p the
+    pivot of r_p and E their lcm, NF(v) = E v - sum_p v[p] (E / a_p) r_p is
+    linear with kernel G_3 (the r_p are RREF rows up to scale).  So the
+    columns NF(D [e_a, e_b]), with D [e_a, e_b] from ``integer_table(L)``,
+    all scaled by D E, have the kernel of wedge^2 V -> gr_2, and
+    ``kernel_basis``, which depends only on the kernel, gives the same
+    vectors as on the brackets of gr L."""
+    n, (_, table) = L.dim, integer_table(L)
+    chain = _lcs_bases(L) + ((), ())
+    gens = unit_complement(chain[1], n)[0]
+    partners = [dict(table[c]) for c in gens]
+    G3 = [[(t, x) for t, x in enumerate(r) if x] for r in chain[2]]
+    E = lcm(*[terms[0][1] for terms in G3])
+    cols = []
+    for a, b in pair_index(len(gens)):
+        v = [0] * n
+        for t, x in partners[a].get(gens[b], ()):
+            v[t] = x
+        nf = [E * x for x in v]
+        for terms in G3:
+            p, pv = terms[0]
+            if v[p]:
+                f = v[p] * (E // pv)
+                for t, x in terms:
+                    nf[t] -= f * x
+        cols.append(nf)
+    return kernel_basis(Matrix.from_columns(cols, rows=n))
 
 
 def is_quadratically_presented(L: LieAlgebra):
@@ -144,33 +171,35 @@ def is_quadratically_presented(L: LieAlgebra):
     3).  phi is a Lie map onto gr L (gr L is generated by gr_1) that kills
     W_2, so <W_2>_n lies in ker phi_n, and equality is the dimension count
     dim <W_2>_n = dim F_n - dim gr_n L, read off one graded closure in the
-    free algebra F(k, c+1).  Stage 2 decides whether a filtered isomorphism
-    theta: gr L -> L with gr(theta) = id exists by one exact linear solve
-    (see _filtered_iso), so a "no" at stage "lift" is a proof and a "yes"
-    carries a verified theta.
+    free algebra F(k, c+1).  Stage 1 reads only the lower central series:
+    W_2 from ``_relation_space`` and dim gr_n = dim G_n - dim G_{n+1}; gr L
+    itself (``associated_graded``) is built only past it, or at class 1.
+    Stage 2 decides whether a filtered isomorphism theta: gr L -> L with
+    gr(theta) = id exists by one exact linear solve (see _filtered_iso), so
+    a "no" at stage "lift" is a proof and a "yes" carries a verified theta.
     """
     chain = lower_central_series(L)
     c = len(chain) - 1
     if c == 0:
         return QuadraticVerdict(True, W=[], theta=Matrix.identity(0), graded=None)
-    G = associated_graded(L)
-    W = _relation_space(G)
+    W = _relation_space(L)
     if c == 1:
+        G = associated_graded(L)
         return QuadraticVerdict(True, W=W, theta=Matrix.from_columns(
             G.from_parent, rows=L.dim), graded=G)
-    gr = G.algebra
-    k = len(gr.graded_component_indices(1))
+    gr_dims = [a.dim - b.dim for a, b in zip(chain, chain[1:])] + [0]
+    k = gr_dims[0]
     # stage 1: dim <W_2>_n == dim F_n - dim gr_n for n = 2..c+1
     F = free_nilpotent(k, c + 1)
     _, dims = graded_ideal_closure(F, _relation_vectors(k, W, F))
     for n in range(2, c + 2):
-        defect = (len(F.graded_component_indices(n)) - len(gr.graded_component_indices(n))
-                  - dims[n - 1])
+        defect = len(F.graded_component_indices(n)) - gr_dims[n - 1] - dims[n - 1]
         if defect:
             return QuadraticVerdict(False, failing_degree=n,
                                     defect_dim=defect, stage="graded")
 
     # stage 2: theta with gr(theta) = id
+    G = associated_graded(L)
     theta = _filtered_iso(L, G, chain)
     if theta is None:
         return QuadraticVerdict(False, failing_degree=None, defect_dim=None,
@@ -301,7 +330,7 @@ def direct_summand_quadratic(L1: LieAlgebra, L2: LieAlgebra,
     if not _verify_filtered_iso(L1, G1, chain1, theta1):
         raise ValueError("composed map failed verification; summand not recovered")
     # recompute the relation space of L1 for the certificate
-    return QuadraticVerdict(True, W=_relation_space(G1), theta=theta1, graded=G1)
+    return QuadraticVerdict(True, W=_relation_space(L1), theta=theta1, graded=G1)
 
 
 # ---------------------------------------------------------------------------

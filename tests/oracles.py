@@ -541,6 +541,27 @@ def dense_associated_graded(dim, table):
 # dim <W_2>_n is the rank of their associative images, and the stage holds in
 # degree n iff witt_dim(k, n) - dim <W_2>_n = dim gr_n.
 
+def dense_relation_space(degrees, brackets):
+    """W_2 for the degrees and graded table of dense_associated_graded: the
+    kernel of the bracket wedge^2 gr_1 -> gr_2 over the pairs (a, b), a < b,
+    of gr_1 = e_0 .. e_(k-1), in lexicographic order, one vector per free
+    column f of the Gauss-Jordan form: 1 there, -red[r][f] at pivot r."""
+    dim, k = len(degrees), degrees.count(1)
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    zero = (Fraction(0),) * dim
+    cols = [brackets.get(p, zero) for p in pairs]
+    red, pivots = gauss_jordan([[col[r] for col in cols] for r in range(dim)], len(pairs))
+    W = []
+    for f in range(len(pairs)):
+        if f not in pivots:
+            w = [Fraction(0)] * len(pairs)
+            w[f] = Fraction(1)
+            for r, p in enumerate(pivots):
+                w[p] = -red[r][f]
+            W.append(tuple(w))
+    return W
+
+
 def quadratic_stage1(dim, table):
     """(failing degree, defect dim) of stage 1 for a nilpotent algebra of
     class c >= 2 given as for dense_bracket, or None when the count holds in
@@ -549,16 +570,9 @@ def quadratic_stage1(dim, table):
     _, degrees, brackets = dense_associated_graded(dim, table)
     k, c = degrees.count(1), max(degrees)
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    zero = (Fraction(0),) * dim
-    cols = [brackets.get(p, zero) for p in pairs]   # gr_1 is e_0 .. e_(k-1)
-    red, pivots = gauss_jordan([[col[r] for col in cols] for r in range(dim)], len(pairs))
     level = []
-    for f in range(len(pairs)):
-        if f in pivots:
-            continue
-        # the kernel vector with free column f: 1 there, -red[r][f] at pivot r
-        w = {pairs[p]: -red[r][f] for r, p in enumerate(pivots) if red[r][f]}
-        w[pairs[f]] = Fraction(1)
+    for vec in dense_relation_space(degrees, brackets):
+        w = {p: x for p, x in zip(pairs, vec) if x}
         elt = {}
         for p, cf in w.items():
             elt = am_add(elt, {u: cf * x for u, x in embed_bracket_word(p, 2).items()})

@@ -6,7 +6,7 @@ import pytest
 
 from malcev.cli import main
 from malcev.dga import chevalley_eilenberg
-from malcev.lie import heisenberg
+from malcev.lie import LieAlgebra, heisenberg
 
 
 def run(capsys, *argv):
@@ -418,6 +418,32 @@ def test_quadcheck_nonpositive_grading_is_input_error(capsys, grading):
                           '{"dim": 2, "brackets": [], "grading": %s}' % grading)
     assert code == 2
     assert err == "error: bad algebra JSON: grading weights must be positive\n"
+
+
+def test_quadcheck_duplicate_bracket_is_input_error(capsys):
+    code, err = run_error(capsys, "quadcheck", json.dumps(
+        {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [0, 0, 1]},
+                                {"i": 0, "j": 1, "value": [0, 0, 2]}]}))
+    assert code == 2
+    assert err == "error: bad algebra JSON: duplicate bracket entry (0, 1)\n"
+
+
+@pytest.mark.parametrize("basis", ["[1, 2, 3]", "[1, 2]", '"abc"', '["a", "b"]',
+                                   '["a", "b", "c", "d"]', "5", '{"a": 1}'])
+def test_quadcheck_bad_basis_is_input_error(capsys, basis):
+    code, err = run_error(capsys, "quadcheck",
+                          '{"dim": 3, "brackets": [], "basis": %s}' % basis)
+    assert code == 2
+    assert err == "error: bad algebra JSON: basis must be a list of 3 names (strings)\n"
+
+
+def test_quadcheck_basis_names_round_trip(capsys):
+    obj = {"dim": 3, "basis": ["x", "y", "z"],
+           "brackets": [{"i": 0, "j": 1, "value": ["0", "0", "1"]}]}
+    assert LieAlgebra.from_json(obj).to_json() == obj
+    assert LieAlgebra.from_json({"dim": 2, "brackets": []}).basis_names == ("e1", "e2")
+    code, out = run(capsys, "quadcheck", json.dumps(obj))
+    assert code == 0 and out.startswith("quadratically presented: no")
 
 
 def test_lattice_check_empty_lattice_is_input_error(capsys):
