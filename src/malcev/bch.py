@@ -123,7 +123,7 @@ def bch(x, y, L: LieAlgebra, cls=None):
 
     Evaluated fraction-free: x = X / dx and y = Y / dy with X, Y integer, and
     the Hall words of ``bch_universal`` are evaluated on X, Y with the
-    integer view (D, D c) of the structure constants.  A word with a letters
+    int table (D, D c) of the structure constants.  A word with a letters
     x and b letters y, of degree n = a + b, then has the integer value V_w =
     w(x, y) dx^a dy^b D^(n-1).  Each coordinate sums p_w (T / t_w) V_w over
     T, the lcm of the term denominators t_w = q_w dx^a dy^b D^(n-1) (the

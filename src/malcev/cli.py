@@ -27,7 +27,7 @@ from .dga import FiniteDGA, chevalley_eilenberg, massey_triple, MasseyUndefined
 from .dgla import mc_solve
 from .present import (
     QuadraticPresentation, CupDatum, realize, realized_graded_dims,
-    is_quadratically_presented, malcev_model, weight_decomposition,
+    is_quadratically_presented, malcev_model,
     lift_representation_criterion, lift_one_class,
 )
 
@@ -173,7 +173,7 @@ def cmd_malcev_model(args):
         raise InputError("the cup datum needs h1 >= 1")
     L, stabilized = realize(qp, c)
     dims = realized_graded_dims(L)
-    weights = weight_decomposition(qp, L)
+    weights = [-w for w in L.grading]  # degree n has weight -n
     verdicts = {
         "presentation": qp.to_json(),
         "realization": L.to_json(),

@@ -1,11 +1,12 @@
 """Finite graded-commutative DGAs, cohomology rings, and Massey products.
 
 Degrees run 0..D with dense per-degree bases.  The differential raises
-degree by one.  The products of a ``FiniteDGA`` are immutable: they run on
-one sparse table, built once, and ``products`` is a read-only dense view
-derived from it for the degree pairs given.  The Chevalley-Eilenberg functor
-turns any finite-dimensional Lie algebra into a test-case DGA whose d^2 = 0
-is equivalent to the Jacobi identity.
+degree by one.  A ``FiniteDGA`` is immutable and keeps one sparse int table
+for its products and one for d, each over the lcm of its denominators,
+built once; ``products`` and ``d`` are read-only dense views derived from
+them.  The Chevalley-Eilenberg functor turns any finite-dimensional Lie
+algebra into a test-case DGA whose d^2 = 0 is equivalent to the Jacobi
+identity.
 
 Every ``FiniteDGA(...)`` proves the DGA axioms on construction, on a
 generating set S of the algebra rather than over all basis triples: the
@@ -13,12 +14,12 @@ elements on which associativity holds against everything form a
 subalgebra, and given associativity so do the elements that graded-commute,
 and those on which d obeys Leibniz; given Leibniz, d^2 is a derivation, so
 its kernel is a subalgebra too.  Each axiom that holds on S therefore holds
-on all of A (see ``FiniteDGA.validate``), on integer views of the tables.
-Only when a check fails do the same checks run over every basis vector, to
-name the failures.  A Chevalley-Eilenberg complex is a DGA by construction
-and checks only d^2 = 0 on degree 1, which is Jacobi (the proof is in
-``chevalley_eilenberg``).  ``cohomology``, read off the RREF of the integer
-rows of each d[n], with one echelon span per degree for the
+on all of A (see ``FiniteDGA.validate``), on the int tables.  Only when a
+check fails do the same checks run over every basis vector, to name the
+failures.  A Chevalley-Eilenberg complex is a DGA by construction and
+checks only d^2 = 0 on degree 1, which is Jacobi (the proof is in
+``chevalley_eilenberg``).  ``cohomology``, read off the int columns of d by
+one elimination per degree and one echelon span per degree for the
 representatives, is computed once per DGA and shared by all its Betti
 numbers, Massey products and MC stages.
 """
@@ -30,16 +31,17 @@ from types import MappingProxyType
 
 from .lie import integer_table
 from .linalg import (
-    Matrix, ZERO, ONE, scalar, format_scalar, vec_scale, vec_sub,
-    vec_zero, vec_is_zero, kernel_basis, image_basis, echelon_basis, span_contains, unit,
-    IncrementalSpan, AffineSolver, integer_terms, _eliminate, over, integer,
+    Matrix, ZERO, scalar, format_scalar, vec_scale, vec_sub, vec_zero, vec_is_zero,
+    echelon_basis, span_contains, unit, IncrementalSpan, AffineSolver, integer_terms,
+    _dense, _eliminate, _null_rows, _rref_rows, over, integer,
 )
 
 
 def sparse_product(rows, u, v, n, zero):
-    """u v in a degree of dimension n, for rows a degree pair of ``_mult`` or
-    of its integer view, by bilinear expansion over the nonzeros of u and
-    their nonzero basis products; ints on the integer view stay ints."""
+    """D_m u v in a degree of dimension n, for rows a degree pair of the
+    table of a ``FiniteDGA``, by bilinear expansion over the nonzeros of u
+    and their nonzero basis products; int vectors give ints, and Fraction
+    vectors (with zero = ZERO) give Fractions."""
     out = [zero] * n
     for i, a in enumerate(u):
         if a:
@@ -54,12 +56,26 @@ def sparse_product(rows, u, v, n, zero):
 
 def _d_squared(dcol, p, i):
     """Whether d^2 of the i-th basis vector of degree p is nonzero, on the
-    integer columns dcol of d (the dcol of ``FiniteDGA.integer_view``)."""
+    int columns dcol of d (the columns of ``FiniteDGA.dcol``)."""
     acc = {}
     for m, e in dcol[p][i]:
         for t, f in dcol[p + 1][m]:
             acc[t] = acc.get(t, 0) + e * f
     return any(acc.values())
+
+
+def _d_rows(dims, cols, n):
+    """The rows of d[n] as int lists, from its int columns cols[n]."""
+    rows = [[0] * dims[n] for _ in range(dims[n + 1] if n + 1 < len(dims) else 0)]
+    for j, col in enumerate(cols[n]):
+        for k, c in col:
+            rows[k][j] = c
+    return rows
+
+
+def _d_matrix(dims, D, cols, n):
+    """d[n] as a Matrix of Fractions, from its int columns cols[n] over D."""
+    return Matrix._of_rows(tuple(over(r, D) for r in _d_rows(dims, cols, n)), dims[n])
 
 
 class FiniteDGA:
@@ -70,96 +86,107 @@ class FiniteDGA:
     [i][j] is the coordinate vector in degree p+q of (i-th degree-p basis) *
     (j-th degree-q basis), for the degree pairs given.  A pair given in one
     order only is read in the other by graded commutativity; pairs given in
-    neither order multiply to zero.  Products run on the one sparse table
-    _mult: per degree pair (p, q) with p + q <= D and per degree-p index i,
-    {j: ((k, c), ...)} with a_i a_j = sum c a_k != 0.  The dense input is not
-    kept: products is a read-only view derived from _mult.  The shapes and
-    the DGA axioms are checked in __init__ (ValueError otherwise); the one
-    other constructor, ``chevalley_eilenberg``, builds a DGA by construction.
-    So every FiniteDGA is a DGA.  A zero-row d[n] keeps dims[n] columns.
+    neither order multiply to zero.
+
+    One sparse int table per structure is built once, over the lcm D_m or
+    D_d of its denominators: table = (D_m, rows), rows[(p, q)][i] = {j:
+    ((k, D_m c), ...)} for a_i a_j = sum c a_k != 0, p + q <= top; dcol =
+    (D_d, cols), cols[n][j] the nonzero (k, D_d d[n][k][j]) of column j of
+    d[n].  ``product`` and ``diff`` take Fraction vectors as they are and
+    divide by D_m or D_d only when it is > 1.  The dense input is not kept:
+    products and d are read-only views derived on first use.  The shapes
+    and the DGA axioms are checked in __init__ (ValueError otherwise); the
+    one other constructor, ``chevalley_eilenberg``, builds a DGA by
+    construction.  So every FiniteDGA is a DGA.  A zero-row d[n] keeps
+    dims[n] columns.
     """
 
     def __init__(self, dims, d, products):
+        dims = list(dims)
+        top, image_dims = len(dims) - 1, dims[1:] + [0]
+        d = [m if isinstance(m, Matrix) else Matrix(m) for m in d]
+        if len(d) > top + 1 or any(m.rows != image_dims[n] or (m.rows and m.cols != dims[n])
+                                   for n, m in enumerate(d)):
+            raise ValueError("differentials do not match dims %s" % dims)
+        data = [m.data for m in d] + [()] * (top + 1 - len(d))  # missing d[n] are zero
+        D_d, flat = integer_terms([[(k, row[j]) for k, row in enumerate(rows) if row[j]]
+                                   for m, rows in zip(dims, data) for j in range(m)])
+        cols = tuple(tuple(next(flat) for _ in range(m)) for m in dims)
         products = {key: tuple(tuple(tuple(scalar(c) for c in cell) for cell in row)
                                for row in table) for key, table in products.items()}
-        self._set_d(dims, d)
         for (p, q), table in products.items():
-            if (min(p, q) < 0 or p + q > self.top or len(table) != self.dims[p]
-                    or any(len(row) != self.dims[q] or
-                           any(len(cell) != self.dims[p + q] for cell in row)
+            if (min(p, q) < 0 or p + q > top or len(table) != dims[p]
+                    or any(len(row) != dims[q] or
+                           any(len(cell) != dims[p + q] for cell in row)
                            for row in table)):
                 raise ValueError("product table (%d,%d) does not match dims %s"
-                                 % (p, q, self.dims))
-        mult = {(p, q): tuple({} for _ in range(self.dims[p]))
-                for p in range(self.top + 1) for q in range(self.top + 1 - p)}
-        for (p, q), table in products.items():
-            sign = (-1) ** (p * q)
-            for i, row in enumerate(table):
-                for j, cell in enumerate(row):
-                    terms = tuple((k, c) for k, c in enumerate(cell) if c)
-                    if terms:
-                        mult[(p, q)][i][j] = terms
-                        if (q, p) not in products:
-                            mult[(q, p)][j][i] = tuple((k, sign * c) for k, c in terms)
-        self._set_products(mult, tuple(products))
+                                 % (p, q, dims))
+        cells = [(key, i, j, tuple((k, c) for k, c in enumerate(cell) if c))
+                 for key, table in products.items()
+                 for i, row in enumerate(table) for j, cell in enumerate(row) if any(cell)]
+        D_m, flat = integer_terms([terms for *_, terms in cells])
+        mult = {(p, q): tuple({} for _ in range(dims[p]))
+                for p in range(top + 1) for q in range(top + 1 - p)}
+        for ((p, q), i, j, _), terms in zip(cells, flat):
+            mult[(p, q)][i][j] = terms
+            if (q, p) not in products:
+                sign = (-1) ** (p * q)
+                mult[(q, p)][j][i] = tuple((k, sign * c) for k, c in terms)
+        self._set(dims, (D_m, mult), tuple(products), (D_d, cols))
         errors = self.validate()
         if errors:
             raise ValueError("DGA axioms violated: " + "; ".join(errors))
 
-    def _set_d(self, dims, d):
-        self.dims = list(dims)
-        self.top = len(self.dims) - 1
-        self.d = [m if isinstance(m, Matrix) else Matrix(m) for m in d]
-        while len(self.d) < self.top + 1:
-            self.d.append(Matrix.zeros(self.dim(len(self.d) + 1), self.dims[len(self.d)]))
-        if len(self.d) > self.top + 1 or any(
-                m.rows != self.dim(n + 1) or (m.rows and m.cols != self.dims[n])
-                for n, m in enumerate(self.d)):
-            raise ValueError("differentials do not match dims %s" % self.dims)
-        # a zero-row differential keeps its column count (JSON gives it none)
-        self.d = [m if m.rows else Matrix.zeros(0, self.dims[n]) for n, m in enumerate(self.d)]
-
-    def _set_products(self, mult, keys, integer=None):
-        self._mult, self._keys, self._products = mult, keys, None
+    def _set(self, dims, table, keys, dcol):
+        self.dims, self.top = dims, len(dims) - 1
+        self.table, self.dcol, self._keys = table, dcol, keys
+        self._products = self._d = None  # the dense views, on demand
         self._cohomology = None  # the CohomologyData, on demand
-        self._integer = integer  # the integer view, on demand unless given
 
     @property
     def products(self):
         """The read-only dense tables of the degree pairs given, derived from
-        _mult on first use and kept."""
+        the table on first use and kept."""
         if self._products is None:
-            def cells(p, q, row):
-                for j in range(self.dims[q]):
-                    cell = [ZERO] * self.dims[p + q]
-                    for k, c in row.get(j, ()):
-                        cell[k] = c
-                    yield tuple(cell)
+            (D_m, mult), dims = self.table, self.dims
             self._products = MappingProxyType({
-                (p, q): tuple(tuple(cells(p, q, row)) for row in self._mult[(p, q)])
+                (p, q): tuple(tuple(over(_dense(row.get(j, ()), dims[p + q]), D_m)
+                                    for j in range(dims[q])) for row in mult[(p, q)])
                 for p, q in self._keys})
         return self._products
+
+    @property
+    def d(self):
+        """The tuple of the matrices d[n], derived from dcol on first use."""
+        if self._d is None:
+            self._d = tuple(_d_matrix(self.dims, *self.dcol, n) for n in range(self.top + 1))
+        return self._d
 
     def dim(self, n):
         """The dimension in degree n, 0 outside 0..top."""
         return self.dims[n] if 0 <= n <= self.top else 0
 
     def diff(self, n, v):
+        """d v, on the int columns of d with v as given, over D_d."""
         if self.dim(n + 1) == 0:
             return ()
-        return self.d[n].mul_vec(v)
-
-    def basis_products(self, p, q):
-        """Per degree-p index i, {j: ((k, c), ...)} with a_i a_j = sum c a_k
-        != 0, for p + q <= top."""
-        return self._mult[(p, q)]
+        D, cols = self.dcol
+        out = [ZERO] * self.dims[n + 1]
+        for a, col in zip(v, cols[n], strict=True):
+            if a:
+                for k, c in col:
+                    out[k] += a * c
+        return tuple(out) if D == 1 else over(out, D)
 
     def product(self, p, vp, q, vq):
-        """vp * vq, by ``sparse_product`` on the sparse table."""
+        """vp * vq: ``sparse_product`` on the table, with vp and vq as given,
+        over D_m."""
         n = p + q
         if n > self.top:
             return ()
-        return tuple(sparse_product(self._mult[(p, q)], vp, vq, self.dims[n], ZERO))
+        D, mult = self.table
+        out = sparse_product(mult[(p, q)], vp, vq, self.dims[n], ZERO)
+        return tuple(out) if D == 1 else over(out, D)
 
     def basis_vector(self, n, i):
         return unit(self.dims[n], i)
@@ -201,13 +228,13 @@ class FiniteDGA:
     def _generators(self):
         """(degree, index) of the generating set S of ``validate``: in
         degree n >= 1, the unit vectors off the pivots of the span of the
-        products a_i a_j with |a_i| = p, 1 <= p <= n - p.  On the integer
-        view, a single-term product is a multiple of e_k, pivot k (the scan
+        products a_i a_j with |a_i| = p, 1 <= p <= n - p.  On the int
+        table, a single-term product is a multiple of e_k, pivot k (the scan
         stops once those fill the degree), and one ``_eliminate`` of the
         multi-term products with those coordinates dropped gives the other
         pivots.  The products with p > n - p are not needed: S generates A
         as long as each product taken has factors of lower degree."""
-        mult = self.integer_view()[1]
+        mult = self.table[1]
         gens = [(0, i) for i in range(self.dims[0])]
         for n in range(1, self.top + 1):
             units, multi = set(), []
@@ -226,43 +253,19 @@ class FiniteDGA:
             gens += [(n, k) for k in range(self.dims[n]) if k not in units]
         return gens
 
-    def integer_view(self):
-        """(D_m, mult, D_d, dcol), built on first use and kept: the DGA is
-        immutable.  D_m is the lcm of the denominators of the product table
-        and mult the ``_mult`` table with every coefficient c replaced by the
-        int D_m c (``integer_terms``).  D_d is the lcm of the denominators of
-        all the d[n], and dcol[n][j] the nonzero entries (k, D_d d[n][k][j])
-        of column j of d[n], read off ``Matrix.integer_view``."""
-        if self._integer is None:
-            D_m, flat = integer_terms([terms for table in self._mult.values()
-                                       for row in table for terms in row.values()])
-            mult = {key: tuple({j: next(flat) for j in row} for row in table)
-                    for key, table in self._mult.items()}
-            views = [m.integer_view() for m in self.d]
-            D_d = lcm(*(D for D, _ in views))
-            dcol = []
-            for n, (D, rows) in enumerate(views):
-                cols = [[] for _ in range(self.dims[n])]
-                for k, terms in enumerate(rows):
-                    for j, c in terms:
-                        cols[j].append((k, c * (D_d // D)))
-                dcol.append(tuple(map(tuple, cols)))
-            self._integer = (D_m, mult, D_d, tuple(dcol))
-        return self._integer
-
     def _axiom_failures(self, gens):
         """The four checks of ``validate`` for s in gens, lazily: the error
         of each failing degree, once per failing (s, y) (and per degree of z
         for associativity).  They read the sparse table and the nonzeros of
         each column of d; each side of an identity is summed into one dict,
-        which must come out zero.  They run on the integer view: the table
+        which must come out zero.  They run on the int tables: the products
         scaled by D_m and d by D_d.  Each identity is homogeneous in table
         factors (two products on each side of associativity, one product and
         one d in each Leibniz term, one product in graded commutativity, two
         d's in d^2), so scaling multiplies all its terms by one D_m^2,
         D_m D_d, D_m or D_d^2, and the scaled check is the same check."""
         top, none = self.top, ()
-        _, mult, _, dcol = self.integer_view()
+        mult, dcol = self.table[1], self.dcol[1]
         for p, i in gens:
             p_sign = (-1) ** p
             if _d_squared(dcol, p, i):
@@ -317,9 +320,15 @@ class FiniteDGA:
 
     @classmethod
     def from_json(cls, obj):
+        """The DGA of ``to_json``: a product key must be the canonical "p,q",
+        and a degree pair may appear once (ValueError otherwise)."""
         products = {}
         for key, table in obj.get("product", {}).items():
             p, q = (int(t) for t in key.split(","))
+            if (p, q) in products:
+                raise ValueError("duplicate product table (%d,%d)" % (p, q))
+            if key != "%d,%d" % (p, q):
+                raise ValueError("product key %r is not of the form \"p,q\"" % key)
             products[(p, q)] = table
         return cls([integer(n) for n in obj["dims"]],
                    [Matrix(m) if m else Matrix.zeros(0, 0) for m in obj["d"]],
@@ -332,33 +341,39 @@ class FiniteDGA:
 class CohomologyData:
     """Betti numbers and representative bases of a finite cochain complex.
 
-    Per degree n: a kernel basis of d[n] (cocycles) and the echelon basis
-    of the image of d[n-1] (coboundaries), both from the RREF of the int
-    rows of ``Matrix.integer_view``, which the solvers share; and the
-    cocycles, in order, that grow one IncrementalSpan seeded with the
-    coboundaries (representatives).  All are tuples, as ``cohomology``
-    shares one CohomologyData per DGA.  The linear systems it answers,
+    It is made from dims and the int columns dcol = (D, cols) of d, as
+    ``FiniteDGA.dcol`` holds them, and works on int rows.  Per degree n:
+
+    - cocycles: the kernel basis of d[n] that ``kernel_basis`` gives, read
+      off ``_null_rows`` of the int rows of d[n]: int rows over one scale
+      per degree;
+    - coboundaries: the echelon basis of the image of d[n-1], from
+      ``_rref_rows`` of the int columns of d[n-1] (the RREF of a span is
+      unique), which leaves their primitive int rows;
+    - representatives: the cocycles, in order, whose int rows grow one
+      IncrementalSpan seeded with the int rows of the coboundaries.
+
+    Fractions are built only for these public tuples, which ``cohomology``
+    shares, one CohomologyData per DGA.  The linear systems it answers,
     class coordinates and preimages under d, each get one AffineSolver per
     degree, made on first use and kept.
     """
 
-    def __init__(self, dims, d_mats):
+    def __init__(self, dims, dcol):
         self.dims = list(dims)
         self.top = len(self.dims) - 1
-        self.d = d_mats
+        self.dcol = dcol
         self._solvers = {}
         cocycles, coboundaries, representatives = [], [], []
-        for n in range(self.top + 1):
-            dn = d_mats[n] if n < len(d_mats) else None
-            if dn is None or dn.rows == 0:
-                z = [unit(self.dims[n], i) for i in range(self.dims[n])]
-            else:
-                z = kernel_basis(dn)
-            b = image_basis(d_mats[n - 1]) if n and self.dims[n] else []
-            span = IncrementalSpan(b)
-            cocycles.append(tuple(z))
-            coboundaries.append(tuple(b))
-            representatives.append(tuple(v for v in z if span.add(v)))
+        for n, m in enumerate(self.dims):
+            S, z = _null_rows(_d_rows(self.dims, dcol[1], n), m)
+            b = [_dense(col, m) for col in dcol[1][n - 1] if col] if n else []
+            red, pivots = _rref_rows(b, m)
+            span = IncrementalSpan(b[:len(pivots)])
+            z_frac = [over(v, S) for v in z]
+            cocycles.append(tuple(z_frac))
+            coboundaries.append(tuple(red))
+            representatives.append(tuple(f for v, f in zip(z, z_frac) if span.add(v)))
         self.cocycles, self.coboundaries, self.representatives = map(
             tuple, (cocycles, coboundaries, representatives))
 
@@ -390,14 +405,15 @@ class CohomologyData:
     def preimage(self, n, v):
         """The x in degree n - 1 with d x = v and free variables zero, or
         None when v is not exact."""
-        return self._solver(("d", n - 1), lambda: self.d[n - 1]).solve(v)
+        return self._solver(("d", n - 1),
+                            lambda: _d_matrix(self.dims, *self.dcol, n - 1)).solve(v)
 
 
 def cohomology(dga: FiniteDGA) -> CohomologyData:
     """The cohomology of dga, computed once per DGA: a FiniteDGA is
     immutable, so every caller shares one CohomologyData and its solvers."""
     if dga._cohomology is None:
-        dga._cohomology = CohomologyData(dga.dims, dga.d)
+        dga._cohomology = CohomologyData(dga.dims, dga.dcol)
     return dga._cohomology
 
 
@@ -444,15 +460,12 @@ def adjoin_acyclic(dga: FiniteDGA, deg: int = 1):
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg complex
 
-MINUS_ONE = -ONE
-
-
 def chevalley_eilenberg(L) -> FiniteDGA:
     """Exterior algebra on the dual of L with the differential dual to the
     bracket: d xi^k = - sum_{i<j} c^k_{ij} xi^i ^ xi^j, extended as an odd
-    derivation.  The products go straight into the sparse table, one signed
-    entry per basis pair s, t with s ^ t != 0; ``products`` shows every
-    degree pair p + q <= dim L.
+    derivation.  The products go straight into the int table, one signed
+    entry +-1 per basis pair s, t with s ^ t != 0 (D_m = 1); ``products``
+    shows every degree pair p + q <= dim L.
 
     It is a DGA by construction, so ``validate`` is not run:
 
@@ -470,13 +483,13 @@ def chevalley_eilenberg(L) -> FiniteDGA:
       Jacobiator [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b].
 
     So the one check is d^2 = 0 on Lambda^1, which is Jacobi (ValueError
-    otherwise): ``_d_squared`` on the integer columns dcol, the check
+    otherwise): ``_d_squared`` on the int columns dcol, the check
     ``validate`` makes on a degree-1 generator, in place of
     ``L.check_jacobi()``.
 
-    It is built on ints and seeds the integer view: D_m = 1 for the +-1
-    table, and D_d is the D of ``integer_table(L)``, as d on degree 1 has
-    the entries -c and the higher d[n] are integer combinations of them.
+    The columns of d are built on ints over D_d = D of ``integer_table(L)``.
+    That is the lcm of the denominators of d: d on degree 1 has the entries
+    -c, and the higher d[n] are integer combinations of them.
     """
     n = L.dim
     D, partners = integer_table(L)
@@ -508,31 +521,19 @@ def chevalley_eilenberg(L) -> FiniteDGA:
     dcol = tuple(tuple(map(d_on_tuple, bases[k])) for k in range(n)) + (((),) * dims[n],)
     if any(_d_squared(dcol, 1, k) for k in range(n)):
         raise ValueError("Jacobi identity fails; CE differential would not square to zero")
-    d_mats = []
-    for k, cols in enumerate(dcol[:n]):
-        data = [[ZERO] * dims[k] for _ in range(dims[k + 1])]
-        for j, col in enumerate(cols):
-            for r, c in col:
-                data[r][j] = Fraction(c, D)
-        d_mats.append(Matrix._of_rows(tuple(map(tuple, data)), dims[k]))
-
-    cells = [[(((k, ONE),), ((k, MINUS_ONE),), ((k, 1),), ((k, -1),)) for k in range(m)]
-             for m in dims]
+    cells = [[(((k, 1),), ((k, -1),)) for k in range(m)] for m in dims]
     mult = {(p, q): tuple({} for _ in bases[p]) for p in range(n + 1) for q in range(n + 1 - p)}
-    imult = {key: tuple({} for _ in rows) for key, rows in mult.items()}
     for p in range(n + 1):
         for i, s in enumerate(bases[p]):
             above = [sum(1 for a in s if a > b) for b in range(n)]
             off = [b for b in range(n) if b not in s]
             for q in range(n + 1 - p):
-                rows, irows = mult[(p, q)][i], imult[(p, q)][i]
+                rows = mult[(p, q)][i]
                 for t in itertools.combinations(off, q):
                     j, odd = index[q][t], sum(above[b] for b in t) & 1
-                    cell = cells[p + q][index[p + q][tuple(sorted(s + t))]]
-                    rows[j], irows[j] = cell[odd], cell[2 + odd]
-    A = FiniteDGA.__new__(FiniteDGA)  # table and integer view as built; no validate
-    A._set_d(dims, d_mats)
-    A._set_products(mult, tuple(mult), (1, imult, D, dcol))
+                    rows[j] = cells[p + q][index[p + q][tuple(sorted(s + t))]][odd]
+    A = FiniteDGA.__new__(FiniteDGA)  # the tables as built; no validate
+    A._set(dims, (1, mult), tuple(mult), (D, dcol))
     return A
 
 
@@ -631,7 +632,7 @@ def formality_consequence_report(dga: FiniteDGA):
     H = cohomology(dga)
     reps = H.representatives[1]
     b, n2 = len(reps), dga.dims[2]
-    D_m, mult, _, dcol = dga.integer_view()
+    (D_m, mult), dcol = dga.table, dga.dcol[1]
     T = mult[(1, 1)]
     d_a, A = _integer_vectors(reps)
     D_E, E_rows = H.class_solver(2).E.integer_view()

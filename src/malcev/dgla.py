@@ -31,10 +31,10 @@ class TensorDGLA:
     its axioms on construction and antisymmetry of N holds by construction,
     so verify() checks the one remaining fact: the Jacobi identity of N.
 
-    The bracket and d run on integer views, each built once and kept on its
-    immutable owner: ``FiniteDGA.integer_view`` (the product table times
-    D_m, d times D_d) and ``lie.integer_table`` (the structure constants of
-    N times D_N).  An element is scaled once to an int vector u over its
+    The bracket and d run on the int tables that A and N build once:
+    ``FiniteDGA.table`` (the products times D_m), ``FiniteDGA.dcol`` (d
+    times D_d) and ``lie.integer_table`` (the structure constants of N times
+    D_N).  An element is scaled once to an int vector u over its
     lcm denominator; then ``_int_diff`` gives D_d (d ox id)(u) and
     ``_int_bracket`` gives D_m D_N [u, v], all in ints, and the public
     methods make one Fraction per nonzero output entry.
@@ -74,8 +74,7 @@ class TensorDGLA:
     def _scales(self):
         """(D_d, D): the factors D_d of ``_int_diff`` and D = D_m D_N of
         ``_int_bracket``."""
-        D_m, _, D_d, _ = self.dga.integer_view()
-        return D_d, D_m * integer_table(self.N)[0]
+        return self.dga.dcol[0], self.dga.table[0] * integer_table(self.N)[0]
 
     def _blocks(self, n, u):
         """The nonzero coefficient blocks (i, u_i) of u = sum a_i ox u_i."""
@@ -90,7 +89,7 @@ class TensorDGLA:
         out = [0] * self.dim(n + 1)
         if not out:
             return out
-        col = self.dga.integer_view()[3][n]
+        col = self.dga.dcol[1][n]
         for i, block in self._blocks(n, u):
             for k, c in col[i]:
                 for r, e in enumerate(block, k * m):
@@ -107,7 +106,7 @@ class TensorDGLA:
             return []
         m = self.N.dim
         out = [0] * self.dim(p + q)
-        rows = self.dga.integer_view()[1][(p, q)]
+        rows = self.dga.table[1][(p, q)]
         table = integer_table(self.N)[1]
         blocks_v = dict(self._blocks(q, v))
         for i, ui in self._blocks(p, u):

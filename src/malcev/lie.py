@@ -25,13 +25,15 @@ class LieAlgebra:
     """Lie algebra over the rationals, by structure constants.
 
     brackets, a read-only dense view, maps (i, j) with i < j to the
-    coordinate vector of [e_i, e_j]; missing pairs bracket to zero.  The
-    bracket runs on the sparse table _partners: per index i, the (j, ((k, c),
-    ...)) with [e_i, e_j] = sum c e_k != 0.  basis_names, when given, is a
-    list of dim strings (e1, e2, ... otherwise).  An optional grading assigns
-    a positive integer weight to each basis vector; when present, brackets
-    must be additive in the weights.  ``from_json`` rejects a pair (i, j)
-    given twice.
+    coordinate vector of [e_i, e_j]; missing pairs bracket to zero.  It is
+    the input as given, which ``basis_bracket`` and ``to_json`` read.  Every
+    bracket runs on the one sparse table, ``integer_table``: int structure
+    constants over their common denominator D, built once here.  ``bracket``
+    and ``ad`` take Fraction vectors as they are and divide by D only when
+    D > 1.  basis_names, when given, is a list of dim strings (e1, e2, ...
+    otherwise).  An optional grading assigns a positive integer weight to
+    each basis vector; when present, brackets must be additive in the
+    weights.  ``from_json`` rejects a pair (i, j) given twice.
     """
 
     def __init__(self, dim, brackets, basis_names=None, grading=None):
@@ -44,26 +46,26 @@ class LieAlgebra:
                   and all(isinstance(s, str) for s in basis_names)):
             raise ValueError("basis must be a list of %d names (strings)" % dim)
         self.basis_names = tuple(basis_names)
-        table = {}
-        partners = [[] for _ in range(dim)]
+        dense = {}
         for (i, j), v in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bad bracket key (%d, %d)" % (i, j))
             v = vec(v)
             if len(v) != dim:
                 raise ValueError("bracket value has wrong length")
-            terms = tuple((k, c) for k, c in enumerate(v) if c)
-            if terms:
-                table[(i, j)] = v
-                partners[i].append((j, terms))
-                partners[j].append((i, tuple((k, -c) for k, c in terms)))
-        self.brackets = MappingProxyType(table)
-        self._partners = tuple(tuple(p) for p in partners)
+            if any(v):
+                dense[(i, j)] = v
+        self.brackets = MappingProxyType(dense)
+        D, flat = integer_terms([[(k, c) for k, c in enumerate(v) if c] for v in dense.values()])
+        rows = [[] for _ in range(dim)]
+        for (i, j), terms in zip(dense, flat):
+            rows[i].append((j, terms))
+            rows[j].append((i, tuple((k, -c) for k, c in terms)))
+        self.table = (D, tuple(map(tuple, rows)))
         self._lcs = None  # RREF bases of the lower central series, on demand
         self._stages = {}  # LCS stages (dgla.lcs_extension) by k, on demand
         self._gens = None  # indices of a proven generating set, on demand
         self._jacobi = None  # basis triples failing Jacobi, on demand
-        self._integer = None  # integer view of _partners, on demand
         self.grading = tuple(grading) if grading is not None else None
         if self.grading is not None:
             if len(self.grading) != dim:
@@ -88,14 +90,18 @@ class LieAlgebra:
         return vec_neg(self.brackets.get((j, i), vec_zero(self.dim)))
 
     def ad(self, i, v):
-        """[e_i, v], read off the sparse partner row of i."""
-        return tuple(_ad(self._partners[i], v, ZERO))
+        """[e_i, v]: ``_ad`` on row i of the table, with v as given, over D."""
+        D, rows = self.table
+        out = _ad(rows[i], v, ZERO)
+        return tuple(out) if D == 1 else over(out, D)
 
     def bracket(self, x, y):
-        """[x, y], by ``sparse_bracket`` on the sparse table."""
+        """[x, y]: ``sparse_bracket`` on the table, x and y as given, over D."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length must equal dim=%d" % self.dim)
-        return sparse_bracket(self._partners, x, y, ZERO)
+        D, rows = self.table
+        out = sparse_bracket(rows, x, y, ZERO)
+        return out if D == 1 else over(out, D)
 
     def check_jacobi(self):
         """Return the list of basis triples violating the Jacobi identity.
@@ -111,7 +117,7 @@ class LieAlgebra:
         immutable, so this runs once per algebra; each call returns a fresh
         list of the kept triples."""
         if self._jacobi is None:
-            n, rows = self.dim, integer_table(self)[1]
+            n, rows = self.dim, self.table[1]
             e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
             br = lambda x, y: sparse_bracket(rows, x, y, 0)
             def fails(t):
@@ -160,9 +166,8 @@ class LieAlgebra:
 
 
 def _ad(row, v, zero):
-    """sum_j v_j [e_i, e_j] as a list, for the partner row ((j, terms), ...)
-    of i: ad(e_i) v on a row of ``LieAlgebra._partners``, D ad(e_i) v on a
-    row of ``integer_table``."""
+    """sum_j v_j [e_i, e_j] as a list, for the row ((j, terms), ...) of i in
+    ``integer_table``: D ad(e_i) v."""
     out = [zero] * len(v)
     for j, terms in row:
         vj = v[j]
@@ -173,12 +178,12 @@ def _ad(row, v, zero):
 
 
 def sparse_bracket(partners, x, y, zero):
-    """[x, y] from a partner table (``LieAlgebra._partners`` or the rows of
-    ``integer_table``), by bilinear expansion over the nonzeros of x and
-    their partners; an empty partner row is skipped before x_i is read.  A
-    pair (i, j) where both x_i y_j and x_j y_i are nonzero is expanded once,
-    with coefficient x_i y_j - x_j y_i.  The coordinates start at zero, so
-    integer vectors on an integer table stay integers."""
+    """D [x, y] from the rows of ``integer_table``, by bilinear expansion
+    over the nonzeros of x and their partners; an empty row is skipped
+    before x_i is read.  A pair (i, j) where both x_i y_j and x_j y_i are
+    nonzero is expanded once, with coefficient x_i y_j - x_j y_i.  The
+    coordinates start at zero, so integer vectors stay integers and
+    Fraction vectors (with zero = ZERO) give Fractions."""
     out = [zero] * len(partners)
     for i, row in enumerate(partners):
         if not row:
@@ -205,15 +210,12 @@ def sparse_bracket(partners, x, y, zero):
 
 
 def integer_table(L):
-    """(D, rows): D is the lcm of the structure-constant denominators and
-    rows the partner table with every coefficient c replaced by the int D c,
-    built once per algebra.  On integer vectors u, v,
+    """L.table = (D, rows), the one structure-constant table of L, built by
+    its constructor: D is the lcm of the denominators of the structure
+    constants, and rows[i] holds the (j, ((k, D c), ...)) with [e_i, e_j] =
+    sum c e_k != 0, int coefficients.  On integer vectors u, v,
     ``sparse_bracket(rows, u, v, 0)`` is the integer vector D [u, v]."""
-    if L._integer is None:
-        D, flat = integer_terms([terms for row in L._partners for _, terms in row])
-        L._integer = (D, tuple(tuple((j, next(flat)) for j, _ in row)
-                               for row in L._partners))
-    return L._integer
+    return L.table
 
 
 class LieIdeal:
@@ -470,8 +472,8 @@ def quotient_by_ideal(L, ideal):
     nonzero entry, the projection sends e_c to the unit vector at c and e_p
     to -(R_p on the complement).  It is kept as sparse int columns over E,
     the lcm of those last entries, and Q's table is the projection of the
-    partner rows of the complement in ``integer_table(L)`` (D times the
-    table), one Fraction per nonzero entry over D E.  Q's grading is L's on the (homogeneous)
+    rows of the complement in ``integer_table(L)`` (D times the structure
+    constants), one Fraction per nonzero entry over D E.  Q's grading is L's on the (homogeneous)
     unit vectors.
 
     The ideal check is [s, b] in I for s in a generating set S of L

@@ -196,15 +196,17 @@ class Matrix:
         return all(e.denominator == 1 for row in self.data for e in row)
 
 
+def _dense(terms, n):
+    """The int list of length n with the sparse entries terms (k, c)."""
+    row = [0] * n
+    for k, c in terms:
+        row[k] = c
+    return row
+
+
 def _integer_rows(m: Matrix):
     """The rows of m times the D of its integer view, as dense int lists."""
-    out = []
-    for terms in m.integer_view()[1]:
-        row = [0] * m.cols
-        for j, c in terms:
-            row[j] = c
-        out.append(row)
-    return out
+    return [_dense(terms, m.cols) for terms in m.integer_view()[1]]
 
 
 def _eliminate(rows, cols):
@@ -366,27 +368,27 @@ def inverse(m: Matrix) -> Matrix:
     return right_inverse(m)
 
 
+def _null_rows(rows, cols):
+    """(S, null) for int rows with cols entries: null holds one int row per
+    free column fc of the RREF, S times e_fc minus column fc of the RREF
+    placed at the pivots; these span the null space.  ``_eliminate`` of the
+    nonzero rows leaves primitive rows r_i, multiples of the RREF rows, with
+    pivots a_i at columns p_i; S is the lcm of the a_i, so the entry at p_i,
+    -r_i[fc] (S / a_i), is an int: one scale for all the rows."""
+    rows = [r for r in rows if any(r)]
+    pivots = _eliminate(rows, cols)
+    S = lcm(*(r[p] for r, p in zip(rows, pivots)))
+    return S, [_dense([(fc, S)] + [(p, -r[fc] * (S // r[p])) for r, p in zip(rows, pivots)], cols)
+               for fc in sorted(set(range(cols)).difference(pivots))]
+
+
 def kernel_basis(m: Matrix):
     """Basis of the exact null space {v : m v = 0}, as a list of vectors,
-    one per free column of the RREF of the nonzero rows of the integer view.
-    The RREF is of m alone: the [m | id] of ``AffineSolver`` would widen
-    every elimination by m.rows columns."""
-    red, pivots = _rref_rows([row for row in _integer_rows(m) if any(row)], m.cols)
-    basis = []
-    for fc in (c for c in range(m.cols) if c not in pivots):
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def image_basis(m: Matrix):
-    """The echelon basis of the column space of m, from the RREF of its
-    columns on the integer view: ``echelon_basis`` of the columns, as the
-    RREF of their span is unique."""
-    return _rref_rows([list(c) for c in zip(*_integer_rows(m)) if any(c)], m.rows)[0]
+    one per free column of the RREF of the integer view: the rows of
+    ``_null_rows`` over their scale.  The RREF is of m alone: the [m | id]
+    of ``AffineSolver`` would widen every elimination by m.rows columns."""
+    S, null = _null_rows(_integer_rows(m), m.cols)
+    return [over(v, S) for v in null]
 
 
 def solve_affine(m: Matrix, b):

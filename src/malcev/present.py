@@ -379,17 +379,6 @@ def malcev_model(cd: CupDatum) -> QuadraticPresentation:
     return QuadraticPresentation(cd.h1, rows)
 
 
-def weight_decomposition(qp: QuadraticPresentation, realization: LieAlgebra):
-    """Weights of the canonical decomposition: degree n -> weight -n.
-
-    Generators carry weight -1 and relations are homogeneous of weight -2;
-    the bracket adds weights because the realization is graded.
-    """
-    if realization.grading is None:
-        raise ValueError("realization carries no grading")
-    return [-d for d in realization.grading]
-
-
 # ---------------------------------------------------------------------------
 # Representation lifting
 

@@ -92,10 +92,15 @@ def test_integer_table_scales_the_structure_constants():
     L = algebras()[0][1]
     D, rows = integer_table(L)
     assert integer_table(L) is integer_table(L)
+    partners = [[] for _ in range(L.dim)]  # the table's rows as Fractions
+    for (i, j), v in L.brackets.items():
+        terms = [(k, c) for k, c in enumerate(v) if c]
+        partners[i].append((j, terms))
+        partners[j].append((i, [(k, -c) for k, c in terms]))
     for i, row in enumerate(rows):
         assert [(j, [k for k, _ in t]) for j, t in row] == \
-            [(j, [k for k, _ in t]) for j, t in L._partners[i]]
-        for (j, terms), (_, fterms) in zip(row, L._partners[i]):
+            [(j, [k for k, _ in t]) for j, t in partners[i]]
+        for (j, terms), (_, fterms) in zip(row, partners[i]):
             assert all(type(c) is int and c == D * f for (_, c), (_, f) in zip(terms, fterms))
     assert integer_table(abelian(2)) == (1, ((), ()))
 

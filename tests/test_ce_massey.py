@@ -69,7 +69,7 @@ def per_triple(A):
     ``cohomology`` keeps on A)."""
     if A.top < 2:
         return [], 0
-    H = CohomologyData(A.dims, A.d)
+    H = CohomologyData(A.dims, A.dcol)
     reps = H.representatives[1]
     witnesses, undefined = [], 0
     for i, j, k in itertools.product(range(len(reps)), repeat=3):

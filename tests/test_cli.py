@@ -494,6 +494,23 @@ def test_dga_axiom_failures_are_input_errors(capsys, dga, errors):
     assert err == "error: bad input: DGA axioms violated: %s\n" % errors
 
 
+@pytest.mark.parametrize("key, first, err", [
+    ("0, 1", False, "duplicate product table (0,1)"),
+    ("+1,1", False, "duplicate product table (1,1)"),
+    ("0, 1", True, "product key '0, 1' is not of the form \"p,q\""),
+    ("+1,1", True, "product key '+1,1' is not of the form \"p,q\""),
+], ids=["space-after", "plus-after", "space-first", "plus-first"])
+def test_dga_product_key_must_be_canonical_and_unique(capsys, key, first, err):
+    """CE(heisenberg) with an extra key naming a degree pair it already has,
+    holding the same table, after or before the canonical key."""
+    obj = json.loads(CE_HEIS_JSON)
+    canonical = key.replace(" ", "").lstrip("+")
+    extra = {key: obj["product"][canonical]}
+    obj["product"] = {**extra, **obj["product"]} if first else {**obj["product"], **extra}
+    code, stderr = run_error(capsys, "mc", json.dumps(obj), HEIS_JSON)
+    assert code == 2 and stderr == "error: bad input: %s\n" % err
+
+
 RANK_ERROR = "error: lattice vectors must span all 3 dimensions of the algebra\n"
 
 

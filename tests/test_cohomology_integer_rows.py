@@ -67,7 +67,7 @@ def oracle_kernel(rows, cols):
 @pytest.mark.parametrize("name", NAMES)
 def test_cohomology_matches_fraction_oracles(name):
     A = dgas()[name]
-    for H in (cohomology(A), CohomologyData(A.dims, A.d)):
+    for H in (cohomology(A), CohomologyData(A.dims, A.dcol)):
         for n in range(A.top + 1):
             rows = A.d[n].data
             cocycles = oracle_kernel(rows, A.dims[n])

@@ -25,6 +25,7 @@ from oracles import (
     dense_bracket, dga_axiom_failures, dga_product, echelon_insertions, gauss_jordan, naive_solve,
 )
 from test_ce_massey import per_triple
+from test_dga_table import apply, dga_basis_change, inverse_rows, multi_term, unitriangular
 from test_dga_validate import corrupt, failures
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -105,24 +106,6 @@ def test_affine_solver_matches_solve_affine_on_fractions():
 # ---------------------------------------------------------------------------
 # Basis changes with fractional entries
 
-def unitriangular(n, rng):
-    """A seeded lower unitriangular matrix with fractional entries, as rows."""
-    return [[Fraction(1) if r == c else
-             (Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3])) if r > c else Fraction(0))
-             for c in range(n)] for r in range(n)]
-
-
-def inverse_rows(rows):
-    n = len(rows)
-    red = gauss_jordan([list(r) + [Fraction(int(r_ == c)) for c in range(n)]
-                        for r_, r in enumerate(rows)], 2 * n)[0]
-    return [row[n:] for row in red]
-
-
-def apply(rows, v):
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows)
-
-
 def lie_basis_change(L, rng):
     """L in the basis of the columns of a fractional unitriangular matrix."""
     rows = unitriangular(L.dim, rng)
@@ -135,24 +118,6 @@ def lie_basis_change(L, rng):
             if any(v):
                 table[(i, j)] = v
     return LieAlgebra(L.dim, table)
-
-
-def dga_basis_change(A, rng):
-    """A in the bases f^n_i = P_n e^n_i, P_n fractional unitriangular: the
-    products f_i f_j are multi-term, with non-unit denominators.  Built with
-    the oracles from A's dense tables."""
-    P = [unitriangular(n, rng) for n in A.dims]
-    inv = [inverse_rows(p) for p in P]
-    cols = [[tuple(r[c] for r in p) for c in range(len(p))] for p in P]
-    d = []
-    for n in range(A.top):
-        image = [apply(inv[n + 1], apply(A.d[n].data, col)) for col in cols[n]]
-        d.append([[image[j][i] for j in range(A.dims[n])] for i in range(A.dims[n + 1])])
-    products = {(p, q): [[apply(inv[p + q], dga_product(A.products, A.dims[p + q],
-                                                         p, a, q, b))
-                          for b in cols[q]] for a in cols[p]]
-                for p, q in A.products}
-    return FiniteDGA(A.dims, d, products)
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,17 +142,12 @@ def report_cases():
     return cases
 
 
-def multi_term(A):
-    return any(len(terms) > 1 for table in A._mult.values()
-               for row in table for terms in row.values())
-
-
 @pytest.mark.parametrize("index", range(len(report_cases())),
                          ids=[name for name, _ in report_cases()])
 def test_report_matches_per_triple_massey(index):
     name, A = report_cases()[index]
     if name.endswith("-dga-basis") or name.startswith("ring"):
-        assert multi_term(A) and A.integer_view()[0] > 1
+        assert multi_term(A) and A.table[0] > 1
     witnesses, undefined = formality_consequence_report(A)
     assert ([(t, r.to_json()) for t, r in witnesses], undefined) == per_triple(A)
     for _, r in witnesses:
@@ -271,12 +231,12 @@ CE_CASES = [i for i, (name, _) in enumerate(report_cases())
 
 @pytest.mark.parametrize("index", CE_CASES, ids=[report_cases()[i][0] for i in CE_CASES])
 def test_ce_integer_view_matches_the_generic_one(index):
-    """The integer view that chevalley_eilenberg seeds equals the one that
+    """The int tables that chevalley_eilenberg builds equal the ones that
     FiniteDGA derives from the same d and tables."""
     A = report_cases()[index][1]
     B = FiniteDGA(A.dims, A.d, {key: A.products[key] for key in A.products})
-    assert A.integer_view() == B.integer_view()
-    assert A._mult == B._mult and A.d == B.d
+    assert (A.table, A.dcol) == (B.table, B.dcol)
+    assert A.table[1] == B.table[1] and A.d == B.d
 
 
 # ---------------------------------------------------------------------------

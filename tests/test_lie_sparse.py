@@ -68,6 +68,9 @@ def test_sparse_bracket_matches_dense_oracle(dim_table, data):
     x, y = tuple(data.draw(vectors)), tuple(data.draw(vectors))
     assert L.bracket(x, y) == dense_bracket(dim, table, x, y)
     assert L.bracket(x, x) == dense_bracket(dim, table, x, x)
+    for i in range(dim):
+        e = tuple(Fraction(int(k == i)) for k in range(dim))
+        assert L.ad(i, y) == dense_bracket(dim, table, e, y)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ from malcev.lie import (
 )
 from malcev.freelie import free_nilpotent
 from malcev.bch import GroupPresentation, check_representation
+from malcev.cli import main
 from malcev.present import (
     pair_index, QuadraticPresentation, realize, realized_graded_dims,
     is_quadratically_presented, direct_summand_quadratic, CupDatum,
-    malcev_model, weight_decomposition, lift_representation_criterion,
+    malcev_model, lift_representation_criterion,
     lift_one_class, _filtered_iso, _verify_filtered_iso,
 )
 
@@ -67,13 +69,14 @@ def test_realize_zero_cup_is_free():
     assert realized_graded_dims(Q) == [2, 1, 2]
 
 
-def test_realize_genus2_model():
+def test_realize_genus2_model(capsys):
     qp = malcev_model(genus2_cup())
     Q, stabilized = realize(qp, 3)
     assert realized_graded_dims(Q) == [4, 5, 16]
     assert Q.dim == 25
     assert not stabilized  # surface-group models keep growing
-    assert set(weight_decomposition(qp, Q)) == {-1, -2, -3}
+    assert main(["malcev-model", json.dumps(genus2_cup().to_json()), "--out", "json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["verdicts"]["weights"]) == {-1, -2, -3}
 
 
 def test_malcev_model_relations_are_pairing_duals():
@@ -85,12 +88,6 @@ def test_malcev_model_relations_are_pairing_duals():
     assert r[pairs.index((0, 1))] == r[pairs.index((2, 3))]
     assert r[pairs.index((0, 1))] != 0
     assert all(r[pairs.index(p)] == 0 for p in [(0, 2), (0, 3), (1, 2), (1, 3)])
-
-
-def test_weight_decomposition_needs_grading():
-    qp = malcev_model(torus_cup())
-    with pytest.raises(ValueError):
-        weight_decomposition(qp, heisenberg())  # built without a grading
 
 
 def test_heisenberg_not_quadratic():

@@ -66,7 +66,7 @@ def test_tensor_dgla_matches_dense_oracle(source, coeffs):
     # adjoining a, b with da = b in degrees 0, 1 makes d nonzero on A^0
     A = rescaled_dga(adjoin_acyclic(chevalley_eilenberg(source), deg=0)[0], rng)
     N = rescaled_lie(coeffs, rng)
-    D_m, _, D_d, _ = A.integer_view()
+    D_m, D_d = A.table[0], A.dcol[0]
     assert D_m > 1 and D_d > 1 and integer_table(N)[0] > 1
     t = TensorDGLA(A, N)
     dims, products, d, m, table = dense(A, N)
