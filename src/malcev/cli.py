@@ -36,17 +36,29 @@ class InputError(ValueError):
     pass
 
 
+def unique_keys(pairs):
+    """The object of the (key, value) pairs of one JSON object; a key given
+    twice is an InputError, where json would keep the last one."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError("invalid JSON: duplicate key %s" % json.dumps(key))
+        obj[key] = value
+    return obj
+
+
 def load_json(arg):
-    """Parse inline JSON, or read a file when the argument is a path."""
+    """Parse inline JSON, or read a file when the argument is a path.  No
+    object may repeat a key (``unique_keys``)."""
     s = arg.strip()
     if s.startswith("{") or s.startswith("["):
         try:
-            return json.loads(s)
+            return json.loads(s, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as e:
             raise InputError("invalid JSON: %s" % e)
     try:
         with open(arg) as f:
-            return json.load(f)
+            return json.load(f, object_pairs_hook=unique_keys)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (arg, e))
     except json.JSONDecodeError as e:

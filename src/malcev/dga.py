@@ -25,15 +25,15 @@ numbers, Massey products and MC stages.
 """
 
 import itertools
-from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 
 from .lie import integer_table
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_scale, vec_sub, vec_zero, vec_is_zero,
-    echelon_basis, span_contains, unit, IncrementalSpan, AffineSolver, integer_terms,
-    _dense, _eliminate, _null_rows, _rref_rows, over, integer,
+    echelon_basis, echelon_rows, span_contains, unit, IncrementalSpan, AffineSolver,
+    integer_terms, _dense, _eliminate, _null_rows, over, integer,
 )
 
 
@@ -342,21 +342,26 @@ class CohomologyData:
     """Betti numbers and representative bases of a finite cochain complex.
 
     It is made from dims and the int columns dcol = (D, cols) of d, as
-    ``FiniteDGA.dcol`` holds them, and works on int rows.  Per degree n:
+    ``FiniteDGA.dcol`` holds them, and works on int rows.  Per degree n it
+    keeps, in ``rows[n]``, (S, cocycle rows, coboundary rows, representative
+    rows):
 
-    - cocycles: the kernel basis of d[n] that ``kernel_basis`` gives, read
-      off ``_null_rows`` of the int rows of d[n]: int rows over one scale
-      per degree;
-    - coboundaries: the echelon basis of the image of d[n-1], from
-      ``_rref_rows`` of the int columns of d[n-1] (the RREF of a span is
-      unique), which leaves their primitive int rows;
-    - representatives: the cocycles, in order, whose int rows grow one
-      IncrementalSpan seeded with the int rows of the coboundaries.
+    - the cocycle rows: ``_null_rows`` of the int rows of d[n], a kernel
+      basis over the one scale S;
+    - the coboundary rows: the primitive int rows that ``_eliminate`` leaves
+      of the int columns of d[n-1], each a multiple of a row of the RREF of
+      the image (the RREF of a span is unique);
+    - the representative rows: the cocycle rows, in order, that grow one
+      IncrementalSpan seeded with the coboundary rows.
 
-    Fractions are built only for these public tuples, which ``cohomology``
-    shares, one CohomologyData per DGA.  The linear systems it answers,
-    class coordinates and preimages under d, each get one AffineSolver per
-    degree, made on first use and kept.
+    ``betti`` counts rows.  ``cocycles``, ``coboundaries`` and
+    ``representatives`` are read-only tuples of Fraction vectors built on
+    first read: the cocycle and representative rows over S, and each
+    coboundary row over its pivot (its RREF row).  The linear systems it
+    answers, class coordinates and preimages under d, each get one
+    AffineSolver per degree, made with ``AffineSolver.of_rows`` from these
+    rows and from dcol on first use, and kept.  ``cohomology`` shares one
+    CohomologyData per DGA.
     """
 
     def __init__(self, dims, dcol):
@@ -364,49 +369,70 @@ class CohomologyData:
         self.top = len(self.dims) - 1
         self.dcol = dcol
         self._solvers = {}
-        cocycles, coboundaries, representatives = [], [], []
+        self.rows = []
         for n, m in enumerate(self.dims):
             S, z = _null_rows(_d_rows(self.dims, dcol[1], n), m)
             b = [_dense(col, m) for col in dcol[1][n - 1] if col] if n else []
-            red, pivots = _rref_rows(b, m)
-            span = IncrementalSpan(b[:len(pivots)])
-            z_frac = [over(v, S) for v in z]
-            cocycles.append(tuple(z_frac))
-            coboundaries.append(tuple(red))
-            representatives.append(tuple(f for v, f in zip(z, z_frac) if span.add(v)))
-        self.cocycles, self.coboundaries, self.representatives = map(
-            tuple, (cocycles, coboundaries, representatives))
+            del b[len(_eliminate(b, m)):]
+            span = IncrementalSpan(b)
+            self.rows.append((S, z, b, [v for v in z if span.add(v)]))
 
     def betti(self):
-        return [len(r) for r in self.representatives]
+        return [len(reps) for *_, reps in self.rows]
 
-    def _solver(self, key, matrix):
+    @cached_property
+    def cocycles(self):
+        return tuple(tuple(over(v, S) for v in z) for S, z, _, _ in self.rows)
+
+    @cached_property
+    def coboundaries(self):
+        return tuple(tuple(over(r, next(a for a in r if a)) for r in b)
+                     for _, _, b, _ in self.rows)
+
+    @cached_property
+    def representatives(self):
+        return tuple(tuple(over(v, S) for v in reps) for S, _, _, reps in self.rows)
+
+    def _solver(self, key, build):
         if key not in self._solvers:
-            self._solvers[key] = AffineSolver(matrix())
+            self._solvers[key] = build()
         return self._solvers[key]
 
     def class_solver(self, n):
         """The AffineSolver of [representatives | coboundaries] in degree n:
         as every column is a pivot, the first b_n rows of its E are a linear
-        map C that gives the class coordinates of every cocycle."""
-        return self._solver(("class", n), lambda: Matrix.from_columns(
-            self.representatives[n] + self.coboundaries[n], rows=self.dims[n]))
+        map C that gives the class coordinates of every cocycle.  Column j
+        is an int row v_j over its scale s_j (S, or the pivot of a
+        coboundary row), so the matrix is the int rows (L / s_j) v_j over
+        the lcm L of the s_j."""
+        def build():
+            S, _, b, reps = self.rows[n]
+            cols = [(v, S) for v in reps] + [(r, next(a for a in r if a)) for r in b]
+            L = lcm(*(s for _, s in cols))
+            return AffineSolver.of_rows([[v[k] * (L // s) for v, s in cols]
+                                         for k in range(self.dims[n])], len(cols), L)
+        return self._solver(("class", n), build)
 
     def class_coordinates(self, n, v):
         """Coordinates of a closed vector's class in the representative basis."""
-        reps = self.representatives[n]
-        if not (reps or self.coboundaries[n]):
+        _, _, b, reps = self.rows[n]
+        if not (reps or b):
             assert vec_is_zero(v)
             return ()
         x = self.class_solver(n).solve(v)
         assert x is not None, "vector is not a cocycle"
         return x[:len(reps)]
 
+    def preimage_solver(self, n):
+        """The AffineSolver of d[n-1], on its int rows over D_d."""
+        D, cols = self.dcol
+        return self._solver(("d", n - 1), lambda: AffineSolver.of_rows(
+            _d_rows(self.dims, cols, n - 1), self.dims[n - 1], D))
+
     def preimage(self, n, v):
         """The x in degree n - 1 with d x = v and free variables zero, or
         None when v is not exact."""
-        return self._solver(("d", n - 1),
-                            lambda: _d_matrix(self.dims, *self.dcol, n - 1)).solve(v)
+        return self.preimage_solver(n).solve(v)
 
 
 def cohomology(dga: FiniteDGA) -> CohomologyData:
@@ -599,13 +625,6 @@ def massey_triple(dga: FiniteDGA, pa, pb, pc, H=None) -> MasseyResult:
     return MasseyResult(n_out, rep, rep_class, indet, span_contains(indet, rep_class))
 
 
-def _integer_vectors(vectors):
-    """(d, ints): d is the lcm of the denominators of all the entries, and
-    ints the vectors times d, as int lists."""
-    d = lcm(*(e.denominator for v in vectors for e in v))
-    return d, [[e.numerator * (d // e.denominator) for e in v] for v in vectors]
-
-
 def formality_consequence_report(dga: FiniteDGA):
     """Scan degree-1 triple Massey products for formality obstructions.
 
@@ -617,37 +636,40 @@ def formality_consequence_report(dga: FiniteDGA):
 
     It works by bilinearity, on ints scaled by common denominators (one
     scale K for every P, one for every class; a witness divides them out).
+    The H^1 representatives are the int rows A_i = S a_i of
+    ``CohomologyData``; the x_ij are the int solves x_ij = X_ij / s of the
+    preimage solver, one scale s for all; the class map C is the int rows
+    of E of ``CohomologyData.class_solver`` over its D_E.
     P[i, j, k] = a_i x_jk is made once per i and defined pair (j, k), and by
     graded commutativity in degree (1, 1) the representative a_i x_jk +
-    x_ij a_k is P[i, j, k] - P[k, i, j], of class C P[i, j, k] - C P[k, i, j]
-    for the linear class map C of ``CohomologyData.class_solver``.  It is a
-    cocycle with no check per triple: d(a y + x c) = -a (b c) + (a b) c = 0
-    by Leibniz and associativity, proved by ``validate`` or by construction
-    (``chevalley_eilenberg``); each witness is still checked to have
-    d rep = 0.  In degree 1, a_i . H^1 is the row cup[i][.] and H^1 . a_k
-    the column cup[.][k]: one indeterminacy span per (i, k).
+    x_ij a_k is P[i, j, k] - P[k, i, j], of class C P[i, j, k] - C P[k, i, j].
+    It is a cocycle with no check per triple: d(a y + x c) = -a (b c) +
+    (a b) c = 0 by Leibniz and associativity, proved by ``validate`` or by
+    construction (``chevalley_eilenberg``); each witness is still checked
+    to have d rep = 0.  In degree 1, a_i . H^1 is the row cup[i][.] and
+    H^1 . a_k the column cup[.][k]: one indeterminacy span per (i, k), the
+    int rows of ``echelon_rows``.  Witnesses are the only Fractions built.
     """
     if dga.top < 2:
         return [], 0
     H = cohomology(dga)
-    reps = H.representatives[1]
-    b, n2 = len(reps), dga.dims[2]
+    d_a, _, _, A = H.rows[1]
+    b, n2 = len(A), dga.dims[2]
     (D_m, mult), dcol = dga.table, dga.dcol[1]
     T = mult[(1, 1)]
-    d_a, A = _integer_vectors(reps)
-    D_E, E_rows = H.class_solver(2).E.integer_view()
-    C = E_rows[:len(H.representatives[2])]
+    D_E, E_rows = H.class_solver(2).E_int
+    C = E_rows[:len(H.rows[2][3])]
 
     def cls(v):
         return [sum([c * v[k] for k, c in terms]) for terms in C]
 
     ab = {(i, j): sparse_product(T, A[i], A[j], n2, 0) for i in range(b) for j in range(b)}
     cup = {pair: cls(v) for pair, v in ab.items()}
-    x = {pair: H.preimage(2, v) for pair, v in ab.items()}
-    defined = [pair for pair, v in x.items() if v is not None]
-    d_x, X = _integer_vectors([x[pair] for pair in defined])
-    P = {(i,) + pair: sparse_product(T, A[i], xs, n2, 0)
-         for i in range(b) for pair, xs in zip(defined, X)}
+    solver = H.preimage_solver(2)
+    x = {pair: solver.solve_int(v) for pair, v in ab.items()}
+    d_x = solver.E_int[0]
+    P = {(i,) + pair: sparse_product(T, A[i], xs[0], n2, 0)
+         for i in range(b) for pair, xs in x.items() if xs is not None}
     CP = {key: cls(v) for key, v in P.items()}
     K = D_m * D_m * d_a ** 3 * d_x   # P = K a_i x_jk
     witnesses, undefined, indet = [], 0, {}
@@ -656,9 +678,9 @@ def formality_consequence_report(dga: FiniteDGA):
             undefined += 1
             continue
         if (i, k) not in indet:
-            basis = echelon_basis([cup[i, m] for m in range(b)] + [cup[m, k] for m in range(b)])
-            indet[i, k] = basis, IncrementalSpan(basis)
-        basis, span = indet[i, k]
+            rows = echelon_rows([cup[i, m] for m in range(b)] + [cup[m, k] for m in range(b)])
+            indet[i, k] = rows, IncrementalSpan(rows[0])
+        rows, span = indet[i, k]
         rep_class = [s - t for s, t in zip(CP[i, j, k], CP[k, i, j])]
         if span.contains(rep_class):
             continue
@@ -668,6 +690,7 @@ def formality_consequence_report(dga: FiniteDGA):
             for t, f in dcol[2][m]:
                 d_rep[t] = d_rep.get(t, 0) + e * f
         assert not any(d_rep.values()), "Massey representative is not a cocycle"
+        basis = [over(r, r[p]) for r, p in zip(*rows)]
         witnesses.append(((i, j, k), MasseyResult(
             2, over(rep, K), over(rep_class, D_E * K), basis, False)))
     return witnesses, undefined

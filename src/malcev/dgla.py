@@ -9,8 +9,10 @@ The formal symbol d of the gauge formula is realised as an explicit extra
 degree-1 coordinate with [d, a] = da.
 """
 
+from functools import cached_property
+
 from .linalg import (
-    Matrix, ZERO, vec_add, vec_neg, vec_scale, vec_sub, vec_zero, vec_is_zero,
+    Matrix, ZERO, vec_add, vec_sub, vec_zero, vec_is_zero,
     kernel_basis, echelon_basis, unit, right_inverse, integer_row, AffineSolver,
     over,
 )
@@ -221,7 +223,7 @@ class SmallExtensionSpec:
     unless the projection is onto and the kernel maps to zero and is central.
     quotient is a map from an ambient algebra onto N, or None if unknown.
     The stage keeps its solvers: the section, and one AffineSolver for
-    coordinates in the kernel basis, made on first use."""
+    coordinates in the kernel basis, ``kernel_solver``, made on first use."""
 
     def __init__(self, N: LieAlgebra, M: LieAlgebra, projection: Matrix, kernel_basis_vectors,
                  quotient: Matrix = None):
@@ -231,7 +233,6 @@ class SmallExtensionSpec:
         self.quotient = quotient
         self._section = right_inverse(projection)
         self.kernel = tuple(tuple(v) for v in kernel_basis_vectors)
-        self._kernel_solver = None
         for v in self.kernel:
             if not vec_is_zero(projection.mul_vec(v)):
                 raise ValueError("kernel basis does not map to zero")
@@ -244,12 +245,15 @@ class SmallExtensionSpec:
         coordinates."""
         return self._section
 
+    @cached_property
+    def kernel_solver(self) -> AffineSolver:
+        """The AffineSolver of the kernel basis as columns."""
+        return AffineSolver(Matrix.from_columns(self.kernel, rows=self.N.dim))
+
     def kernel_coords(self, v):
         """The coordinates of v in the kernel basis, or None when v is not
         in the kernel I."""
-        if self._kernel_solver is None:
-            self._kernel_solver = AffineSolver(Matrix.from_columns(self.kernel, rows=self.N.dim))
-        return self._kernel_solver.solve(v)
+        return self.kernel_solver.solve(v)
 
 
 def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
@@ -279,13 +283,15 @@ def _blockwise(s: Matrix, x, count):
 
 
 def _kernel_components(dga: FiniteDGA, e: SmallExtensionSpec, h):
-    """The h_t in A^2 with h = sum_t h_t ox kappa_t over the kernel basis
-    kappa of e (one kernel solve per block), or None if h leaves A^2 ox I."""
-    m = e.N.dim
-    coords = [e.kernel_coords(h[i * m:(i + 1) * m]) for i in range(dga.dim(2))]
+    """(parts, s) for an int vector h of A^2 ox N: the int vectors parts[t]
+    of A^2 with h = sum_t (parts[t] / s) ox kappa_t over the kernel basis
+    kappa of e, from one int solve of the kernel solver per block; or None
+    if h leaves A^2 ox I."""
+    m, solver = e.N.dim, e.kernel_solver
+    coords = [solver.solve_int(h[i * m:(i + 1) * m]) for i in range(dga.dim(2))]
     if None in coords:
         return None
-    return [tuple(c[t] for c in coords) for t in range(len(e.kernel))]
+    return [[c[0][t] for c in coords] for t in range(len(e.kernel))], solver.E_int[0]
 
 
 def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, h):
@@ -295,27 +301,38 @@ def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, h):
     Because I is central, a correction u changes the MC residual of a lift
     by du alone, so this solves the lift exactly.  The system d_1 ox id_I
     splits over the kernel basis: for h = sum h_t ox kappa_t, u = sum u_t ox
-    kappa_t with d u_t = -h_t from ``cohomology(dga).preimage``.  The pivots
-    of d_1 ox id_I are the (i, t) with i a pivot of d_1, so u is its solution
-    with free variables zero, in a space of dimension dim I * dim Z^1(A).
+    kappa_t with d u_t = -h_t.  The pivots of d_1 ox id_I are the (i, t)
+    with i a pivot of d_1, so u is its solution with free variables zero, in
+    a space of dimension dim I * dim Z^1(A).
+
+    On ints: h is scaled once, ``_kernel_components`` gives h_t as
+    parts[t] / (s d_h), and the int solves of the preimage solver of
+    ``cohomology(dga)`` give the u_t; with kappa_t = K_t / d_k, u is one int
+    vector over one scale.
     """
     H = cohomology(dga)
-    count = len(e.kernel) * (len(H.cocycles[1]) if dga.top >= 1 else 0)
+    count = len(e.kernel) * (len(H.rows[1][1]) if dga.top >= 1 else 0)
     m = e.N.dim
-    u = [ZERO] * (dga.dim(1) * m)
     if dga.top < 2:  # A^2 = 0: every u solves the system
-        return tuple(u), count
-    parts = _kernel_components(dga, e, h)
-    if parts is None:
+        return (ZERO,) * (dga.dim(1) * m), count
+    d_h, ih = integer_row(h)
+    comps = _kernel_components(dga, e, ih)
+    if comps is None:
         return None
-    for kappa, ht in zip(e.kernel, parts):
-        ut = H.preimage(2, vec_neg(ht))
-        if ut is None:
+    parts, s = comps
+    solver = H.preimage_solver(2)
+    d_k, K = integer_row([c for kappa in e.kernel for c in kappa])
+    u = [0] * (dga.dim(1) * m)
+    for t, part in enumerate(parts):
+        sol = solver.solve_int([-a for a in part])
+        if sol is None:
             return None
-        for i, c in enumerate(ut):
+        kt = K[t * m:(t + 1) * m]
+        for i, c in enumerate(sol[0]):
             if c:
-                u[i * m:(i + 1) * m] = vec_add(u[i * m:(i + 1) * m], vec_scale(c, kappa))
-    return tuple(u), count
+                for r, a in enumerate(kt, i * m):
+                    u[r] += c * a
+    return over(u, solver.E_int[0] * s * d_h * d_k), count
 
 
 def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix = None):
@@ -332,10 +349,12 @@ def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix 
     h = mc_residual(TensorDGLA(dga, e.N), _blockwise(s, x, dga.dim(1)))
     if dga.top < 2:  # A^2 = 0: nothing obstructs the lift
         return [() for _ in e.kernel], h
-    parts = _kernel_components(dga, e, h)
-    assert parts is not None, "residual escaped the central kernel"
+    d_h, ih = integer_row(h)
+    comps = _kernel_components(dga, e, ih)
+    assert comps is not None, "residual escaped the central kernel"
+    parts, s = comps
     H = cohomology(dga)
-    return [H.class_coordinates(2, ht) for ht in parts], h
+    return [tuple(c / (s * d_h) for c in H.class_coordinates(2, ht)) for ht in parts], h
 
 
 def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec, vec_add, vec_neg,
     vec_zero, echelon_rows,
-    rank, inverse, unit, IncrementalSpan, integer_terms, over,
+    rank, inverse, unit, IncrementalSpan, integer_row, integer_terms, over,
     _eliminate,
 )
 
@@ -231,7 +231,7 @@ class LieIdeal:
 
     def __init__(self, parent, basis):
         self.parent = parent
-        self.rows = echelon_rows(basis, parent.dim)[0]
+        self.rows = echelon_rows([integer_row(v)[1] for v in basis], parent.dim)[0]
         self._basis = None
 
     @classmethod
@@ -251,9 +251,8 @@ class LieIdeal:
         return len(self.rows)
 
     def is_ideal(self):
-        span = IncrementalSpan(self.rows)
-        return all(span.contains(self.parent.ad(i, r))
-                   for i in range(self.parent.dim) for r in self.rows)
+        span, table = IncrementalSpan(self.rows), integer_table(self.parent)[1]
+        return all(span.contains(_ad(row, r, 0)) for row in table for r in self.rows)
 
 
 def _over_pivot(row):
@@ -300,7 +299,7 @@ def _lcs_bases(L):
         n = L.dim
         partnered = [row for row in integer_table(L)[1] if row]
         chain = [tuple(tuple(int(k == i) for k in range(n)) for i in range(n))]
-        rows = echelon_rows(L.brackets.values(), n)[0]
+        rows = echelon_rows([integer_row(v)[1] for v in L.brackets.values()], n)[0]
         while chain[-1]:
             if len(rows) >= len(chain[-1]):
                 raise NonNilpotentError(
@@ -430,18 +429,20 @@ def _generators(L):
     S is the unit vectors completing [L, L] (the span of the table values).
     The loop spans the ad(S)-closure of S, and each vector it adds is an
     iterated bracket [s_1, [s_2, ..., s_k]] of S, so the closure lies in
-    every subalgebra containing S; Jacobi is not used.  S is kept if the
-    closure is L, as it is for nilpotent L, and otherwise every index is
-    returned.
+    every subalgebra containing S; Jacobi is not used.  It runs on int rows:
+    the rows of ``integer_table`` give D times each bracket, the same span.
+    S is kept if the closure is L, as it is for nilpotent L, and otherwise
+    every index is returned.
     """
     if L._gens is None:
-        derived = set(echelon_rows(L.brackets.values(), L.dim)[1])
+        derived = set(echelon_rows([integer_row(v)[1] for v in L.brackets.values()], L.dim)[1])
         gens = [i for i in range(L.dim) if i not in derived]
-        span, todo = IncrementalSpan(), [L.basis_vector(i) for i in gens]
+        table = integer_table(L)[1]
+        span, todo = IncrementalSpan(), [[int(k == i) for k in range(L.dim)] for i in gens]
         while todo and span.dim < L.dim:
             v = todo.pop()
             if span.add(v):
-                todo += [L.ad(i, v) for i in gens]
+                todo += [_ad(table[i], v, 0) for i in gens]
         L._gens = tuple(gens) if span.dim == L.dim else tuple(range(L.dim))
     return L._gens
 

@@ -7,6 +7,7 @@ Vectors are tuples of Fractions; matrices are dense and row-major.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -145,10 +146,13 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def integer_view(self):
-        """(D, rows): D is the lcm of the denominators of the entries, and
-        rows[i] the nonzero entries of row i as sparse terms (j, D m[i][j])
-        with int coefficients.  Built on first use and kept: the matrix is
-        immutable."""
+        """(D, rows): D is a common denominator of the entries, and rows[i]
+        the nonzero entries of row i as sparse terms (j, D m[i][j]) with int
+        coefficients.  Built on first use as the lcm of the denominators,
+        and kept: the matrix is immutable.  A matrix that an AffineSolver
+        builds (``right_inverse``, ``inverse``, ``AffineSolver.E``) comes
+        with the solver's int rows as its view, whose D need not be the
+        least."""
         if self._integer is None:
             D, rows = integer_terms([[(j, e) for j, e in enumerate(row) if e]
                                      for row in self.data])
@@ -247,19 +251,14 @@ def _eliminate(rows, cols):
     return pivots
 
 
-def _rref_rows(rows, cols):
-    """(R, pivots) for a list of int rows, eliminated in place by
-    ``_eliminate``: R is the list of nonzero RREF rows as Fraction tuples.
-    The RREF is unique, so dividing each pivot row by its pivot, one
-    Fraction per nonzero entry, gives it."""
-    pivots = _eliminate(rows, cols)
-    return [over(row, row[c]) for row, c in zip(rows, pivots)], pivots
-
-
 def rref(m: Matrix):
-    """Reduced row echelon form.  Returns (R, pivot column list), from the
-    rows scaled to ints by ``_rref_rows``."""
-    red, pivots = _rref_rows([integer_row(row)[1] for row in m.data], m.cols)
+    """Reduced row echelon form.  Returns (R, pivot column list).
+    ``_eliminate`` of the rows scaled to ints leaves multiples of the RREF
+    rows; the RREF is unique, so dividing each pivot row by its pivot, one
+    Fraction per nonzero entry, gives it."""
+    rows = [integer_row(row)[1] for row in m.data]
+    pivots = _eliminate(rows, m.cols)
+    red = [over(row, row[c]) for row, c in zip(rows, pivots)]
     red += [(ZERO,) * m.cols] * (m.rows - len(pivots))
     return Matrix._of_rows(tuple(red), m.cols), pivots
 
@@ -300,37 +299,72 @@ class AffineSolver:
     independent).  So m x = b is solvable iff Y b = 0, and the solution
     with every free variable zero has x[pivots[i]] = (E b)_i.  This is the
     one exact solver: every m x = b in the library goes through it.
-    Row i goes into ``_rref_rows`` as the ints [D m_i | D e_i], read off the
-    integer view (D, rows) of m: a multiple of the row, so the same R.
+
+    It runs on ints: with m = M_int / D_m, row i goes into ``_eliminate`` as
+    [M_int_i | D_m e_i], D_m times the row of [m | id], so the RREF is the
+    same.  It keeps M_int, and Y (the rows past the pivots), as sparse int
+    rows, and E as the sparse int rows E_int over one scale D_E: the lcm of
+    the pivots a_i of the primitive rows that ``_eliminate`` leaves, each a_i
+    times a row of the RREF.  ``E`` and ``m`` are built on first read.
     """
 
     def __init__(self, m: Matrix):
-        n, cols = m.rows, m.cols
-        D = m.integer_view()[0]
-        rows = [row + [0] * i + [D] + [0] * (n - 1 - i) for i, row in enumerate(_integer_rows(m))]
-        red, self.pivots = _rref_rows(rows, cols)
         self.m = m
-        self.E = Matrix._of_rows(tuple(row[cols:] for row in red), n)
-        self.Y = [row[cols:] for row in rows[len(red):]]
+        self._setup(*m.integer_view(), m.cols)
+
+    @classmethod
+    def of_rows(cls, rows, cols, D):
+        """The solver of m = rows / D, for int rows (sequences of cols
+        ints, not changed) and an int D > 0."""
+        solver = cls.__new__(cls)
+        solver._setup(D, tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows), cols)
+        return solver
+
+    def _setup(self, D, rows, cols):
+        n = self.n = len(rows)
+        self.cols, self.M_int = cols, (D, rows)
+        aug = [_dense([*terms, (cols + i, D)], cols + n) for i, terms in enumerate(rows)]
+        self.pivots = _eliminate(aug, cols)
+        D_E = lcm(*(r[c] for r, c in zip(aug, self.pivots)))
+        self.E_int = (D_E, tuple(tuple((j, a * (D_E // r[c])) for j, a in enumerate(r[cols:]) if a)
+                                 for r, c in zip(aug, self.pivots)))
+        self.Y = [tuple((j, a) for j, a in enumerate(r[cols:]) if a)
+                  for r in aug[len(self.pivots):]]
+
+    @cached_property
+    def m(self):
+        """m as a Matrix: the one given, or M_int over D_m."""
+        return _of_int_rows(*self.M_int, self.cols)
+
+    @cached_property
+    def E(self):
+        """E as a Matrix: E_int over D_E."""
+        return _of_int_rows(*self.E_int, self.n)
+
+    def solve_int(self, b):
+        """(xs, D_E) with m (xs / D_E) = b, for an int vector b, with every
+        free variable zero; or None when m x = b has no solution.  xs holds
+        the entries of E_int b on the pivots.  With m = M_int / D_m the
+        solution is checked as M_int xs = D_m D_E b."""
+        if len(b) != self.n:
+            raise ValueError("dimension mismatch: %d rows, %d entries" % (self.n, len(b)))
+        if any(sum([c * b[j] for j, c in y]) for y in self.Y):
+            return None
+        D_E, rows = self.E_int
+        xs = [0] * self.cols
+        for pc, terms in zip(self.pivots, rows):
+            xs[pc] = sum([c * b[j] for j, c in terms])
+        D_m, rows = self.M_int
+        assert all(sum([c * xs[j] for j, c in terms]) == D_m * D_E * t
+                   for terms, t in zip(rows, b))
+        return xs, D_E
 
     def solve(self, b):
-        """The solution of m x = b with free variables zero, or None.  On
-        the integer views (E = E_int / D_E, m = M_int / D_m) and b = b_int /
-        d_b, E b = eb / (D_E d_b), so x = xs / (D_E d_b) with xs the entries
-        of eb on the pivots, and m x = b is M_int xs = D_m D_E b_int."""
-        if len(b) != self.m.rows:
-            raise ValueError("dimension mismatch: %d rows, %d entries" % (self.m.rows, len(b)))
-        (D_E, rows), (d_b, ib) = self.E.integer_view(), integer_row(b)
-        if any(sum([a * c for a, c in zip(y, ib) if a]) for y in self.Y):
-            return None
-        eb = [sum([c * ib[j] for j, c in terms]) for terms in rows]
-        xs = [0] * self.m.cols
-        for i, pc in enumerate(self.pivots):
-            xs[pc] = eb[i]
-        D_m, rows = self.m.integer_view()
-        assert all(sum([c * xs[j] for j, c in terms]) == D_m * D_E * t
-                   for terms, t in zip(rows, ib))
-        return over(xs, D_E * d_b)
+        """The solution of m x = b with free variables zero, or None:
+        b = b_int / d_b goes through ``solve_int``, and x = xs / (D_E d_b)."""
+        d_b, ib = integer_row(b)
+        sol = self.solve_int(ib)
+        return None if sol is None else over(sol[0], sol[1] * d_b)
 
     def refute(self, b):
         """A y with y m = 0 and y . b != 0, which proves m x = b unsolvable
@@ -341,24 +375,36 @@ class AffineSolver:
         returned."""
         def dot(u):
             return sum(a * c for a, c in zip(y, u) if a)
-        for y in echelon_basis(self.Y, self.m.rows):
+        rows, pivots = echelon_rows([_dense(y, self.n) for y in self.Y], self.n)
+        for y, p in zip(rows, pivots):
             if dot(b):
                 if any(map(dot, self.m.columns())):
                     raise AssertionError("refutation failed verification: y m != 0")
-                return y
+                return over(y, y[p])
         return None
+
+
+def _of_int_rows(D, rows, cols):
+    """The Matrix rows / D for sparse int rows, with (D, rows) as its
+    integer view."""
+    m = Matrix._of_rows(tuple(over(_dense(terms, cols), D) for terms in rows), cols)
+    m._integer = (D, tuple(rows))
+    return m
 
 
 def right_inverse(m: Matrix) -> Matrix:
     """The s with m s = id, for m onto (ValueError otherwise), from one
-    AffineSolver: column j solves m x = e_j with every free variable zero."""
+    AffineSolver: column j solves m x = e_j with every free variable zero,
+    so row pivots[i] of s is row i of E.  s keeps the solver's E_int rows
+    over D_E as its integer view."""
     solver = AffineSolver(m)
     if len(solver.pivots) < m.rows:
         raise ValueError("matrix is not onto")
-    s = [vec_zero(m.rows)] * m.cols
-    for i, pc in enumerate(solver.pivots):
-        s[pc] = solver.E.data[i]
-    return Matrix._of_rows(tuple(s), m.rows)
+    D_E, E = solver.E_int
+    rows = [()] * m.cols
+    for pc, terms in zip(solver.pivots, E):
+        rows[pc] = terms
+    return _of_int_rows(D_E, rows, m.rows)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -401,8 +447,8 @@ def solve_affine(m: Matrix, b):
 
 def echelon_rows(vectors, dim=None):
     """(rows, pivots): the primitive int rows of ``_eliminate``, one per
-    pivot in order, for the span of the given vectors (ints or Fractions),
-    each of length dim (ValueError otherwise; with dim None, of one common
+    pivot in order, for the span of the given int rows (not changed), each
+    of length dim (ValueError otherwise; with dim None, of one common
     length)."""
     rows, cols = [], dim
     for v in vectors:
@@ -411,17 +457,17 @@ def echelon_rows(vectors, dim=None):
         if len(v) != cols:
             raise ValueError("ragged rows" if dim is None else
                              "vector of length %d, expected %d" % (len(v), dim))
-        row = integer_row(v)[1]
-        if any(row):
-            rows.append(row)
+        if any(v):
+            rows.append(list(v))
     pivots = _eliminate(rows, cols) if rows else []
     return rows[:len(pivots)], pivots
 
 
 def echelon_basis(vectors, dim=None):
-    """Canonical (RREF) basis of the span of the given vectors, each of
-    length dim: the rows of ``echelon_rows`` over their pivots."""
-    rows, pivots = echelon_rows(vectors, dim)
+    """Canonical (RREF) basis of the span of the given vectors (Fractions
+    or ints), each of length dim: each scaled to ints once, and the rows of
+    ``echelon_rows`` over their pivots."""
+    rows, pivots = echelon_rows([integer_row(v)[1] for v in vectors], dim)
     return [over(row, row[c]) for row, c in zip(rows, pivots)]
 
 
@@ -429,10 +475,12 @@ class IncrementalSpan:
     """A growing subspace kept in row echelon form, on primitive int rows.
 
     Each row is kept as its sparse terms ((j, c), ...), primitive with a
-    positive pivot.  A vector is scaled to ints and reduced by cross
-    multiplication, v <- r_p v - v_p r: r_p times the Fraction step
+    positive pivot.  Vectors are int rows, taken as given, and reduced by
+    cross multiplication, v <- r_p v - v_p r: r_p times the Fraction step
     v <- v - (v_p / r_p) r.  So every reduction is a nonzero multiple of the
-    one over Fractions, and the verdicts and pivots are the same.
+    one over Fractions, and the verdicts and pivots are the same.  A vector
+    with Fraction entries is scaled to ints first, by ``integer_row``, when
+    ``math.gcd`` rejects it (``_on_ints``); int rows pay no type test.
     Membership queries and insertions both cost one reduction pass against
     the current rows, which is much cheaper than re-echelonizing from
     scratch when the same span is probed many times.
@@ -449,8 +497,9 @@ class IncrementalSpan:
         return len(self.rows)
 
     def reduce(self, v):
-        """v (ints or Fractions) as ints, reduced against the rows."""
-        v = integer_row(v)[1]
+        """The int row v (not changed) reduced against the rows, as a new
+        int list."""
+        v = list(v)
         for terms, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:
@@ -465,10 +514,13 @@ class IncrementalSpan:
         return v
 
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return not any(_on_ints(self.reduce, v))
 
     def add(self, v) -> bool:
         """Insert v if independent of the span; True when the span grew."""
+        return _on_ints(self._insert, v)
+
+    def _insert(self, v):
         v = self.reduce(v)
         p = next((j for j, x in enumerate(v) if x), None)
         if p is None:
@@ -481,8 +533,20 @@ class IncrementalSpan:
         return True
 
 
+def _on_ints(f, v):
+    """f(v) for an int row v.  A vector with Fraction entries makes
+    ``math.gcd`` raise TypeError; it is then scaled to ints by
+    ``integer_row`` (a multiple, so the same span) and f runs on that."""
+    try:
+        return f(v)
+    except TypeError:
+        return f(integer_row(v)[1])
+
+
 def span_contains(basis, v) -> bool:
-    return IncrementalSpan(basis).contains(v)
+    """Whether v is in the span of basis (Fractions or ints), each vector
+    scaled to ints once."""
+    return IncrementalSpan([integer_row(b)[1] for b in basis]).contains(integer_row(v)[1])
 
 
 def spans_equal(basis_a, basis_b) -> bool:

@@ -529,3 +529,33 @@ def test_lattice_spanning_set_of_full_rank_is_accepted(capsys):
     code, out = run_json(capsys, "lattice-check", "--lattice",
                          '[["1","0","0"],["0","1","0"],["0","0","1/2"],["1","1","0"]]')
     assert code == 0 and out["verdicts"]["closed"] is True
+
+
+def test_repeated_algebra_key_is_input_error(capsys):
+    """json would keep the last "brackets" and answer for the abelian algebra."""
+    code, err = run_error(capsys, "quadcheck",
+                          '{"dim":3,"brackets":[{"i":0,"j":1,"value":[0,0,1]}],"brackets":[]}')
+    assert (code, err) == (2, 'error: invalid JSON: duplicate key "brackets"\n')
+
+
+def test_repeated_dga_product_key_is_input_error(capsys):
+    """A zero table under a second literal "0,1" key placed before the real
+    one: json would keep the real one and accept the input."""
+    obj = json.loads(CE_HEIS_JSON)
+    product = json.dumps(obj["product"])
+    zero = json.dumps([[[0] * obj["dims"][1]] * obj["dims"][1]] * obj["dims"][0])
+    obj_text = CE_HEIS_JSON.replace(json.dumps(obj["product"]), '{"0,1": %s, %s' % (
+        zero, product[1:]))
+    assert obj_text != CE_HEIS_JSON and json.loads(obj_text) == obj
+    code, err = run_error(capsys, "mc", obj_text, HEIS_JSON)
+    assert (code, err) == (2, 'error: invalid JSON: duplicate key "0,1"\n')
+
+
+def test_repeated_key_in_a_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text('{"dim": 2, "dim": 3, "brackets": []}')
+    code, err = run_error(capsys, "quadcheck", str(path))
+    assert (code, err) == (2, 'error: invalid JSON: duplicate key "dim"\n')
+    path.write_text('{"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [0, 0, 1]}]}')
+    code, out = run(capsys, "quadcheck", str(path))
+    assert code == 0 and out.startswith("quadratically presented: no")
