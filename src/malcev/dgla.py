@@ -166,24 +166,23 @@ def tensor_dgla(dga: FiniteDGA, N: LieAlgebra) -> TensorDGLA:
 # ---------------------------------------------------------------------------
 # Maurer-Cartan machinery
 
-def _mc_numerators(t: TensorDGLA, x):
-    """(nums, den) with nums / den = dx + 1/2 [x, x]: for x = u / d_x and
-    D = D_m D_N, dx = 2 D d_x _int_diff(u) / (2 D_d D d_x^2) and
-    1/2 [x, x] = D_d _int_bracket(u, u) / (2 D_d D d_x^2)."""
-    dx, u = t._ints(1, x)
+def _mc_numerators(t: TensorDGLA, d_x, u):
+    """(nums, den) with nums / den = dx + 1/2 [x, x] for x = u / d_x, an int
+    vector u of degree 1: with D = D_m D_N, dx = 2 D d_x _int_diff(u) /
+    (2 D_d D d_x^2) and 1/2 [x, x] = D_d _int_bracket(u, u) / (2 D_d D d_x^2)."""
     D_d, D = t._scales()
     dpart, bpart = t._int_diff(1, u), t._int_bracket(1, u, 1, u)
-    return [2 * D * dx * a + D_d * b for a, b in zip(dpart, bpart)], 2 * D_d * D * dx * dx
+    return [2 * D * d_x * a + D_d * b for a, b in zip(dpart, bpart)], 2 * D_d * D * d_x * d_x
 
 
 def mc_residual(t: TensorDGLA, x):
     """dx + 1/2 [x, x] for a degree-1 element."""
-    return over(*_mc_numerators(t, x))
+    return over(*_mc_numerators(t, *t._ints(1, x)))
 
 
 def is_mc(t: TensorDGLA, x) -> bool:
     """Whether dx + 1/2 [x, x] = 0, tested on its int numerators."""
-    return not any(_mc_numerators(t, x)[0])
+    return not any(_mc_numerators(t, *t._ints(1, x))[0])
 
 
 def gauge(t: TensorDGLA, alpha, x):
@@ -250,10 +249,17 @@ class SmallExtensionSpec:
         """The AffineSolver of the kernel basis as columns."""
         return AffineSolver(Matrix.from_columns(self.kernel, rows=self.N.dim))
 
-    def kernel_coords(self, v):
-        """The coordinates of v in the kernel basis, or None when v is not
-        in the kernel I."""
-        return self.kernel_solver.solve(v)
+    def kernel_parts(self, v):
+        """(parts, scale) for an int vector v made of b blocks v_i of length
+        dim N: the int vectors parts[t] of length b with v_i = sum_t
+        (parts[t][i] / scale) kappa_t over the kernel basis kappa, from one
+        int solve of ``kernel_solver`` per block; or None when a block
+        leaves I."""
+        m, solver = self.N.dim, self.kernel_solver
+        coords = [solver.solve_int(v[i:i + m]) for i in range(0, len(v), m)]
+        if None in coords:
+            return None
+        return [[c[0][t] for c in coords] for t in range(len(self.kernel))], solver.E_int[0]
 
 
 def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
@@ -276,27 +282,40 @@ def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
     return stage
 
 
-def _blockwise(s: Matrix, x, count):
-    """(id ox s)(x): s applied to each of the count coefficient blocks of x."""
-    m = s.cols
-    return tuple(c for i in range(count) for c in s.mul_vec(x[i * m:(i + 1) * m]))
+def _stage_lift(dga: FiniteDGA, e: SmallExtensionSpec, x, section: Matrix = None):
+    """The one lift of a stage, for x in A^1 ox M: (y, h, parts) with y =
+    (id ox s)(x) the section lift (s the given section, ValueError unless
+    p s = id for the projection p, or e's) and h its MC residual over A ox
+    N, each an int vector over a scale, and parts the ``kernel_parts`` of h
+    over the scale of h (None when h leaves A^2 ox I).  x is scaled to ints
+    once; each block meets the int rows of the integer view (D_s, rows) of s."""
+    s = e.section() if section is None else section
+    if section is not None and e.projection * s != Matrix.identity(e.M.dim):
+        raise ValueError("section is not a right inverse of the projection")
+    d_x, u = TensorDGLA(dga, e.M)._ints(1, x)
+    (D_s, rows), m = s.integer_view(), s.cols
+    y = [sum([c * u[i * m + j] for j, c in terms]) for i in range(dga.dim(1)) for terms in rows]
+    nums, den = _mc_numerators(TensorDGLA(dga, e.N), D_s * d_x, y)
+    parts = e.kernel_parts(nums)
+    return (y, D_s * d_x), (nums, den), parts and (parts[0], parts[1] * den)
 
 
-def _kernel_components(dga: FiniteDGA, e: SmallExtensionSpec, h):
-    """(parts, s) for an int vector h of A^2 ox N: the int vectors parts[t]
-    of A^2 with h = sum_t (parts[t] / s) ox kappa_t over the kernel basis
-    kappa of e, from one int solve of the kernel solver per block; or None
-    if h leaves A^2 ox I."""
-    m, solver = e.N.dim, e.kernel_solver
-    coords = [solver.solve_int(h[i * m:(i + 1) * m]) for i in range(dga.dim(2))]
-    if None in coords:
-        return None
-    return [[c[0][t] for c in coords] for t in range(len(e.kernel))], solver.E_int[0]
+def _classes(dga: FiniteDGA, parts, scale):
+    """The H^2(A)-coordinates of the kernel parts parts[t] / scale of a
+    residual, each a cocycle: one int solve of the class solver of
+    ``cohomology(dga)`` per part."""
+    if dga.top < 2:  # A^2 = 0: nothing obstructs the lift
+        return [() for _ in parts]
+    H = cohomology(dga)
+    solver, b = H.class_solver(2), H.betti()[2]
+    sols = [solver.solve_int(part) for part in parts]
+    assert None not in sols, "vector is not a cocycle"
+    return [over(xs[:b], D * scale) for xs, D in sols]
 
 
-def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, h):
-    """(u, dimension of the solution space) for a u in A^1 ox I with
-    du = -h, or None.
+def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, parts, scale):
+    """A u in A^1 ox I with du = -h, or None, for h = sum_t (parts[t] /
+    scale) ox kappa_t as ``_stage_lift`` splits it.
 
     Because I is central, a correction u changes the MC residual of a lift
     by du alone, so this solves the lift exactly.  The system d_1 ox id_I
@@ -305,22 +324,14 @@ def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, h):
     with i a pivot of d_1, so u is its solution with free variables zero, in
     a space of dimension dim I * dim Z^1(A).
 
-    On ints: h is scaled once, ``_kernel_components`` gives h_t as
-    parts[t] / (s d_h), and the int solves of the preimage solver of
-    ``cohomology(dga)`` give the u_t; with kappa_t = K_t / d_k, u is one int
+    On ints: the int solves of the preimage solver of ``cohomology(dga)``
+    give the u_t from the parts; with kappa_t = K_t / d_k, u is one int
     vector over one scale.
     """
-    H = cohomology(dga)
-    count = len(e.kernel) * (len(H.rows[1][1]) if dga.top >= 1 else 0)
     m = e.N.dim
     if dga.top < 2:  # A^2 = 0: every u solves the system
-        return (ZERO,) * (dga.dim(1) * m), count
-    d_h, ih = integer_row(h)
-    comps = _kernel_components(dga, e, ih)
-    if comps is None:
-        return None
-    parts, s = comps
-    solver = H.preimage_solver(2)
+        return (ZERO,) * (dga.dim(1) * m)
+    solver = cohomology(dga).preimage_solver(2)
     d_k, K = integer_row([c for kappa in e.kernel for c in kappa])
     u = [0] * (dga.dim(1) * m)
     for t, part in enumerate(parts):
@@ -332,7 +343,7 @@ def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, h):
             if c:
                 for r, a in enumerate(kt, i * m):
                     u[r] += c * a
-    return over(u, solver.E_int[0] * s * d_h * d_k), count
+    return over(u, solver.E_int[0] * scale * d_k)
 
 
 def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix = None):
@@ -342,19 +353,11 @@ def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix 
     class_coords has one H^2-coordinate tuple per kernel basis vector; the
     class is zero iff a lift to A ox N exists.
     """
-    tm = TensorDGLA(dga, e.M)
-    if not is_mc(tm, x):
+    if not is_mc(TensorDGLA(dga, e.M), x):
         raise ValueError("input is not a Maurer-Cartan element over the base")
-    s = section if section is not None else e.section()
-    h = mc_residual(TensorDGLA(dga, e.N), _blockwise(s, x, dga.dim(1)))
-    if dga.top < 2:  # A^2 = 0: nothing obstructs the lift
-        return [() for _ in e.kernel], h
-    d_h, ih = integer_row(h)
-    comps = _kernel_components(dga, e, ih)
-    assert comps is not None, "residual escaped the central kernel"
-    parts, s = comps
-    H = cohomology(dga)
-    return [tuple(c / (s * d_h) for c in H.class_coordinates(2, ht)) for ht in parts], h
+    _, h, parts = _stage_lift(dga, e, x, section)
+    assert parts is not None, "residual escaped the central kernel"
+    return _classes(dga, *parts), over(*h)
 
 
 def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:
@@ -363,8 +366,8 @@ def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:
     Because the kernel is central the unknown correction u in A^1 ox I
     enters only through du, so solvability is an exact affine question.
     """
-    h = mc_residual(TensorDGLA(dga, e.N), _blockwise(e.section(), x, dga.dim(1)))
-    return _central_correction(dga, e, h) is not None
+    parts = _stage_lift(dga, e, x)[2]
+    return parts is not None and _central_correction(dga, e, *parts) is not None
 
 
 class MCStage:
@@ -397,32 +400,29 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
         raise ValueError("input violates the Jacobi identity at triples %s" % bad)
     H = cohomology(dga)
     cls = nilpotency_class(N)
-    stages = []
     # stage 1: x in Z^1(A) ox gr_1, of dimension dim gr_1 * dim Z^1(A) since
     # rank(d ox id_m) = m rank d (``deformation_census``)
     M1 = lcs_extension(N, 1).N  # N / G_2, the abelianisation
-    t1 = TensorDGLA(dga, M1)
-    x = tuple(initial) if initial is not None else t1.zero(1)
-    if not is_mc(t1, x):
+    current = tuple(initial) if initial is not None else TensorDGLA(dga, M1).zero(1)
+    if not is_mc(TensorDGLA(dga, M1), current):
         raise ValueError("initial stage-1 element is not Maurer-Cartan")
-    top1 = dga.top >= 1
-    stages.append(MCStage(1, len(H.representatives[1]) * M1.dim if top1 else 0,
-                          len(H.cocycles[1]) * M1.dim if top1 else 0, False, None))
-    current = x
+    b1, z1 = (H.betti()[1], len(H.rows[1][1])) if dga.top >= 1 else (0, 0)
+    stages = [MCStage(1, b1 * M1.dim, z1 * M1.dim, False, None)]
     for k in range(2, cls + 1):
         e = lcs_extension(N, k)
-        classes, h = obstruction_class(dga, current, e)
-        obstructed = any(any(cc != 0 for cc in c) for c in classes)
-        if obstructed:
+        y, _, parts = _stage_lift(dga, e, current)
+        assert parts is not None, "residual escaped the central kernel"
+        classes = _classes(dga, *parts)
+        if any(map(any, classes)):
             stages.append(MCStage(k, None, 0, True, classes))
             return MCSolveReport(stages, current, False)
-        # solve d u = -h for u in A^1 ox I and correct the section lift by u
-        sol = _central_correction(dga, e, h)
-        assert sol is not None, "zero obstruction class but unsolvable system"
-        u, solution_dim = sol
-        current = vec_add(_blockwise(e.section(), current, dga.dim(1)), u)
+        # solve d u = -h for u in A^1 ox I, in a space of dimension
+        # dim I * dim Z^1(A), and correct the section lift by u
+        u = _central_correction(dga, e, *parts)
+        assert u is not None, "zero obstruction class but unsolvable system"
+        current = vec_add(over(*y), u)
         assert is_mc(TensorDGLA(dga, e.N), current)
-        stages.append(MCStage(k, None, solution_dim, False, classes))
+        stages.append(MCStage(k, None, len(e.kernel) * z1, False, classes))
     return MCSolveReport(stages, current, True)
 
 

@@ -478,12 +478,11 @@ class IncrementalSpan:
     positive pivot.  Vectors are int rows, taken as given, and reduced by
     cross multiplication, v <- r_p v - v_p r: r_p times the Fraction step
     v <- v - (v_p / r_p) r.  So every reduction is a nonzero multiple of the
-    one over Fractions, and the verdicts and pivots are the same.  A vector
-    with Fraction entries is scaled to ints first, by ``integer_row``, when
-    ``math.gcd`` rejects it (``_on_ints``); int rows pay no type test.
-    Membership queries and insertions both cost one reduction pass against
-    the current rows, which is much cheaper than re-echelonizing from
-    scratch when the same span is probed many times.
+    one over Fractions, and the verdicts and pivots are the same.  A caller
+    holding Fractions scales them once with ``integer_row``.  Membership
+    queries and insertions both cost one reduction pass against the current
+    rows, which is much cheaper than re-echelonizing from scratch when the
+    same span is probed many times.
     """
 
     def __init__(self, vectors=()):
@@ -514,13 +513,11 @@ class IncrementalSpan:
         return v
 
     def contains(self, v) -> bool:
-        return not any(_on_ints(self.reduce, v))
+        return not any(self.reduce(v))
 
     def add(self, v) -> bool:
-        """Insert v if independent of the span; True when the span grew."""
-        return _on_ints(self._insert, v)
-
-    def _insert(self, v):
+        """Insert the int row v if independent of the span; True when the
+        span grew."""
         v = self.reduce(v)
         p = next((j for j, x in enumerate(v) if x), None)
         if p is None:
@@ -531,16 +528,6 @@ class IncrementalSpan:
         self.rows.insert(at, tuple((j, a // g) for j, a in enumerate(v) if a))
         self.pivots.insert(at, p)
         return True
-
-
-def _on_ints(f, v):
-    """f(v) for an int row v.  A vector with Fraction entries makes
-    ``math.gcd`` raise TypeError; it is then scaled to ints by
-    ``integer_row`` (a multiple, so the same span) and f runs on that."""
-    try:
-        return f(v)
-    except TypeError:
-        return f(integer_row(v)[1])
 
 
 def span_contains(basis, v) -> bool:

@@ -16,8 +16,8 @@ from math import lcm
 
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
-    vec_zero, vec_is_zero, echelon_basis, span_contains,
-    kernel_basis, inverse, unit, right_inverse, AffineSolver,
+    vec_zero, vec_is_zero, echelon_basis, span_contains, integer_row, over, _null_rows,
+    inverse, unit, right_inverse, AffineSolver,
 )
 from .lie import (
     LieAlgebra, lower_central_series, nilpotency_class, associated_graded,
@@ -137,8 +137,8 @@ def _relation_space(L):
     linear with kernel G_3 (the r_p are RREF rows up to scale).  So the
     columns NF(D [e_a, e_b]), with D [e_a, e_b] from ``integer_table(L)``,
     all scaled by D E, have the kernel of wedge^2 V -> gr_2, and
-    ``kernel_basis``, which depends only on the kernel, gives the same
-    vectors as on the brackets of gr L."""
+    ``linalg._null_rows`` of their int rows, over their scale, depends only
+    on the kernel, so it gives the same vectors as on the brackets of gr L."""
     n, (_, table) = L.dim, integer_table(L)
     chain = _lcs_bases(L) + ((), ())
     gens = unit_complement(chain[1], n)[0]
@@ -158,7 +158,8 @@ def _relation_space(L):
                 for t, x in terms:
                     nf[t] -= f * x
         cols.append(nf)
-    return kernel_basis(Matrix.from_columns(cols, rows=n))
+    S, null = _null_rows([list(r) for r in zip(*cols)], len(cols))
+    return [over(v, S) for v in null]
 
 
 def is_quadratically_presented(L: LieAlgebra):
@@ -523,7 +524,7 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
         raise ValueError("assignment does not satisfy the relators at level k")
 
     d0 = [evaluate_word(base, rel, L=Lk1, cls=cls_k1).log for rel in p.relators]
-    if any(e.kernel_coords(d) is None for d in d0):
+    if e.kernel_parts(integer_row([c for d in d0 for c in d])[1]) is None:
         raise AssertionError("relator defect escaped the central kernel")
     # affine system over generator corrections in the central kernel
     cols = _fox_columns(p.relators, p.generators, auts, kern)

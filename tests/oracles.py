@@ -145,10 +145,16 @@ def hall_expansion_in_envelope(coeffs, cutoff):
 # Brute-force exact linear algebra (fraction-free forward elimination plus
 # back substitution; no shared code with the library's rref).
 
-def naive_solve(rows, rhs):
-    """One solution of A x = b, or None; A given as a list of row tuples."""
+def naive_solve(rows, rhs, cols=None):
+    """One solution of A x = b, or None; A given as a list of row tuples of
+    cols entries each.  cols may be left out when there is a row; a system
+    with no rows needs it, as its solution x = 0 has cols entries."""
     m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = len(rows[0]) if m else cols
+    if n is None:
+        raise ValueError("a system with no rows needs its width")
+    if cols not in (None, n):
+        raise ValueError("rows of length %d, not %d" % (n, cols))
     aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
     piv_cols = []
     r = 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from malcev.linalg import Matrix, vec_add, vec_scale, kernel_basis
+from malcev.linalg import Matrix, vec, vec_add, vec_scale, kernel_basis
 from malcev.lie import heisenberg, abelian, lower_central_series, quotient_by_ideal
 from malcev.freelie import free_nilpotent
 from malcev.dga import (
@@ -169,6 +169,21 @@ def test_obstruction_section_independent():
         c1, _ = obstruction_class(A, x, e, section=s1)
         c2, _ = obstruction_class(A, x, e, section=s2)
         assert c1 == c2
+
+
+def test_obstruction_refuses_a_map_that_is_not_a_section():
+    """x = xi^0 ox f_0 + xi^1 ox f_1 over the torus T^3 is obstructed by the
+    nonzero cup product xi^0 xi^1.  The zero map would lift x to 0 and
+    report a zero class, and a map of the wrong shape would be read past
+    its blocks: both are refused."""
+    A = chevalley_eilenberg(abelian(3))
+    e = lcs_extension(heisenberg(), 2)
+    x = vec([1, 0, 0, 1, 0, 0])
+    assert obstruction_class(A, x, e)[0] == [(1, 0, 0)]
+    for bad in (Matrix.zeros(e.N.dim, e.M.dim), Matrix.zeros(e.N.dim, e.M.dim + 1),
+                Matrix.zeros(e.N.dim - 1, e.M.dim)):
+        with pytest.raises(ValueError):
+            obstruction_class(A, x, e, section=bad)
 
 
 def test_mc_solve_stages_heisenberg_coefficients():

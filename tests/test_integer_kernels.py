@@ -18,7 +18,7 @@ from malcev.dga import (
 )
 from malcev.freelie import free_nilpotent
 from malcev.lie import LieAlgebra, abelian, direct_sum, heisenberg
-from malcev.linalg import AffineSolver, IncrementalSpan, Matrix
+from malcev.linalg import AffineSolver, IncrementalSpan, Matrix, integer_row
 from malcev.present import GroupPresentation, lift_one_class
 
 from oracles import (
@@ -58,8 +58,8 @@ def insertions(draw):
 def test_int_span_matches_fraction_elimination(case):
     vectors, probes = case
     span = IncrementalSpan()
-    grew = [span.add(tuple(v)) for v in vectors]
-    assert (grew, span.pivots, [span.contains(tuple(v)) for v in probes]) == \
+    grew = [span.add(integer_row(v)[1]) for v in vectors]
+    assert (grew, span.pivots, [span.contains(integer_row(v)[1]) for v in probes]) == \
         echelon_insertions(vectors, probes)
     assert span.dim == sum(grew)
     for terms, p in zip(span.rows, span.pivots):  # primitive, positive pivot first
@@ -93,7 +93,7 @@ def test_affine_solver_matches_solve_affine_on_fractions():
                 b = m.mul_vec(tuple(entry() for _ in range(m.cols)))
             else:
                 b = tuple(entry() for _ in range(m.rows))
-            sol = naive_solve(m.data, b)
+            sol = naive_solve(m.data, b, m.cols)
             assert solver.solve(b) == (None if sol is None else tuple(sol))
             y = solver.refute(b)
             assert (y is None) is (sol is not None)

@@ -1,9 +1,10 @@
 """LCS stages (``dgla.lcs_extension``) against the dense oracles of
-tests/oracles.py: the central lift correction and its solution count, the
-obstruction classes, and lift solvability, on the (A, N) families of the
-deformation benchmark, with acyclic pieces adjoined in degrees 0 and 1, and
-two DGAs without a degree-2 part; then the memo
-of one stage per (N, k), shared and left unchanged by its callers."""
+tests/oracles.py: the central lift correction and the solution count of its
+stage in ``mc_solve``, the obstruction classes, and lift solvability, on the
+(A, N) families of the deformation benchmark, with acyclic pieces adjoined
+in degrees 0 and 1, and two DGAs without a degree-2 part; then one kernel
+decomposition per ``mc_solve`` stage, and the memo of one stage per (N, k),
+shared and left unchanged by its callers."""
 
 import random
 from fractions import Fraction
@@ -100,8 +101,10 @@ def test_correction_matches_oracle(a_name, n_name):
     A, N = SOURCES[a_name](), COEFFS[n_name]()
     rng = random.Random(a_name + n_name)
     rank_d1 = naive_rank(A.d[1].data if A.top >= 2 else [])
-    stage1 = mc_solve(A, N).stages[0]
-    assert stage1.solution_dim == lcs_extension(N, 1).N.dim * (dim(A, 1) - rank_d1)
+    rep = mc_solve(A, N)   # from zero: every stage lifts
+    counts = {lcs_extension(N, s.level): s.solution_dim for s in rep.stages}
+    assert rep.completed and counts[lcs_extension(N, 1)] == \
+        lcs_extension(N, 1).N.dim * (dim(A, 1) - rank_d1)
     points = mc_points(A, N, rng)
     assert points
     for e, x in points:
@@ -115,18 +118,20 @@ def test_correction_matches_oracle(a_name, n_name):
         cols = [tensor_diff(A.dims, dense_d(A), m, 1, v) for v in dirs]
         rows = [list(r) for r in zip(*cols)]
         h = residual(A, e, x)
-        sol = _central_correction(A, e, h)
-        expected = naive_solve(rows, [-c for c in h]) if rows else [Fraction(0)] * len(dirs)
-        assert (sol is None) == (expected is None)
-        if sol is None:
+        d_h, ih = linalg.integer_row(h)
+        parts, scale = e.kernel_parts(ih)
+        u = _central_correction(A, e, parts, scale * d_h)
+        expected = naive_solve(rows, [-c for c in h], len(dirs))
+        assert (u is None) == (expected is None)
+        count = counts[e]
+        assert count == len(kernel) * (dim(A, 1) - rank_d1)
+        assert count == len(dirs) - naive_rank(rows)
+        if u is None:
             continue
-        u, count = sol
         oracle_u = [Fraction(0)] * len(u)
         for c, v in zip(expected, dirs):
             oracle_u = [a + c * b for a, b in zip(oracle_u, v)]
         assert u == tuple(oracle_u)
-        assert count == len(kernel) * (dim(A, 1) - rank_d1)
-        assert count == len(dirs) - naive_rank(rows)
 
 
 def oracle_classes(A, e, h):
@@ -178,6 +183,34 @@ def test_non_mc_input_is_not_liftable(a_name, n_name):
         if not any(base):
             continue   # A^2 = 0 makes every x MC
         assert lift_system_solvable(A, x, e) is False
+
+
+@pytest.mark.parametrize("a_name,n_name", PAIRS)
+def test_each_mc_stage_splits_its_residual_once(monkeypatch, a_name, n_name):
+    """Every mc_solve stage past the first makes one int solve of its
+    stage's kernel solver per basis vector of A^2: the residual is split
+    over the kernel once, and the obstruction class and the correction
+    both read that split.  Staged from zero (every stage lifts) and from
+    random stage-1 cocycles."""
+    A, N = SOURCES[a_name](), COEFFS[n_name]()
+    rng = random.Random(n_name + a_name)
+    M1 = lcs_extension(N, 1).N
+    starts = [None] + [stage1_cocycle(A, M1, rng) for _ in range(3)]
+    levels = {id(lcs_extension(N, k).kernel_solver): k for k in range(2, nilpotency_class(N) + 1)}
+    calls = []
+    solve_int = linalg.AffineSolver.solve_int
+
+    def counting(self, b):
+        if id(self) in levels:
+            calls.append(levels[id(self)])
+        return solve_int(self, b)
+
+    monkeypatch.setattr(linalg.AffineSolver, "solve_int", counting)
+    for x in starts:
+        calls.clear()
+        rep = mc_solve(A, N, initial=x)
+        assert [calls.count(s.level) for s in rep.stages[1:]] == \
+            [dim(A, 2)] * (len(rep.stages) - 1)
 
 
 def test_stage_is_memoised_per_algebra_and_level():

@@ -160,5 +160,5 @@ def test_affine_solver_matches_solve_affine():
                 b = m.mul_vec(tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.cols)))
             else:
                 b = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.rows))
-            sol = naive_solve(m.data, b)
+            sol = naive_solve(m.data, b, m.cols)
             assert solver.solve(b) == solve_affine(m, b) == (None if sol is None else tuple(sol))

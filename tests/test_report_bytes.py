@@ -1,12 +1,18 @@
-"""Pinned bytes of `quadcheck` and `malcev-model` reports.
+"""Pinned bytes of `quadcheck`, `malcev-model` and `mc` reports.
 
 Each case runs the CLI in text and in json form and compares the sha256 of
 stdout with a value recorded before the graded-ideal layer moved to integer
-component coordinates.  A speed-up of the quadratic pipeline must leave every
-verdict, relation basis and realization table, and so these bytes, as they
-are.  The inputs are built here without randomness: a genus-2 cup model, its
-realization at class 3 (a truncation), a stabilized realization and a free
-truncation, the last two in a rational basis change made with the oracles.
+component coordinates (the `mc` values: before the MC stages split their
+residual over the kernel once, on int rows).  A speed-up of the quadratic
+pipeline or of MC staging must leave every verdict, relation basis,
+realization table, obstruction class and MC solution, and so these bytes, as
+they are.  The inputs are built here without randomness: a genus-2 cup
+model, its realization at class 3 (a truncation), a stabilized realization
+and a free truncation, the last two in a rational basis change made with the
+oracles; and staged MC solves over the Chevalley-Eilenberg complexes of the
+Heisenberg algebra (one completed, one obstructed at stage 3) and of Q^3
+(obstructed at stage 2), with coefficients in the Heisenberg algebra or
+F(2, 3), two of them in a rational basis.
 """
 
 import hashlib
@@ -16,7 +22,9 @@ from fractions import Fraction
 import pytest
 
 from malcev.cli import main
+from malcev.dga import chevalley_eilenberg
 from malcev.freelie import free_nilpotent
+from malcev.lie import abelian, heisenberg
 from malcev.linalg import format_scalar
 from malcev.present import CupDatum, QuadraticPresentation, malcev_model, realize
 
@@ -30,6 +38,8 @@ TORUS = json.dumps({"h1": 2, "h2": 1, "pairing": [[["0"], ["1"]], [["-1"], ["0"]
 STABLE = QuadraticPresentation(4, [[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0],
                                    [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]])
 TRUNCATED = QuadraticPresentation(3, [[1, 1, 0], [0, 1, 1]])
+# xi^0 ox f_0 + xi^1 ox f_1: a cocycle of A^1 ox gr_1 for a 2-generated N
+MC_INITIAL = json.dumps(["1", "0", "0", "1", "0", "0"])
 
 
 def conjugated(L):
@@ -56,6 +66,7 @@ def conjugated(L):
 
 def cases():
     genus2 = realize(malcev_model(CupDatum.from_json(json.loads(GENUS2))), 3)[0]
+    ce_heis = json.dumps(chevalley_eilenberg(heisenberg()).to_json())
     return {
         "model-genus2-c3": ["malcev-model", GENUS2, "--class", "3"],
         "model-torus-c4": ["malcev-model", TORUS, "--class", "4"],
@@ -64,10 +75,24 @@ def cases():
         "quad-truncated-c4": ["quadcheck", json.dumps(realize(TRUNCATED, 4)[0].to_json())],
         "quad-free-2-4-conj": ["quadcheck", conjugated(free_nilpotent(2, 4))],
         "quad-free-3-2-conj": ["quadcheck", conjugated(free_nilpotent(3, 2))],
+        "mc-heis-heis": ["mc", ce_heis, json.dumps(heisenberg().to_json()), "--initial", MC_INITIAL],
+        "mc-heis-heis-conj": ["mc", ce_heis, conjugated(heisenberg()), "--initial", MC_INITIAL],
+        "mc-heis-free-2-3-conj": ["mc", ce_heis, conjugated(free_nilpotent(2, 3)),
+                                  "--initial", MC_INITIAL],
+        "mc-torus3-heis": ["mc", json.dumps(chevalley_eilenberg(abelian(3)).to_json()),
+                           json.dumps(heisenberg().to_json()), "--initial", MC_INITIAL],
     }
 
 
 PINNED = {
+    ("mc-heis-free-2-3-conj", "text"): "c62a7eae543814bcae680ca08db95bd07ebf90f8feaf1e5c2b10fd19642d9bc1",
+    ("mc-heis-free-2-3-conj", "json"): "c2ba2cefad05c3c5d8a483d902f24a11374d623998aafc0a2addf2327b1eaefd",
+    ("mc-heis-heis", "text"): "c7873b14684e29fe472179b1f92ac3334c33ad9ebdcc4e34065cc5b8f028bd29",
+    ("mc-heis-heis", "json"): "b33e088d6c8396055471cf8ca34c3dc961cd990dce6d3721de7f9a17be2df571",
+    ("mc-heis-heis-conj", "text"): "c7873b14684e29fe472179b1f92ac3334c33ad9ebdcc4e34065cc5b8f028bd29",
+    ("mc-heis-heis-conj", "json"): "3af2959904d2a7e5db548301104e1f9141cf90c095534ec6f6efe8f686308a4d",
+    ("mc-torus3-heis", "text"): "69bf249e5dc22065ee71de9cf6b72d2fc55a5a9bb374069ec48b277c61985b62",
+    ("mc-torus3-heis", "json"): "1989748ee99425a7dc10d5552382a1e0815c49468bb6139d211617d0da4fbc17",
     ("model-genus2-c3", "text"): "17f9dfc104ddfd91da0c72429d5e331a2274f2d0a885598c59b6d03550e3c0b3",
     ("model-genus2-c3", "json"): "6eca7a8685221cf45111bc1e59a0a89d20da94888ca18503f4109a78b12d55e9",
     ("model-torus-c4", "text"): "ede288f3395cc39e810cca5fc079672c4600966a8faf39c1428904e2dd5a3f07",
