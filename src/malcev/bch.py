@@ -15,9 +15,9 @@ from math import lcm
 
 from .linalg import (
     Matrix, ZERO, vec_neg, vec_zero, vec_is_zero, inverse,
-    smith_normal_form, integer_row, over, AffineSolver,
+    smith_normal_form, integer_row, over, AffineSolver, _integer_rows,
 )
-from .lie import LieAlgebra, nilpotency_class, integer_table, sparse_bracket
+from .lie import LieAlgebra, nilpotency_class, sparse_bracket
 from .freelie import hall_basis, evaluate_hall_words
 
 
@@ -133,7 +133,7 @@ def bch(x, y, L: LieAlgebra, cls=None):
         raise ValueError("vector length must equal dim=%d" % L.dim)
     c = cls if cls is not None else nilpotency_class(L)
     words, terms = _bch_terms(c)
-    D, rows = integer_table(L)
+    D, rows = L.table
     dx, X = integer_row(x)
     dy, Y = integer_row(y)
     values = evaluate_hall_words(words, (X, Y),
@@ -282,7 +282,7 @@ def lattice_membership_test(basis_vectors):
     U, D, V = smith_normal_form(B)
     diag = [int(D.data[i][i]) for i in range(min(D.rows, D.cols))]
     r = sum(1 for d in diag if d != 0)
-    rows = [[e.numerator for e in row] for row in U.data]
+    rows = _integer_rows(U)
 
     def contains(v):
         d, w = integer_row(v)  # denom v = (denom / d) w is integral iff d | denom

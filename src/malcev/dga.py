@@ -29,11 +29,10 @@ from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 
-from .lie import integer_table
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_scale, vec_sub, vec_zero, vec_is_zero,
     echelon_basis, echelon_rows, span_contains, unit, IncrementalSpan, AffineSolver,
-    integer_terms, _dense, _eliminate, _null_rows, over, integer,
+    integer_terms, _dense, _sparse, _eliminate, _null_rows, over, integer,
 )
 
 
@@ -74,8 +73,8 @@ def _d_rows(dims, cols, n):
 
 
 def _d_matrix(dims, D, cols, n):
-    """d[n] as a Matrix of Fractions, from its int columns cols[n] over D."""
-    return Matrix._of_rows(tuple(over(r, D) for r in _d_rows(dims, cols, n)), dims[n])
+    """d[n] as a Matrix, of its int columns cols[n] over D."""
+    return Matrix.of_ints(D, [_sparse(r) for r in _d_rows(dims, cols, n)], dims[n])
 
 
 class FiniteDGA:
@@ -359,9 +358,9 @@ class CohomologyData:
     first read: the cocycle and representative rows over S, and each
     coboundary row over its pivot (its RREF row).  The linear systems it
     answers, class coordinates and preimages under d, each get one
-    AffineSolver per degree, made with ``AffineSolver.of_rows`` from these
-    rows and from dcol on first use, and kept.  ``cohomology`` shares one
-    CohomologyData per DGA.
+    AffineSolver per degree, of a Matrix made with ``Matrix.of_ints`` from
+    these rows and from dcol on first use, and kept.  ``cohomology`` shares
+    one CohomologyData per DGA.
     """
 
     def __init__(self, dims, dcol):
@@ -409,8 +408,8 @@ class CohomologyData:
             S, _, b, reps = self.rows[n]
             cols = [(v, S) for v in reps] + [(r, next(a for a in r if a)) for r in b]
             L = lcm(*(s for _, s in cols))
-            return AffineSolver.of_rows([[v[k] * (L // s) for v, s in cols]
-                                         for k in range(self.dims[n])], len(cols), L)
+            return AffineSolver(Matrix.of_ints(L, [_sparse([v[k] * (L // s) for v, s in cols])
+                                                   for k in range(self.dims[n])], len(cols)))
         return self._solver(("class", n), build)
 
     def class_coordinates(self, n, v):
@@ -424,10 +423,9 @@ class CohomologyData:
         return x[:len(reps)]
 
     def preimage_solver(self, n):
-        """The AffineSolver of d[n-1], on its int rows over D_d."""
-        D, cols = self.dcol
-        return self._solver(("d", n - 1), lambda: AffineSolver.of_rows(
-            _d_rows(self.dims, cols, n - 1), self.dims[n - 1], D))
+        """The AffineSolver of d[n-1], on its int rows."""
+        return self._solver(("d", n - 1), lambda: AffineSolver(
+            _d_matrix(self.dims, *self.dcol, n - 1)))
 
     def preimage(self, n, v):
         """The x in degree n - 1 with d x = v and free variables zero, or
@@ -513,12 +511,12 @@ def chevalley_eilenberg(L) -> FiniteDGA:
     ``validate`` makes on a degree-1 generator, in place of
     ``L.check_jacobi()``.
 
-    The columns of d are built on ints over D_d = D of ``integer_table(L)``.
+    The columns of d are built on ints over D_d = D of ``L.table``.
     That is the lcm of the denominators of d: d on degree 1 has the entries
     -c, and the higher d[n] are integer combinations of them.
     """
     n = L.dim
-    D, partners = integer_table(L)
+    D, partners = L.table
     bases = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     index = [{t: i for i, t in enumerate(bs)} for bs in bases]
     dims = [len(bs) for bs in bases]

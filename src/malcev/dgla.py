@@ -18,7 +18,7 @@ from .linalg import (
 )
 from .lie import (
     LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims,
-    quotient_by_ideal, integer_table, sparse_bracket,
+    quotient_by_ideal, sparse_bracket,
 )
 from .dga import FiniteDGA, cohomology
 from .bch import bch
@@ -35,9 +35,9 @@ class TensorDGLA:
 
     The bracket and d run on the int tables that A and N build once:
     ``FiniteDGA.table`` (the products times D_m), ``FiniteDGA.dcol`` (d
-    times D_d) and ``lie.integer_table`` (the structure constants of N times
-    D_N).  An element is scaled once to an int vector u over its
-    lcm denominator; then ``_int_diff`` gives D_d (d ox id)(u) and
+    times D_d) and ``LieAlgebra.table`` (the structure constants of N times
+    D_N).  An element is scaled once to an int vector u over its lcm
+    denominator; then ``_int_diff`` gives D_d (d ox id)(u) and
     ``_int_bracket`` gives D_m D_N [u, v], all in ints, and the public
     methods make one Fraction per nonzero output entry.
     """
@@ -76,7 +76,7 @@ class TensorDGLA:
     def _scales(self):
         """(D_d, D): the factors D_d of ``_int_diff`` and D = D_m D_N of
         ``_int_bracket``."""
-        return self.dga.dcol[0], self.dga.table[0] * integer_table(self.N)[0]
+        return self.dga.dcol[0], self.dga.table[0] * self.N.table[0]
 
     def _blocks(self, n, u):
         """The nonzero coefficient blocks (i, u_i) of u = sum a_i ox u_i."""
@@ -109,7 +109,7 @@ class TensorDGLA:
         m = self.N.dim
         out = [0] * self.dim(p + q)
         rows = self.dga.table[1][(p, q)]
-        table = integer_table(self.N)[1]
+        table = self.N.table[1]
         blocks_v = dict(self._blocks(q, v))
         for i, ui in self._blocks(p, u):
             for j, terms in rows[i].items():

@@ -18,7 +18,7 @@ import functools
 from fractions import Fraction
 
 from .linalg import ZERO, _eliminate, integer_row
-from .lie import LieAlgebra, LieIdeal, integer_table
+from .lie import LieAlgebra, LieIdeal
 
 
 def degree(w) -> int:
@@ -180,8 +180,8 @@ def graded_ideal_closure(L: LieAlgebra, generators):
     piece.  Uses the recursion I_n = span(S_n) + [L_1, I_{n-1}], valid
     because L is generated in degree 1.  Degree n runs on int rows over the
     coordinates of L_n, from ``graded_component_indices(n)``: ad of each
-    degree-1 generator is read off ``integer_table(L)`` (int multiples, so
-    the same span), one ``_eliminate`` gives the primitive RREF rows, and
+    degree-1 generator is read off ``L.table`` (int multiples, so the same
+    span), one ``_eliminate`` gives the primitive RREF rows, and
     they feed degree n+1.  The columns outside L_n are zero, so each row
     padded to L.dim is a multiple of a row of the RREF of I_n in L.  The
     pieces have disjoint supports, so their rows ordered by pivot column are
@@ -200,7 +200,7 @@ def graded_ideal_closure(L: LieAlgebra, generators):
             raise ValueError("vector is not homogeneous")
         for d in degs:
             rows_of[d - 1].append(integer_row([v[g] for g in comps[d - 1]])[1])
-    table = integer_table(L)[1]
+    table = L.table[1]
     dims, pivoted, prev, below = [], [], [], {}
     for idx, rows in zip(comps, rows_of):
         at = {g: p for p, g in enumerate(idx)}

@@ -27,13 +27,16 @@ class LieAlgebra:
     brackets, a read-only dense view, maps (i, j) with i < j to the
     coordinate vector of [e_i, e_j]; missing pairs bracket to zero.  It is
     the input as given, which ``basis_bracket`` and ``to_json`` read.  Every
-    bracket runs on the one sparse table, ``integer_table``: int structure
-    constants over their common denominator D, built once here.  ``bracket``
-    and ``ad`` take Fraction vectors as they are and divide by D only when
-    D > 1.  basis_names, when given, is a list of dim strings (e1, e2, ...
-    otherwise).  An optional grading assigns a positive integer weight to
-    each basis vector; when present, brackets must be additive in the
-    weights.  ``from_json`` rejects a pair (i, j) given twice.
+    bracket runs on the one sparse table, built once here: table = (D,
+    rows), D the lcm of the denominators of the structure constants, and
+    rows[i] the (j, ((k, D c), ...)) with [e_i, e_j] = sum c e_k != 0, int
+    coefficients.  On integer vectors u, v, ``sparse_bracket(rows, u, v,
+    0)`` is the integer vector D [u, v]; ``bracket`` takes Fraction vectors
+    as they are and divides by D only when D > 1.  basis_names, when given,
+    is a list of dim strings (e1, e2, ... otherwise).  An optional grading
+    assigns a positive integer weight to each basis vector; when present,
+    brackets must be additive in the weights.  ``from_json`` rejects a pair
+    (i, j) given twice.
     """
 
     def __init__(self, dim, brackets, basis_names=None, grading=None):
@@ -88,12 +91,6 @@ class LieAlgebra:
         if i < j:
             return self.brackets.get((i, j), vec_zero(self.dim))
         return vec_neg(self.brackets.get((j, i), vec_zero(self.dim)))
-
-    def ad(self, i, v):
-        """[e_i, v]: ``_ad`` on row i of the table, with v as given, over D."""
-        D, rows = self.table
-        out = _ad(rows[i], v, ZERO)
-        return tuple(out) if D == 1 else over(out, D)
 
     def bracket(self, x, y):
         """[x, y]: ``sparse_bracket`` on the table, x and y as given, over D."""
@@ -167,7 +164,7 @@ class LieAlgebra:
 
 def _ad(row, v, zero):
     """sum_j v_j [e_i, e_j] as a list, for the row ((j, terms), ...) of i in
-    ``integer_table``: D ad(e_i) v."""
+    ``LieAlgebra.table``: D ad(e_i) v."""
     out = [zero] * len(v)
     for j, terms in row:
         vj = v[j]
@@ -178,7 +175,7 @@ def _ad(row, v, zero):
 
 
 def sparse_bracket(partners, x, y, zero):
-    """D [x, y] from the rows of ``integer_table``, by bilinear expansion
+    """D [x, y] from the rows of ``LieAlgebra.table``, by bilinear expansion
     over the nonzeros of x and their partners; an empty row is skipped
     before x_i is read.  A pair (i, j) where both x_i y_j and x_j y_i are
     nonzero is expanded once, with coefficient x_i y_j - x_j y_i.  The
@@ -207,15 +204,6 @@ def sparse_bracket(partners, x, y, zero):
             for k, e in terms:
                 out[k] += c * e
     return tuple(out)
-
-
-def integer_table(L):
-    """L.table = (D, rows), the one structure-constant table of L, built by
-    its constructor: D is the lcm of the denominators of the structure
-    constants, and rows[i] holds the (j, ((k, D c), ...)) with [e_i, e_j] =
-    sum c e_k != 0, int coefficients.  On integer vectors u, v,
-    ``sparse_bracket(rows, u, v, 0)`` is the integer vector D [u, v]."""
-    return L.table
 
 
 class LieIdeal:
@@ -251,7 +239,7 @@ class LieIdeal:
         return len(self.rows)
 
     def is_ideal(self):
-        span, table = IncrementalSpan(self.rows), integer_table(self.parent)[1]
+        span, table = IncrementalSpan(self.rows), self.parent.table[1]
         return all(span.contains(_ad(row, r, 0)) for row in table for r in self.rows)
 
 
@@ -289,7 +277,7 @@ def _lcs_bases(L):
 
     G_2 = [L, L] is the span of the table values (``echelon_rows``);
     G_{n+1} for n >= 2 is spanned by ad(e_i) b over the rows b of G_n, for
-    each i whose row of ``integer_table(L)`` is not empty (an empty row
+    each i whose row of ``L.table`` is not empty (an empty row
     brackets everything to 0).  That table gives int multiples of the
     [e_i, b], so the same span, and one ``_eliminate`` gives the rows of
     G_{n+1}.  Only tuples of int tuples are cached on L (ideals would point
@@ -297,7 +285,7 @@ def _lcs_bases(L):
     """
     if L._lcs is None:
         n = L.dim
-        partnered = [row for row in integer_table(L)[1] if row]
+        partnered = [row for row in L.table[1] if row]
         chain = [tuple(tuple(int(k == i) for k in range(n)) for i in range(n))]
         rows = echelon_rows([integer_row(v)[1] for v in L.brackets.values()], n)[0]
         while chain[-1]:
@@ -364,7 +352,7 @@ def associated_graded(L):
     rows, degrees = adapted_basis(L)
     vectors = [_over_pivot(r) for r in rows]
     Dinv, inv = inverse(Matrix.from_columns(vectors)).integer_view()
-    D, table = integer_table(L)
+    D, table = L.table
     scale = D * Dinv
     pivots = [next(a for a in r if a) for r in rows]
     dim = L.dim
@@ -430,14 +418,14 @@ def _generators(L):
     The loop spans the ad(S)-closure of S, and each vector it adds is an
     iterated bracket [s_1, [s_2, ..., s_k]] of S, so the closure lies in
     every subalgebra containing S; Jacobi is not used.  It runs on int rows:
-    the rows of ``integer_table`` give D times each bracket, the same span.
+    the rows of ``L.table`` give D times each bracket, the same span.
     S is kept if the closure is L, as it is for nilpotent L, and otherwise
     every index is returned.
     """
     if L._gens is None:
         derived = set(echelon_rows([integer_row(v)[1] for v in L.brackets.values()], L.dim)[1])
         gens = [i for i in range(L.dim) if i not in derived]
-        table = integer_table(L)[1]
+        table = L.table[1]
         span, todo = IncrementalSpan(), [[int(k == i) for k in range(L.dim)] for i in gens]
         while todo and span.dim < L.dim:
             v = todo.pop()
@@ -471,11 +459,11 @@ def quotient_by_ideal(L, ideal):
     The complement is ``unit_complement`` of the int rows of I.  As
     e_p = R_p - sum_c R_p[c] e_c, R_p being the int row of I over its last
     nonzero entry, the projection sends e_c to the unit vector at c and e_p
-    to -(R_p on the complement).  It is kept as sparse int columns over E,
+    to -(R_p on the complement).  It is made of sparse int columns over E,
     the lcm of those last entries, and Q's table is the projection of the
-    rows of the complement in ``integer_table(L)`` (D times the structure
-    constants), one Fraction per nonzero entry over D E.  Q's grading is L's on the (homogeneous)
-    unit vectors.
+    rows of the complement in ``L.table`` (D times the structure constants),
+    one Fraction per nonzero entry over D E.  Q's grading is L's on the
+    (homogeneous) unit vectors.
 
     The ideal check is [s, b] in I for s in a generating set S of L
     (``_generators``) and b in the int rows of I.  That is a proof: by Jacobi
@@ -500,7 +488,7 @@ def quotient_by_ideal(L, ideal):
                 out[q] += x * c
         return out
 
-    D, table = integer_table(L)
+    D, table = L.table
     brackets = {}
     for i, a in enumerate(comp):
         for j, terms in table[a]:
@@ -515,4 +503,8 @@ def quotient_by_ideal(L, ideal):
             if any(project((k, b[j] * x) for j, terms in table[s] if b[j]
                            for k, x in terms)):
                 raise ValueError("not an ideal")
-    return Q, Matrix._of_rows(tuple(zip(*(over(project([(c, 1)]), E) for c in range(n)))), n)
+    rows = [[] for _ in comp]
+    for c, col in enumerate(cols):
+        for q, x in col:
+            rows[q].append((c, x))
+    return Q, Matrix.of_ints(E, rows, n)

@@ -3,7 +3,10 @@
 Everything here works over arbitrary-precision rationals
 (``fractions.Fraction``), stored in lowest terms with positive denominator,
 so equality of results is literal equality and "is this zero" is decidable.
-Vectors are tuples of Fractions; matrices are dense and row-major.
+Vectors are tuples of Fractions.  A ``Matrix`` is stored as sparse int rows
+over the least common denominator of its entries, the one form that
+eliminations, solvers and products read; its Fraction entries are a view.
+Results leave as Fractions, built with ``over``.
 """
 
 from fractions import Fraction
@@ -103,9 +106,16 @@ def integer_row(row):
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable matrix of exact rationals, stored as sparse int rows over
+    their least common denominator D: row i is the nonzero entries
+    (j, D m[i][j]) in column order, and D is the lcm of the denominators of
+    the entries (1 for an integral or zero matrix).  So a matrix has one
+    stored form, and ``==`` and ``hash`` (equal shape and entries) compare
+    it.  ``Matrix(data)`` takes the entries and keeps them as ``data``;
+    ``of_ints`` takes int rows.  ``data``, the entries as Fraction row
+    tuples, is a read-only view, built on first read when not given."""
 
-    __slots__ = ("rows", "cols", "data", "_integer")
+    __slots__ = ("rows", "cols", "_ints", "_data")
 
     def __init__(self, data):
         data = tuple(tuple(scalar(e) for e in row) for row in data)
@@ -114,30 +124,47 @@ class Matrix:
         for row in data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
-        self.data = data
-        self._integer = None  # integer view, on demand
+        D, rows = integer_terms(map(_sparse, data))
+        self._ints, self._data = (D, tuple(rows)), data
 
     @classmethod
-    def identity(cls, n):
-        return cls([unit(n, i) for i in range(n)])
-
-    @classmethod
-    def _of_rows(cls, data, cols):
-        """A tuple of Fraction row tuples, taken as is; keeps cols if empty."""
+    def of_ints(cls, D, rows, cols):
+        """The matrix rows / D, for an int D > 0 and rows given as sparse
+        terms ((j, c), ...) with c != 0 and j increasing, cols columns:
+        gcd(D, entries) is divided out, which leaves the least D."""
+        g = gcd(D, *[c for terms in rows for _, c in terms])
         m = cls.__new__(cls)
-        m.rows, m.cols, m.data, m._integer = len(data), cols, data, None
+        m.rows, m.cols, m._data = len(rows), cols, None
+        m._ints = ((D, tuple(map(tuple, rows))) if g == 1 else
+                   (D // g, tuple(tuple((j, c // g) for j, c in terms) for terms in rows)))
         return m
 
     @classmethod
+    def identity(cls, n):
+        return cls.of_ints(1, [((i, 1),) for i in range(n)], n)
+
+    @classmethod
     def zeros(cls, rows, cols):
-        return cls._of_rows(((ZERO,) * cols,) * rows, cols)
+        return cls.of_ints(1, ((),) * rows, cols)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
+        """The matrix with the given columns, each of length rows (of the
+        length of the first column when rows is None; ValueError
+        otherwise)."""
         columns = [tuple(c) for c in columns]
-        if not columns or not columns[0]:
-            return cls.zeros(0 if columns else rows or 0, len(columns))
-        return cls(list(zip(*columns)))
+        if rows is None:
+            rows = len(columns[0]) if columns else 0
+        if any(len(c) != rows for c in columns):
+            raise ValueError("columns must all have length %d" % rows)
+        return cls(list(zip(*columns))) if rows and columns else cls.zeros(rows, len(columns))
+
+    @property
+    def data(self):
+        if self._data is None:
+            D, rows = self._ints
+            self._data = tuple(over(_dense(terms, self.cols), D) for terms in rows)
+        return self._data
 
     def column(self, j):
         return tuple(row[j] for row in self.data)
@@ -146,18 +173,10 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def integer_view(self):
-        """(D, rows): D is a common denominator of the entries, and rows[i]
-        the nonzero entries of row i as sparse terms (j, D m[i][j]) with int
-        coefficients.  Built on first use as the lcm of the denominators,
-        and kept: the matrix is immutable.  A matrix that an AffineSolver
-        builds (``right_inverse``, ``inverse``, ``AffineSolver.E``) comes
-        with the solver's int rows as its view, whose D need not be the
-        least."""
-        if self._integer is None:
-            D, rows = integer_terms([[(j, e) for j, e in enumerate(row) if e]
-                                     for row in self.data])
-            self._integer = (D, tuple(rows))
-        return self._integer
+        """(D, rows), the stored form: D the least common denominator of the
+        entries, and rows[i] the sparse terms (j, D m[i][j]) of row i with
+        int coefficients."""
+        return self._ints
 
     def mul_vec(self, v):
         """m v on the integer view: v is scaled to ints once, each row takes
@@ -167,37 +186,44 @@ class Matrix:
             raise ValueError("dimension mismatch: %d cols, %d entries" % (self.cols, len(v)))
         if not any(v):
             return (ZERO,) * self.rows
-        D, rows = self.integer_view()
+        D, rows = self._ints
         d, iv = integer_row(v)
         return over((sum([c * iv[j] for j, c in terms]) for terms in rows), D * d)
 
     def __mul__(self, other):
+        """The product on int rows: (A / D_a)(B / D_b) = A B / (D_a D_b)."""
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            if not self.rows:
-                return Matrix.zeros(0, other.cols)
-            cols = other.columns()
-            return Matrix([[sum((r[k] * c[k] for k in range(self.cols)), ZERO)
-                            for c in cols] for r in self.data])
+            (D_a, A), (D_b, B) = self._ints, other._ints
+            rows = []
+            for terms in A:
+                acc = [0] * other.cols
+                for j, a in terms:
+                    for k, b in B[j]:
+                        acc[k] += a * b
+                rows.append(_sparse(acc))
+            return Matrix.of_ints(D_a * D_b, rows, other.cols)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, Matrix):
-            return Matrix([vec_sub(r, s) for r, s in zip(self.data, other.data, strict=True)])
+            if (self.rows, self.cols) != (other.rows, other.cols):
+                raise ValueError("dimension mismatch")
+            return Matrix.from_columns(map(vec_sub, self.columns(), other.columns()), self.rows)
         return NotImplemented
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and (self.cols, self._ints) == (other.cols, other._ints)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.cols, self._ints))
 
     def __repr__(self):
         return "Matrix(%r)" % ([[format_scalar(e) for e in row] for row in self.data],)
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.data for e in row)
+        return self._ints[0] == 1
 
 
 def _dense(terms, n):
@@ -206,6 +232,11 @@ def _dense(terms, n):
     for k, c in terms:
         row[k] = c
     return row
+
+
+def _sparse(row):
+    """The sparse terms ((k, c), ...) of the nonzero entries of row."""
+    return tuple((k, c) for k, c in enumerate(row) if c)
 
 
 def _integer_rows(m: Matrix):
@@ -253,14 +284,14 @@ def _eliminate(rows, cols):
 
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (R, pivot column list).
-    ``_eliminate`` of the rows scaled to ints leaves multiples of the RREF
-    rows; the RREF is unique, so dividing each pivot row by its pivot, one
-    Fraction per nonzero entry, gives it."""
-    rows = [integer_row(row)[1] for row in m.data]
+    ``_eliminate`` of the int rows of m leaves multiples of the RREF rows;
+    the RREF is unique, so each pivot row over its pivot gives it.  R is
+    those rows over the lcm of the pivots, and zero rows below."""
+    rows = _integer_rows(m)
     pivots = _eliminate(rows, m.cols)
-    red = [over(row, row[c]) for row, c in zip(rows, pivots)]
-    red += [(ZERO,) * m.cols] * (m.rows - len(pivots))
-    return Matrix._of_rows(tuple(red), m.cols), pivots
+    D = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    red = [_sparse([a * (D // row[c]) for a in row]) for row, c in zip(rows, pivots)]
+    return Matrix.of_ints(D, red + [()] * (m.rows - len(pivots)), m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -300,61 +331,44 @@ class AffineSolver:
     with every free variable zero has x[pivots[i]] = (E b)_i.  This is the
     one exact solver: every m x = b in the library goes through it.
 
-    It runs on ints: with m = M_int / D_m, row i goes into ``_eliminate`` as
-    [M_int_i | D_m e_i], D_m times the row of [m | id], so the RREF is the
-    same.  It keeps M_int, and Y (the rows past the pivots), as sparse int
-    rows, and E as the sparse int rows E_int over one scale D_E: the lcm of
-    the pivots a_i of the primitive rows that ``_eliminate`` leaves, each a_i
-    times a row of the RREF.  ``E`` and ``m`` are built on first read.
+    It runs on the stored form of m, int rows M over D_m: row i goes into
+    ``_eliminate`` as [M_i | D_m e_i], D_m times the row of [m | id], so
+    the RREF is the same.  It keeps Y (the rows past the pivots) as sparse
+    int rows, and E as the sparse int rows E_int over one scale D_E: the lcm
+    of the pivots a_i of the primitive rows that ``_eliminate`` leaves, each
+    a_i times a row of the RREF.  ``E`` is built on first read.
     """
 
     def __init__(self, m: Matrix):
-        self.m = m
-        self._setup(*m.integer_view(), m.cols)
-
-    @classmethod
-    def of_rows(cls, rows, cols, D):
-        """The solver of m = rows / D, for int rows (sequences of cols
-        ints, not changed) and an int D > 0."""
-        solver = cls.__new__(cls)
-        solver._setup(D, tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows), cols)
-        return solver
-
-    def _setup(self, D, rows, cols):
+        self.m, cols = m, m.cols
+        D, rows = m.integer_view()
         n = self.n = len(rows)
-        self.cols, self.M_int = cols, (D, rows)
         aug = [_dense([*terms, (cols + i, D)], cols + n) for i, terms in enumerate(rows)]
         self.pivots = _eliminate(aug, cols)
         D_E = lcm(*(r[c] for r, c in zip(aug, self.pivots)))
         self.E_int = (D_E, tuple(tuple((j, a * (D_E // r[c])) for j, a in enumerate(r[cols:]) if a)
                                  for r, c in zip(aug, self.pivots)))
-        self.Y = [tuple((j, a) for j, a in enumerate(r[cols:]) if a)
-                  for r in aug[len(self.pivots):]]
-
-    @cached_property
-    def m(self):
-        """m as a Matrix: the one given, or M_int over D_m."""
-        return _of_int_rows(*self.M_int, self.cols)
+        self.Y = [_sparse(r[cols:]) for r in aug[len(self.pivots):]]
 
     @cached_property
     def E(self):
-        """E as a Matrix: E_int over D_E."""
-        return _of_int_rows(*self.E_int, self.n)
+        """E as a Matrix, of E_int."""
+        return Matrix.of_ints(*self.E_int, self.n)
 
     def solve_int(self, b):
         """(xs, D_E) with m (xs / D_E) = b, for an int vector b, with every
         free variable zero; or None when m x = b has no solution.  xs holds
-        the entries of E_int b on the pivots.  With m = M_int / D_m the
-        solution is checked as M_int xs = D_m D_E b."""
+        the entries of E_int b on the pivots.  With m = M / D_m, its
+        stored form, the solution is checked as M xs = D_m D_E b."""
         if len(b) != self.n:
             raise ValueError("dimension mismatch: %d rows, %d entries" % (self.n, len(b)))
         if any(sum([c * b[j] for j, c in y]) for y in self.Y):
             return None
         D_E, rows = self.E_int
-        xs = [0] * self.cols
+        xs = [0] * self.m.cols
         for pc, terms in zip(self.pivots, rows):
             xs[pc] = sum([c * b[j] for j, c in terms])
-        D_m, rows = self.M_int
+        D_m, rows = self.m.integer_view()
         assert all(sum([c * xs[j] for j, c in terms]) == D_m * D_E * t
                    for terms, t in zip(rows, b))
         return xs, D_E
@@ -384,19 +398,10 @@ class AffineSolver:
         return None
 
 
-def _of_int_rows(D, rows, cols):
-    """The Matrix rows / D for sparse int rows, with (D, rows) as its
-    integer view."""
-    m = Matrix._of_rows(tuple(over(_dense(terms, cols), D) for terms in rows), cols)
-    m._integer = (D, tuple(rows))
-    return m
-
-
 def right_inverse(m: Matrix) -> Matrix:
     """The s with m s = id, for m onto (ValueError otherwise), from one
     AffineSolver: column j solves m x = e_j with every free variable zero,
-    so row pivots[i] of s is row i of E.  s keeps the solver's E_int rows
-    over D_E as its integer view."""
+    so row pivots[i] of s is row i of E: s is made of the int rows of E."""
     solver = AffineSolver(m)
     if len(solver.pivots) < m.rows:
         raise ValueError("matrix is not onto")
@@ -404,7 +409,7 @@ def right_inverse(m: Matrix) -> Matrix:
     rows = [()] * m.cols
     for pc, terms in zip(solver.pivots, E):
         rows[pc] = terms
-    return _of_int_rows(D_E, rows, m.rows)
+    return Matrix.of_ints(D_E, rows, m.rows)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -552,11 +557,12 @@ def smith_normal_form(m: Matrix):
     """Smith normal form of an integer matrix.
 
     Returns (U, D, V) with U m V = D, U and V unimodular, D diagonal with
-    nonnegative entries satisfying d_i | d_{i+1}.
+    nonnegative entries satisfying d_i | d_{i+1}.  It runs on the int rows
+    of m and makes each result of int rows.
     """
     if not m.is_integral():
         raise ValueError("smith_normal_form requires integral entries")
-    a = [[int(e) for e in row] for row in m.data]
+    a = _integer_rows(m)
     nr, nc = m.rows, m.cols
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
@@ -629,4 +635,5 @@ def smith_normal_form(m: Matrix):
             negate_row(t)
         t += 1
 
-    return Matrix(u), Matrix(a), Matrix(v)
+    return tuple(Matrix.of_ints(1, [_sparse(r) for r in x], cols)
+                 for x, cols in ((u, nr), (a, nc), (v, nc)))

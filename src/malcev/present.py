@@ -21,7 +21,7 @@ from .linalg import (
 )
 from .lie import (
     LieAlgebra, lower_central_series, nilpotency_class, associated_graded,
-    quotient_by_ideal, is_lie_isomorphism, integer_table, unit_complement,
+    quotient_by_ideal, is_lie_isomorphism, unit_complement,
     _lcs_bases,
 )
 from .freelie import free_nilpotent, graded_ideal_closure
@@ -135,11 +135,11 @@ def _relation_space(L):
     G_2, as in ``adapted_basis``.  With r_p the int rows of G_3, a_p the
     pivot of r_p and E their lcm, NF(v) = E v - sum_p v[p] (E / a_p) r_p is
     linear with kernel G_3 (the r_p are RREF rows up to scale).  So the
-    columns NF(D [e_a, e_b]), with D [e_a, e_b] from ``integer_table(L)``,
-    all scaled by D E, have the kernel of wedge^2 V -> gr_2, and
+    columns NF(D [e_a, e_b]), with D [e_a, e_b] from ``L.table``, all
+    scaled by D E, have the kernel of wedge^2 V -> gr_2, and
     ``linalg._null_rows`` of their int rows, over their scale, depends only
     on the kernel, so it gives the same vectors as on the brackets of gr L."""
-    n, (_, table) = L.dim, integer_table(L)
+    n, (_, table) = L.dim, L.table
     chain = _lcs_bases(L) + ((), ())
     gens = unit_complement(chain[1], n)[0]
     partners = [dict(table[c]) for c in gens]

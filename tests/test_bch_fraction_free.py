@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from malcev.lie import LieAlgebra, abelian, integer_table, nilpotency_class
+from malcev.lie import LieAlgebra, abelian, nilpotency_class
 from malcev.freelie import free_nilpotent
 from malcev.bch import bch, lattice_membership_test, lattice_closed_under_bch
 
@@ -78,7 +78,7 @@ def test_bch_matches_class4_formula(index):
     L = algebras()[index][1]
     assert nilpotency_class(L) <= 4
     if L.brackets:
-        assert integer_table(L)[0] > 1  # the structure constants have denominators
+        assert L.table[0] > 1  # the structure constants have denominators
     rng = random.Random(index)
     for x, y in inputs(rng, L.dim):
         expected = oracle_bch(L, x, y)
@@ -90,8 +90,7 @@ def test_bch_matches_class4_formula(index):
 
 def test_integer_table_scales_the_structure_constants():
     L = algebras()[0][1]
-    D, rows = integer_table(L)
-    assert integer_table(L) is integer_table(L)
+    D, rows = L.table
     partners = [[] for _ in range(L.dim)]  # the table's rows as Fractions
     for (i, j), v in L.brackets.items():
         terms = [(k, c) for k, c in enumerate(v) if c]
@@ -102,7 +101,7 @@ def test_integer_table_scales_the_structure_constants():
             [(j, [k for k, _ in t]) for j, t in partners[i]]
         for (j, terms), (_, fterms) in zip(row, partners[i]):
             assert all(type(c) is int and c == D * f for (_, c), (_, f) in zip(terms, fterms))
-    assert integer_table(abelian(2)) == (1, ((), ()))
+    assert abelian(2).table == (1, ((), ()))
 
 
 def combination(coeffs, vectors):

@@ -1,7 +1,7 @@
 """The int paths of the exact solver and of cohomology against the Fraction
-oracles: ``AffineSolver.of_rows`` with ``solve_int`` and ``refute`` on int
-systems over D > 1, the integer view that ``inverse`` hands its result, and
-the Betti numbers as row counts."""
+oracles: the solver of ``Matrix.of_ints`` with ``solve_int`` and ``refute``
+on int systems over D > 1, the integer view of the result of ``inverse``,
+and the Betti numbers as row counts."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from malcev.dga import cohomology
-from malcev.linalg import AffineSolver, Matrix, inverse, over
+from malcev.linalg import AffineSolver, Matrix, _sparse, inverse, over
 
 from oracles import gauss_jordan, naive_solve
 from test_cohomology_integer_rows import NAMES, dgas
@@ -42,7 +42,7 @@ def test_of_rows_solve_int_matches_the_oracle(seed):
     solved = unsolved = 0
     for rows, cols, D in int_systems(seed, 60):
         m = [[Fraction(a, D) for a in row] for row in rows]
-        solver = AffineSolver.of_rows(rows, cols, D)
+        solver = AffineSolver(Matrix.of_ints(D, [_sparse(r) for r in rows], cols))
         assert solver.m.data == tuple(map(tuple, m))
         dual = dual_rref(m, cols)
         for _ in range(4):
@@ -68,15 +68,15 @@ def test_of_rows_solve_int_matches_the_oracle(seed):
 
 
 def test_of_rows_keeps_its_input_rows():
-    rows = [[2, 4, 0], [1, 1, 3]]
-    AffineSolver.of_rows(rows, 3, 6)
-    assert rows == [[2, 4, 0], [1, 1, 3]]
+    rows = [[(0, 2), (1, 4)], [(0, 1), (1, 1), (2, 3)]]
+    AffineSolver(Matrix.of_ints(6, rows, 3))
+    assert rows == [[(0, 2), (1, 4)], [(0, 1), (1, 1), (2, 3)]]
 
 
 def test_of_rows_matches_the_matrix_solver():
     """The same E and pivots as the solver of the Fraction matrix."""
     for rows, cols, D in int_systems(7, 40):
-        solver = AffineSolver.of_rows(rows, cols, D)
+        solver = AffineSolver(Matrix.of_ints(D, [_sparse(r) for r in rows], cols))
         m = Matrix([[Fraction(a, D) for a in row] for row in rows]) if rows \
             else Matrix.zeros(0, cols)
         reference = AffineSolver(m)

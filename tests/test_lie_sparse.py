@@ -70,7 +70,7 @@ def test_sparse_bracket_matches_dense_oracle(dim_table, data):
     assert L.bracket(x, x) == dense_bracket(dim, table, x, x)
     for i in range(dim):
         e = tuple(Fraction(int(k == i)) for k in range(dim))
-        assert L.ad(i, y) == dense_bracket(dim, table, e, y)
+        assert L.bracket(e, y) == dense_bracket(dim, table, e, y)
 
 
 @st.composite

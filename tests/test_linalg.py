@@ -87,6 +87,17 @@ def test_zero_row_matrices_keep_their_column_count():
     assert len(kernel_basis(m)) == 2
 
 
+def test_from_columns_rejects_ragged_columns():
+    with pytest.raises(ValueError):
+        Matrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        Matrix.from_columns([(1, 2)], rows=3)
+    with pytest.raises(ValueError):
+        Matrix.from_columns([(), (1,)])
+    assert Matrix.from_columns([(1, 2), (3, 4)], rows=2) == Matrix([[1, 3], [2, 4]])
+    assert (Matrix.from_columns([], rows=3).rows, Matrix.from_columns([], rows=3).cols) == (3, 0)
+
+
 def test_echelon_and_span_utilities():
     v1 = (Fraction(1), Fraction(2), Fraction(0))
     v2 = (Fraction(0), Fraction(0), Fraction(3))

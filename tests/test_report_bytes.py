@@ -1,20 +1,29 @@
-"""Pinned bytes of `quadcheck`, `malcev-model` and `mc` reports.
+"""Pinned bytes of the CLI reports: `quadcheck`, `malcev-model`, `mc`,
+`lift`, `massey`, `lattice-check` and `heisenberg-demo`.
 
 Each case runs the CLI in text and in json form and compares the sha256 of
 stdout with a value recorded before the graded-ideal layer moved to integer
 component coordinates (the `mc` values: before the MC stages split their
-residual over the kernel once, on int rows).  A speed-up of the quadratic
-pipeline or of MC staging must leave every verdict, relation basis,
-realization table, obstruction class and MC solution, and so these bytes, as
-they are.  The inputs are built here without randomness: a genus-2 cup
-model, its realization at class 3 (a truncation), a stabilized realization
-and a free truncation, the last two in a rational basis change made with the
-oracles; and staged MC solves over the Chevalley-Eilenberg complexes of the
-Heisenberg algebra (one completed, one obstructed at stage 3) and of Q^3
-(obstructed at stage 2), with coefficients in the Heisenberg algebra or
-F(2, 3), two of them in a rational basis.
+residual over the kernel once, on int rows; the `lift`, `massey`,
+`lattice-check` and `heisenberg-demo` values: before `Matrix` stored one
+int-row form).  A speed-up of the quadratic pipeline or of MC staging, or a
+change of the stored form of a matrix, must leave every verdict, relation
+basis, realization table, obstruction class, MC solution, lift, refutation,
+Massey representative, lattice witness and commutator index, and so these
+bytes, as they are.  The inputs are built here without randomness: a
+genus-2 cup model, its realization at class 3 (a truncation), a stabilized
+realization and a free truncation, the last two in a rational basis change
+made with the oracles; staged MC solves over the Chevalley-Eilenberg
+complexes of the Heisenberg algebra (one completed, one obstructed at stage
+3) and of Q^3 (obstructed at stage 2), with coefficients in the Heisenberg
+algebra or F(2, 3), two of them in a rational basis; the lift criterion of
+the torus relation into F(2, 3), met and failed; one-class lifts of the
+integral Heisenberg presentation, into its own group (lifted) and into
+F(2, 3) at class 3 (obstructed, with its refutation); the nonzero Massey
+triple product <x, x, y> of the Heisenberg algebra; an integral lattice of
+the Heisenberg group that the group law leaves; a commutator index; and the
+worked example.
 """
-
 import hashlib
 import json
 from fractions import Fraction
@@ -64,6 +73,21 @@ def conjugated(L):
     return json.dumps({"dim": n, "brackets": brackets})
 
 
+def criterion(rho2):
+    """A `lift` criterion input: the torus relation [x, y] into F(2, 3)."""
+    return json.dumps({"mode": "criterion",
+                       "presentation": {"generators": 2, "relations": [["1"]]},
+                       "free": [2, 3], "rho2": rho2})
+
+
+def one_class(fields):
+    """A one-class `lift` input on the integral Heisenberg presentation."""
+    return json.dumps({"mode": "one-class", "presentation": {
+        "generators": ["x", "y", "z"],
+        "relators": [["x", "y", "x^-1", "y^-1", "z^-1", "z^-1"],
+                     ["x", "z", "x^-1", "z^-1"], ["y", "z", "y^-1", "z^-1"]]}, **fields})
+
+
 def cases():
     genus2 = realize(malcev_model(CupDatum.from_json(json.loads(GENUS2))), 3)[0]
     ce_heis = json.dumps(chevalley_eilenberg(heisenberg()).to_json())
@@ -81,10 +105,40 @@ def cases():
                                   "--initial", MC_INITIAL],
         "mc-torus3-heis": ["mc", json.dumps(chevalley_eilenberg(abelian(3)).to_json()),
                            json.dumps(heisenberg().to_json()), "--initial", MC_INITIAL],
+        "lift-criterion-lifted": ["lift", criterion([["1", "0", "0", "0", "0"]] * 2)],
+        "lift-criterion-obstructed": ["lift", criterion([["1", "0", "0", "0", "0"],
+                                                         ["0", "1", "0", "0", "0"]])],
+        "lift-one-class-lifted": ["lift", one_class(
+            {"algebra": heisenberg().to_json(), "k": 2,
+             "assignment": {"x": ["1", "0"], "y": ["0", "1"], "z": ["0", "0"]}})],
+        "lift-one-class-obstructed": ["lift", one_class(
+            {"free": [2, 3], "k": 3,
+             "assignment": {"x": ["1", "0", "0"], "y": ["0", "1", "0"], "z": ["0", "0", "1/2"]}})],
+        "massey-heis": ["massey", ce_heis, "--degrees", "1", "1", "1",
+                        "--a", "[1,0,0]", "--b", "[1,0,0]", "--c", "[0,1,0]"],
+        "lattice-escape": ["lattice-check", "--lattice", "[[1,0,0],[0,1,0],[0,0,1]]"],
+        "lattice-matrix": ["lattice-check", "--matrix", "[[2,3],[1,2]]"],
+        "heisenberg-demo": ["heisenberg-demo"],
     }
 
 
 PINNED = {
+    ("heisenberg-demo", "text"): "a34914b0397de5c139d629dca79b7d990b88c7efdba025ae9fbc71fa18e44763",
+    ("heisenberg-demo", "json"): "65f095236fc8573b76274f4c73a02103de021703c81b17dd72406d2fb1f06baf",
+    ("lattice-escape", "text"): "02e3f473bb45e8a69e35549204df32bba6fb5556e8ea687b0b17752ecf561a91",
+    ("lattice-escape", "json"): "e667625b005c673d268434d37e74df37a50637ce3eeff3ee19d93055b8c36f4f",
+    ("lattice-matrix", "text"): "feca2a5fd47cddb0c0ffb34ede0741764915c385b61dd8835210fce93f402db3",
+    ("lattice-matrix", "json"): "4599e770f85ecda2fcb405a86acbfebd8f7cdd74c5ade0d542e4c7cfcd043fd6",
+    ("lift-criterion-lifted", "text"): "5e0a70fcd9d0ed18d46f1513f6b44808d3db99145101d68c7683199014d69c5b",
+    ("lift-criterion-lifted", "json"): "2fb062a77f6c0b399eed63e1abaaa214a8e3ed1d4df325b15e3ca5cc20806262",
+    ("lift-criterion-obstructed", "text"): "c11aa5179e77b1464e91a6290367823a50e7ca657a1e267746ee57a10ce8ea4e",
+    ("lift-criterion-obstructed", "json"): "5bf61285d84d8ac8461930d1e1d7519392f8ebcc97117bb3f0c1d20d7fb4da6b",
+    ("lift-one-class-lifted", "text"): "2d391b6732a1207cc29bac572c48d67f031a65b9fd1925323b87b9ec59fb6f67",
+    ("lift-one-class-lifted", "json"): "ade28a5a09e1c75b8b702bbef059b6c7814b8d022ee5bebb25e174bb732f5963",
+    ("lift-one-class-obstructed", "text"): "1a79a691e42c3a035447a624e24036834380ad83272d66e3f4c8e7a9aa148728",
+    ("lift-one-class-obstructed", "json"): "722c330db717762b4ec1b9e426b17f946c4be077e93901df6f3251423f32eaf6",
+    ("massey-heis", "text"): "651e2fd1d3031de7182de1d6075cebbbf6c9f4916ba0e8bd7e43f0d2bf20518d",
+    ("massey-heis", "json"): "86916c693e6e0fbf696f39043c0f7e51f264e24cdd24a8c4d9161d1738fee7e7",
     ("mc-heis-free-2-3-conj", "text"): "c62a7eae543814bcae680ca08db95bd07ebf90f8feaf1e5c2b10fd19642d9bc1",
     ("mc-heis-free-2-3-conj", "json"): "c2ba2cefad05c3c5d8a483d902f24a11374d623998aafc0a2addf2327b1eaefd",
     ("mc-heis-heis", "text"): "c7873b14684e29fe472179b1f92ac3334c33ad9ebdcc4e34065cc5b8f028bd29",

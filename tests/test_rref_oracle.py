@@ -77,8 +77,8 @@ def test_mul_vec_matches_the_fraction_sum():
     rng = random.Random(15)
     for case in range(200):
         m = random_matrix(rng, case)
-        twin = Matrix._of_rows(m.data, m.cols)   # never multiplied
-        for _ in range(2):   # the second call reads the kept integer view
+        twin = Matrix.of_ints(*m.integer_view(), m.cols)   # never multiplied
+        for _ in range(2):
             v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.6
                       else Fraction(0) for _ in range(m.cols))
             expected = tuple(sum((r[j] * v[j] for j in range(m.cols)), Fraction(0))
