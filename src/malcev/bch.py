@@ -11,7 +11,7 @@ class bound.
 
 import functools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .linalg import (
     Matrix, ZERO, vec_neg, vec_zero, vec_is_zero, inverse,
@@ -280,7 +280,7 @@ def lattice_membership_test(basis_vectors):
     denom, flat = integer_row([e for v in cols for e in v])
     B = Matrix.from_columns([flat[t * n:t * n + n] for t in range(len(cols))], rows=n)
     U, D, V = smith_normal_form(B)
-    diag = [int(D.data[i][i]) for i in range(min(D.rows, D.cols))]
+    diag = _diagonal(D)
     r = sum(1 for d in diag if d != 0)
     rows = _integer_rows(U)
 
@@ -329,12 +329,10 @@ def commutator_index(M: Matrix):
         raise ValueError("matrix must be square")
     if not M.is_integral():
         raise ValueError("matrix must be integral")
-    A = M - Matrix.identity(M.rows)
-    _, D, _ = smith_normal_form(A)
-    idx = 1
-    for i in range(D.rows):
-        d = int(D.data[i][i])
-        if d == 0:
-            return None
-        idx *= d
-    return idx
+    diag = _diagonal(smith_normal_form(M - Matrix.identity(M.rows))[1])
+    return None if 0 in diag else prod(diag)
+
+
+def _diagonal(D):
+    """The diagonal of a Smith form D: its int row i is () or ((i, d_i),)."""
+    return [terms[0][1] if terms else 0 for terms in D.integer_view()[1][:D.cols]]

@@ -30,7 +30,7 @@ from math import lcm
 from types import MappingProxyType
 
 from .linalg import (
-    Matrix, ZERO, scalar, format_scalar, vec_scale, vec_sub, vec_zero, vec_is_zero,
+    Matrix, ZERO, scalar, format_scalar, vec_scale, vec_sub, vec_is_zero,
     echelon_basis, echelon_rows, span_contains, unit, IncrementalSpan, AffineSolver,
     integer_terms, _dense, _sparse, _eliminate, _null_rows, over, integer,
 )
@@ -87,17 +87,18 @@ class FiniteDGA:
     order only is read in the other by graded commutativity; pairs given in
     neither order multiply to zero.
 
-    One sparse int table per structure is built once, over the lcm D_m or
-    D_d of its denominators: table = (D_m, rows), rows[(p, q)][i] = {j:
-    ((k, D_m c), ...)} for a_i a_j = sum c a_k != 0, p + q <= top; dcol =
+    The one stored form is a sparse int table per structure, over the lcm
+    D_m or D_d of its denominators: table = (D_m, rows), rows[(p, q)][i] =
+    {j: ((k, D_m c), ...)} for a_i a_j = sum c a_k != 0, p + q <= top; dcol =
     (D_d, cols), cols[n][j] the nonzero (k, D_d d[n][k][j]) of column j of
-    d[n].  ``product`` and ``diff`` take Fraction vectors as they are and
-    divide by D_m or D_d only when it is > 1.  The dense input is not kept:
-    products and d are read-only views derived on first use.  The shapes
-    and the DGA axioms are checked in __init__ (ValueError otherwise); the
-    one other constructor, ``chevalley_eilenberg``, builds a DGA by
-    construction.  So every FiniteDGA is a DGA.  A zero-row d[n] keeps
-    dims[n] columns.
+    d[n], read off the integer view of each d[n] (a missing d[n] is zero).
+    ``product`` and ``diff`` take Fraction vectors as they are and divide by
+    D_m or D_d only when it is > 1.  products and d are read-only views
+    derived on first use.  __init__ checks the shapes and the DGA axioms
+    (ValueError otherwise).  The private ``_of_tables`` takes the tables
+    as stored and runs the same ``validate``, except for
+    ``chevalley_eilenberg``, a DGA by construction.  So every FiniteDGA is
+    a DGA.  A zero-row d[n] keeps dims[n] columns.
     """
 
     def __init__(self, dims, d, products):
@@ -107,10 +108,13 @@ class FiniteDGA:
         if len(d) > top + 1 or any(m.rows != image_dims[n] or (m.rows and m.cols != dims[n])
                                    for n, m in enumerate(d)):
             raise ValueError("differentials do not match dims %s" % dims)
-        data = [m.data for m in d] + [()] * (top + 1 - len(d))  # missing d[n] are zero
-        D_d, flat = integer_terms([[(k, row[j]) for k, row in enumerate(rows) if row[j]]
-                                   for m, rows in zip(dims, data) for j in range(m)])
-        cols = tuple(tuple(next(flat) for _ in range(m)) for m in dims)
+        D_d = lcm(*[m.integer_view()[0] for m in d])
+        cols = [[[] for _ in range(m)] for m in dims]  # missing d[n] are zero
+        for col, m in zip(cols, d):
+            D, rows = m.integer_view()
+            for k, terms in enumerate(rows):
+                for j, c in terms:
+                    col[j].append((k, c * (D_d // D)))
         products = {key: tuple(tuple(tuple(scalar(c) for c in cell) for cell in row)
                                for row in table) for key, table in products.items()}
         for (p, q), table in products.items():
@@ -131,16 +135,25 @@ class FiniteDGA:
             if (q, p) not in products:
                 sign = (-1) ** (p * q)
                 mult[(q, p)][j][i] = tuple((k, sign * c) for k, c in terms)
-        self._set(dims, (D_m, mult), tuple(products), (D_d, cols))
-        errors = self.validate()
-        if errors:
-            raise ValueError("DGA axioms violated: " + "; ".join(errors))
+        self._set(dims, (D_m, mult), tuple(products),
+                  (D_d, tuple(tuple(map(tuple, col)) for col in cols)), True)
 
-    def _set(self, dims, table, keys, dcol):
+    @classmethod
+    def _of_tables(cls, dims, table, keys, dcol, check):
+        """The DGA of the stored tables, with the degree pairs keys in
+        ``products``; ``validate`` runs when check is true."""
+        A = cls.__new__(cls)
+        A._set(dims, table, keys, dcol, check)
+        return A
+
+    def _set(self, dims, table, keys, dcol, check):
         self.dims, self.top = dims, len(dims) - 1
         self.table, self.dcol, self._keys = table, dcol, keys
         self._products = self._d = None  # the dense views, on demand
         self._cohomology = None  # the CohomologyData, on demand
+        errors = check and self.validate()
+        if errors:
+            raise ValueError("DGA axioms violated: " + "; ".join(errors))
 
     @property
     def products(self):
@@ -449,8 +462,7 @@ def cohomology_ring(dga: FiniteDGA) -> FiniteDGA:
     products = {(p, q): [[H.class_coordinates(p + q, dga.product(p, a, q, b)) if dims[p + q]
                           else () for b in H.representatives[q]] for a in H.representatives[p]]
                 for p in range(top + 1) for q in range(top + 1 - p)}
-    d = [Matrix.zeros(dims[n + 1] if n + 1 <= top else 0, dims[n]) for n in range(top)]
-    return FiniteDGA(dims, d, products)
+    return FiniteDGA(dims, [], products)  # every d[n] is zero
 
 
 def adjoin_acyclic(dga: FiniteDGA, deg: int = 1):
@@ -458,26 +470,23 @@ def adjoin_acyclic(dga: FiniteDGA, deg: int = 1):
 
     All products touching the new coordinates vanish, so the result is a
     valid graded-commutative DGA and the evident inclusion is a
-    quasi-isomorphism.  Returns (B, inclusion_matrices).
+    quasi-isomorphism.  Returns (B, inclusion_matrices).  B is built on the
+    int tables: a and b come last in their degrees, dcol gains the columns
+    D_d b of a and () of b, the product table an empty row for each, and
+    ``validate`` checks B as ``FiniteDGA(...)`` would.
     """
     if not 0 <= deg < dga.top:
         raise ValueError("need 0 <= deg < top degree")
     dims = list(dga.dims)
     dims[deg] += 1
     dims[deg + 1] += 1
-
-    def pad(rows, n, m):
-        """rows of width dga.dims[n] to width dims[n], and zero rows up to dims[m]."""
-        return [tuple(r) + (ZERO,) * (dims[n] - len(r)) for r in rows] + \
-            [vec_zero(dims[n])] * (dims[m] - len(rows))
-
-    dmats = [pad(dga.d[n].data, n, n + 1) for n in range(dga.top)]
-    dmats[deg][-1] = unit(dims[deg], dims[deg] - 1)
-    products = {(p, q): [pad(row, p + q, q) for row in table] +
-                [[vec_zero(dims[p + q])] * dims[q]] * (dims[p] - dga.dims[p])
-                for (p, q), table in dga.products.items()}
-    return FiniteDGA(dims, dmats, products), [
-        Matrix([unit(m, i) for i in range(m)] + [vec_zero(m)] * (dims[n] - m))
+    (D_m, mult), (D_d, cols) = dga.table, dga.dcol
+    cols = list(cols)
+    cols[deg] += (((dims[deg + 1] - 1, D_d),),)
+    cols[deg + 1] += ((),)
+    mult = {(p, q): rows + ({},) * (dims[p] - dga.dims[p]) for (p, q), rows in mult.items()}
+    return FiniteDGA._of_tables(dims, (D_m, mult), dga._keys, (D_d, tuple(cols)), True), [
+        Matrix.of_ints(1, [((i, 1),) for i in range(m)] + [()] * (dims[n] - m), m)
         for n, m in enumerate(dga.dims)]
 
 
@@ -556,9 +565,7 @@ def chevalley_eilenberg(L) -> FiniteDGA:
                 for t in itertools.combinations(off, q):
                     j, odd = index[q][t], sum(above[b] for b in t) & 1
                     rows[j] = cells[p + q][index[p + q][tuple(sorted(s + t))]][odd]
-    A = FiniteDGA.__new__(FiniteDGA)  # the tables as built; no validate
-    A._set(dims, (1, mult), tuple(mult), (D, dcol))
-    return A
+    return FiniteDGA._of_tables(dims, (1, mult), tuple(mult), (D, dcol), False)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import cached_property
 from .linalg import (
     Matrix, ZERO, vec_add, vec_sub, vec_zero, vec_is_zero,
     kernel_basis, echelon_basis, unit, right_inverse, integer_row, AffineSolver,
-    over,
+    over, _sparse,
 )
 from .lie import (
     LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims,
@@ -137,15 +137,13 @@ class TensorDGLA:
         return over(self._int_bracket(p, u, q, v), self._scales()[1] * dp * dq)
 
     def degree0_lie_algebra(self) -> LieAlgebra:
-        """A^0 ox N as an honest nilpotent Lie algebra (for the BCH law)."""
+        """A^0 ox N as an honest nilpotent Lie algebra (for the BCH law): the
+        int terms of ``_int_bracket`` on unit vectors, over D_m D_N."""
         n0 = self.dim(0)
-        brackets = {}
-        for i in range(n0):
-            for j in range(i + 1, n0):
-                v = self.bracket(0, unit(n0, i), 0, unit(n0, j))
-                if not vec_is_zero(v):
-                    brackets[(i, j)] = v
-        return LieAlgebra(n0, brackets)
+        e = [[int(k == i) for k in range(n0)] for i in range(n0)]
+        pairs = {(i, j): v for i in range(n0) for j in range(i + 1, n0)
+                 if (v := _sparse(self._int_bracket(0, e[i], 0, e[j])))}
+        return LieAlgebra.of_ints(n0, self._scales()[1], pairs)
 
     def verify(self):
         """The DGLA axioms that A and N do not already guarantee: the

@@ -15,9 +15,8 @@ form [[0, 1], 0] ~ [[x, y], x] rewriting to -[x, [x, y]].
 """
 
 import functools
-from fractions import Fraction
 
-from .linalg import ZERO, _eliminate, integer_row
+from .linalg import _eliminate, integer_row
 from .lie import LieAlgebra, LieIdeal
 
 
@@ -101,7 +100,8 @@ def word_str(w, names=None):
 
 
 class HallRewriter:
-    """Rewrites brackets of Hall words into Hall coordinates.
+    """Rewrites brackets of Hall words into Hall coordinates, which are
+    integers.
 
     Memoized on word pairs; truncation class is fixed per instance.  The
     rewriting uses antisymmetry plus the Jacobi identity in the standard
@@ -114,7 +114,7 @@ class HallRewriter:
         self._cache = {}
 
     def bracket(self, u, v):
-        """Hall coordinates of [u, v], as a dict word -> coefficient."""
+        """Hall coordinates of [u, v], as a dict word -> int coefficient."""
         if degree(u) + degree(v) > self.c:
             return {}
         if u == v:
@@ -126,16 +126,16 @@ class HallRewriter:
         if hit is not None:
             return hit
         if _is_standard_pair(u, v):
-            out = {(u, v): Fraction(1)}
+            out = {(u, v): 1}
         else:
             a, b = v
             out = {}
             for w, cf in self.bracket(u, a).items():
                 for w2, cf2 in self.bracket(w, b).items():
-                    out[w2] = out.get(w2, ZERO) + cf * cf2
+                    out[w2] = out.get(w2, 0) + cf * cf2
             for w, cf in self.bracket(u, b).items():
                 for w2, cf2 in self.bracket(a, w).items():
-                    out[w2] = out.get(w2, ZERO) + cf * cf2
+                    out[w2] = out.get(w2, 0) + cf * cf2
             out = {w: cf for w, cf in out.items() if cf != 0}
         self._cache[key] = out
         return out
@@ -146,27 +146,24 @@ def free_nilpotent(k, c) -> LieAlgebra:
     """Free nilpotent Lie algebra on k generators of class c, on a Hall basis.
 
     Carries the canonical grading by bracket degree; basis vectors follow the
-    Hall order, generators first.
+    Hall order, generators first.  The structure constants are the int
+    Hall coordinates of ``HallRewriter``, so the table has D = 1.
     """
     groups = hall_basis(k, c)
     words = [w for grp in groups for w in grp]
     index = {w: i for i, w in enumerate(words)}
     dim = len(words)
     rw = HallRewriter(c)
-    brackets = {}
+    pairs = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             if degree(words[i]) + degree(words[j]) > c:
                 continue
             coords = rw.bracket(words[i], words[j])
             if coords:
-                v = [ZERO] * dim
-                for w, cf in coords.items():
-                    v[index[w]] = cf
-                brackets[(i, j)] = tuple(v)
-    grading = [degree(w) for w in words]
-    names = tuple(word_str(w) for w in words)
-    L = LieAlgebra(dim, brackets, basis_names=names, grading=grading)
+                pairs[(i, j)] = tuple(sorted((index[w], cf) for w, cf in coords.items()))
+    L = LieAlgebra.of_ints(dim, 1, pairs, grading=[degree(w) for w in words],
+                           basis_names=[word_str(w) for w in words])
     L.hall_words = words
     L.hall_index = index
     return L

@@ -1,54 +1,44 @@
 """Finite-dimensional Lie algebras given by exact structure constants.
 
-A ``LieAlgebra`` is immutable and stores the bracket only for basis pairs
-(i, j) with i < j; antisymmetry holds by construction, so the only
+A ``LieAlgebra`` is immutable and is given the bracket only for basis
+pairs (i, j) with i < j; antisymmetry holds by construction, so the only
 well-definedness condition left to verify at runtime is the Jacobi identity.
 Ideals are explicit lists of coordinate vectors in the parent's basis, which
 keeps every downstream computation linear-algebraic.
 """
 
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .linalg import (
-    Matrix, ZERO, scalar, integer, format_scalar, vec, vec_add, vec_neg,
-    vec_zero, echelon_rows,
+    Matrix, ZERO, scalar, integer, format_scalar, vec, vec_add, echelon_rows,
     rank, inverse, unit, IncrementalSpan, integer_row, integer_terms, over,
-    _eliminate,
+    _dense, _eliminate, _sparse,
 )
 
 
 class LieAlgebra:
     """Lie algebra over the rationals, by structure constants.
 
-    brackets, a read-only dense view, maps (i, j) with i < j to the
-    coordinate vector of [e_i, e_j]; missing pairs bracket to zero.  It is
-    the input as given, which ``basis_bracket`` and ``to_json`` read.  Every
-    bracket runs on the one sparse table, built once here: table = (D,
-    rows), D the lcm of the denominators of the structure constants, and
-    rows[i] the (j, ((k, D c), ...)) with [e_i, e_j] = sum c e_k != 0, int
-    coefficients.  On integer vectors u, v, ``sparse_bracket(rows, u, v,
-    0)`` is the integer vector D [u, v]; ``bracket`` takes Fraction vectors
-    as they are and divides by D only when D > 1.  basis_names, when given,
-    is a list of dim strings (e1, e2, ... otherwise).  An optional grading
-    assigns a positive integer weight to each basis vector; when present,
-    brackets must be additive in the weights.  ``from_json`` rejects a pair
-    (i, j) given twice.
+    The one stored form is the int table (D, rows): D the least common
+    denominator of the structure constants, rows[i] the (j, ((k, D c), ...))
+    with [e_i, e_j] = sum c e_k != 0.  Every bracket runs on it: on int
+    vectors, ``sparse_bracket(rows, u, v, 0)`` is D [u, v], and ``bracket``
+    takes Fraction vectors as given and divides by D when D > 1.
+    ``LieAlgebra(dim, brackets)`` takes dense vectors and keeps them as
+    ``brackets``, the read-only view (i, j) -> [e_i, e_j] for i < j (missing
+    pairs are zero) that ``to_json`` reads; ``of_ints`` takes int terms, and
+    the view is then built on first read.  basis_names is a list of dim
+    strings (e1, e2, ... by default).  An optional grading of positive
+    weights must make the brackets additive.  ``from_json`` rejects a pair
+    given twice.
     """
 
     def __init__(self, dim, brackets, basis_names=None, grading=None):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ValueError("dimension must be a nonnegative integer")
-        self.dim = dim
-        if basis_names is None:
-            basis_names = ["e%d" % (i + 1) for i in range(dim)]
-        elif not (isinstance(basis_names, (list, tuple)) and len(basis_names) == dim
-                  and all(isinstance(s, str) for s in basis_names)):
-            raise ValueError("basis must be a list of %d names (strings)" % dim)
-        self.basis_names = tuple(basis_names)
         dense = {}
         for (i, j), v in brackets.items():
             if not (0 <= i < j < dim):
@@ -58,39 +48,56 @@ class LieAlgebra:
                 raise ValueError("bracket value has wrong length")
             if any(v):
                 dense[(i, j)] = v
-        self.brackets = MappingProxyType(dense)
         D, flat = integer_terms([[(k, c) for k, c in enumerate(v) if c] for v in dense.values()])
+        self._set(dim, D, zip(dense, flat), basis_names, grading)
+        self._brackets = MappingProxyType(dense)
+
+    @classmethod
+    def of_ints(cls, dim, D, pairs, grading=None, basis_names=None):
+        """The algebra with D [e_i, e_j] = sum c e_k for an int D > 0 and
+        pairs[(i, j)] = ((k, c), ...), i < j, c != 0 and k increasing:
+        gcd(D, entries) is divided out, which leaves the least D."""
+        g = gcd(D, *[c for terms in pairs.values() for _, c in terms])
+        L = cls.__new__(cls)
+        L._set(dim, D // g, pairs.items() if g == 1 else
+               (((i, j), tuple((k, c // g) for k, c in terms)) for (i, j), terms in pairs.items()),
+               basis_names, grading)
+        return L
+
+    def _set(self, dim, D, pairs, basis_names, grading):
+        """The table of pairs ((i, j), terms), grading checked in one pass."""
+        if basis_names is None:
+            basis_names = ["e%d" % (i + 1) for i in range(dim)]
+        elif not (isinstance(basis_names, (list, tuple)) and len(basis_names) == dim
+                  and all(isinstance(s, str) for s in basis_names)):
+            raise ValueError("basis must be a list of %d names (strings)" % dim)
+        self.dim, self.basis_names = dim, tuple(basis_names)
+        self.grading = g = tuple(grading) if grading is not None else None
+        if g is not None and len(g) != dim:
+            raise ValueError("grading length mismatch")
+        if g is not None and any(w < 1 for w in g):
+            raise ValueError("grading weights must be positive")
         rows = [[] for _ in range(dim)]
-        for (i, j), terms in zip(dense, flat):
+        for (i, j), terms in pairs:
+            if g is not None and any(g[k] != g[i] + g[j] for k, _ in terms):
+                raise ValueError("bracket [e%d, e%d] not homogeneous of weight %d"
+                                 % (i, j, g[i] + g[j]))
             rows[i].append((j, terms))
             rows[j].append((i, tuple((k, -c) for k, c in terms)))
         self.table = (D, tuple(map(tuple, rows)))
-        self._lcs = None  # RREF bases of the lower central series, on demand
+        # on demand: the dense view, the bases of the lower central series,
+        # a proven generating set and the basis triples failing Jacobi
+        self._brackets = self._lcs = self._gens = self._jacobi = None
         self._stages = {}  # LCS stages (dgla.lcs_extension) by k, on demand
-        self._gens = None  # indices of a proven generating set, on demand
-        self._jacobi = None  # basis triples failing Jacobi, on demand
-        self.grading = tuple(grading) if grading is not None else None
-        if self.grading is not None:
-            if len(self.grading) != dim:
-                raise ValueError("grading length mismatch")
-            if any(w < 1 for w in self.grading):
-                raise ValueError("grading weights must be positive")
-            self._check_grading()
 
-    def _check_grading(self):
-        for (i, j), v in self.brackets.items():
-            w = self.grading[i] + self.grading[j]
-            for k, c in enumerate(v):
-                if c != 0 and self.grading[k] != w:
-                    raise ValueError(
-                        "bracket [e%d, e%d] not homogeneous of weight %d" % (i, j, w))
-
-    def basis_bracket(self, i, j):
-        if i == j:
-            return vec_zero(self.dim)
-        if i < j:
-            return self.brackets.get((i, j), vec_zero(self.dim))
-        return vec_neg(self.brackets.get((j, i), vec_zero(self.dim)))
+    @property
+    def brackets(self):
+        if self._brackets is None:
+            D, rows = self.table
+            self._brackets = MappingProxyType({(i, j): over(_dense(terms, self.dim), D)
+                                               for i, row in enumerate(rows)
+                                               for j, terms in row if i < j})
+        return self._brackets
 
     def bracket(self, x, y):
         """[x, y]: ``sparse_bracket`` on the table, x and y as given, over D."""
@@ -287,7 +294,7 @@ def _lcs_bases(L):
         n = L.dim
         partnered = [row for row in L.table[1] if row]
         chain = [tuple(tuple(int(k == i) for k in range(n)) for i in range(n))]
-        rows = echelon_rows([integer_row(v)[1] for v in L.brackets.values()], n)[0]
+        rows = echelon_rows(_values(L), n)[0]
         while chain[-1]:
             if len(rows) >= len(chain[-1]):
                 raise NonNilpotentError(
@@ -298,6 +305,11 @@ def _lcs_bases(L):
             rows = rows[:len(_eliminate(rows, n))]
         L._lcs = tuple(chain)
     return L._lcs
+
+
+def _values(L):
+    """The int rows D [e_i, e_j] of the pairs i < j in ``L.table``."""
+    return [_dense(terms, L.dim) for i, row in enumerate(L.table[1]) for j, terms in row if i < j]
 
 
 def nilpotency_class(L):
@@ -345,62 +357,50 @@ def associated_graded(L):
     [G_a, G_b] lies in G_{a+b}, zero past the class; otherwise only the
     degree-(a+b) rows of the inverse basis matrix are read.  The brackets run
     on ints: with r_i the int row of ``adapted_basis`` for the adapted
-    vector p_i = r_i / d_i (d_i its pivot), the integer table gives
-    D d_i d_j [p_i, p_j], a zero result skips the pair, and the inverse's
-    integer view (Dinv times the inverse) gives the gr coordinates times
-    D Dinv d_i d_j, one Fraction per nonzero coordinate."""
+    vector p_i = r_i / d_i (d_i its pivot) and P the lcm of the pivots, the
+    int rows P p_i over P are the columns of the basis matrix, the integer
+    table gives D P^2 [p_i, p_j], a zero result skips the pair, and the
+    inverse's integer view (Dinv times the inverse) gives the int terms of
+    the gr algebra over D Dinv P^2 (``LieAlgebra.of_ints``)."""
     rows, degrees = adapted_basis(L)
-    vectors = [_over_pivot(r) for r in rows]
-    Dinv, inv = inverse(Matrix.from_columns(vectors)).integer_view()
+    P = lcm(*[next(a for a in r if a) for r in rows])
+    rows = [[a * (P // next(a for a in r if a)) for a in r] for r in rows]
+    Dinv, inv = inverse(Matrix.of_ints(P, [_sparse(c) for c in zip(*rows)], L.dim)).integer_view()
     D, table = L.table
-    scale = D * Dinv
-    pivots = [next(a for a in r if a) for r in rows]
-    dim = L.dim
     top = max(degrees, default=0)
-    rows_of = {w: [k for k in range(dim) if degrees[k] == w] for w in range(1, top + 1)}
-    brackets = {}
+    rows_of = {w: [k for k in range(L.dim) if degrees[k] == w] for w in range(1, top + 1)}
+    pairs = {}
     for i, u in enumerate(rows):
-        for j in range(i + 1, dim):
+        for j in range(i + 1, L.dim):
             w = degrees[i] + degrees[j]
-            if w > top:
-                continue
-            b = sparse_bracket(table, u, rows[j], 0)
-            if not any(b):
-                continue
-            den = scale * pivots[i] * pivots[j]
-            out = [ZERO] * dim
-            for k in rows_of[w]:
-                s = sum([c * b[t] for t, c in inv[k]])
-                if s:
-                    out[k] = Fraction(s, den)
-            if any(out):
-                brackets[(i, j)] = tuple(out)
-    algebra = LieAlgebra(dim, brackets, grading=degrees)
-    return GradedLieAlgebra(algebra, from_parent=vectors)
+            if w <= top and any(b := sparse_bracket(table, u, rows[j], 0)):
+                s = [(k, sum([c * b[t] for t, c in inv[k]])) for k in rows_of[w]]
+                if terms := tuple((k, x) for k, x in s if x):
+                    pairs[(i, j)] = terms
+    algebra = LieAlgebra.of_ints(L.dim, D * Dinv * P * P, pairs, grading=degrees)
+    return GradedLieAlgebra(algebra, from_parent=[over(r, P) for r in rows])
 
 
 def direct_sum(L1, L2):
-    """L1 + L2 with vanishing cross brackets."""
-    d1, d2 = L1.dim, L2.dim
-    brackets = {}
-    for (i, j), v in L1.brackets.items():
-        brackets[(i, j)] = tuple(v) + vec_zero(d2)
-    for (i, j), v in L2.brackets.items():
-        brackets[(d1 + i, d1 + j)] = vec_zero(d1) + tuple(v)
-    grading = None
-    if L1.grading is not None and L2.grading is not None:
-        grading = L1.grading + L2.grading
+    """L1 + L2 with vanishing cross brackets, on the int tables over the lcm
+    of their D."""
+    D = lcm(L1.table[0], L2.table[0])
+    pairs = {(o + i, o + j): tuple((o + k, c * (D // Dk)) for k, c in terms)
+             for o, (Dk, rows) in ((0, L1.table), (L1.dim, L2.table))
+             for i, row in enumerate(rows) for j, terms in row if i < j}
+    grading = None if None in (L1.grading, L2.grading) else L1.grading + L2.grading
     names = tuple("a." + n for n in L1.basis_names) + tuple("b." + n for n in L2.basis_names)
-    return LieAlgebra(d1 + d2, brackets, basis_names=names, grading=grading)
+    return LieAlgebra.of_ints(L1.dim + L2.dim, D, pairs, grading=grading, basis_names=names)
 
 
 def is_lie_isomorphism(src, dst, m: Matrix) -> bool:
     """True iff the dst.dim x src.dim matrix m has rank dst.dim and
-    m[e_i, e_j] = [m e_i, m e_j] for all basis pairs i < j of src: for
+    m[e_i, e_j] = [m e_i, m e_j] for all basis pairs i < j of src, with
+    [e_i, e_j] read off ``src.brackets`` (zero for a missing pair): for
     src.dim = dst.dim, m is a Lie isomorphism src -> dst."""
-    cols = m.columns()
+    cols, zero = m.columns(), (ZERO,) * src.dim
     return rank(m) == dst.dim and all(
-        m.mul_vec(src.basis_bracket(i, j)) == dst.bracket(cols[i], cols[j])
+        m.mul_vec(src.brackets.get((i, j), zero)) == dst.bracket(cols[i], cols[j])
         for i in range(src.dim) for j in range(i + 1, src.dim))
 
 
@@ -423,7 +423,7 @@ def _generators(L):
     every index is returned.
     """
     if L._gens is None:
-        derived = set(echelon_rows([integer_row(v)[1] for v in L.brackets.values()], L.dim)[1])
+        derived = set(echelon_rows(_values(L), L.dim)[1])
         gens = [i for i in range(L.dim) if i not in derived]
         table = L.table[1]
         span, todo = IncrementalSpan(), [[int(k == i) for k in range(L.dim)] for i in gens]
@@ -461,8 +461,8 @@ def quotient_by_ideal(L, ideal):
     nonzero entry, the projection sends e_c to the unit vector at c and e_p
     to -(R_p on the complement).  It is made of sparse int columns over E,
     the lcm of those last entries, and Q's table is the projection of the
-    rows of the complement in ``L.table`` (D times the structure constants),
-    one Fraction per nonzero entry over D E.  Q's grading is L's on the
+    rows of the complement in ``L.table`` (D times the structure constants):
+    int terms over D E (``LieAlgebra.of_ints``).  Q's grading is L's on the
     (homogeneous) unit vectors.
 
     The ideal check is [s, b] in I for s in a generating set S of L
@@ -489,15 +489,10 @@ def quotient_by_ideal(L, ideal):
         return out
 
     D, table = L.table
-    brackets = {}
-    for i, a in enumerate(comp):
-        for j, terms in table[a]:
-            if at.get(j, -1) > i:
-                v = project(terms)
-                if any(v):
-                    brackets[(i, at[j])] = over(v, D * E)
-    Q = LieAlgebra(len(comp), brackets,
-                   grading=None if L.grading is None else [L.grading[c] for c in comp])
+    pairs = {(i, at[j]): v for i, a in enumerate(comp) for j, terms in table[a]
+             if at.get(j, -1) > i and (v := _sparse(project(terms)))}
+    Q = LieAlgebra.of_ints(len(comp), D * E, pairs,
+                           grading=None if L.grading is None else [L.grading[c] for c in comp])
     for s in _generators(L):
         for b in ideal.rows:
             if any(project((k, b[j] * x) for j, terms in table[s] if b[j]
