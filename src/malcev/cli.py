@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .linalg import Matrix, scalar, integer, format_scalar, echelon_basis
+from .linalg import Matrix, scalar, integer, format_scalar, echelon_basis, smith_normal_form
 from .lie import (
     LieAlgebra, heisenberg, lcs_dims, check_automorphism,
     nilpotency_class, NonNilpotentError,
@@ -339,7 +339,11 @@ def cmd_lattice_check(args):
     if args.matrix:
         mobj = load_json(args.matrix)
         with parsing("matrix"):
-            idx = commutator_index(Matrix([scalars(row) for row in mobj]))
+            M = Matrix([scalars(row) for row in mobj])
+            idx = commutator_index(M)
+        if smith_normal_form(M)[1] != Matrix.identity(M.rows):
+            raise InputError("the matrix must lie in GL(%d, Z): its determinant is "
+                             "not +1 or -1" % M.rows)
         verdicts = {"commutator_index": idx}
         lines = ["commutator index: %s" % ("infinite" if idx is None else idx)]
         return report(args, "lattice-check", {"matrix": mobj}, verdicts, lines)
@@ -415,9 +419,13 @@ def cmd_heisenberg_demo(args):
         M = Matrix([scalars(row) for row in gens["M"]])
     if (M.rows, M.cols) != (2, 2) or not M.is_integral():
         raise InputError("the matrix must be an integral 2 x 2 matrix")
-    auto_ok = all(check_automorphism(h, act(m)) for m in gens.values())
-    step("integral symplectic action by automorphisms", auto_ok,
-         "checked %s" % ", ".join(sorted(gens)))
+    acts = {g: act(m) for g, m in sorted(gens.items())}  # Sp(2, Z) = SL(2, Z)
+    failed = ["det %s = %s, not 1" % (g, format_scalar(a.data[2][2]))
+              for g, a in acts.items() if a.data[2][2] != 1]
+    failed += ["%s is not an automorphism" % g
+               for g, a in acts.items() if not check_automorphism(h, a)]
+    step("integral symplectic action by automorphisms", not failed,
+         "; ".join(failed) or "checked %s" % ", ".join(sorted(gens)))
 
     # (4) lower central series
     dims = lcs_dims(h)
@@ -459,7 +467,7 @@ def cmd_heisenberg_demo(args):
          "representative [%s]" % ", ".join(format_scalar(c)
                                            for c in massey.representative))
 
-    core = [s for s in steps if s["step"] in (1, 3, 4, 5, 7, 8)]
+    core = [s for s in steps if s["step"] in (1, 2, 3, 4, 5, 7, 8)]
     excluded = all(s["ok"] for s in core)
     verdicts = {"steps": steps, "excluded_as_kaehler_group": excluded}
     lines.append("verdict: %s" % (

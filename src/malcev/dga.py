@@ -18,10 +18,11 @@ on all of A (see ``FiniteDGA.validate``), on the int tables.  Only when a
 check fails do the same checks run over every basis vector, to name the
 failures.  A Chevalley-Eilenberg complex is a DGA by construction and
 checks only d^2 = 0 on degree 1, which is Jacobi (the proof is in
-``chevalley_eilenberg``).  ``cohomology``, read off the int columns of d by
-one elimination per degree and one echelon span per degree for the
-representatives, is computed once per DGA and shared by all its Betti
-numbers, Massey products and MC stages.
+``chevalley_eilenberg``), and fills the product rows of a degree pair on
+its first read.  ``cohomology``, read off the int columns of d by one
+elimination per degree and one echelon span per degree for the
+representatives, is made once per DGA and builds each degree on its first
+read; it is shared by all its Betti numbers, Massey products and MC stages.
 """
 
 import itertools
@@ -97,8 +98,9 @@ class FiniteDGA:
     derived on first use.  __init__ checks the shapes and the DGA axioms
     (ValueError otherwise).  The private ``_of_tables`` takes the tables
     as stored and runs the same ``validate``, except for
-    ``chevalley_eilenberg``, a DGA by construction.  So every FiniteDGA is
-    a DGA.  A zero-row d[n] keeps dims[n] columns.
+    ``chevalley_eilenberg``, a DGA by construction, whose product pairs are
+    filled on first read (``_pair``); ``table`` reads every pair.  So every
+    FiniteDGA is a DGA.  A zero-row d[n] keeps dims[n] columns.
     """
 
     def __init__(self, dims, d, products):
@@ -139,21 +141,43 @@ class FiniteDGA:
                   (D_d, tuple(tuple(map(tuple, col)) for col in cols)), True)
 
     @classmethod
-    def _of_tables(cls, dims, table, keys, dcol, check):
+    def _of_tables(cls, dims, table, keys, dcol, check, fill=None):
         """The DGA of the stored tables, with the degree pairs keys in
-        ``products``; ``validate`` runs when check is true."""
+        ``products``; ``validate`` runs when check is true.  With fill,
+        table holds only some degree pairs, and fill(p, q) gives the rows
+        of any other (``_pair``)."""
         A = cls.__new__(cls)
-        A._set(dims, table, keys, dcol, check)
+        A._set(dims, table, keys, dcol, check, fill)
         return A
 
-    def _set(self, dims, table, keys, dcol, check):
+    def _set(self, dims, table, keys, dcol, check, fill=None):
         self.dims, self.top = dims, len(dims) - 1
-        self.table, self.dcol, self._keys = table, dcol, keys
+        self._table, self._fill, self.dcol, self._keys = table, fill, dcol, keys
         self._products = self._d = None  # the dense views, on demand
         self._cohomology = None  # the CohomologyData, on demand
+        self._unimodular = False  # a CE complex of a unimodular L (``betti``)
         errors = check and self.validate()
         if errors:
             raise ValueError("DGA axioms violated: " + "; ".join(errors))
+
+    @property
+    def table(self):
+        """(D_m, rows), with the rows of every degree pair p + q <= top."""
+        if self._fill is not None:
+            for p in range(self.top + 1):
+                for q in range(self.top + 1 - p):
+                    self._pair(p, q)
+            self._fill = None
+        return self._table
+
+    def _pair(self, p, q):
+        """rows[(p, q)] of the table, filled on its first read when the
+        DGA was made with a fill (``chevalley_eilenberg``)."""
+        mult = self._table[1]
+        rows = mult.get((p, q))
+        if rows is None:
+            rows = mult[(p, q)] = self._fill(p, q)
+        return rows
 
     @property
     def products(self):
@@ -196,8 +220,8 @@ class FiniteDGA:
         n = p + q
         if n > self.top:
             return ()
-        D, mult = self.table
-        out = sparse_product(mult[(p, q)], vp, vq, self.dims[n], ZERO)
+        D = self._table[0]
+        out = sparse_product(self._pair(p, q), vp, vq, self.dims[n], ZERO)
         return tuple(out) if D == 1 else over(out, D)
 
     def basis_vector(self, n, i):
@@ -354,9 +378,9 @@ class CohomologyData:
     """Betti numbers and representative bases of a finite cochain complex.
 
     It is made from dims and the int columns dcol = (D, cols) of d, as
-    ``FiniteDGA.dcol`` holds them, and works on int rows.  Per degree n it
-    keeps, in ``rows[n]``, (S, cocycle rows, coboundary rows, representative
-    rows):
+    ``FiniteDGA.dcol`` holds them, and works on int rows.  ``degree(n)``
+    builds the rows of degree n on its first read and keeps them: (S,
+    cocycle rows, coboundary rows, representative rows),
 
     - the cocycle rows: ``_null_rows`` of the int rows of d[n], a kernel
       basis over the one scale S;
@@ -366,14 +390,15 @@ class CohomologyData:
     - the representative rows: the cocycle rows, in order, that grow one
       IncrementalSpan seeded with the coboundary rows.
 
-    ``betti`` counts rows.  ``cocycles``, ``coboundaries`` and
-    ``representatives`` are read-only tuples of Fraction vectors built on
-    first read: the cocycle and representative rows over S, and each
-    coboundary row over its pivot (its RREF row).  The linear systems it
-    answers, class coordinates and preimages under d, each get one
-    AffineSolver per degree, of a Matrix made with ``Matrix.of_ints`` from
-    these rows and from dcol on first use, and kept.  ``cohomology`` shares
-    one CohomologyData per DGA.
+    So a reader of some degrees eliminates only those.  ``betti`` counts
+    rows.  ``cocycles``, ``coboundaries`` and ``representatives`` are
+    read-only tuples over every degree of Fraction vectors built on first
+    read: the cocycle and representative rows over S, and each coboundary
+    row over its pivot (its RREF row).  The linear systems it answers,
+    class coordinates and preimages under d, each get one AffineSolver per
+    degree, of a Matrix made with ``Matrix.of_ints`` from these rows and
+    from dcol on first use, and kept.  ``cohomology`` shares one
+    CohomologyData per DGA.
     """
 
     def __init__(self, dims, dcol):
@@ -381,29 +406,48 @@ class CohomologyData:
         self.top = len(self.dims) - 1
         self.dcol = dcol
         self._solvers = {}
-        self.rows = []
-        for n, m in enumerate(self.dims):
-            S, z = _null_rows(_d_rows(self.dims, dcol[1], n), m)
-            b = [_dense(col, m) for col in dcol[1][n - 1] if col] if n else []
+        self._rows = {}
+        self._poincare = False  # H^k = H^{top-k}: set by ``cohomology``
+
+    def degree(self, n):
+        """The rows (S, cocycles, coboundaries, representatives) of degree n,
+        built on first read."""
+        if n not in self._rows:
+            m, cols = self.dims[n], self.dcol[1]
+            S, z = _null_rows(_d_rows(self.dims, cols, n), m)
+            b = [_dense(col, m) for col in cols[n - 1] if col] if n else []
             del b[len(_eliminate(b, m)):]
             span = IncrementalSpan(b)
-            self.rows.append((S, z, b, [v for v in z if span.add(v)]))
+            self._rows[n] = (S, z, b, [v for v in z if span.add(v)])
+        return self._rows[n]
 
     def betti(self):
-        return [len(reps) for *_, reps in self.rows]
+        """The Betti numbers b_0..b_top.  For the CE complex of a unimodular
+        L of dimension N, b_k = b_{N-k}, so only the degrees k <= N/2 are
+        eliminated (the proof is in ``chevalley_eilenberg``); every other
+        complex eliminates every degree."""
+        top = self.top
+        return [len(self.degree(min(n, top - n) if self._poincare else n)[3])
+                for n in range(top + 1)]
 
     @cached_property
     def cocycles(self):
-        return tuple(tuple(over(v, S) for v in z) for S, z, _, _ in self.rows)
+        return tuple(tuple(over(v, S) for v in z)
+                     for S, z, _, _ in map(self.degree, range(self.top + 1)))
 
     @cached_property
     def coboundaries(self):
         return tuple(tuple(over(r, next(a for a in r if a)) for r in b)
-                     for _, _, b, _ in self.rows)
+                     for _, _, b, _ in map(self.degree, range(self.top + 1)))
 
     @cached_property
     def representatives(self):
-        return tuple(tuple(over(v, S) for v in reps) for S, _, _, reps in self.rows)
+        return tuple(map(self._representatives, range(self.top + 1)))
+
+    def _representatives(self, n):
+        """The representatives of degree n, without building the others."""
+        S, _, _, reps = self.degree(n)
+        return tuple(over(v, S) for v in reps)
 
     def _solver(self, key, build):
         if key not in self._solvers:
@@ -418,7 +462,7 @@ class CohomologyData:
         coboundary row), so the matrix is the int rows (L / s_j) v_j over
         the lcm L of the s_j."""
         def build():
-            S, _, b, reps = self.rows[n]
+            S, _, b, reps = self.degree(n)
             cols = [(v, S) for v in reps] + [(r, next(a for a in r if a)) for r in b]
             L = lcm(*(s for _, s in cols))
             return AffineSolver(Matrix.of_ints(L, [_sparse([v[k] * (L // s) for v, s in cols])
@@ -427,7 +471,7 @@ class CohomologyData:
 
     def class_coordinates(self, n, v):
         """Coordinates of a closed vector's class in the representative basis."""
-        _, _, b, reps = self.rows[n]
+        _, _, b, reps = self.degree(n)
         if not (reps or b):
             assert vec_is_zero(v)
             return ()
@@ -451,6 +495,7 @@ def cohomology(dga: FiniteDGA) -> CohomologyData:
     immutable, so every caller shares one CohomologyData and its solvers."""
     if dga._cohomology is None:
         dga._cohomology = CohomologyData(dga.dims, dga.dcol)
+        dga._cohomology._poincare = dga._unimodular
     return dga._cohomology
 
 
@@ -496,9 +541,11 @@ def adjoin_acyclic(dga: FiniteDGA, deg: int = 1):
 def chevalley_eilenberg(L) -> FiniteDGA:
     """Exterior algebra on the dual of L with the differential dual to the
     bracket: d xi^k = - sum_{i<j} c^k_{ij} xi^i ^ xi^j, extended as an odd
-    derivation.  The products go straight into the int table, one signed
-    entry +-1 per basis pair s, t with s ^ t != 0 (D_m = 1); ``products``
-    shows every degree pair p + q <= dim L.
+    derivation.  The columns of d are built here; the products go into the
+    int table one degree pair (p, q) at a time, on the first read of that
+    pair (``FiniteDGA._pair``), one signed entry +-1 per basis pair s, t
+    with s ^ t != 0 (D_m = 1).  ``table`` and ``products`` fill every pair
+    p + q <= dim L, so every whole-table reader sees the same table.
 
     It is a DGA by construction, so ``validate`` is not run:
 
@@ -515,14 +562,30 @@ def chevalley_eilenberg(L) -> FiniteDGA:
     - on e_a, e_b, e_c, d^2 xi^k is +- the k-th coordinate of the
       Jacobiator [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b].
 
-    So the one check is d^2 = 0 on Lambda^1, which is Jacobi (ValueError
-    otherwise): ``_d_squared`` on the int columns dcol, the check
-    ``validate`` makes on a degree-1 generator, in place of
-    ``L.check_jacobi()``.
+    None of this depends on when a pair of the table is filled.  So the one
+    check is d^2 = 0 on Lambda^1, which is Jacobi (ValueError otherwise):
+    ``_d_squared`` on the int columns dcol, the check ``validate`` makes on
+    a degree-1 generator, in place of ``L.check_jacobi()``.
 
     The columns of d are built on ints over D_d = D of ``L.table``.
     That is the lcm of the denominators of d: d on degree 1 has the entries
     -c, and the higher d[n] are integer combinations of them.
+
+    Poincare duality (Koszul 1950; Hazewinkel 1970).  Let N = dim L and
+    omega = xi^0 ^ ... ^ xi^{N-1}.  On Lambda^{N-1}, d(xi^0 ^ .. (no
+    xi^i) .. ^ xi^{N-1}) = +- tr(ad e_i) omega, so d into the top degree is
+    zero iff L is unimodular (tr ad x = 0 for all x; every nilpotent L is).
+    The complex records whether it is (``_unimodular``, read off dcol), and
+    then ``CohomologyData.betti`` gives b_k = b_{N-k}: the wedge pairing
+    <a, b> omega = a ^ b of Lambda^k and Lambda^{N-k} is perfect (the
+    monomials xi^S and xi^{S'} of complementary S pair to +-1, all others
+    to 0), and for a in Lambda^k, b in Lambda^{N-k-1}, Leibniz gives
+    da ^ b + (-1)^k a ^ db = d(a ^ b) = 0, as a ^ b lies in Lambda^{N-1}.
+    So d_k: Lambda^k -> Lambda^{k+1} is, up to sign, the transpose of
+    d_{N-k-1} under the pairing, and rank d_k = rank d_{N-k-1}.  With
+    dim Lambda^k = dim Lambda^{N-k}, b_k = dim Lambda^k - rank d_k -
+    rank d_{k-1} equals b_{N-k} = dim Lambda^{N-k} - rank d_{N-k} -
+    rank d_{N-k-1}.
     """
     n = L.dim
     D, partners = L.table
@@ -555,17 +618,23 @@ def chevalley_eilenberg(L) -> FiniteDGA:
     if any(_d_squared(dcol, 1, k) for k in range(n)):
         raise ValueError("Jacobi identity fails; CE differential would not square to zero")
     cells = [[(((k, 1),), ((k, -1),)) for k in range(m)] for m in dims]
-    mult = {(p, q): tuple({} for _ in bases[p]) for p in range(n + 1) for q in range(n + 1 - p)}
-    for p in range(n + 1):
+
+    def pair(p, q):
+        """The rows of the degree pair (p, q): xi^s xi^t = +-xi^{s u t}
+        for t off s, of sign (-1)^{#{(a, b) in s x t : a > b}}."""
+        rows, out, at = tuple({} for _ in bases[p]), cells[p + q], index[p + q]
         for i, s in enumerate(bases[p]):
             above = [sum(1 for a in s if a > b) for b in range(n)]
             off = [b for b in range(n) if b not in s]
-            for q in range(n + 1 - p):
-                rows = mult[(p, q)][i]
-                for t in itertools.combinations(off, q):
-                    j, odd = index[q][t], sum(above[b] for b in t) & 1
-                    rows[j] = cells[p + q][index[p + q][tuple(sorted(s + t))]][odd]
-    return FiniteDGA._of_tables(dims, (1, mult), tuple(mult), (D, dcol), False)
+            for t in itertools.combinations(off, q):
+                odd = sum(above[b] for b in t) & 1
+                rows[i][index[q][t]] = out[at[tuple(sorted(s + t))]][odd]
+        return rows
+
+    keys = tuple((p, q) for p in range(n + 1) for q in range(n + 1 - p))
+    A = FiniteDGA._of_tables(dims, (1, {}), keys, (D, dcol), False, pair)
+    A._unimodular = not any(dcol[n - 1]) if n else True
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +689,9 @@ def massey_triple(dga: FiniteDGA, pa, pb, pc, H=None) -> MasseyResult:
     n_out = p + q + r - 1
     # indeterminacy: a . H^{q+r-1} + H^{p+q-1} . c, as classes
     indet = [H.class_coordinates(n_out, dga.product(p, a, q + r - 1, h))
-             for h in H.representatives[q + r - 1]]
+             for h in H._representatives(q + r - 1)]
     indet += [H.class_coordinates(n_out, dga.product(p + q - 1, h, r, c))
-              for h in H.representatives[p + q - 1]]
+              for h in H._representatives(p + q - 1)]
     indet = echelon_basis(indet)
     rep = vec_sub(dga.product(p, a, q + r - 1, y),
                   vec_scale((-1) ** p, dga.product(p + q - 1, x, r, c)))
@@ -658,12 +727,11 @@ def formality_consequence_report(dga: FiniteDGA):
     if dga.top < 2:
         return [], 0
     H = cohomology(dga)
-    d_a, _, _, A = H.rows[1]
+    d_a, _, _, A = H.degree(1)
     b, n2 = len(A), dga.dims[2]
-    (D_m, mult), dcol = dga.table, dga.dcol[1]
-    T = mult[(1, 1)]
+    D_m, T, dcol = dga._table[0], dga._pair(1, 1), dga.dcol[1]
     D_E, E_rows = H.class_solver(2).E_int
-    C = E_rows[:len(H.rows[2][3])]
+    C = E_rows[:len(H.degree(2)[3])]
 
     def cls(v):
         return [sum([c * v[k] for k, c in terms]) for terms in C]

@@ -34,9 +34,9 @@ class TensorDGLA:
     so verify() checks the one remaining fact: the Jacobi identity of N.
 
     The bracket and d run on the int tables that A and N build once:
-    ``FiniteDGA.table`` (the products times D_m), ``FiniteDGA.dcol`` (d
-    times D_d) and ``LieAlgebra.table`` (the structure constants of N times
-    D_N).  An element is scaled once to an int vector u over its lcm
+    ``FiniteDGA.table`` (the products times D_m, read one degree pair at a
+    time through ``FiniteDGA._pair``), ``FiniteDGA.dcol`` (d times D_d) and
+    ``LieAlgebra.table`` (the structure constants of N times D_N).  An element is scaled once to an int vector u over its lcm
     denominator; then ``_int_diff`` gives D_d (d ox id)(u) and
     ``_int_bracket`` gives D_m D_N [u, v], all in ints, and the public
     methods make one Fraction per nonzero output entry.
@@ -76,7 +76,7 @@ class TensorDGLA:
     def _scales(self):
         """(D_d, D): the factors D_d of ``_int_diff`` and D = D_m D_N of
         ``_int_bracket``."""
-        return self.dga.dcol[0], self.dga.table[0] * self.N.table[0]
+        return self.dga.dcol[0], self.dga._table[0] * self.N.table[0]
 
     def _blocks(self, n, u):
         """The nonzero coefficient blocks (i, u_i) of u = sum a_i ox u_i."""
@@ -108,7 +108,7 @@ class TensorDGLA:
             return []
         m = self.N.dim
         out = [0] * self.dim(p + q)
-        rows = self.dga.table[1][(p, q)]
+        rows = self.dga._pair(p, q)
         table = self.N.table[1]
         blocks_v = dict(self._blocks(q, v))
         for i, ui in self._blocks(p, u):
@@ -305,7 +305,7 @@ def _classes(dga: FiniteDGA, parts, scale):
     if dga.top < 2:  # A^2 = 0: nothing obstructs the lift
         return [() for _ in parts]
     H = cohomology(dga)
-    solver, b = H.class_solver(2), H.betti()[2]
+    solver, b = H.class_solver(2), len(H.degree(2)[3])
     sols = [solver.solve_int(part) for part in parts]
     assert None not in sols, "vector is not a cocycle"
     return [over(xs[:b], D * scale) for xs, D in sols]
@@ -404,7 +404,7 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     current = tuple(initial) if initial is not None else TensorDGLA(dga, M1).zero(1)
     if not is_mc(TensorDGLA(dga, M1), current):
         raise ValueError("initial stage-1 element is not Maurer-Cartan")
-    b1, z1 = (H.betti()[1], len(H.rows[1][1])) if dga.top >= 1 else (0, 0)
+    b1, z1 = (len(H.degree(1)[3]), len(H.degree(1)[1])) if dga.top >= 1 else (0, 0)
     stages = [MCStage(1, b1 * M1.dim, z1 * M1.dim, False, None)]
     for k in range(2, cls + 1):
         e = lcs_extension(N, k)
@@ -533,7 +533,7 @@ def deformation_census(dga: FiniteDGA, N: LieAlgebra):
     m rank d.  The count is therefore m (dim A^1 - rank d_1 - rank d_0)
     = m b^1(A), with b^1 read off the memoised ``cohomology(dga)``.
     """
-    b1 = cohomology(dga).betti()[1] if dga.top >= 1 else 0
+    b1 = len(cohomology(dga).degree(1)[3]) if dga.top >= 1 else 0
     dims = lcs_dims(N)
     return [(k, (dims[k - 1] - dims[k]) * b1) for k in range(1, len(dims))]
 

@@ -207,10 +207,22 @@ class Matrix:
         return NotImplemented
 
     def __sub__(self, other):
+        """The difference on int rows: A / D_a - B / D_b = (A l / D_a -
+        B l / D_b) / l over the lcm l of D_a and D_b."""
         if isinstance(other, Matrix):
             if (self.rows, self.cols) != (other.rows, other.cols):
                 raise ValueError("dimension mismatch")
-            return Matrix.from_columns(map(vec_sub, self.columns(), other.columns()), self.rows)
+            (D_a, A), (D_b, B) = self._ints, other._ints
+            D = lcm(D_a, D_b)
+            rows = []
+            for a, b in zip(A, B):
+                acc = [0] * self.cols
+                for j, c in a:
+                    acc[j] += c * (D // D_a)
+                for j, c in b:
+                    acc[j] -= c * (D // D_b)
+                rows.append(_sparse(acc))
+            return Matrix.of_ints(D, rows, self.cols)
         return NotImplemented
 
     def __eq__(self, other):
@@ -247,14 +259,18 @@ def _integer_rows(m: Matrix):
 def _eliminate(rows, cols):
     """Fraction-free Gauss-Jordan elimination of a list of int rows with
     cols entries, in place; returns the pivot columns.  rows[:len(pivots)]
-    are then primitive int rows, one per pivot in order, each a multiple of
-    the matching row of the RREF.  Longer rows are pivoted on their first
+    are then primitive int rows with a positive pivot, one per pivot in
+    order, each a multiple of the matching row of the RREF.  The RREF of a
+    span is unique, so rows of cols entries that span the same space give
+    the same rows, in any order.  Longer rows are pivoted on their first
     cols entries only: the rows past the pivot rows are zero on those
     entries.
 
     (Bareiss, Math. Comp. 22, 1968): each pivot row is divided by the gcd of
-    its entries and cleared out of the other rows by cross multiplication,
-    which keeps the span and the pivots."""
+    its entries, signed as its pivot, and cleared out of the other rows by
+    cross multiplication, which keeps the span and the pivots.  A cleared
+    row is multiplied by the positive pivot and divided by a positive gcd,
+    so the earlier pivots stay positive."""
     n = len(rows)
     pivots = []
     r = 0
@@ -267,7 +283,9 @@ def _eliminate(rows, cols):
         prow = rows[pr]
         g = gcd(*prow)
         if g > 1:
-            prow = [a // g for a in prow]
+            prow = [a // g for a in prow] if prow[c] > 0 else [-a // g for a in prow]
+        elif prow[c] < 0:
+            prow = [-a for a in prow]
         rows[pr] = rows[r]
         rows[r] = prow
         pv = prow[c]

@@ -350,6 +350,40 @@ def test_heisenberg_demo_overrides(capsys):
     assert "infinite" in steps[6]["detail"]
 
 
+def test_heisenberg_demo_needs_det_one(capsys):
+    """det M = 4: act(M) is an automorphism over Q, but M is not in
+    Sp(2, Z) = SL(2, Z), so step 3 fails, names the check, and the
+    exclusion chain is incomplete."""
+    code, out = run_json(capsys, "heisenberg-demo", "--matrix", "[[2,0],[0,2]]")
+    assert code == 0
+    steps = {s["step"]: s for s in out["verdicts"]["steps"]}
+    assert steps[3]["ok"] is False and steps[3]["detail"] == "det M = 4, not 1"
+    assert all(s["ok"] for n, s in steps.items() if n != 3)
+    assert out["verdicts"]["excluded_as_kaehler_group"] is False
+    code, text = run(capsys, "heisenberg-demo", "--matrix", "[[3,0],[0,1]]")
+    assert code == 0 and "(det M = 3, not 1)" in text
+    assert "verdict: exclusion chain incomplete" in text
+
+
+def test_heisenberg_demo_verdict_reads_the_lattice(capsys):
+    """The identity lattice is not closed under the group law: step 2 is in
+    the chain, so the verdict is not an exclusion."""
+    lattice = '[["1","0","0"],["0","1","0"],["0","0","1"]]'
+    code, out = run_json(capsys, "heisenberg-demo", "--lattice", lattice)
+    assert code == 0 and out["verdicts"]["excluded_as_kaehler_group"] is False
+    code, text = run(capsys, "heisenberg-demo", "--lattice", lattice)
+    assert code == 0 and text.endswith("verdict: exclusion chain incomplete\n")
+
+
+@pytest.mark.parametrize("matrix", ["[[2,0],[0,2]]", "[[1,1],[1,1]]", "[[3]]"])
+def test_lattice_check_matrix_outside_gl_n_z(capsys, matrix):
+    n = len(json.loads(matrix))
+    assert run_error(capsys, "lattice-check", "--matrix", matrix) == (
+        2, "error: the matrix must lie in GL(%d, Z): its determinant is not +1 or -1\n" % n)
+    code, out = run_json(capsys, "lattice-check", "--matrix", "[[0,1],[1,0]]")
+    assert code == 0 and out["verdicts"]["commutator_index"] is None
+
+
 def test_reports_are_deterministic(capsys):
     a = run_json(capsys, "heisenberg-demo")
     b = run_json(capsys, "heisenberg-demo")
