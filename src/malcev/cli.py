@@ -14,14 +14,17 @@ import json
 import sys
 from fractions import Fraction
 
-from .linalg import Matrix, scalar, integer, format_scalar, echelon_basis, smith_normal_form
+from .linalg import (
+    Matrix, scalar, integer, format_scalar, echelon_basis, smith_normal_form, inverse,
+)
 from .lie import (
     LieAlgebra, heisenberg, lcs_dims, check_automorphism,
     nilpotency_class, NonNilpotentError,
 )
 from .freelie import hall_basis, free_nilpotent, word_to_json, word_str
 from .bch import (
-    bch, GroupPresentation, lattice_closed_under_bch, commutator_index,
+    bch, GroupPresentation, lattice_closed_under_bch, lattice_membership_test,
+    commutator_index,
 )
 from .dga import FiniteDGA, chevalley_eilenberg, massey_triple, MasseyUndefined
 from .dgla import mc_solve
@@ -424,6 +427,17 @@ def cmd_heisenberg_demo(args):
               for g, a in acts.items() if a.data[2][2] != 1]
     failed += ["%s is not an automorphism" % g
                for g, a in acts.items() if not check_automorphism(h, a)]
+    # Gamma x_M Z is a group only if act(g) and its inverse map the lattice
+    # into itself
+    inside = lattice_membership_test(basis)
+    for g, a in acts.items():
+        if a.data[2][2] != 1:
+            continue   # failed above, and may be singular
+        for name, b in ((g, a), (g + "^-1", inverse(a))):
+            escape = next(((v, w) for v in basis if not inside(w := b.mul_vec(v))), None)
+            if escape:
+                failed.append("%s maps [%s] to [%s], off the lattice" % (
+                    name, *(", ".join(map(format_scalar, u)) for u in escape)))
     step("integral symplectic action by automorphisms", not failed,
          "; ".join(failed) or "checked %s" % ", ".join(sorted(gens)))
 

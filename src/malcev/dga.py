@@ -78,6 +78,20 @@ def _d_matrix(dims, D, cols, n):
     return Matrix.of_ints(D, [_sparse(r) for r in _d_rows(dims, cols, n)], dims[n])
 
 
+def _nonzero(cell):
+    """The terms (k, c) of the nonzero entries of a product cell.  An int 0
+    or a string "0", most of the entries of a JSON table, is skipped
+    without a Fraction; ``scalar`` reads every other entry, so a bool, a
+    float or a malformed string is still rejected."""
+    terms = []
+    for k, x in enumerate(cell):
+        if x.__class__ in (int, str) and x in (0, "0"):
+            continue
+        if c := scalar(x):
+            terms.append((k, c))
+    return tuple(terms)
+
+
 class FiniteDGA:
     """Graded-commutative DGA on finite per-degree bases.
 
@@ -117,8 +131,6 @@ class FiniteDGA:
             for k, terms in enumerate(rows):
                 for j, c in terms:
                     col[j].append((k, c * (D_d // D)))
-        products = {key: tuple(tuple(tuple(scalar(c) for c in cell) for cell in row)
-                               for row in table) for key, table in products.items()}
         for (p, q), table in products.items():
             if (min(p, q) < 0 or p + q > top or len(table) != dims[p]
                     or any(len(row) != dims[q] or
@@ -126,9 +138,9 @@ class FiniteDGA:
                            for row in table)):
                 raise ValueError("product table (%d,%d) does not match dims %s"
                                  % (p, q, dims))
-        cells = [(key, i, j, tuple((k, c) for k, c in enumerate(cell) if c))
-                 for key, table in products.items()
-                 for i, row in enumerate(table) for j, cell in enumerate(row) if any(cell)]
+        cells = [(key, i, j, terms) for key, table in products.items()
+                 for i, row in enumerate(table) for j, cell in enumerate(row)
+                 if (terms := _nonzero(cell))]
         D_m, flat = integer_terms([terms for *_, terms in cells])
         mult = {(p, q): tuple({} for _ in range(dims[p]))
                 for p in range(top + 1) for q in range(top + 1 - p)}

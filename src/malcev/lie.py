@@ -24,7 +24,8 @@ class LieAlgebra:
 
     The one stored form is the int table (D, rows): D the least common
     denominator of the structure constants, rows[i] the (j, ((k, D c), ...))
-    with [e_i, e_j] = sum c e_k != 0.  Every bracket runs on it: on int
+    with [e_i, e_j] = sum c e_k != 0, j ascending, so equal structure
+    constants give equal tables.  Every bracket runs on it: on int
     vectors, ``sparse_bracket(rows, u, v, 0)`` is D [u, v], and ``bracket``
     takes Fraction vectors as given and divides by D when D > 1.
     ``LieAlgebra(dim, brackets)`` takes dense vectors and keeps them as
@@ -84,7 +85,7 @@ class LieAlgebra:
                                  % (i, j, g[i] + g[j]))
             rows[i].append((j, terms))
             rows[j].append((i, tuple((k, -c) for k, c in terms)))
-        self.table = (D, tuple(map(tuple, rows)))
+        self.table = (D, tuple(tuple(sorted(row)) for row in rows))  # partners ascending
         # on demand: the dense view, the bases of the lower central series,
         # a proven generating set and the basis triples failing Jacobi
         self._brackets = self._lcs = self._gens = self._jacobi = None
@@ -322,10 +323,12 @@ def lcs_dims(L):
 
 class GradedLieAlgebra(NamedTuple):
     """gr L from ``associated_graded``: the graded algebra, whose grading
-    holds the degree of each basis vector, and from_parent, the
-    filtration-adapted basis of L (parent coordinates) it maps back to."""
+    holds the degree of each basis vector; from_parent, the
+    filtration-adapted basis of L (parent coordinates) it maps back to; and
+    adapted, L in that basis (``change_basis``)."""
     algebra: LieAlgebra
     from_parent: list
+    adapted: LieAlgebra
 
 
 def adapted_basis(L):
@@ -354,31 +357,46 @@ def adapted_basis(L):
 def associated_graded(L):
     """gr L with gr_n = G_n / G_{n+1} and the induced graded bracket.
 
-    [G_a, G_b] lies in G_{a+b}, zero past the class; otherwise only the
-    degree-(a+b) rows of the inverse basis matrix are read.  The brackets run
-    on ints: with r_i the int row of ``adapted_basis`` for the adapted
-    vector p_i = r_i / d_i (d_i its pivot) and P the lcm of the pivots, the
-    int rows P p_i over P are the columns of the basis matrix, the integer
-    table gives D P^2 [p_i, p_j], a zero result skips the pair, and the
-    inverse's integer view (Dinv times the inverse) gives the int terms of
-    the gr algebra over D Dinv P^2 (``LieAlgebra.of_ints``)."""
+    The int rows of ``adapted_basis``, scaled to a common pivot P, are the
+    int columns over P of the basis matrix, and ``change_basis`` gives L in
+    the adapted basis.  gr L keeps of each [p_i, p_j] its terms of degree
+    deg i + deg j: [G_a, G_b] lies in G_{a+b}, so no term of lower degree
+    is nonzero."""
     rows, degrees = adapted_basis(L)
     P = lcm(*[next(a for a in r if a) for r in rows])
     rows = [[a * (P // next(a for a in r if a)) for a in r] for r in rows]
-    Dinv, inv = inverse(Matrix.of_ints(P, [_sparse(c) for c in zip(*rows)], L.dim)).integer_view()
+    A = change_basis(L, Matrix.of_ints(P, [_sparse(c) for c in zip(*rows)], L.dim))
+    D, table = A.table
+    pairs = {(i, j): kept for i, row in enumerate(table) for j, terms in row if i < j
+             and (kept := tuple((k, c) for k, c in terms if degrees[k] == degrees[i] + degrees[j]))}
+    algebra = LieAlgebra.of_ints(L.dim, D, pairs, grading=degrees)
+    return GradedLieAlgebra(algebra, [over(r, P) for r in rows], A)
+
+
+def change_basis(L, m: Matrix):
+    """L in the basis of the columns f_i of an invertible m, as the int
+    table of [f_i, f_j] = m^-1 [m e_i, m e_j] (ValueError unless m is
+    dim x dim and invertible).  With m = M / D_m and m^-1 = N / D_N on
+    their int rows, ``sparse_bracket`` of the int columns of M on
+    ``L.table`` gives D D_m^2 [m e_i, m e_j], and the int rows of N take it
+    to int terms over D D_N D_m^2 (``LieAlgebra.of_ints``)."""
+    n = L.dim
+    if (m.rows, m.cols) != (n, n):
+        raise ValueError("matrix must be %d x %d" % (n, n))
+    D_m, rows = m.integer_view()
+    cols = [[0] * n for _ in range(n)]
+    for r, terms in enumerate(rows):
+        for c, x in terms:
+            cols[c][r] = x
+    D_N, inv = inverse(m).integer_view()
     D, table = L.table
-    top = max(degrees, default=0)
-    rows_of = {w: [k for k in range(L.dim) if degrees[k] == w] for w in range(1, top + 1)}
     pairs = {}
-    for i, u in enumerate(rows):
-        for j in range(i + 1, L.dim):
-            w = degrees[i] + degrees[j]
-            if w <= top and any(b := sparse_bracket(table, u, rows[j], 0)):
-                s = [(k, sum([c * b[t] for t, c in inv[k]])) for k in rows_of[w]]
-                if terms := tuple((k, x) for k, x in s if x):
-                    pairs[(i, j)] = terms
-    algebra = LieAlgebra.of_ints(L.dim, D * Dinv * P * P, pairs, grading=degrees)
-    return GradedLieAlgebra(algebra, from_parent=[over(r, P) for r in rows])
+    for i, u in enumerate(cols):
+        for j in range(i + 1, n):
+            if any(b := sparse_bracket(table, u, cols[j], 0)) and (
+                    terms := _sparse([sum([c * b[t] for t, c in row]) for row in inv])):
+                pairs[(i, j)] = terms
+    return LieAlgebra.of_ints(n, D * D_N * D_m * D_m, pairs)
 
 
 def direct_sum(L1, L2):
@@ -394,20 +412,17 @@ def direct_sum(L1, L2):
 
 
 def is_lie_isomorphism(src, dst, m: Matrix) -> bool:
-    """True iff the dst.dim x src.dim matrix m has rank dst.dim and
-    m[e_i, e_j] = [m e_i, m e_j] for all basis pairs i < j of src, with
-    [e_i, e_j] read off ``src.brackets`` (zero for a missing pair): for
-    src.dim = dst.dim, m is a Lie isomorphism src -> dst."""
-    cols, zero = m.columns(), (ZERO,) * src.dim
-    return rank(m) == dst.dim and all(
-        m.mul_vec(src.brackets.get((i, j), zero)) == dst.bracket(cols[i], cols[j])
-        for i in range(src.dim) for j in range(i + 1, src.dim))
+    """True iff the square m is a Lie isomorphism src -> dst: it has full
+    rank and dst in the basis of its columns (``change_basis``) has the
+    table of src.  ValueError unless m is n x n for n = src.dim = dst.dim."""
+    if (dst.dim, m.rows, m.cols) != (src.dim,) * 3:
+        raise ValueError("matrix must be %d x %d, between algebras of that dimension"
+                         % (src.dim, src.dim))
+    return rank(m) == m.rows and change_basis(dst, m).table == src.table
 
 
 def check_automorphism(L, m: Matrix) -> bool:
     """True iff m is invertible and m[x, y] = [mx, my] for all basis pairs."""
-    if m.rows != L.dim or m.cols != L.dim:
-        raise ValueError("matrix must be %d x %d" % (L.dim, L.dim))
     return is_lie_isomorphism(L, L, m)
 
 

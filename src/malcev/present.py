@@ -11,8 +11,8 @@ presentations through a central quotient stage.
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
@@ -217,42 +217,34 @@ def _filtered_iso(L, G, chain):
     adapted vector p_i onto V_{deg i}.  In the adapted basis D = diag(deg)
     + E, where E takes p_i into the span of deeper adapted vectors, and the
     derivation equations are linear in E, so one exact solve decides.  None
-    is therefore a proof; a returned theta is verified exactly.
+    is therefore a proof; a returned theta is verified exactly.  The
+    equations are linear in ``G.adapted``, L's int table in the adapted
+    basis, so its scale S drops out; E = 0 iff gr L keeps all of it.
     """
     dim, degrees = L.dim, G.algebra.grading
-    split = [tuple(v) for v in G.from_parent]
-    P = Matrix.from_columns(split, rows=dim)
-    if _verify_filtered_iso(L, G, chain, P):
+    P = Matrix.from_columns(G.from_parent, rows=dim)
+    if G.adapted.table == G.algebra.table:
         return P   # E = 0: the adapted basis already grades L
-    to_adapted = inverse(P)
-    ad = [[] for _ in range(dim)]   # ad[a]: (b, [p_a, p_b] adapted), if nonzero
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            v = L.bracket(split[a], split[b])
-            if not vec_is_zero(v):
-                v = to_adapted.mul_vec(v)
-                ad[a].append((b, v))
-                ad[b].append((a, vec_neg(v)))
+    ad = G.adapted.table[1]   # ad[a]: (b, S [p_a, p_b] adapted), if nonzero
     # delta(D)(a, b) = D[p_a, p_b] - [D p_a, p_b] - [p_a, D p_b] is linear in
     # D; solve delta(E) = -delta(diag(deg)) on its (a, b, r) entries, a < b
-    rhs = Counter()
+    rhs, at = Counter(), [[] for _ in range(dim)]   # at[r]: (a, b, p_r-coefficient)
     for a in range(dim):
-        for b, v in ad[a]:
-            for r, c in enumerate(v):
-                if a < b and c and degrees[r] != degrees[a] + degrees[b]:
+        for b, terms in ad[a]:
+            for r, c in terms if a < b else ():
+                at[r].append((a, b, c))
+                if degrees[r] != degrees[a] + degrees[b]:
                     rhs[a, b, r] = (degrees[a] + degrees[b] - degrees[r]) * c
     unknowns = [(i, j) for i in range(dim) for j in range(dim)
                 if degrees[j] > degrees[i]]   # the p_j-coefficient of E p_i
     cols = []
     for i, j in unknowns:
         col = Counter()
-        for a in range(dim):
-            for b, v in ad[a]:
-                if a < b and v[i]:
-                    col[a, b, j] += v[i]               # E[p_a, p_b]
-        for b, v in ad[j]:                             # -[E p_i, p_b] = -[p_j, p_b]
+        for a, b, c in at[i]:
+            col[a, b, j] += c                          # E[p_a, p_b]
+        for b, terms in ad[j]:                         # -[E p_i, p_b] = -[p_j, p_b]
             if b != i:
-                for r, c in enumerate(v):
+                for r, c in terms:
                     col[min(i, b), max(i, b), r] -= c if i < b else -c
         cols.append(col)
     keys = sorted(set(rhs).union(*cols))
@@ -263,14 +255,13 @@ def _filtered_iso(L, G, chain):
     D = [[degrees[i] if r == i else ZERO for i in range(dim)] for r in range(dim)]
     for (i, j), cf in zip(unknowns, sol):
         D[j][i] = cf
-    D = Matrix(D)
     # p_i has no component below degree n = deg i, so the factors
     # (D - m) / (n - m) with m > n already project it onto V_n
     proj = []
     for i, n in enumerate(degrees):
         v = unit(dim, i)
         for m in range(n + 1, max(degrees) + 1):
-            v = vec_scale(Fraction(1, n - m), vec_sub(D.mul_vec(v), vec_scale(m, v)))
+            v = [(sum(map(mul, row, v)) - m * x) / (n - m) for row, x in zip(D, v)]
         proj.append(v)
     theta = P * Matrix.from_columns(proj)
     if not _verify_filtered_iso(L, G, chain, theta):
@@ -280,15 +271,9 @@ def _filtered_iso(L, G, chain):
 
 def _verify_filtered_iso(L, G, chain, m: Matrix) -> bool:
     """theta is a Lie isomorphism gr L -> L, and gr(theta) = id."""
-    if not is_lie_isomorphism(G.algebra, L, m):
-        return False
-    cols = m.columns()
-    for i in range(L.dim):
-        d = G.algebra.grading[i]
-        diff = vec_sub(cols[i], G.from_parent[i])
-        if not span_contains(chain[d].rows, diff):
-            return False
-    return True
+    return is_lie_isomorphism(G.algebra, L, m) and all(
+        span_contains(chain[d].rows, vec_sub(col, p))
+        for col, p, d in zip(m.columns(), G.from_parent, G.algebra.grading))
 
 
 def direct_summand_quadratic(L1: LieAlgebra, L2: LieAlgebra,

@@ -278,6 +278,19 @@ def jacobi_violations(dim, table):
                                                 br(br(e[k], e[i]), e[j])))]
 
 
+def conjugated_table(dim, table, m_rows):
+    """Structure constants in the basis given by the columns of m_rows:
+    [f_i, f_j] = M^-1 [M e_i, M e_j], computed with the oracles only."""
+    cols = [tuple(m_rows[r][c] for r in range(dim)) for c in range(dim)]
+    out = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = dense_bracket(dim, table, cols[i], cols[j])
+            if any(v):
+                out[(i, j)] = tuple(naive_solve(m_rows, v))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # DGA product from dense per-degree-pair tables (the textbook double sum;
 # a pair given in one order only is read in the other by graded

@@ -261,6 +261,19 @@ def test_json_booleans_are_not_scalars(capsys, argv):
     assert run_error(capsys, *argv) == (2, BOOL_ERROR)
 
 
+@pytest.mark.parametrize("entry, err", [
+    (False, "not an exact scalar: False"), (True, "not an exact scalar: True"),
+    (0.0, "not an exact scalar: 0.0"), ("x", "Invalid literal for Fraction: 'x'"),
+], ids=["false", "true", "float", "malformed"])
+def test_dga_product_cell_entries_are_scalars(capsys, entry, err):
+    """A product entry that is zero as a Python value (false, 0.0) but not
+    an exact scalar is rejected, as in every other cell."""
+    obj = json.loads(CE_HEIS_JSON)
+    obj["product"]["1,1"][0][0][0] = entry
+    assert run_error(capsys, "mc", json.dumps(obj), HEIS_JSON, "--initial",
+                     '["1","0","0","1","0","0"]') == (2, "error: bad input: %s\n" % err)
+
+
 HEIS_BRACKET = '{"i":0,"j":1,"value":[0,0,1]}'
 CRITERION = '{"mode":"criterion","presentation":{"generators":%s,"relations":%s},' \
     '"free":%s,"rho2":%s}'
@@ -373,6 +386,26 @@ def test_heisenberg_demo_verdict_reads_the_lattice(capsys):
     assert code == 0 and out["verdicts"]["excluded_as_kaehler_group"] is False
     code, text = run(capsys, "heisenberg-demo", "--lattice", lattice)
     assert code == 0 and text.endswith("verdict: exclusion chain incomplete\n")
+
+
+def test_heisenberg_demo_needs_an_invariant_lattice(capsys):
+    """Z + 2Z + Z is closed under the group law, but act(M) e_1 = (2, 1, 0)
+    leaves it, so Gamma x_M Z is not a group: step 3 fails and names the
+    escaping image, for M, S and their inverses; T keeps the lattice."""
+    lattice = '[["1","0","0"],["0","2","0"],["0","0","1"]]'
+    code, out = run_json(capsys, "heisenberg-demo", "--lattice", lattice)
+    steps = {s["step"]: s for s in out["verdicts"]["steps"]}
+    assert code == 0 and steps[2]["ok"] and not steps[3]["ok"]
+    assert steps[3]["detail"].split("; ") == [
+        "M maps [1, 0, 0] to [2, 1, 0], off the lattice",
+        "M^-1 maps [1, 0, 0] to [2, -1, 0], off the lattice",
+        "S maps [1, 0, 0] to [0, 1, 0], off the lattice",
+        "S^-1 maps [1, 0, 0] to [0, -1, 0], off the lattice"]
+    assert out["verdicts"]["excluded_as_kaehler_group"] is False
+    # an M-invariant lattice other than the default passes step 3
+    code, out = run_json(capsys, "heisenberg-demo", "--lattice",
+                         '[["2","0","0"],["0","2","0"],["0","0","2"]]')
+    assert code == 0 and out["verdicts"]["steps"][2]["detail"] == "checked M, S, T"
 
 
 @pytest.mark.parametrize("matrix", ["[[2,0],[0,2]]", "[[1,1],[1,1]]", "[[3]]"])

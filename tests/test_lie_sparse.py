@@ -9,7 +9,7 @@ from malcev.lie import LieAlgebra
 from malcev.linalg import Matrix
 from malcev.freelie import free_nilpotent
 
-from oracles import dense_bracket, naive_solve
+from oracles import conjugated_table, dense_bracket
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -17,19 +17,6 @@ st = hypothesis.strategies
 SCALARS = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
                                Fraction(-3, 2)]
 FREE = [(2, 2), (2, 3), (2, 4), (3, 2)]
-
-
-def conjugated_table(dim, table, m_rows):
-    """Structure constants in the basis given by the columns of m_rows:
-    [f_i, f_j] = M^-1 [M e_i, M e_j], computed with the oracles only."""
-    cols = [tuple(m_rows[r][c] for r in range(dim)) for c in range(dim)]
-    out = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v = dense_bracket(dim, table, cols[i], cols[j])
-            if any(v):
-                out[(i, j)] = tuple(naive_solve(m_rows, v))
-    return out
 
 
 @st.composite

@@ -22,7 +22,8 @@ integral Heisenberg presentation, into its own group (lifted) and into
 F(2, 3) at class 3 (obstructed, with its refutation); the nonzero Massey
 triple product <x, x, y> of the Heisenberg algebra; an integral lattice of
 the Heisenberg group that the group law leaves; a commutator index; and the
-worked example.
+worked example, also on a lattice closed under the group law that M does not
+map into itself (pinned when step 3 gained its lattice check).
 """
 import hashlib
 import json
@@ -119,12 +120,18 @@ def cases():
         "lattice-escape": ["lattice-check", "--lattice", "[[1,0,0],[0,1,0],[0,0,1]]"],
         "lattice-matrix": ["lattice-check", "--matrix", "[[2,3],[1,2]]"],
         "heisenberg-demo": ["heisenberg-demo"],
+        "heisenberg-demo-lattice-not-invariant": [
+            "heisenberg-demo", "--lattice", '[["1","0","0"],["0","2","0"],["0","0","1"]]'],
     }
 
 
 PINNED = {
     ("heisenberg-demo", "text"): "a34914b0397de5c139d629dca79b7d990b88c7efdba025ae9fbc71fa18e44763",
     ("heisenberg-demo", "json"): "65f095236fc8573b76274f4c73a02103de021703c81b17dd72406d2fb1f06baf",
+    ("heisenberg-demo-lattice-not-invariant", "text"):
+        "73103608fa6dee203096bba4eb3e2dcf63a44139d363f282cd1d1f7aaf2274cc",
+    ("heisenberg-demo-lattice-not-invariant", "json"):
+        "c8f9247e761ede1044265ccc929b32047797b78e13aa20f6885cac3b6e53c4fe",
     ("lattice-escape", "text"): "02e3f473bb45e8a69e35549204df32bba6fb5556e8ea687b0b17752ecf561a91",
     ("lattice-escape", "json"): "e667625b005c673d268434d37e74df37a50637ce3eeff3ee19d93055b8c36f4f",
     ("lattice-matrix", "text"): "feca2a5fd47cddb0c0ffb34ede0741764915c385b61dd8835210fce93f402db3",
