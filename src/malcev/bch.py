@@ -15,7 +15,7 @@ from math import lcm, prod
 
 from .linalg import (
     Matrix, ZERO, vec_neg, vec_zero, vec_is_zero, inverse,
-    smith_normal_form, integer_row, over, AffineSolver, _integer_rows,
+    smith_normal_form, integer_row, over, AffineSolver,
 )
 from .lie import LieAlgebra, nilpotency_class, sparse_bracket
 from .freelie import hall_basis, evaluate_hall_words
@@ -274,7 +274,7 @@ def lattice_membership_test(basis_vectors):
     integer columns of B; with U B V = diag(d) in Smith normal form, v lies
     in the span iff w = denom v is integral, (U w)_i is divisible by d_i
     below the rank r, and (U w)_i = 0 from r on.  The rows of U are kept as
-    ints, so a test is integer arithmetic only."""
+    sparse int rows, so a test is integer arithmetic only."""
     cols = [tuple(v) for v in basis_vectors]
     n = len(cols[0])
     denom, flat = integer_row([e for v in cols for e in v])
@@ -282,14 +282,16 @@ def lattice_membership_test(basis_vectors):
     U, D, V = smith_normal_form(B)
     diag = _diagonal(D)
     r = sum(1 for d in diag if d != 0)
-    rows = _integer_rows(U)
+    rows = U.integer_view()[1]
 
     def contains(v):
+        if len(v) != n:
+            raise ValueError("vector of length %d, expected %d" % (len(v), n))
         d, w = integer_row(v)  # denom v = (denom / d) w is integral iff d | denom
         if denom % d:
             return False
         for i, row in enumerate(rows):
-            s = sum(a * b for a, b in zip(row, w, strict=True) if b) * (denom // d)
+            s = sum([a * w[j] for j, a in row]) * (denom // d)
             if s % diag[i] if i < r else s:
                 return False
         return True

@@ -82,6 +82,9 @@ def parsing(what):
 
 
 def scalars(values):
+    """The scalars of a JSON list; a string is not read as its characters."""
+    if not isinstance(values, list):
+        raise InputError("bad scalar entry: %s is not a list" % json.dumps(values))
     try:
         return tuple(scalar(v) for v in values)
     except (ValueError, TypeError, ZeroDivisionError) as e:

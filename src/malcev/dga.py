@@ -33,7 +33,7 @@ from types import MappingProxyType
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_scale, vec_sub, vec_is_zero,
     echelon_basis, echelon_rows, span_contains, unit, IncrementalSpan, AffineSolver,
-    integer_terms, _dense, _sparse, _eliminate, _null_rows, over, integer,
+    integer_terms, _dense, _eliminate, _null_rows, _transpose, over, over_terms, integer,
 )
 
 
@@ -65,17 +65,18 @@ def _d_squared(dcol, p, i):
 
 
 def _d_rows(dims, cols, n):
-    """The rows of d[n] as int lists, from its int columns cols[n]."""
-    rows = [[0] * dims[n] for _ in range(dims[n + 1] if n + 1 < len(dims) else 0)]
-    for j, col in enumerate(cols[n]):
-        for k, c in col:
-            rows[k][j] = c
-    return rows
+    """The sparse int rows of d[n], from its int columns cols[n]."""
+    return _transpose(cols[n], dims[n + 1] if n + 1 < len(dims) else 0)
 
 
 def _d_matrix(dims, D, cols, n):
     """d[n] as a Matrix, of its int columns cols[n] over D."""
-    return Matrix.of_ints(D, [_sparse(r) for r in _d_rows(dims, cols, n)], dims[n])
+    return Matrix.of_ints(D, _d_rows(dims, cols, n), dims[n])
+
+
+def _lists(obj, depth):
+    """Whether obj is a list, of lists to the given depth."""
+    return isinstance(obj, list) and (depth == 1 or all(_lists(x, depth - 1) for x in obj))
 
 
 def _nonzero(cell):
@@ -198,7 +199,7 @@ class FiniteDGA:
         if self._products is None:
             (D_m, mult), dims = self.table, self.dims
             self._products = MappingProxyType({
-                (p, q): tuple(tuple(over(_dense(row.get(j, ()), dims[p + q]), D_m)
+                (p, q): tuple(tuple(over_terms(row.get(j, ()), dims[p + q], D_m)
                                     for j in range(dims[q])) for row in mult[(p, q)])
                 for p, q in self._keys})
         return self._products
@@ -295,8 +296,7 @@ class FiniteDGA:
                     units.add(terms[0][0])
                 else:
                     multi.append(terms)
-            rows = [[0 if k in units else dict(terms).get(k, 0) for k in range(self.dims[n])]
-                    for terms in multi]
+            rows = [tuple((k, c) for k, c in terms if k not in units) for terms in multi]
             units.update(_eliminate(rows, self.dims[n]))
             gens += [(n, k) for k in range(self.dims[n]) if k not in units]
         return gens
@@ -369,7 +369,8 @@ class FiniteDGA:
     @classmethod
     def from_json(cls, obj):
         """The DGA of ``to_json``: a product key must be the canonical "p,q",
-        and a degree pair may appear once (ValueError otherwise)."""
+        a degree pair may appear once, and each product table and d is a list
+        of lists of lists, not strings read as characters (ValueError)."""
         products = {}
         for key, table in obj.get("product", {}).items():
             p, q = (int(t) for t in key.split(","))
@@ -377,7 +378,11 @@ class FiniteDGA:
                 raise ValueError("duplicate product table (%d,%d)" % (p, q))
             if key != "%d,%d" % (p, q):
                 raise ValueError("product key %r is not of the form \"p,q\"" % key)
+            if not _lists(table, 3):
+                raise ValueError("product table %s is not a list of rows of lists" % key)
             products[(p, q)] = table
+        if not _lists(obj["d"], 3):
+            raise ValueError("d is not a list of matrices, each a list of rows (lists)")
         return cls([integer(n) for n in obj["dims"]],
                    [Matrix(m) if m else Matrix.zeros(0, 0) for m in obj["d"]],
                    products)
@@ -390,27 +395,28 @@ class CohomologyData:
     """Betti numbers and representative bases of a finite cochain complex.
 
     It is made from dims and the int columns dcol = (D, cols) of d, as
-    ``FiniteDGA.dcol`` holds them, and works on int rows.  ``degree(n)``
-    builds the rows of degree n on its first read and keeps them: (S,
-    cocycle rows, coboundary rows, representative rows),
+    ``FiniteDGA.dcol`` holds them, and works on sparse int rows.
+    ``degree(n)`` builds the rows of degree n on its first read and keeps
+    them: (S, cocycle rows, coboundary rows),
 
     - the cocycle rows: ``_null_rows`` of the int rows of d[n], a kernel
       basis over the one scale S;
-    - the coboundary rows: the primitive int rows that ``_eliminate`` leaves
+    - the coboundary rows: the primitive rows that ``echelon_rows`` leaves
       of the int columns of d[n-1], each a multiple of a row of the RREF of
-      the image (the RREF of a span is unique);
-    - the representative rows: the cocycle rows, in order, that grow one
-      IncrementalSpan seeded with the coboundary rows.
+      the image (the RREF of a span is unique).
 
-    So a reader of some degrees eliminates only those.  ``betti`` counts
-    rows.  ``cocycles``, ``coboundaries`` and ``representatives`` are
-    read-only tuples over every degree of Fraction vectors built on first
-    read: the cocycle and representative rows over S, and each coboundary
-    row over its pivot (its RREF row).  The linear systems it answers,
-    class coordinates and preimages under d, each get one AffineSolver per
-    degree, of a Matrix made with ``Matrix.of_ints`` from these rows and
-    from dcol on first use, and kept.  ``cohomology`` shares one
-    CohomologyData per DGA.
+    ``representative_rows(n)``, built on its first read, are the cocycle
+    rows, in order, that grow one IncrementalSpan seeded with the coboundary
+    rows.  So a reader of some degrees eliminates only those, and
+    ``betti_number`` counts rows: the coboundary rows are independent
+    cocycles, as d^2 = 0 in every FiniteDGA.  ``cocycles``,
+    ``coboundaries`` and ``representatives`` are read-only tuples over every
+    degree of Fraction vectors built on first read: the cocycle and
+    representative rows over S, and each coboundary row over its pivot (its
+    RREF row).  The linear systems it answers, class coordinates and
+    preimages under d, each get one AffineSolver per degree, of a Matrix
+    made with ``Matrix.of_ints`` from these rows and from dcol on first use,
+    and kept.  ``cohomology`` shares one CohomologyData per DGA.
     """
 
     def __init__(self, dims, dcol):
@@ -418,20 +424,30 @@ class CohomologyData:
         self.top = len(self.dims) - 1
         self.dcol = dcol
         self._solvers = {}
-        self._rows = {}
+        self._rows, self._reps = {}, {}
         self._poincare = False  # H^k = H^{top-k}: set by ``cohomology``
 
     def degree(self, n):
-        """The rows (S, cocycles, coboundaries, representatives) of degree n,
-        built on first read."""
+        """The rows (S, cocycles, coboundaries) of degree n, built on first
+        read."""
         if n not in self._rows:
             m, cols = self.dims[n], self.dcol[1]
             S, z = _null_rows(_d_rows(self.dims, cols, n), m)
-            b = [_dense(col, m) for col in cols[n - 1] if col] if n else []
-            del b[len(_eliminate(b, m)):]
-            span = IncrementalSpan(b)
-            self._rows[n] = (S, z, b, [v for v in z if span.add(v)])
+            self._rows[n] = (S, z, echelon_rows(cols[n - 1], m)[0] if n else [])
         return self._rows[n]
+
+    def representative_rows(self, n):
+        """The representative rows of degree n, built on first read."""
+        if n not in self._reps:
+            _, z, b = self.degree(n)
+            span = IncrementalSpan(b)
+            self._reps[n] = [v for v in z if span.add(v)]
+        return self._reps[n]
+
+    def betti_number(self, n):
+        """b_n, the cocycle rows of degree n less its coboundary rows."""
+        _, z, b = self.degree(n)
+        return len(z) - len(b)
 
     def betti(self):
         """The Betti numbers b_0..b_top.  For the CE complex of a unimodular
@@ -439,18 +455,18 @@ class CohomologyData:
         eliminated (the proof is in ``chevalley_eilenberg``); every other
         complex eliminates every degree."""
         top = self.top
-        return [len(self.degree(min(n, top - n) if self._poincare else n)[3])
+        return [self.betti_number(min(n, top - n) if self._poincare else n)
                 for n in range(top + 1)]
 
     @cached_property
     def cocycles(self):
-        return tuple(tuple(over(v, S) for v in z)
-                     for S, z, _, _ in map(self.degree, range(self.top + 1)))
+        return tuple(tuple(over_terms(v, m, S) for v in z)
+                     for m, (S, z, _) in zip(self.dims, map(self.degree, range(self.top + 1))))
 
     @cached_property
     def coboundaries(self):
-        return tuple(tuple(over(r, next(a for a in r if a)) for r in b)
-                     for _, _, b, _ in map(self.degree, range(self.top + 1)))
+        return tuple(tuple(over_terms(r, m, r[0][1]) for r in b)
+                     for m, (_, _, b) in zip(self.dims, map(self.degree, range(self.top + 1))))
 
     @cached_property
     def representatives(self):
@@ -458,8 +474,8 @@ class CohomologyData:
 
     def _representatives(self, n):
         """The representatives of degree n, without building the others."""
-        S, _, _, reps = self.degree(n)
-        return tuple(over(v, S) for v in reps)
+        S = self.degree(n)[0]
+        return tuple(over_terms(v, self.dims[n], S) for v in self.representative_rows(n))
 
     def _solver(self, key, build):
         if key not in self._solvers:
@@ -474,16 +490,16 @@ class CohomologyData:
         coboundary row), so the matrix is the int rows (L / s_j) v_j over
         the lcm L of the s_j."""
         def build():
-            S, _, b, reps = self.degree(n)
-            cols = [(v, S) for v in reps] + [(r, next(a for a in r if a)) for r in b]
+            S, _, b = self.degree(n)
+            cols = [(v, S) for v in self.representative_rows(n)] + [(r, r[0][1]) for r in b]
             L = lcm(*(s for _, s in cols))
-            return AffineSolver(Matrix.of_ints(L, [_sparse([v[k] * (L // s) for v, s in cols])
-                                                   for k in range(self.dims[n])], len(cols)))
+            cols = [tuple((k, a * (L // s)) for k, a in v) for v, s in cols]
+            return AffineSolver(Matrix.of_ints(L, _transpose(cols, self.dims[n]), len(cols)))
         return self._solver(("class", n), build)
 
     def class_coordinates(self, n, v):
         """Coordinates of a closed vector's class in the representative basis."""
-        _, _, b, reps = self.degree(n)
+        b, reps = self.degree(n)[2], self.representative_rows(n)
         if not (reps or b):
             assert vec_is_zero(v)
             return ()
@@ -722,13 +738,13 @@ def formality_consequence_report(dga: FiniteDGA):
 
     It works by bilinearity, on ints scaled by common denominators (one
     scale K for every P, one for every class; a witness divides them out).
-    The H^1 representatives are the int rows A_i = S a_i of
-    ``CohomologyData``; the x_ij are the int solves x_ij = X_ij / s of the
-    preimage solver, one scale s for all; the class map C is the int rows
-    of E of ``CohomologyData.class_solver`` over its D_E.
+    The H^1 representatives are the int vectors A_i = S a_i of the
+    representative rows of ``CohomologyData``; the x_ij are the int solves
+    x_ij = X_ij / s of the preimage solver, one scale s for all; the class
+    map C is the int rows of E of ``CohomologyData.class_solver`` over D_E.
     P[i, j, k] = a_i x_jk is made once per i and defined pair (j, k), and by
     graded commutativity in degree (1, 1) the representative a_i x_jk +
-    x_ij a_k is P[i, j, k] - P[k, i, j], of class C P[i, j, k] - C P[k, i, j].
+    x_ij a_k is rep = P[i, j, k] - P[k, i, j], of class C rep.
     It is a cocycle with no check per triple: d(a y + x c) = -a (b c) +
     (a b) c = 0 by Leibniz and associativity, proved by ``validate`` or by
     construction (``chevalley_eilenberg``); each witness is still checked
@@ -739,14 +755,15 @@ def formality_consequence_report(dga: FiniteDGA):
     if dga.top < 2:
         return [], 0
     H = cohomology(dga)
-    d_a, _, _, A = H.degree(1)
-    b, n2 = len(A), dga.dims[2]
+    d_a, n2 = H.degree(1)[0], dga.dims[2]
+    A = [_dense(r, dga.dims[1]) for r in H.representative_rows(1)]
     D_m, T, dcol = dga._table[0], dga._pair(1, 1), dga.dcol[1]
     D_E, E_rows = H.class_solver(2).E_int
-    C = E_rows[:len(H.degree(2)[3])]
+    b, C = len(A), E_rows[:H.betti_number(2)]
 
     def cls(v):
-        return [sum([c * v[k] for k, c in terms]) for terms in C]
+        return tuple((t, s) for t, terms in enumerate(C)
+                     if (s := sum([c * v[k] for k, c in terms])))
 
     ab = {(i, j): sparse_product(T, A[i], A[j], n2, 0) for i in range(b) for j in range(b)}
     cup = {pair: cls(v) for pair, v in ab.items()}
@@ -755,7 +772,6 @@ def formality_consequence_report(dga: FiniteDGA):
     d_x = solver.E_int[0]
     P = {(i,) + pair: sparse_product(T, A[i], xs[0], n2, 0)
          for i in range(b) for pair, xs in x.items() if xs is not None}
-    CP = {key: cls(v) for key, v in P.items()}
     K = D_m * D_m * d_a ** 3 * d_x   # P = K a_i x_jk
     witnesses, undefined, indet = [], 0, {}
     for i, j, k in itertools.product(range(b), repeat=3):
@@ -763,19 +779,20 @@ def formality_consequence_report(dga: FiniteDGA):
             undefined += 1
             continue
         if (i, k) not in indet:
-            rows = echelon_rows([cup[i, m] for m in range(b)] + [cup[m, k] for m in range(b)])
-            indet[i, k] = rows, IncrementalSpan(rows[0])
+            rows = echelon_rows([cup[i, m] for m in range(b)] + [cup[m, k] for m in range(b)],
+                                len(C))[0]
+            indet[i, k] = rows, IncrementalSpan(rows)
         rows, span = indet[i, k]
-        rep_class = [s - t for s, t in zip(CP[i, j, k], CP[k, i, j])]
+        rep = [s - t for s, t in zip(P[i, j, k], P[k, i, j])]
+        rep_class = cls(rep)
         if span.contains(rep_class):
             continue
-        rep = [s - t for s, t in zip(P[i, j, k], P[k, i, j])]
         d_rep = {}
         for m, e in enumerate(rep):
             for t, f in dcol[2][m]:
                 d_rep[t] = d_rep.get(t, 0) + e * f
         assert not any(d_rep.values()), "Massey representative is not a cocycle"
-        basis = [over(r, r[p]) for r, p in zip(*rows)]
+        basis = [over_terms(r, len(C), r[0][1]) for r in rows]
         witnesses.append(((i, j, k), MasseyResult(
-            2, over(rep, K), over(rep_class, D_E * K), basis, False)))
+            2, over(rep, K), over_terms(rep_class, len(C), D_E * K), basis, False)))
     return witnesses, undefined

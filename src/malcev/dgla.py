@@ -14,7 +14,7 @@ from functools import cached_property
 from .linalg import (
     Matrix, ZERO, vec_add, vec_sub, vec_zero, vec_is_zero,
     kernel_basis, echelon_basis, unit, right_inverse, integer_row, AffineSolver,
-    over, _sparse,
+    over, echelon_rows, _combine, _sparse, _transpose,
 )
 from .lie import (
     LieAlgebra, LieIdeal, lower_central_series, nilpotency_class, lcs_dims,
@@ -273,7 +273,9 @@ def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
             raise ValueError("LCS stage %d needs 1 <= k <= class %d of the algebra"
                              % (k, len(chain) - 1))
         upper, pu = quotient_by_ideal(N, chain[k])       # N/G_{k+1}
-        image = LieIdeal(upper, [pu.mul_vec(r) for r in chain[k - 1].rows])
+        P = dict(enumerate(_transpose(pu.integer_view()[1], N.dim)))
+        image = LieIdeal._of_rows(upper, echelon_rows(
+            [_combine(P, r) for r in chain[k - 1].rows], upper.dim)[0])
         lower, proj = quotient_by_ideal(upper, image)    # N/G_k as upper / (G_k/G_{k+1})
         stage = N._stages[k] = SmallExtensionSpec(upper, lower, proj, kernel_basis(proj),
                                                   quotient=pu)
@@ -305,7 +307,7 @@ def _classes(dga: FiniteDGA, parts, scale):
     if dga.top < 2:  # A^2 = 0: nothing obstructs the lift
         return [() for _ in parts]
     H = cohomology(dga)
-    solver, b = H.class_solver(2), len(H.degree(2)[3])
+    solver, b = H.class_solver(2), H.betti_number(2)
     sols = [solver.solve_int(part) for part in parts]
     assert None not in sols, "vector is not a cocycle"
     return [over(xs[:b], D * scale) for xs, D in sols]
@@ -404,7 +406,7 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     current = tuple(initial) if initial is not None else TensorDGLA(dga, M1).zero(1)
     if not is_mc(TensorDGLA(dga, M1), current):
         raise ValueError("initial stage-1 element is not Maurer-Cartan")
-    b1, z1 = (len(H.degree(1)[3]), len(H.degree(1)[1])) if dga.top >= 1 else (0, 0)
+    b1, z1 = (H.betti_number(1), len(H.degree(1)[1])) if dga.top >= 1 else (0, 0)
     stages = [MCStage(1, b1 * M1.dim, z1 * M1.dim, False, None)]
     for k in range(2, cls + 1):
         e = lcs_extension(N, k)
@@ -533,7 +535,7 @@ def deformation_census(dga: FiniteDGA, N: LieAlgebra):
     m rank d.  The count is therefore m (dim A^1 - rank d_1 - rank d_0)
     = m b^1(A), with b^1 read off the memoised ``cohomology(dga)``.
     """
-    b1 = len(cohomology(dga).degree(1)[3]) if dga.top >= 1 else 0
+    b1 = cohomology(dga).betti_number(1) if dga.top >= 1 else 0
     dims = lcs_dims(N)
     return [(k, (dims[k - 1] - dims[k]) * b1) for k in range(1, len(dims))]
 
@@ -547,7 +549,7 @@ def compare_def_along_map(phi: DGAMorphism, N: LieAlgebra):
         for i in range(min(phi.source.top, phi.target.top) + 1):
             cols = [HB.class_coordinates(i, phi.apply(i, v)) for v in HA.representatives[i]]
             dims_a = len(HA.representatives[i])
-            dims_b = len(HB.representatives[i])
+            dims_b = HB.betti_number(i)
             r = len(echelon_basis(cols, dims_b)) if cols else 0
             ranks[i] = {"dim_source": dims_a, "dim_target": dims_b, "rank": r,
                         "injective": r == dims_a, "surjective": r == dims_b}

@@ -16,7 +16,7 @@ form [[0, 1], 0] ~ [[x, y], x] rewriting to -[x, [x, y]].
 
 import functools
 
-from .linalg import _eliminate, integer_row
+from .linalg import echelon_rows, integer_terms, _combine
 from .lie import LieAlgebra, LieIdeal
 
 
@@ -175,20 +175,20 @@ def graded_ideal_closure(L: LieAlgebra, generators):
 
     Returns (ideal, dims) where dims[n] is the dimension of the degree-(n+1)
     piece.  Uses the recursion I_n = span(S_n) + [L_1, I_{n-1}], valid
-    because L is generated in degree 1.  Degree n runs on int rows over the
-    coordinates of L_n, from ``graded_component_indices(n)``: ad of each
-    degree-1 generator is read off ``L.table`` (int multiples, so the same
-    span), one ``_eliminate`` gives the primitive RREF rows, and
-    they feed degree n+1.  The columns outside L_n are zero, so each row
-    padded to L.dim is a multiple of a row of the RREF of I_n in L.  The
-    pieces have disjoint supports, so their rows ordered by pivot column are
-    the int rows of the RREF of the ideal, also when components interleave;
-    the ideal keeps them as built.
+    because L is generated in degree 1.  Degree n runs on sparse int rows
+    over the coordinates of L_n, from ``graded_component_indices(n)``: ad of
+    each degree-1 generator is read off ``L.table`` (int multiples, so the
+    same span), ``echelon_rows`` gives the primitive RREF rows, and they
+    feed degree n+1.  The columns outside L_n are zero, so each row, its
+    columns mapped back to L, is a multiple of a row of the RREF of I_n in
+    L.  The pieces have disjoint supports, so their rows ordered by pivot
+    column are the rows of the RREF of the ideal, also when components
+    interleave; the ideal keeps them as built.
     """
     if L.grading is None:
         raise ValueError("ambient algebra must be graded")
     comps = [L.graded_component_indices(n) for n in range(1, max(L.grading, default=0) + 1)]
-    rows_of = [[] for _ in comps]
+    terms_of = [[] for _ in comps]
     for v in generators:
         if len(v) != L.dim:
             raise ValueError("vector of length %d, expected %d" % (len(v), L.dim))
@@ -196,29 +196,17 @@ def graded_ideal_closure(L: LieAlgebra, generators):
         if len(degs) > 1:
             raise ValueError("vector is not homogeneous")
         for d in degs:
-            rows_of[d - 1].append(integer_row([v[g] for g in comps[d - 1]])[1])
+            terms_of[d - 1].append([(p, v[g]) for p, g in enumerate(comps[d - 1]) if v[g]])
     table = L.table[1]
     dims, pivoted, prev, below = [], [], [], {}
-    for idx, rows in zip(comps, rows_of):
+    for idx, terms in zip(comps, terms_of):
+        rows = list(integer_terms(terms)[1])
         at = {g: p for p, g in enumerate(idx)}
         for i in comps[0]:
-            ad = [(below[j], [(at[k], c) for k, c in terms])
-                  for j, terms in table[i] if j in below]
-            for v in prev:
-                out = [0] * len(idx)
-                for p, terms in ad:
-                    if v[p]:
-                        for q, c in terms:
-                            out[q] += v[p] * c
-                if any(out):
-                    rows.append(out)
-        pivots = _eliminate(rows, len(idx))
-        prev, below = rows[:len(pivots)], at
-        for r, p in zip(prev, pivots):
-            v = [0] * L.dim
-            for g, x in zip(idx, r):
-                v[g] = x
-            pivoted.append((idx[p], v))
+            ad = {below[j]: [(at[k], c) for k, c in terms] for j, terms in table[i] if j in below}
+            rows += [_combine(ad, v) for v in prev]
+        (prev, pivots), below = echelon_rows(rows, len(idx)), at
+        pivoted += [(idx[p], tuple((idx[j], x) for j, x in r)) for r, p in zip(prev, pivots)]
         dims.append(len(pivots))
     pivoted.sort(key=lambda t: t[0])
     return LieIdeal._of_rows(L, [v for _, v in pivoted]), dims

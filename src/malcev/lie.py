@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec, vec_add, echelon_rows,
-    rank, inverse, unit, IncrementalSpan, integer_row, integer_terms, over,
-    _dense, _eliminate, _sparse,
+    rank, inverse, unit, IncrementalSpan, integer_terms, over, over_terms,
+    _combine, _dense, _eliminate, _int_rows, _sparse, _transpose,
 )
 
 
@@ -95,7 +95,7 @@ class LieAlgebra:
     def brackets(self):
         if self._brackets is None:
             D, rows = self.table
-            self._brackets = MappingProxyType({(i, j): over(_dense(terms, self.dim), D)
+            self._brackets = MappingProxyType({(i, j): over_terms(terms, self.dim, D)
                                                for i, row in enumerate(rows)
                                                for j, terms in row if i < j})
         return self._brackets
@@ -164,22 +164,12 @@ class LieAlgebra:
             key = (integer(b["i"]), integer(b["j"]))
             if key in brackets:
                 raise ValueError("duplicate bracket entry (%d, %d)" % key)
+            if not isinstance(b["value"], list):
+                raise ValueError("bracket value (%d, %d) is not a list" % key)
             brackets[key] = [scalar(c) for c in b["value"]]
         grading = obj.get("grading")
         return cls(obj["dim"], brackets, basis_names=obj.get("basis"),
                    grading=None if grading is None else [integer(w) for w in grading])
-
-
-def _ad(row, v, zero):
-    """sum_j v_j [e_i, e_j] as a list, for the row ((j, terms), ...) of i in
-    ``LieAlgebra.table``: D ad(e_i) v."""
-    out = [zero] * len(v)
-    for j, terms in row:
-        vj = v[j]
-        if vj:
-            for k, c in terms:
-                out[k] += vj * c
-    return out
 
 
 def sparse_bracket(partners, x, y, zero):
@@ -217,17 +207,18 @@ def sparse_bracket(partners, x, y, zero):
 class LieIdeal:
     """Ideal of a LieAlgebra, by its RREF basis in parent coordinates.
 
-    rows holds the basis as primitive int rows, one per pivot in order, each
-    a multiple of an RREF row; basis, the RREF rows as Fraction tuples, is
-    built from them on first read.  The constructor eliminates the spanning
-    vectors it is given; it does not prove that their span is an ideal
-    (``is_ideal`` does, and ``quotient_by_ideal`` proves it on a generating
-    set).  ``_of_rows`` takes int rows of that form, as
-    ``lower_central_series`` and ``graded_ideal_closure`` build them, as is."""
+    rows holds the basis as primitive sparse int rows, one per pivot in
+    order, each a multiple of an RREF row; basis, the RREF rows as Fraction
+    tuples (each row over its pivot), is built from them on first read.  The
+    constructor eliminates the spanning vectors it is given; it does not
+    prove that their span is an ideal (``is_ideal`` does, and
+    ``quotient_by_ideal`` proves it on a generating set).  ``_of_rows``
+    takes rows of that form, as ``lower_central_series`` and
+    ``graded_ideal_closure`` build them, as is."""
 
     def __init__(self, parent, basis):
         self.parent = parent
-        self.rows = echelon_rows([integer_row(v)[1] for v in basis], parent.dim)[0]
+        self.rows = echelon_rows(_int_rows(basis, parent.dim)[1], parent.dim)[0]
         self._basis = None
 
     @classmethod
@@ -239,7 +230,7 @@ class LieIdeal:
     @property
     def basis(self):
         if self._basis is None:
-            self._basis = [_over_pivot(r) for r in self.rows]
+            self._basis = [over_terms(r, self.parent.dim, r[0][1]) for r in self.rows]
         return self._basis
 
     @property
@@ -247,14 +238,8 @@ class LieIdeal:
         return len(self.rows)
 
     def is_ideal(self):
-        span, table = IncrementalSpan(self.rows), self.parent.table[1]
-        return all(span.contains(_ad(row, r, 0)) for row in table for r in self.rows)
-
-
-def _over_pivot(row):
-    """The RREF row of which the int row is a multiple: the row over its
-    pivot, its first nonzero entry."""
-    return over(row, next(a for a in row if a))
+        span, table = IncrementalSpan(self.rows), map(dict, self.parent.table[1])
+        return all(span.contains(_combine(row, r)) for row in table for r in self.rows)
 
 
 def heisenberg():
@@ -280,37 +265,35 @@ def lower_central_series(L):
 
 
 def _lcs_bases(L):
-    """The lower central series as the int rows of ``LieIdeal``, computed
-    once per algebra.
+    """The lower central series as the rows of ``LieIdeal``, computed once
+    per algebra.
 
     G_2 = [L, L] is the span of the table values (``echelon_rows``);
     G_{n+1} for n >= 2 is spanned by ad(e_i) b over the rows b of G_n, for
     each i whose row of ``L.table`` is not empty (an empty row
     brackets everything to 0).  That table gives int multiples of the
-    [e_i, b], so the same span, and one ``_eliminate`` gives the rows of
-    G_{n+1}.  Only tuples of int tuples are cached on L (ideals would point
-    back at it).
+    [e_i, b], so the same span, and ``echelon_rows`` gives the rows of
+    G_{n+1}.  Only tuples of rows are cached on L (ideals would point back
+    at it).
     """
     if L._lcs is None:
         n = L.dim
-        partnered = [row for row in L.table[1] if row]
-        chain = [tuple(tuple(int(k == i) for k in range(n)) for i in range(n))]
+        partnered = [dict(row) for row in L.table[1] if row]
+        chain = [tuple(((i, 1),) for i in range(n))]
         rows = echelon_rows(_values(L), n)[0]
         while chain[-1]:
             if len(rows) >= len(chain[-1]):
                 raise NonNilpotentError(
                     "algebra is not nilpotent: its lower central series does not shrink")
-            chain.append(tuple(map(tuple, rows)))
-            rows = [v for v in (_ad(row, b, 0) for row in partnered for b in chain[-1])
-                    if any(v)]
-            rows = rows[:len(_eliminate(rows, n))]
+            chain.append(tuple(rows))
+            rows = echelon_rows([_combine(row, b) for row in partnered for b in chain[-1]], n)[0]
         L._lcs = tuple(chain)
     return L._lcs
 
 
 def _values(L):
     """The int rows D [e_i, e_j] of the pairs i < j in ``L.table``."""
-    return [_dense(terms, L.dim) for i, row in enumerate(L.table[1]) for j, terms in row if i < j]
+    return [terms for i, row in enumerate(L.table[1]) for j, terms in row if i < j]
 
 
 def nilpotency_class(L):
@@ -337,10 +320,9 @@ def adapted_basis(L):
     Returns (rows, degrees): the rows form a basis of L where the tail rows
     of degree >= n span G_n; degrees[i] is the filtration step the i-th row
     represents, ascending, so graded components are contiguous.  Each row is
-    a primitive int row of the series (``_lcs_bases``) that
-    ``IncrementalSpan`` adds, a multiple of the RREF row ``_over_pivot``
-    gives; the degree-1 rows are the unit vectors of ``unit_complement`` of
-    G_2.
+    a row of the series (``_lcs_bases``) that ``IncrementalSpan`` adds, a
+    multiple of an RREF row; the degree-1 rows are the unit vectors of
+    ``unit_complement`` of G_2.
     """
     chain = _lcs_bases(L)
     rows, degrees = [], []
@@ -357,20 +339,20 @@ def adapted_basis(L):
 def associated_graded(L):
     """gr L with gr_n = G_n / G_{n+1} and the induced graded bracket.
 
-    The int rows of ``adapted_basis``, scaled to a common pivot P, are the
-    int columns over P of the basis matrix, and ``change_basis`` gives L in
+    The rows of ``adapted_basis``, scaled to a common pivot P, are the int
+    columns over P of the basis matrix, and ``change_basis`` gives L in
     the adapted basis.  gr L keeps of each [p_i, p_j] its terms of degree
     deg i + deg j: [G_a, G_b] lies in G_{a+b}, so no term of lower degree
     is nonzero."""
     rows, degrees = adapted_basis(L)
-    P = lcm(*[next(a for a in r if a) for r in rows])
-    rows = [[a * (P // next(a for a in r if a)) for a in r] for r in rows]
-    A = change_basis(L, Matrix.of_ints(P, [_sparse(c) for c in zip(*rows)], L.dim))
+    P = lcm(*[r[0][1] for r in rows])
+    rows = [tuple((j, a * (P // r[0][1])) for j, a in r) for r in rows]
+    A = change_basis(L, Matrix.of_ints(P, _transpose(rows, L.dim), L.dim))
     D, table = A.table
     pairs = {(i, j): kept for i, row in enumerate(table) for j, terms in row if i < j
              and (kept := tuple((k, c) for k, c in terms if degrees[k] == degrees[i] + degrees[j]))}
     algebra = LieAlgebra.of_ints(L.dim, D, pairs, grading=degrees)
-    return GradedLieAlgebra(algebra, [over(r, P) for r in rows], A)
+    return GradedLieAlgebra(algebra, [over_terms(r, L.dim, P) for r in rows], A)
 
 
 def change_basis(L, m: Matrix):
@@ -384,10 +366,7 @@ def change_basis(L, m: Matrix):
     if (m.rows, m.cols) != (n, n):
         raise ValueError("matrix must be %d x %d" % (n, n))
     D_m, rows = m.integer_view()
-    cols = [[0] * n for _ in range(n)]
-    for r, terms in enumerate(rows):
-        for c, x in terms:
-            cols[c][r] = x
+    cols = [_dense(c, n) for c in _transpose(rows, n)]
     D_N, inv = inverse(m).integer_view()
     D, table = L.table
     pairs = {}
@@ -440,30 +419,31 @@ def _generators(L):
     if L._gens is None:
         derived = set(echelon_rows(_values(L), L.dim)[1])
         gens = [i for i in range(L.dim) if i not in derived]
-        table = L.table[1]
-        span, todo = IncrementalSpan(), [[int(k == i) for k in range(L.dim)] for i in gens]
+        partners = {i: dict(L.table[1][i]) for i in gens}
+        span, todo = IncrementalSpan(), [((i, 1),) for i in gens]
         while todo and span.dim < L.dim:
             v = todo.pop()
             if span.add(v):
-                todo += [_ad(table[i], v, 0) for i in gens]
+                todo += [_combine(partners[i], v) for i in gens]
         L._gens = tuple(gens) if span.dim == L.dim else tuple(range(L.dim))
     return L._gens
 
 
 def unit_complement(rows, n):
-    """(comp, last) for int rows spanning a subspace I of Q^n.
+    """(comp, last) for sparse int rows spanning a subspace I of Q^n.
 
     comp lists the unit vectors e_c, ascending, that are not in I plus the
     earlier e_j: the greedy unit complement of I, which ``adapted_basis``
     picks as the degree-1 rows when I = G_2.  They are the non-pivot columns
     of the RREF of I with its columns reversed, as e_c is in I + <e_j : j < c>
     iff some vector of I ends at c; one ``_eliminate`` of the reversed rows
-    finds them.  last maps every other column p to (R_p, R_p[p]): R_p the int
-    row of that elimination whose last nonzero entry is at p, zero at the
-    other keys of last."""
-    rev = [list(r[::-1]) for r in rows]
+    finds them.  last maps every other column p to (R_p, a_p): R_p the
+    sparse int row of that elimination whose last term is (p, a_p), with no
+    term at the other keys of last."""
+    rev = [tuple((n - 1 - j, a) for j, a in reversed(r)) for r in rows]
     pivots = _eliminate(rev, n)
-    last = {n - 1 - p: (r[::-1], r[p]) for r, p in zip(rev, pivots)}
+    last = {n - 1 - p: (tuple((n - 1 - j, a) for j, a in reversed(r)), r[0][1])
+            for r, p in zip(rev, pivots)}
     return [c for c in range(n) if c not in last], last
 
 
@@ -492,29 +472,17 @@ def quotient_by_ideal(L, ideal):
     E = lcm(*[pv for _, pv in last.values()])
     at = {c: q for q, c in enumerate(comp)}
     cols = [((at[c], E),) if c in at else
-            tuple((at[k], -x * (E // last[c][1])) for k, x in enumerate(last[c][0])
-                  if x and k in at)
+            tuple((at[k], -x * (E // last[c][1])) for k, x in last[c][0] if k in at)
             for c in range(n)]
-
-    def project(terms):
-        out = [0] * len(comp)
-        for k, x in terms:
-            for q, c in cols[k]:
-                out[q] += x * c
-        return out
-
+    project = dict(enumerate(cols))
     D, table = L.table
     pairs = {(i, at[j]): v for i, a in enumerate(comp) for j, terms in table[a]
-             if at.get(j, -1) > i and (v := _sparse(project(terms)))}
+             if at.get(j, -1) > i and (v := _combine(project, terms))}
     Q = LieAlgebra.of_ints(len(comp), D * E, pairs,
                            grading=None if L.grading is None else [L.grading[c] for c in comp])
     for s in _generators(L):
+        partners = dict(table[s])
         for b in ideal.rows:
-            if any(project((k, b[j] * x) for j, terms in table[s] if b[j]
-                           for k, x in terms)):
+            if _combine(project, _combine(partners, b)):
                 raise ValueError("not an ideal")
-    rows = [[] for _ in comp]
-    for c, col in enumerate(cols):
-        for q, x in col:
-            rows[q].append((c, x))
-    return Q, Matrix.of_ints(E, rows, n)
+    return Q, Matrix.of_ints(E, _transpose(cols, len(comp)), n)

@@ -163,7 +163,7 @@ class Matrix:
     def data(self):
         if self._data is None:
             D, rows = self._ints
-            self._data = tuple(over(_dense(terms, self.cols), D) for terms in rows)
+            self._data = tuple(over_terms(terms, self.cols, D) for terms in rows)
         return self._data
 
     def column(self, j):
@@ -196,14 +196,8 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
             (D_a, A), (D_b, B) = self._ints, other._ints
-            rows = []
-            for terms in A:
-                acc = [0] * other.cols
-                for j, a in terms:
-                    for k, b in B[j]:
-                        acc[k] += a * b
-                rows.append(_sparse(acc))
-            return Matrix.of_ints(D_a * D_b, rows, other.cols)
+            B = dict(enumerate(B))
+            return Matrix.of_ints(D_a * D_b, [_combine(B, terms) for terms in A], other.cols)
         return NotImplemented
 
     def __sub__(self, other):
@@ -214,15 +208,9 @@ class Matrix:
                 raise ValueError("dimension mismatch")
             (D_a, A), (D_b, B) = self._ints, other._ints
             D = lcm(D_a, D_b)
-            rows = []
-            for a, b in zip(A, B):
-                acc = [0] * self.cols
-                for j, c in a:
-                    acc[j] += c * (D // D_a)
-                for j, c in b:
-                    acc[j] -= c * (D // D_b)
-                rows.append(_sparse(acc))
-            return Matrix.of_ints(D, rows, self.cols)
+            scales = ((0, D // D_a), (1, -(D // D_b)))   # a D / D_a - b D / D_b
+            return Matrix.of_ints(D, [_combine({0: a, 1: b}, scales) for a, b in zip(A, B)],
+                                  self.cols)
         return NotImplemented
 
     def __eq__(self, other):
@@ -251,70 +239,108 @@ def _sparse(row):
     return tuple((k, c) for k, c in enumerate(row) if c)
 
 
-def _integer_rows(m: Matrix):
-    """The rows of m times the D of its integer view, as dense int lists."""
-    return [_dense(terms, m.cols) for terms in m.integer_view()[1]]
+def over_terms(terms, n, den):
+    """The Fraction vector of length n with c / den at each term (k, c) of
+    a sparse row, as ``over`` gives it."""
+    v = [ZERO] * n
+    for k, c in terms:
+        v[k] = Fraction(c, den)
+    return tuple(v)
+
+
+def _combine(vectors, v):
+    """v M = sum_j v_j vectors[j] as a sparse row, for a sparse row v and the
+    dict vectors of the sparse rows of M by j (a missing row is zero)."""
+    out = {}
+    for j, a in v:
+        for k, c in vectors.get(j, ()):
+            out[k] = out.get(k, 0) + a * c
+    return tuple(sorted((k, c) for k, c in out.items() if c))
+
+
+def _transpose(rows, n):
+    """The sparse rows of the transpose of the sparse rows given, n the
+    number of columns."""
+    out = [[] for _ in range(n)]
+    for i, terms in enumerate(rows):
+        for j, c in terms:
+            out[j].append((i, c))
+    return list(map(tuple, out))
+
+
+def _cross(row, f, terms, pv):
+    """pv row - f terms over its gcd, for a dict row (changed) and the
+    terms (j, c) of a row with pivot pv: cross multiplication."""
+    if pv != 1:
+        row = {j: pv * a for j, a in row.items()}
+    get = row.get
+    for j, c in terms:
+        a = get(j, 0) - f * c
+        if a:
+            row[j] = a
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    return {j: a // g for j, a in row.items()} if g > 1 else row
 
 
 def _eliminate(rows, cols):
-    """Fraction-free Gauss-Jordan elimination of a list of int rows with
-    cols entries, in place; returns the pivot columns.  rows[:len(pivots)]
-    are then primitive int rows with a positive pivot, one per pivot in
-    order, each a multiple of the matching row of the RREF.  The RREF of a
-    span is unique, so rows of cols entries that span the same space give
-    the same rows, in any order.  Longer rows are pivoted on their first
-    cols entries only: the rows past the pivot rows are zero on those
-    entries.
+    """Fraction-free Gauss-Jordan elimination of a list of sparse int rows,
+    in place; returns the pivot columns, all below cols.  rows[:len(pivots)]
+    are then primitive rows with a positive pivot, their first term, one per
+    pivot in order, each a multiple of the matching row of the RREF.  The
+    RREF of a span is unique, so rows that span the same space give the
+    same rows, in any order.  Terms at columns >= cols are carried but never
+    pivoted: the rows past the pivot rows have no term below cols.
 
     (Bareiss, Math. Comp. 22, 1968): each pivot row is divided by the gcd of
     its entries, signed as its pivot, and cleared out of the other rows by
     cross multiplication, which keeps the span and the pivots.  A cleared
     row is multiplied by the positive pivot and divided by a positive gcd,
-    so the earlier pivots stay positive."""
+    so the earlier pivots stay positive.  The rows are worked as dicts."""
     n = len(rows)
+    work = [dict(r) for r in rows]
     pivots = []
     r = 0
     for c in range(cols):
         if r == n:
             break
-        pr = next((i for i in range(r, n) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, n):
+            if c in work[pr]:
+                break
+        else:
             continue
-        prow = rows[pr]
-        g = gcd(*prow)
-        if g > 1:
-            prow = [a // g for a in prow] if prow[c] > 0 else [-a // g for a in prow]
-        elif prow[c] < 0:
-            prow = [-a for a in prow]
-        rows[pr] = rows[r]
-        rows[r] = prow
-        pv = prow[c]
+        prow = work[pr]
+        g = gcd(*prow.values()) if prow[c] > 0 else -gcd(*prow.values())
+        if g != 1:
+            prow = {j: a // g for j, a in prow.items()}
+        work[pr] = work[r]
+        work[r] = prow
+        pv, terms = prow[c], tuple(prow.items())
         for i in range(n):
-            f = rows[i][c]
+            f = work[i].get(c)
             if f and i != r:
-                row = [pv * a - f * b if b else pv * a for a, b in zip(rows[i], prow)]
-                g = gcd(*row)
-                rows[i] = [a // g for a in row] if g > 1 else row
+                work[i] = _cross(work[i], f, terms, pv)
         pivots.append(c)
         r += 1
+    rows[:] = [tuple(sorted(row.items())) for row in work]
     return pivots
 
 
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (R, pivot column list).
-    ``_eliminate`` of the int rows of m leaves multiples of the RREF rows;
+    ``echelon_rows`` of the int rows of m are multiples of the RREF rows;
     the RREF is unique, so each pivot row over its pivot gives it.  R is
     those rows over the lcm of the pivots, and zero rows below."""
-    rows = _integer_rows(m)
-    pivots = _eliminate(rows, m.cols)
-    D = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    red = [_sparse([a * (D // row[c]) for a in row]) for row, c in zip(rows, pivots)]
+    rows, pivots = echelon_rows(m.integer_view()[1], m.cols)
+    D = lcm(*(row[0][1] for row in rows))
+    red = [tuple((j, a * (D // row[0][1])) for j, a in row) for row in rows]
     return Matrix.of_ints(D, red + [()] * (m.rows - len(pivots)), m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
     """The number of pivots of the elimination of the integer view."""
-    return len(_eliminate(_integer_rows(m), m.cols))
+    return len(_eliminate(list(m.integer_view()[1]), m.cols))
 
 
 def det(m: Matrix) -> Fraction:
@@ -360,13 +386,14 @@ class AffineSolver:
     def __init__(self, m: Matrix):
         self.m, cols = m, m.cols
         D, rows = m.integer_view()
-        n = self.n = len(rows)
-        aug = [_dense([*terms, (cols + i, D)], cols + n) for i, terms in enumerate(rows)]
+        self.n = len(rows)
+        aug = [(*terms, (cols + i, D)) for i, terms in enumerate(rows)]
         self.pivots = _eliminate(aug, cols)
-        D_E = lcm(*(r[c] for r, c in zip(aug, self.pivots)))
-        self.E_int = (D_E, tuple(tuple((j, a * (D_E // r[c])) for j, a in enumerate(r[cols:]) if a)
-                                 for r, c in zip(aug, self.pivots)))
-        self.Y = [_sparse(r[cols:]) for r in aug[len(self.pivots):]]
+        k = len(self.pivots)
+        D_E = lcm(*(r[0][1] for r in aug[:k]))
+        self.E_int = (D_E, tuple(tuple((j - cols, a * (D_E // r[0][1])) for j, a in r if j >= cols)
+                                 for r in aug[:k]))
+        self.Y = [tuple((j - cols, a) for j, a in r) for r in aug[k:]]
 
     @cached_property
     def E(self):
@@ -403,16 +430,14 @@ class AffineSolver:
         (the Fredholm alternative), or None when it is solvable: the first
         row of the RREF of Y that does not vanish on b.  These are the rows
         past the rank of the full RREF of [m | id], as the RREF of a span is
-        unique.  y is checked against every column of m before it is
-        returned."""
-        def dot(u):
-            return sum(a * c for a, c in zip(y, u) if a)
-        rows, pivots = echelon_rows([_dense(y, self.n) for y in self.Y], self.n)
-        for y, p in zip(rows, pivots):
-            if dot(b):
-                if any(map(dot, self.m.columns())):
+        unique.  y is checked on the int rows M of m, as y M = 0, before it
+        is returned."""
+        M = self.m.integer_view()[1]
+        for y in echelon_rows(self.Y, self.n)[0]:
+            if sum([c * b[i] for i, c in y]):
+                if _combine(dict(enumerate(M)), y):
                     raise AssertionError("refutation failed verification: y m != 0")
-                return over(y, y[p])
+                return over_terms(y, self.n, y[0][1])
         return None
 
 
@@ -438,17 +463,21 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def _null_rows(rows, cols):
-    """(S, null) for int rows with cols entries: null holds one int row per
-    free column fc of the RREF, S times e_fc minus column fc of the RREF
-    placed at the pivots; these span the null space.  ``_eliminate`` of the
-    nonzero rows leaves primitive rows r_i, multiples of the RREF rows, with
-    pivots a_i at columns p_i; S is the lcm of the a_i, so the entry at p_i,
-    -r_i[fc] (S / a_i), is an int: one scale for all the rows."""
-    rows = [r for r in rows if any(r)]
-    pivots = _eliminate(rows, cols)
-    S = lcm(*(r[p] for r, p in zip(rows, pivots)))
-    return S, [_dense([(fc, S)] + [(p, -r[fc] * (S // r[p])) for r, p in zip(rows, pivots)], cols)
-               for fc in sorted(set(range(cols)).difference(pivots))]
+    """(S, null) for sparse int rows with cols columns: null holds one
+    sparse int row per free column fc of the RREF, S times e_fc minus column
+    fc of the RREF placed at the pivots; these span the null space.
+    ``echelon_rows`` gives primitive rows r_i, multiples of the RREF rows,
+    with pivots a_i at columns p_i; S is the lcm of the
+    a_i, so the entry at p_i, -r_i[fc] (S / a_i), is an int: one scale for
+    all the rows.  Past its pivot, r_i has terms at free columns only."""
+    rows, pivots = echelon_rows(rows, cols)
+    S = lcm(*(r[0][1] for r in rows))
+    free = {fc: [] for fc in sorted(set(range(cols)).difference(pivots))}
+    for r, p in zip(rows, pivots):
+        s = S // r[0][1]
+        for fc, a in r[1:]:
+            free[fc].append((p, -a * s))
+    return S, [(*terms, (fc, S)) for fc, terms in free.items()]
 
 
 def kernel_basis(m: Matrix):
@@ -456,8 +485,8 @@ def kernel_basis(m: Matrix):
     one per free column of the RREF of the integer view: the rows of
     ``_null_rows`` over their scale.  The RREF is of m alone: the [m | id]
     of ``AffineSolver`` would widen every elimination by m.rows columns."""
-    S, null = _null_rows(_integer_rows(m), m.cols)
-    return [over(v, S) for v in null]
+    S, null = _null_rows(m.integer_view()[1], m.cols)
+    return [over_terms(v, m.cols, S) for v in null]
 
 
 def solve_affine(m: Matrix, b):
@@ -468,44 +497,48 @@ def solve_affine(m: Matrix, b):
 # ---------------------------------------------------------------------------
 # Subspace utilities (row-space form; canonical via RREF)
 
-def echelon_rows(vectors, dim=None):
-    """(rows, pivots): the primitive int rows of ``_eliminate``, one per
-    pivot in order, for the span of the given int rows (not changed), each
-    of length dim (ValueError otherwise; with dim None, of one common
-    length)."""
-    rows, cols = [], dim
+def echelon_rows(rows, cols):
+    """(rows, pivots): the primitive rows that ``_eliminate`` leaves, one
+    per pivot in order, for the span of the given sparse int rows (not
+    changed) with cols columns."""
+    rows = [r for r in rows if r]
+    pivots = _eliminate(rows, cols)
+    return rows[:len(pivots)], pivots
+
+
+def _int_rows(vectors, dim=None):
+    """(dim, rows): vectors of Fractions or ints, each of length dim
+    (ValueError otherwise; with dim None, of one common length), as sparse
+    int rows over the lcm of their denominators."""
+    vectors, cols = list(vectors), dim
     for v in vectors:
         if cols is None:
             cols = len(v)
         if len(v) != cols:
             raise ValueError("ragged rows" if dim is None else
                              "vector of length %d, expected %d" % (len(v), dim))
-        if any(v):
-            rows.append(list(v))
-    pivots = _eliminate(rows, cols) if rows else []
-    return rows[:len(pivots)], pivots
+    return cols or 0, list(integer_terms(map(_sparse, vectors))[1])
 
 
 def echelon_basis(vectors, dim=None):
     """Canonical (RREF) basis of the span of the given vectors (Fractions
-    or ints), each of length dim: each scaled to ints once, and the rows of
+    or ints), each of length dim (as in ``_int_rows``): the rows of
     ``echelon_rows`` over their pivots."""
-    rows, pivots = echelon_rows([integer_row(v)[1] for v in vectors], dim)
-    return [over(row, row[c]) for row, c in zip(rows, pivots)]
+    dim, rows = _int_rows(vectors, dim)
+    return [over_terms(row, dim, row[0][1]) for row in echelon_rows(rows, dim)[0]]
 
 
 class IncrementalSpan:
     """A growing subspace kept in row echelon form, on primitive int rows.
 
     Each row is kept as its sparse terms ((j, c), ...), primitive with a
-    positive pivot.  Vectors are int rows, taken as given, and reduced by
-    cross multiplication, v <- r_p v - v_p r: r_p times the Fraction step
-    v <- v - (v_p / r_p) r.  So every reduction is a nonzero multiple of the
-    one over Fractions, and the verdicts and pivots are the same.  A caller
-    holding Fractions scales them once with ``integer_row``.  Membership
-    queries and insertions both cost one reduction pass against the current
-    rows, which is much cheaper than re-echelonizing from scratch when the
-    same span is probed many times.
+    positive pivot.  Vectors are sparse int rows, taken as given, and
+    reduced by cross multiplication, v <- r_p v - v_p r over its gcd: a
+    positive multiple of the Fraction step v <- v - (v_p / r_p) r.  So the
+    verdicts and pivots are those over Fractions.  Membership queries and
+    insertions both cost one reduction pass against the current rows, which
+    is much cheaper than re-echelonizing from scratch when the same span is
+    probed many times.
     """
 
     def __init__(self, vectors=()):
@@ -519,44 +552,37 @@ class IncrementalSpan:
         return len(self.rows)
 
     def reduce(self, v):
-        """The int row v (not changed) reduced against the rows, as a new
-        int list."""
-        v = list(v)
+        """The sparse int row v (not changed) reduced against the rows, as a
+        new sparse row."""
+        v = dict(v)
         for terms, p in zip(self.rows, self.pivots):
-            f = v[p]
+            f = v.get(p)
             if f:
-                rp = terms[0][1]
-                if rp != 1:
-                    v = [rp * a for a in v]
-                for j, c in terms:
-                    v[j] -= f * c
-                g = gcd(*v) if rp != 1 else 1
-                if g > 1:
-                    v = [a // g for a in v]
-        return v
+                v = _cross(v, f, terms, terms[0][1])
+        return tuple(sorted(v.items()))
 
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return not self.reduce(v)
 
     def add(self, v) -> bool:
-        """Insert the int row v if independent of the span; True when the
-        span grew."""
+        """Insert the sparse int row v if independent of the span; True when
+        the span grew."""
         v = self.reduce(v)
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
+        if not v:
             return False
-        g = gcd(*v) if v[p] > 0 else -gcd(*v)
-        at = next((t for t, q in enumerate(self.pivots) if q > p),
-                  len(self.pivots))
-        self.rows.insert(at, tuple((j, a // g) for j, a in enumerate(v) if a))
+        p, g = v[0][0], gcd(*(a for _, a in v))
+        if v[0][1] < 0:
+            g = -g
+        at = next((t for t, q in enumerate(self.pivots) if q > p), len(self.pivots))
+        self.rows.insert(at, tuple((j, a // g) for j, a in v))
         self.pivots.insert(at, p)
         return True
 
 
 def span_contains(basis, v) -> bool:
-    """Whether v is in the span of basis (Fractions or ints), each vector
-    scaled to ints once."""
-    return IncrementalSpan([integer_row(b)[1] for b in basis]).contains(integer_row(v)[1])
+    """Whether v is in the span of basis (Fractions or ints)."""
+    rows = _int_rows([*basis, v])[1]
+    return IncrementalSpan(rows[:-1]).contains(rows[-1])
 
 
 def spans_equal(basis_a, basis_b) -> bool:
@@ -580,7 +606,7 @@ def smith_normal_form(m: Matrix):
     """
     if not m.is_integral():
         raise ValueError("smith_normal_form requires integral entries")
-    a = _integer_rows(m)
+    a = [_dense(terms, m.cols) for terms in m.integer_view()[1]]
     nr, nc = m.rows, m.cols
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]

@@ -16,8 +16,8 @@ from operator import mul
 
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
-    vec_zero, vec_is_zero, echelon_basis, span_contains, integer_row, over, _null_rows,
-    inverse, unit, right_inverse, AffineSolver,
+    vec_zero, vec_is_zero, echelon_basis, integer_row, over_terms, inverse, unit,
+    right_inverse, AffineSolver, IncrementalSpan, _combine, _int_rows, _null_rows, _transpose,
 )
 from .lie import (
     LieAlgebra, lower_central_series, nilpotency_class, associated_graded,
@@ -143,23 +143,15 @@ def _relation_space(L):
     chain = _lcs_bases(L) + ((), ())
     gens = unit_complement(chain[1], n)[0]
     partners = [dict(table[c]) for c in gens]
-    G3 = [[(t, x) for t, x in enumerate(r) if x] for r in chain[2]]
-    E = lcm(*[terms[0][1] for terms in G3])
+    G3 = {r[0][0]: r for r in chain[2]}  # r_p by its pivot p
+    E = lcm(*[r[0][1] for r in G3.values()])
     cols = []
     for a, b in pair_index(len(gens)):
-        v = [0] * n
-        for t, x in partners[a].get(gens[b], ()):
-            v[t] = x
-        nf = [E * x for x in v]
-        for terms in G3:
-            p, pv = terms[0]
-            if v[p]:
-                f = v[p] * (E // pv)
-                for t, x in terms:
-                    nf[t] -= f * x
-        cols.append(nf)
-    S, null = _null_rows([list(r) for r in zip(*cols)], len(cols))
-    return [over(v, S) for v in null]
+        v = partners[a].get(gens[b], ())
+        nf = [("v", E)] + [(p, -x * (E // G3[p][0][1])) for p, x in v if p in G3]
+        cols.append(_combine({"v": v, **G3}, nf))
+    S, null = _null_rows(_transpose(cols, n), len(cols))
+    return [over_terms(v, len(cols), S) for v in null]
 
 
 def is_quadratically_presented(L: LieAlgebra):
@@ -272,7 +264,7 @@ def _filtered_iso(L, G, chain):
 def _verify_filtered_iso(L, G, chain, m: Matrix) -> bool:
     """theta is a Lie isomorphism gr L -> L, and gr(theta) = id."""
     return is_lie_isomorphism(G.algebra, L, m) and all(
-        span_contains(chain[d].rows, vec_sub(col, p))
+        IncrementalSpan(chain[d].rows).contains(_int_rows([vec_sub(col, p)])[1][0])
         for col, p, d in zip(m.columns(), G.from_parent, G.algebra.grading))
 
 

@@ -403,6 +403,21 @@ def gauss_jordan(rows, ncols):
     return [tuple(row) for row in a], pivots
 
 
+def null_space(rows, ncols):
+    """A basis of {v : m v = 0} for the matrix with the given rows and
+    ncols columns, one vector per free column fc of the RREF, ascending:
+    e_fc minus column fc of the RREF placed at the pivots."""
+    red, pivots = gauss_jordan(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(int(j == fc)) for j in range(ncols)]
+            for row, p in zip(red, pivots):
+                v[p] = -row[fc]
+            basis.append(tuple(v))
+    return basis
+
+
 def echelon_insertions(vectors, probes):
     """Insert vectors one by one into a span kept as Fraction rows in row
     echelon form, each scaled to pivot 1 (textbook elimination): returns

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from malcev.bch import commutator_index
-from malcev.linalg import Matrix, _eliminate, echelon_rows
+from malcev.linalg import Matrix, _eliminate, _sparse, echelon_rows
 
 from test_stored_tables import data_views  # noqa: F401 (a fixture)
 
@@ -17,20 +17,20 @@ st = hypothesis.strategies
 
 
 def eliminated(rows, cols):
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     return rows[:len(_eliminate(rows, cols))]
 
 
 def test_both_orders_give_the_identity():
-    assert eliminated([[1, 1], [1, -1]], 2) == [[1, 0], [0, 1]]
-    assert eliminated([[1, -1], [1, 1]], 2) == [[1, 0], [0, 1]]
-    assert eliminated([[-2, 4, 0]], 3) == [[1, -2, 0]]
+    assert eliminated([((0, 1), (1, 1)), ((0, 1), (1, -1))], 2) == [((0, 1),), ((1, 1),)]
+    assert eliminated([((0, 1), (1, -1)), ((0, 1), (1, 1))], 2) == [((0, 1),), ((1, 1),)]
+    assert eliminated([((0, -2), (1, 4))], 3) == [((0, 1), (1, -2))]
 
 
 @st.composite
 def row_lists(draw):
     cols = draw(st.integers(1, 6))
-    row = st.lists(st.integers(-5, 5), min_size=cols, max_size=cols)
+    row = st.lists(st.integers(-5, 5), min_size=cols, max_size=cols).map(_sparse)
     return cols, draw(st.lists(row, max_size=7))
 
 
@@ -40,12 +40,12 @@ def test_shuffled_rows_eliminate_to_identical_rows(case, rng):
     cols, rows = case
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    scaled = [[-3 * a for a in r] for r in shuffled]
+    scaled = [tuple((j, -3 * a) for j, a in r) for r in shuffled]
     out = eliminated(rows, cols)
     assert eliminated(shuffled, cols) == out == eliminated(scaled, cols)
     assert echelon_rows(shuffled, cols)[0] == out
     for r in out:
-        pivot = next(a for a in r if a)
+        pivot = r[0][1]
         assert pivot > 0
 
 

@@ -626,3 +626,33 @@ def test_repeated_key_in_a_file_is_input_error(capsys, tmp_path):
     path.write_text('{"dim": 3, "brackets": [{"i": 0, "j": 1, "value": [0, 0, 1]}]}')
     code, out = run(capsys, "quadcheck", str(path))
     assert code == 0 and out.startswith("quadratically presented: no")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("quadcheck", '{"dim":3,"brackets":[{"i":0,"j":1,"value":"001"}]}'),
+     "bad algebra JSON: bracket value (0, 1) is not a list"),
+    (("heisenberg-demo", "--matrix", '["21","11"]'), 'bad scalar entry: "21" is not a list'),
+], ids=["algebra-value", "scalars"])
+def test_json_strings_are_not_lists(capsys, argv, err):
+    """A string where a list is expected is not read one character at a
+    time."""
+    assert run_error(capsys, *argv) == (2, "error: %s\n" % err)
+
+
+@pytest.mark.parametrize("field, err", [
+    (("product", "0,1", 0), "product table 0,1 is not a list of rows of lists"),
+    (("product", "0,1", 0, 0), "product table 0,1 is not a list of rows of lists"),
+    (("d", 1, 0), "d is not a list of matrices, each a list of rows (lists)"),
+], ids=["product-row", "product-cell", "d-row"])
+def test_dga_strings_are_not_lists(capsys, field, err):
+    """A product row, a product cell or a row of d given as a string of its
+    length, such as the cell "100", is rejected, not read as its
+    characters."""
+    obj = json.loads(CE_HEIS_JSON)
+    *path, last = field
+    parent = obj
+    for key in path:
+        parent = parent[key]
+    parent[last] = "1" + "0" * (len(parent[last]) - 1)
+    assert run_error(capsys, "mc", json.dumps(obj), HEIS_JSON) == (
+        2, "error: bad input: %s\n" % err)

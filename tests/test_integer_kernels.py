@@ -18,7 +18,7 @@ from malcev.dga import (
 )
 from malcev.freelie import free_nilpotent
 from malcev.lie import LieAlgebra, abelian, direct_sum, heisenberg
-from malcev.linalg import AffineSolver, IncrementalSpan, Matrix, integer_row
+from malcev.linalg import AffineSolver, IncrementalSpan, Matrix, _sparse, integer_row
 from malcev.present import GroupPresentation, lift_one_class
 
 from oracles import (
@@ -58,8 +58,8 @@ def insertions(draw):
 def test_int_span_matches_fraction_elimination(case):
     vectors, probes = case
     span = IncrementalSpan()
-    grew = [span.add(integer_row(v)[1]) for v in vectors]
-    assert (grew, span.pivots, [span.contains(integer_row(v)[1]) for v in probes]) == \
+    grew = [span.add(_sparse(integer_row(v)[1])) for v in vectors]
+    assert (grew, span.pivots, [span.contains(_sparse(integer_row(v)[1])) for v in probes]) == \
         echelon_insertions(vectors, probes)
     assert span.dim == sum(grew)
     for terms, p in zip(span.rows, span.pivots):  # primitive, positive pivot first

@@ -11,7 +11,7 @@ from malcev.lie import (
 )
 from malcev.freelie import free_nilpotent, graded_ideal_closure
 from malcev.dgla import lcs_extension
-from malcev.linalg import echelon_basis
+from malcev.linalg import _dense, echelon_basis
 
 from oracles import dense_bracket, dense_quotient, gauss_jordan, naive_lcs
 
@@ -133,5 +133,5 @@ def test_lcs_matches_oracle_on_basis_changes():
             assert [term.basis for term in lower_central_series(C)] == naive_lcs(C.dim, C.brackets)
             # the kept terms are int rows, each a multiple of its RREF row
             for rows, term in zip(_lcs_bases(C), lower_central_series(C)):
-                assert all(type(x) is int for r in rows for x in r)
-                assert echelon_basis(rows, C.dim) == term.basis
+                assert all(type(x) is int for r in rows for _, x in r)
+                assert echelon_basis([_dense(r, C.dim) for r in rows], C.dim) == term.basis
