@@ -23,6 +23,9 @@ its first read.  ``cohomology``, read off the int columns of d by one
 elimination per degree and one echelon span per degree for the
 representatives, is made once per DGA and builds each degree on its first
 read; it is shared by all its Betti numbers, Massey products and MC stages.
+The formality report decides every class in degree 2 on the rows of the
+preimage solver of d^1, which map H^2 injectively, so it builds no degree-2
+class solver; its witnesses build their class coordinates on first read.
 """
 
 import itertools
@@ -33,7 +36,7 @@ from types import MappingProxyType
 from .linalg import (
     Matrix, ZERO, scalar, format_scalar, vec_scale, vec_sub, vec_is_zero,
     echelon_basis, echelon_rows, span_contains, unit, IncrementalSpan, AffineSolver,
-    integer_terms, _dense, _eliminate, _null_rows, _transpose, over, over_terms, integer,
+    integer_terms, _combine, _dense, _eliminate, _null_rows, _transpose, over, over_terms, integer,
 )
 
 
@@ -110,16 +113,19 @@ class FiniteDGA:
     d[n], read off the integer view of each d[n] (a missing d[n] is zero).
     ``product`` and ``diff`` take Fraction vectors as they are and divide by
     D_m or D_d only when it is > 1.  products and d are read-only views
-    derived on first use.  __init__ checks the shapes and the DGA axioms
-    (ValueError otherwise).  The private ``_of_tables`` takes the tables
-    as stored and runs the same ``validate``, except for
-    ``chevalley_eilenberg``, a DGA by construction, whose product pairs are
-    filled on first read (``_pair``); ``table`` reads every pair.  So every
-    FiniteDGA is a DGA.  A zero-row d[n] keeps dims[n] columns.
+    derived on first use.  __init__ checks that dims is a nonempty list of
+    nonnegative ints, the shapes and the DGA axioms (ValueError otherwise).
+    The private ``_of_tables`` takes the tables as stored and runs the same
+    ``validate``, except for ``chevalley_eilenberg``, a DGA by construction,
+    whose product pairs are filled on first read (``_pair``); ``table``
+    reads every pair.  So every FiniteDGA is a DGA.  A zero-row d[n] keeps
+    dims[n] columns.
     """
 
     def __init__(self, dims, d, products):
         dims = list(dims)
+        if not dims or any(type(n) is not int or n < 0 for n in dims):
+            raise ValueError("dims must be a nonempty list of nonnegative ints, not %r" % (dims,))
         top, image_dims = len(dims) - 1, dims[1:] + [0]
         d = [m if isinstance(m, Matrix) else Matrix(m) for m in d]
         if len(d) > top + 1 or any(m.rows != image_dims[n] or (m.rows and m.cols != dims[n])
@@ -674,6 +680,13 @@ class MasseyResult:
     The sign convention is <a,b,c> = [a y - (-1)^{|a|} x c] for dx = ab,
     dy = bc; "vanishes" means the representative lies in the indeterminacy
     subspace modulo exact terms, i.e. the full coset meets zero.
+
+    ``massey_triple`` passes every field.  A witness of
+    ``formality_consequence_report`` (``_witness``) sets ``degree`` and
+    ``vanishes`` and builds ``representative``, ``rep_class`` and
+    ``indeterminacy`` on first read, by the route ``massey_triple`` takes,
+    so each equals its field there; a caller that reads only the verdict
+    builds no class coordinates.
     """
 
     def __init__(self, degree, representative, rep_class, indeterminacy, vanishes):
@@ -682,6 +695,34 @@ class MasseyResult:
         self.rep_class = rep_class
         self.indeterminacy = indeterminacy
         self.vanishes = vanishes
+
+    @classmethod
+    def _witness(cls, dga, i, k, rep, K):
+        """The nonvanishing <a_i, a_j, a_k> of degree-1 H^1 representatives
+        of dga, of representative rep / K (an int vector), its Fraction
+        fields built on first read."""
+        res = cls.__new__(cls)
+        res.degree, res.vanishes, res._source = 2, False, (dga, i, k, rep, K)
+        return res
+
+    @cached_property
+    def representative(self):
+        _, _, _, rep, K = self._source
+        return over(rep, K)
+
+    @cached_property
+    def rep_class(self):
+        return cohomology(self._source[0]).class_coordinates(2, self.representative)
+
+    @cached_property
+    def indeterminacy(self):
+        """a_i . H^1 + H^1 . a_k, as classes, in its RREF basis."""
+        dga, i, k, _, _ = self._source
+        H = cohomology(dga)
+        reps = H._representatives(1)
+        return echelon_basis(
+            [H.class_coordinates(2, dga.product(1, reps[i], 1, h)) for h in reps]
+            + [H.class_coordinates(2, dga.product(1, h, 1, reps[k])) for h in reps])
 
     def to_json(self):
         return {
@@ -736,21 +777,33 @@ def formality_consequence_report(dga: FiniteDGA):
     x_ij of a_i a_j or x_jk does not exist.  Below top degree 2 every triple
     is defined and lands in H^2 = 0, so the report is empty.
 
+    Every class test runs on the rows Y of the preimage solver of d x = ab
+    (``AffineSolver`` of d[1]): they span {y : y d[1] = 0}, so Y v = 0 iff
+    v is in B^2, and Y maps Z^2 / B^2 = H^2 injectively.  Hence a_i a_j is
+    exact iff Y (a_i a_j) = 0, and only exact pairs are solved; and a class
+    [v] lies in the span of classes [u_m] iff Y v lies in the span of the
+    Y u_m.  Y v is summed over the columns of Y at the nonzeros of v, as
+    products of H^1 representatives are sparse.  The cup table holds
+    Y (a_i a_j); in degree 1, a_i . H^1 is its row i and H^1 . a_k its
+    column k, one IncrementalSpan per (i, k), and a triple is a witness iff
+    Y rep lies outside it.  No class coordinates
+    are needed: the report reads the degree 1 of ``CohomologyData``, the
+    preimage solver and the product pair (1, 1), and builds nothing of
+    degree 2 but that solver.
+
     It works by bilinearity, on ints scaled by common denominators (one
-    scale K for every P, one for every class; a witness divides them out).
-    The H^1 representatives are the int vectors A_i = S a_i of the
-    representative rows of ``CohomologyData``; the x_ij are the int solves
-    x_ij = X_ij / s of the preimage solver, one scale s for all; the class
-    map C is the int rows of E of ``CohomologyData.class_solver`` over D_E.
-    P[i, j, k] = a_i x_jk is made once per i and defined pair (j, k), and by
-    graded commutativity in degree (1, 1) the representative a_i x_jk +
-    x_ij a_k is rep = P[i, j, k] - P[k, i, j], of class C rep.
-    It is a cocycle with no check per triple: d(a y + x c) = -a (b c) +
-    (a b) c = 0 by Leibniz and associativity, proved by ``validate`` or by
-    construction (``chevalley_eilenberg``); each witness is still checked
-    to have d rep = 0.  In degree 1, a_i . H^1 is the row cup[i][.] and
-    H^1 . a_k the column cup[.][k]: one indeterminacy span per (i, k), the
-    int rows of ``echelon_rows``.  Witnesses are the only Fractions built.
+    scale K for every P; a witness divides it out).  The H^1
+    representatives are the int vectors A_i = S a_i of the representative
+    rows of ``CohomologyData``; the x_ij are the int solves x_ij = X_ij / s
+    of the preimage solver, one scale s for all.  P[i, j, k] = a_i x_jk is
+    made once per i and defined pair (j, k), and by graded commutativity in
+    degree (1, 1) the representative a_i x_jk + x_ij a_k is rep = P[i, j, k]
+    - P[k, i, j].  It is a cocycle with no check per triple: d(a y + x c) =
+    -a (b c) + (a b) c = 0 by Leibniz and associativity, proved by
+    ``validate`` or by construction (``chevalley_eilenberg``); each witness
+    is still checked to have d rep = 0, on the ints.  A witness holds rep
+    and K, and builds its Fraction fields, the class coordinates and the
+    indeterminacy basis on their first read (``MasseyResult._witness``).
     """
     if dga.top < 2:
         return [], 0
@@ -758,17 +811,15 @@ def formality_consequence_report(dga: FiniteDGA):
     d_a, n2 = H.degree(1)[0], dga.dims[2]
     A = [_dense(r, dga.dims[1]) for r in H.representative_rows(1)]
     D_m, T, dcol = dga._table[0], dga._pair(1, 1), dga.dcol[1]
-    D_E, E_rows = H.class_solver(2).E_int
-    b, C = len(A), E_rows[:H.betti_number(2)]
+    solver, b = H.preimage_solver(2), len(A)
+    Y = dict(enumerate(_transpose(solver.Y, n2)))   # by columns
 
     def cls(v):
-        return tuple((t, s) for t, terms in enumerate(C)
-                     if (s := sum([c * v[k] for k, c in terms])))
+        return _combine(Y, [(k, a) for k, a in enumerate(v) if a])
 
     ab = {(i, j): sparse_product(T, A[i], A[j], n2, 0) for i in range(b) for j in range(b)}
     cup = {pair: cls(v) for pair, v in ab.items()}
-    solver = H.preimage_solver(2)
-    x = {pair: solver.solve_int(v) for pair, v in ab.items()}
+    x = {pair: None if cup[pair] else solver.solve_int(v) for pair, v in ab.items()}
     d_x = solver.E_int[0]
     P = {(i,) + pair: sparse_product(T, A[i], xs[0], n2, 0)
          for i in range(b) for pair, xs in x.items() if xs is not None}
@@ -779,20 +830,15 @@ def formality_consequence_report(dga: FiniteDGA):
             undefined += 1
             continue
         if (i, k) not in indet:
-            rows = echelon_rows([cup[i, m] for m in range(b)] + [cup[m, k] for m in range(b)],
-                                len(C))[0]
-            indet[i, k] = rows, IncrementalSpan(rows)
-        rows, span = indet[i, k]
+            indet[i, k] = IncrementalSpan([cup[i, m] for m in range(b)]
+                                          + [cup[m, k] for m in range(b)])
         rep = [s - t for s, t in zip(P[i, j, k], P[k, i, j])]
-        rep_class = cls(rep)
-        if span.contains(rep_class):
+        if indet[i, k].contains(cls(rep)):
             continue
         d_rep = {}
         for m, e in enumerate(rep):
             for t, f in dcol[2][m]:
                 d_rep[t] = d_rep.get(t, 0) + e * f
         assert not any(d_rep.values()), "Massey representative is not a cocycle"
-        basis = [over_terms(r, len(C), r[0][1]) for r in rows]
-        witnesses.append(((i, j, k), MasseyResult(
-            2, over(rep, K), over_terms(rep_class, len(C), D_E * K), basis, False)))
+        witnesses.append(((i, j, k), MasseyResult._witness(dga, i, k, rep, K)))
     return witnesses, undefined

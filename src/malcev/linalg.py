@@ -551,18 +551,23 @@ class IncrementalSpan:
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, v):
+    def _reduced(self, v):
         """The sparse int row v (not changed) reduced against the rows, as a
-        new sparse row."""
+        dict of its nonzero terms (``_cross`` drops the zeros)."""
         v = dict(v)
         for terms, p in zip(self.rows, self.pivots):
             f = v.get(p)
             if f:
                 v = _cross(v, f, terms, terms[0][1])
-        return tuple(sorted(v.items()))
+        return v
+
+    def reduce(self, v):
+        """The sparse int row v (not changed) reduced against the rows, as a
+        new sparse row."""
+        return tuple(sorted(self._reduced(v).items()))
 
     def contains(self, v) -> bool:
-        return not self.reduce(v)
+        return not self._reduced(v)
 
     def add(self, v) -> bool:
         """Insert the sparse int row v if independent of the span; True when

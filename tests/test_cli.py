@@ -456,6 +456,19 @@ def run_error(capsys, *argv):
     return code, captured.err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("mc", '{"dims":[],"d":[],"product":{}}', HEIS_JSON),
+     "bad input: dims must be a nonempty list of nonnegative ints, not []"),
+    (("mc", '{"dims":[1,-3,1,1],"d":[],"product":{}}', HEIS_JSON),
+     "bad input: dims must be a nonempty list of nonnegative ints, not [1, -3, 1, 1]"),
+    (("massey", '{"dims":[1,-3,3,1],"d":[],"product":{}}', "--degrees", "1", "1", "1",
+      "--a", "[1,0,0]", "--b", "[1,0,0]", "--c", "[0,1,0]"),
+     "bad DGA JSON: dims must be a nonempty list of nonnegative ints, not [1, -3, 3, 1]"),
+], ids=["mc-empty", "mc-negative", "massey-negative"])
+def test_dga_dims_must_be_nonempty_and_nonnegative(capsys, argv, err):
+    assert run_error(capsys, *argv) == (2, "error: %s\n" % err)
+
+
 def test_hall_zero_generators_is_input_error(capsys):
     code, err = run_error(capsys, "hall", "-k", "0", "--class", "2")
     assert code == 2 and err == "error: bad -k/--class: need k >= 1 and c >= 1\n"

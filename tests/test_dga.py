@@ -56,6 +56,15 @@ def test_validation_rejects_shapes_that_do_not_match_dims():
         FiniteDGA([1, 2, 1], [zero], {(1, 1): [[[1]]]})
 
 
+@pytest.mark.parametrize("dims", [[1, -3, 1, 1], [1, -3, 3, 1], [], [1, 2.0], [1, True]],
+                         ids=["negative", "negative-top-3", "empty", "float", "bool"])
+def test_dims_must_be_a_nonempty_list_of_nonnegative_ints(dims):
+    """A negative dimension made betti() of [1, -3, 1, 1] read [1, 0, 1, 1],
+    and empty dims raised IndexError."""
+    with pytest.raises(ValueError, match="dims must be a nonempty list of nonnegative ints"):
+        FiniteDGA(dims, [], {})
+
+
 def test_validation_rejects_non_commutative_product():
     A = chevalley_eilenberg(heisenberg())
     products = {k: [list(row) for row in table] for k, table in A.products.items()}
