@@ -11,11 +11,11 @@ class bound.
 
 import functools
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .linalg import (
-    Matrix, ZERO, vec_neg, vec_zero, vec_is_zero, inverse,
-    smith_normal_form, integer_row, over, AffineSolver,
+    Matrix, ZERO, vec_neg, vec_zero, vec_is_zero, inverse, hermite_rows,
+    integer_row, integer_terms, over, AffineSolver, _sparse,
 )
 from .lie import LieAlgebra, nilpotency_class, sparse_bracket
 from .freelie import hall_basis, evaluate_hall_words
@@ -118,24 +118,11 @@ def _bch_terms(c):
             tuple((cf.numerator, cf.denominator) + letters(w) for w, cf in terms))
 
 
-def bch(x, y, L: LieAlgebra, cls=None):
-    """Group product log(exp x . exp y) in a nilpotent Lie algebra.
-
-    Evaluated fraction-free: x = X / dx and y = Y / dy with X, Y integer, and
-    the Hall words of ``bch_universal`` are evaluated on X, Y with the
-    int table (D, D c) of the structure constants.  A word with a letters
-    x and b letters y, of degree n = a + b, then has the integer value V_w =
-    w(x, y) dx^a dy^b D^(n-1).  Each coordinate sums p_w (T / t_w) V_w over
-    T, the lcm of the term denominators t_w = q_w dx^a dy^b D^(n-1) (the
-    coefficient being p_w / q_w), and one Fraction per coordinate is built.
-    """
-    if len(x) != L.dim or len(y) != L.dim:
-        raise ValueError("vector length must equal dim=%d" % L.dim)
-    c = cls if cls is not None else nilpotency_class(L)
+def _bch_int(dx, X, dy, Y, L: LieAlgebra, c):
+    """(Z, T) with bch(X / dx, Y / dy) = Z / T at class c, for int vectors X,
+    Y and ints dx, dy > 0: the int body of ``bch``, Z a list of ints."""
     words, terms = _bch_terms(c)
     D, rows = L.table
-    dx, X = integer_row(x)
-    dy, Y = integer_row(y)
     values = evaluate_hall_words(words, (X, Y),
                                  lambda u, v: sparse_bracket(rows, u, v, 0))
     denoms = [q * dx ** a * dy ** b * D ** (a + b - 1) for _, q, a, b in terms]
@@ -146,7 +133,25 @@ def bch(x, y, L: LieAlgebra, cls=None):
         for k, e in enumerate(v):
             if e:
                 out[k] += m * e
-    return over(out, T)
+    return out, T
+
+
+def bch(x, y, L: LieAlgebra, cls=None):
+    """Group product log(exp x . exp y) in a nilpotent Lie algebra.
+
+    Evaluated fraction-free by ``_bch_int``: x = X / dx and y = Y / dy with
+    X, Y integer, and the Hall words of ``bch_universal`` are evaluated on
+    X, Y with the int table (D, D c) of the structure constants.  A word
+    with a letters x and b letters y, of degree n = a + b, then has the
+    integer value V_w = w(x, y) dx^a dy^b D^(n-1).  Each coordinate sums
+    p_w (T / t_w) V_w over T, the lcm of the term denominators t_w = q_w
+    dx^a dy^b D^(n-1) (the coefficient being p_w / q_w), and one Fraction
+    per coordinate is built.
+    """
+    if len(x) != L.dim or len(y) != L.dim:
+        raise ValueError("vector length must equal dim=%d" % L.dim)
+    c = cls if cls is not None else nilpotency_class(L)
+    return over(*_bch_int(*integer_row(x), *integer_row(y), L, c))
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +272,60 @@ def check_representation(presentation: GroupPresentation, assignment):
 # ---------------------------------------------------------------------------
 # Lattices
 
-def lattice_membership_test(basis_vectors):
-    """Exact membership test for the integer span of rational vectors.
+def _lattice_member(basis_vectors):
+    """(n, member) for the integer span of rational vectors, each of length
+    n (ValueError when there are none or their lengths differ): member(w, d)
+    tells whether w / d lies in the span, for an int list w and an int
+    d > 0, in integer arithmetic only.
 
     The vectors, scaled by denom (the lcm of their denominators), are the
-    integer columns of B; with U B V = diag(d) in Smith normal form, v lies
-    in the span iff w = denom v is integral, (U w)_i is divisible by d_i
-    below the rank r, and (U w)_i = 0 from r on.  The rows of U are kept as
-    sparse int rows, so a test is integer arithmetic only."""
-    cols = [tuple(v) for v in basis_vectors]
-    n = len(cols[0])
-    denom, flat = integer_row([e for v in cols for e in v])
-    B = Matrix.from_columns([flat[t * n:t * n + n] for t in range(len(cols))], rows=n)
-    U, D, V = smith_normal_form(B)
-    diag = _diagonal(D)
-    r = sum(1 for d in diag if d != 0)
-    rows = U.integer_view()[1]
+    sparse int rows whose ``hermite_rows`` H are a Z-basis of denom times
+    the lattice.  With g = gcd(d, w), w / d = (w / g) / (d / g) in lowest
+    terms, so denom w / d is integral iff d / g divides denom; then it is
+    in the span of H iff it reduces to zero at the pivots of H, each
+    division exact."""
+    vectors = [tuple(v) for v in basis_vectors]
+    if not vectors:
+        raise ValueError("a lattice needs at least one vector")
+    n = len(vectors[0])
+    if any(len(v) != n for v in vectors):
+        raise ValueError("lattice vectors must all have length %d" % n)
+    denom, rows = integer_terms(map(_sparse, vectors))
+    hermite = hermite_rows(rows)
+
+    def member(w, d):
+        g = gcd(d, *w)
+        d //= g
+        if denom % d:
+            return False
+        s = denom // d
+        w = [a // g * s for a in w]
+        for row in hermite:
+            p, a = row[0]
+            if w[p]:
+                q, r = divmod(w[p], a)
+                if r:
+                    return False
+                for j, c in row:
+                    w[j] -= q * c
+        return not any(w)
+
+    return n, member
+
+
+def lattice_membership_test(basis_vectors):
+    """Exact membership test for the integer span of rational vectors, each
+    of the same length (ValueError when there are none or their lengths
+    differ): the returned contains(v) scales v to ints once and asks
+    ``_lattice_member``, which divides exactly at the pivots of one Hermite
+    basis of the lattice."""
+    n, member = _lattice_member(basis_vectors)
 
     def contains(v):
         if len(v) != n:
             raise ValueError("vector of length %d, expected %d" % (len(v), n))
-        d, w = integer_row(v)  # denom v = (denom / d) w is integral iff d | denom
-        if denom % d:
-            return False
-        for i, row in enumerate(rows):
-            s = sum([a * w[j] for j, a in row]) * (denom // d)
-            if s % diag[i] if i < r else s:
-                return False
-        return True
+        d, w = integer_row(v)
+        return member(w, d)
 
     return contains
 
@@ -310,31 +341,47 @@ def lattice_closed_under_bch(L: LieAlgebra, basis_vectors):
     negation).  So a skipped pair escapes only after an earlier one does,
     and verdict and witness are those of the full scan.  Pair closure is
     closure at class 2; from class 3 on a "closed" verdict is not a proof.
+
+    Each generator is scaled to ints once and negated on ints; a product
+    is one ``_bch_int``, and its Z / T is tested by ``_lattice_member``.
+    Fractions are built for the witness only.  The vectors must have length
+    L.dim (ValueError otherwise).
     """
-    contains = lattice_membership_test(basis_vectors)
+    vectors = list(basis_vectors)
+    n, member = _lattice_member(vectors)
+    if n != L.dim:
+        raise ValueError("vector length must equal dim=%d" % L.dim)
     c = nilpotency_class(L)
     gens = []
-    for v in basis_vectors:
-        gens.append(tuple(v))
-        gens.append(vec_neg(v))
+    for v in vectors:
+        d, V = integer_row(v)
+        gens += [(d, V), (d, [-a for a in V])]
     for i, x in enumerate(gens):
-        for y in gens[i + 2 - i % 2:]:
-            z = bch(x, y, L, cls=c)
-            if not contains(z):
-                return (x, y, z)
+        for j in range(i + 2 - i % 2, len(gens)):
+            Z, T = _bch_int(*x, *gens[j], L, c)
+            if not member(Z, T):
+                x, y = (tuple(vectors[k // 2]) if k % 2 == 0 else vec_neg(vectors[k // 2])
+                        for k in (i, j))
+                return (x, y, over(Z, T))
     return None
 
 
-def commutator_index(M: Matrix):
-    """Index of the image lattice of M - I, via SNF; None means infinite."""
+def lattice_index(M: Matrix):
+    """The index of the lattice of the rows of a square integral M in Z^n,
+    |det M|: the product of the pivots of its ``hermite_rows`` at full rank
+    n, and None (infinite) below it."""
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
     if not M.is_integral():
         raise ValueError("matrix must be integral")
-    diag = _diagonal(smith_normal_form(M - Matrix.identity(M.rows))[1])
-    return None if 0 in diag else prod(diag)
+    rows = hermite_rows(M.integer_view()[1])
+    return prod(row[0][1] for row in rows) if len(rows) == M.rows else None
 
 
-def _diagonal(D):
-    """The diagonal of a Smith form D: its int row i is () or ((i, d_i),)."""
-    return [terms[0][1] if terms else 0 for terms in D.integer_view()[1][:D.cols]]
+def commutator_index(M: Matrix):
+    """Index of the image lattice of M - I, ``lattice_index(M - I)``: its
+    columns and its rows span lattices of the same index |det(M - I)|;
+    None means infinite."""
+    if M.rows != M.cols:
+        raise ValueError("matrix must be square")
+    return lattice_index(M - Matrix.identity(M.rows))

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .linalg import (
-    Matrix, scalar, integer, format_scalar, echelon_basis, smith_normal_form, inverse,
+    Matrix, scalar, integer, format_scalar, echelon_basis, inverse,
 )
 from .lie import (
     LieAlgebra, heisenberg, lcs_dims, check_automorphism,
@@ -24,7 +24,7 @@ from .lie import (
 from .freelie import hall_basis, free_nilpotent, word_to_json, word_str
 from .bch import (
     bch, GroupPresentation, lattice_closed_under_bch, lattice_membership_test,
-    commutator_index,
+    commutator_index, lattice_index,
 )
 from .dga import FiniteDGA, chevalley_eilenberg, massey_triple, MasseyUndefined
 from .dgla import mc_solve
@@ -347,7 +347,7 @@ def cmd_lattice_check(args):
         with parsing("matrix"):
             M = Matrix([scalars(row) for row in mobj])
             idx = commutator_index(M)
-        if smith_normal_form(M)[1] != Matrix.identity(M.rows):
+        if lattice_index(M) != 1:   # n Hermite pivots, all 1: |det M| = 1
             raise InputError("the matrix must lie in GL(%d, Z): its determinant is "
                              "not +1 or -1" % M.rows)
         verdicts = {"commutator_index": idx}

@@ -6,7 +6,9 @@ so equality of results is literal equality and "is this zero" is decidable.
 Vectors are tuples of Fractions.  A ``Matrix`` is stored as sparse int rows
 over the least common denominator of its entries, the one form that
 eliminations, solvers and products read; its Fraction entries are a view.
-Results leave as Fractions, built with ``over``.
+Results leave as Fractions, built with ``over``.  Integer lattices are
+read from the same int rows: ``hermite_rows`` gives a Z-basis of the
+lattice they span.
 """
 
 from fractions import Fraction
@@ -600,14 +602,61 @@ def coords_in_basis(basis, v):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Integer lattices
+
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b = g, where |g| = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def hermite_rows(rows):
+    """Hermite rows of the lattice that the given sparse int rows (not
+    changed) span over Z: a Z-basis of it, one row per pivot, the pivots
+    ascending, each row's first term its pivot, which is positive.  A row
+    has no term before its pivot, so v lies in the lattice iff, row by row
+    in order, q = v_p / a at the row's pivot (p, a) is an int and v - q h
+    replaces v, and the v left at the end is zero.  With n rows of n
+    columns, n pivots mean full rank, and their product is |det|.  The
+    rows are neither primitive nor reduced above the pivots: the lattice
+    2Z gives ((0, 2),).
+
+    (Kannan-Bachem, SIAM J. Comput. 8, 1979): the rows that start at the
+    least column c are merged into one by unimodular steps, r <- r - q p
+    when p_c divides r_c, and else (p, r) <- (s p + t r, (a/g) r - (b/g) p)
+    for a = p_c, b = r_c and s a + t b = g = +-gcd(a, b), of determinant
+    1; each r then starts past c.  A merged row of negative pivot is
+    negated.  So the rows span the same lattice at every step."""
+    work = [r for r in rows if r]
+    out = []
+    while work:
+        c = min(r[0][0] for r in work)
+        hits = sorted((r for r in work if r[0][0] == c), key=lambda r: abs(r[0][1]))
+        work = [r for r in work if r[0][0] != c]
+        p = hits[0]
+        for r in hits[1:]:
+            pr, a, b = {0: p, 1: r}, p[0][1], r[0][1]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                p, r = _combine(pr, ((0, s), (1, t))), _combine(pr, ((0, -b // g), (1, a // g)))
+            else:
+                r = _combine(pr, ((0, -(b // a)), (1, 1)))
+            if r:
+                work.append(r)
+        out.append(p if p[0][1] > 0 else tuple((j, -a) for j, a in p))
+    return out
+
 
 def smith_normal_form(m: Matrix):
     """Smith normal form of an integer matrix.
 
     Returns (U, D, V) with U m V = D, U and V unimodular, D diagonal with
     nonnegative entries satisfying d_i | d_{i+1}.  It runs on the int rows
-    of m and makes each result of int rows.
+    of m and makes each result of int rows.  The library answers its
+    lattice questions from ``hermite_rows``; no library code calls this.
     """
     if not m.is_integral():
         raise ValueError("smith_normal_form requires integral entries")

@@ -6,6 +6,8 @@ two genuinely different routes to the same value.
 """
 
 import functools
+import itertools
+import math
 from fractions import Fraction
 
 
@@ -209,6 +211,44 @@ def naive_rank(rows):
                 a[i] = [u - f * v for u, v in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Integer lattices by determinants (the textbook rule, no elimination over
+# Z and no shared code with the library's Hermite rows).
+
+def naive_det(rows):
+    """det of a square matrix (a list of row tuples), by Laplace expansion
+    along the first row; 1 for the 0 x 0 matrix."""
+    if not rows:
+        return Fraction(1)
+    return sum(((-1) ** j * Fraction(a) * naive_det([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j, a in enumerate(rows[0]) if a), Fraction(0))
+
+
+def minor_gcd(cols, k):
+    """The gcd of the k x k minors of the integer matrix with the given
+    columns (0 when they all vanish)."""
+    g = 0
+    for cs in itertools.combinations(range(len(cols)), k):
+        for rs in itertools.combinations(range(len(cols[0])), k):
+            g = math.gcd(g, int(naive_det([tuple(cols[c][r] for c in cs) for r in rs])))
+    return g
+
+
+def naive_lattice_contains(basis, v):
+    """Whether v lies in the Z-span of the rational vectors basis.  All are
+    scaled by one common denominator to integers; with B the basis as
+    columns and k = rank B, v is in the span iff rank [B | v] = k and the
+    gcd of the k x k minors of B equals that of [B | v], because then the
+    lattice of B has index d_k(B) / d_k([B | v]) in that of [B | v]."""
+    D = math.lcm(*(Fraction(e).denominator for u in [*basis, v] for e in u))
+    B = [tuple(int(Fraction(e) * D) for e in u) for u in basis]
+    w = tuple(int(Fraction(e) * D) for e in v)
+    k = naive_rank(B)
+    if naive_rank(B + [w]) != k:
+        return False
+    return k == 0 or minor_gcd(B, k) == minor_gcd(B + [w], k)
 
 
 def greedy_complement(base, vectors):

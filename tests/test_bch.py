@@ -141,6 +141,22 @@ def test_lattice_membership():
     assert not contains((0, 0, Fraction(1, 3)))
 
 
+def test_lattice_rejects_malformed_bases():
+    """Vectors of unequal length, once read as the basis e1, e2 of Z^2
+    (so (0, 1) was inside), and an empty list, once an IndexError, both
+    raise ValueError; so does the closure scan, whose products no longer
+    pass through the length check of bch."""
+    for basis in ([(1, 0), (0, 1, 0)], []):
+        with pytest.raises(ValueError):
+            lattice_membership_test(basis)
+        with pytest.raises(ValueError):
+            lattice_closed_under_bch(heisenberg(), basis)
+    with pytest.raises(ValueError):
+        lattice_closed_under_bch(heisenberg(), [(1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        lattice_membership_test([(1, 0), (0, 1)])((0, 1, 0))
+
+
 def test_heisenberg_lattice_closed():
     h = heisenberg()
     good = [(1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))]

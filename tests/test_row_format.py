@@ -15,7 +15,7 @@ from malcev.freelie import free_nilpotent, graded_ideal_closure
 from malcev.lie import (
     LieIdeal, _lcs_bases, abelian, adapted_basis, direct_sum, heisenberg, lower_central_series,
 )
-from malcev.linalg import IncrementalSpan, _null_rows
+from malcev.linalg import IncrementalSpan, _null_rows, hermite_rows
 
 from test_graded_oracle import unipotent_conjugate
 from test_integer_kernels import FILIFORM4, HEISENBERG5
@@ -103,3 +103,15 @@ def test_cohomology_rows_are_in_the_format(L):
             assert all(is_row(r) for r in solver.E_int[1])
         S, null = _null_rows(_d_rows(A.dims, A.dcol[1], n), A.dims[n])
         assert all(is_row(v) and v for v in null)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5), max_size=7))
+def test_hermite_rows_are_in_the_format(vectors):
+    """``hermite_rows`` of drawn int rows: rows of the format with a
+    positive first coefficient, the pivot, and pivots ascending.  They are
+    not primitive: the lattice 2Z gives ((0, 2),)."""
+    H = hermite_rows([tuple((j, c) for j, c in enumerate(v) if c) for v in vectors])
+    assert all(is_row(r) and r and r[0][1] > 0 for r in H)
+    assert all(a[0][0] < b[0][0] for a, b in zip(H, H[1:]))
+    assert hermite_rows([((0, 2),)]) == [((0, 2),)] and not is_echelon_row(((0, 2),))
