@@ -10,9 +10,10 @@ degree-1 coordinate with [d, a] = da.
 """
 
 from functools import cached_property
+from math import gcd
 
 from .linalg import (
-    Matrix, ZERO, vec_add, vec_sub, vec_zero, vec_is_zero,
+    Matrix, ZERO, vec_sub, vec_zero, vec_is_zero,
     kernel_basis, echelon_basis, unit, right_inverse, integer_row, AffineSolver,
     over, echelon_rows, _combine, _sparse, _transpose,
 )
@@ -36,10 +37,15 @@ class TensorDGLA:
     The bracket and d run on the int tables that A and N build once:
     ``FiniteDGA.table`` (the products times D_m, read one degree pair at a
     time through ``FiniteDGA._pair``), ``FiniteDGA.dcol`` (d times D_d) and
-    ``LieAlgebra.table`` (the structure constants of N times D_N).  An element is scaled once to an int vector u over its lcm
-    denominator; then ``_int_diff`` gives D_d (d ox id)(u) and
-    ``_int_bracket`` gives D_m D_N [u, v], all in ints, and the public
-    methods make one Fraction per nonzero output entry.
+    ``LieAlgebra.table`` (the structure constants of N times D_N).
+
+    The int core works on blocks.  ``_ints`` scales an element u = sum a_i
+    ox u_i once to ints over its lcm denominator d and keeps it as the
+    block dict {i: u_i}, whose values are int vectors of length dim N and
+    which holds only the nonzero u_i.  ``_int_diff`` gives D_d (d ox id)(u)
+    and ``_int_bracket`` gives D_m D_N [u, v] as block dicts again, so a
+    zero block costs nothing and an empty operand gives {}.  The public
+    methods make one Fraction per nonzero output entry, through ``_flat``.
     """
 
     def __init__(self, dga: FiniteDGA, N: LieAlgebra):
@@ -67,82 +73,81 @@ class TensorDGLA:
         return out
 
     def _ints(self, n, v):
-        """(d, u): v, a vector of degree n (ValueError otherwise), as the int
-        vector u over its lcm denominator d."""
+        """(d, blocks): v, a vector of degree n (ValueError otherwise), as the
+        block dict of the int vector over its lcm denominator d."""
         if len(v) != self.dim(n):
             raise ValueError("element must live in degree %d" % n)
-        return integer_row(v)
+        d, u = integer_row(v)
+        m = self.N.dim
+        return d, {i: b for i in range(self.dga.dim(n))
+                   for b in (u[i * m:(i + 1) * m],) if any(b)}
+
+    def _flat(self, n, blocks):
+        """The int vector of degree n with the given blocks."""
+        m = self.N.dim
+        out = [0] * self.dim(n)
+        for i, b in blocks.items():
+            out[i * m:(i + 1) * m] = b
+        return out
 
     def _scales(self):
         """(D_d, D): the factors D_d of ``_int_diff`` and D = D_m D_N of
         ``_int_bracket``."""
         return self.dga.dcol[0], self.dga._table[0] * self.N.table[0]
 
-    def _blocks(self, n, u):
-        """The nonzero coefficient blocks (i, u_i) of u = sum a_i ox u_i."""
-        m = self.N.dim
-        return [(i, b) for i in range(self.dga.dim(n))
-                for b in (u[i * m:(i + 1) * m],) if any(b)]
-
     def _int_diff(self, n, u):
-        """D_d (d ox id)(u) for an int vector u of degree n: block i of u
-        goes to block k with the coefficient D_d d[n][k][i]."""
-        m = self.N.dim
-        out = [0] * self.dim(n + 1)
-        if not out:
-            return out
+        """D_d (d ox id)(u) for the blocks u of degree n: block i of u goes to
+        block k with the coefficient D_d d[n][k][i]."""
+        if not u or not self.dim(n + 1):
+            return {}
         col = self.dga.dcol[1][n]
-        for i, block in self._blocks(n, u):
+        out = {}
+        for i, block in u.items():
             for k, c in col[i]:
-                for r, e in enumerate(block, k * m):
-                    if e:
-                        out[r] += c * e
-        return out
+                _add_scaled(out, k, c, block)
+        return _nonzero(out)
 
     def _int_bracket(self, p, u, q, v):
-        """D_m D_N [u, v] for int vectors u, v of degrees p, q: the sum over
+        """D_m D_N [u, v] for the blocks u, v of degrees p, q: the sum over
         the nonzero products a_i a_j = sum c a_k of the integer table of A of
         (a_i a_j) ox [u_i, v_j], each Lie bracket taken on the integer table
         of N."""
-        if p + q > self.top:
-            return []
-        m = self.N.dim
-        out = [0] * self.dim(p + q)
+        if p + q > self.top or not u or not v:
+            return {}
         rows = self.dga._pair(p, q)
         table = self.N.table[1]
-        blocks_v = dict(self._blocks(q, v))
-        for i, ui in self._blocks(p, u):
+        out = {}
+        for i, ui in u.items():
             for j, terms in rows[i].items():
-                vj = blocks_v.get(j)
+                vj = v.get(j)
                 if vj is None:
                     continue
                 lie = sparse_bracket(table, ui, vj, 0)
                 if not any(lie):
                     continue
                 for k, c in terms:
-                    for r, e in enumerate(lie, k * m):
-                        if e:
-                            out[r] += c * e
-        return out
+                    _add_scaled(out, k, c, lie)
+        return _nonzero(out)
 
     def diff(self, n, v):
         """(d ox id)(v) for v in degree n."""
         d, u = self._ints(n, v)
-        return over(self._int_diff(n, u), self._scales()[0] * d)
+        return over(self._flat(n + 1, self._int_diff(n, u)), self._scales()[0] * d)
 
     def bracket(self, p, vp, q, vq):
         """[vp, vq] for vp in degree p and vq in degree q; () past the top."""
         dp, u = self._ints(p, vp)
         dq, v = self._ints(q, vq)
-        return over(self._int_bracket(p, u, q, v), self._scales()[1] * dp * dq)
+        return over(self._flat(p + q, self._int_bracket(p, u, q, v)),
+                    self._scales()[1] * dp * dq)
 
     def degree0_lie_algebra(self) -> LieAlgebra:
         """A^0 ox N as an honest nilpotent Lie algebra (for the BCH law): the
         int terms of ``_int_bracket`` on unit vectors, over D_m D_N."""
         n0 = self.dim(0)
-        e = [[int(k == i) for k in range(n0)] for i in range(n0)]
+        e = [self._ints(0, unit(n0, i))[1] for i in range(n0)]
         pairs = {(i, j): v for i in range(n0) for j in range(i + 1, n0)
-                 if (v := _sparse(self._int_bracket(0, e[i], 0, e[j])))}
+                 if (v := _sparse(self._flat(0, self._int_bracket(0, e[i], 0, e[j]))))}
         return LieAlgebra.of_ints(n0, self._scales()[1], pairs)
 
     def verify(self):
@@ -150,6 +155,43 @@ class TensorDGLA:
         Jacobi failures of N, as a list of errors."""
         return ["Jacobi identity of N fails at basis triple (%d, %d, %d)" % t
                 for t in self.N.check_jacobi()]
+
+
+def _add_scaled(out, k, c, block):
+    """Add c times the int vector block to the block k of the dict out."""
+    o = out.get(k)
+    if o is None:
+        out[k] = [c * e for e in block]
+    else:
+        for r, e in enumerate(block):
+            if e:
+                o[r] += c * e
+
+
+def _nonzero(blocks):
+    """The block dict without its zero blocks."""
+    return {i: b for i, b in blocks.items() if any(b)}
+
+
+def _reduced(d, blocks):
+    """(d / g, blocks / g) for g the gcd of d and the entries of blocks: the
+    scale of u / d that ``integer_row`` gives."""
+    g = gcd(d, *(e for b in blocks.values() for e in b))
+    if g == 1:
+        return d, blocks
+    return d // g, {i: [e // g for e in b] for i, b in blocks.items()}
+
+
+def _lincomb(a, u, b, v):
+    """a u + b v for the block dicts u, v and nonzero ints a, b, without its
+    zero blocks."""
+    out = {i: [b * f for f in y] for i, y in v.items() if i not in u}
+    for i, x in u.items():
+        y = v.get(i)
+        w = [a * e for e in x] if y is None else [a * e + b * f for e, f in zip(x, y)]
+        if any(w):
+            out[i] = w
+    return out
 
 
 def tensor_dgla(dga: FiniteDGA, N: LieAlgebra) -> TensorDGLA:
@@ -165,54 +207,69 @@ def tensor_dgla(dga: FiniteDGA, N: LieAlgebra) -> TensorDGLA:
 # Maurer-Cartan machinery
 
 def _mc_numerators(t: TensorDGLA, d_x, u):
-    """(nums, den) with nums / den = dx + 1/2 [x, x] for x = u / d_x, an int
-    vector u of degree 1: with D = D_m D_N, dx = 2 D d_x _int_diff(u) /
-    (2 D_d D d_x^2) and 1/2 [x, x] = D_d _int_bracket(u, u) / (2 D_d D d_x^2)."""
+    """(den, nums) with nums / den = dx + 1/2 [x, x] for x = u / d_x, u the
+    blocks of degree 1, and nums in blocks: with D = D_m D_N, dx =
+    2 D d_x _int_diff(u) / (2 D_d D d_x^2) and 1/2 [x, x] =
+    D_d _int_bracket(u, u) / (2 D_d D d_x^2)."""
     D_d, D = t._scales()
-    dpart, bpart = t._int_diff(1, u), t._int_bracket(1, u, 1, u)
-    return [2 * D * d_x * a + D_d * b for a, b in zip(dpart, bpart)], 2 * D_d * D * d_x * d_x
+    return 2 * D_d * D * d_x * d_x, _lincomb(2 * D * d_x, t._int_diff(1, u),
+                                             D_d, t._int_bracket(1, u, 1, u))
 
 
 def mc_residual(t: TensorDGLA, x):
     """dx + 1/2 [x, x] for a degree-1 element."""
-    return over(*_mc_numerators(t, *t._ints(1, x)))
+    den, nums = _mc_numerators(t, *t._ints(1, x))
+    return over(t._flat(2, nums), den)
 
 
 def is_mc(t: TensorDGLA, x) -> bool:
     """Whether dx + 1/2 [x, x] = 0, tested on its int numerators."""
-    return not any(_mc_numerators(t, *t._ints(1, x))[0])
+    return not _mc_numerators(t, *t._ints(1, x))[1]
+
+
+def _first_term(t: TensorDGLA, a, d_x, u):
+    """The numerator D_d _int_bracket(a, u) - D d_x _int_diff(a), in blocks,
+    of T_1 = [alpha, x] - d alpha over D D_d d_a d_x, for alpha = a / d_a
+    and x = u / d_x given in blocks, D = D_m D_N."""
+    D_d, D = t._scales()
+    return _lincomb(D_d, t._int_bracket(0, a, 1, u), -D * d_x, t._int_diff(0, a))
+
+
+def _gauge_ints(t: TensorDGLA, d_a, a, d_x, u):
+    """(den, blocks) with blocks / den = gauge(alpha, x), for alpha = a / d_a
+    and x = u / d_x given in blocks; see ``gauge``."""
+    D_d, D = t._scales()
+    term = _first_term(t, a, d_x, u)
+    out, den, step = u, d_x, D * d_a * D_d
+    for n in range(1, nilpotency_class(t.N) + 4):
+        if not term:
+            return den, out
+        scale = n * step
+        out = _lincomb(scale, out, 1, term)
+        den *= scale
+        term, step = t._int_bracket(0, a, 1, term), D * d_a
+    raise AssertionError("gauge series failed to terminate; N not nilpotent?")
 
 
 def gauge(t: TensorDGLA, alpha, x):
     """Gauge action exp(ad_alpha)(x + d) - d, a finite sum by nilpotence.
 
     The series x + sum_{n >= 1} T_n / n!, with T_1 = [alpha, x] - d alpha
-    and T_{n+1} = [alpha, T_n], runs on ints.  With alpha = a / d_a,
+    and T_{n+1} = [alpha, T_n], runs on int blocks (see ``TensorDGLA``):
+    alpha and x are scaled once, every term holds only its nonzero blocks,
+    and the Fractions are made once, from the sum.  With alpha = a / d_a,
     x = u / d_x and D = D_m D_N, T_1 has the numerator
     D_d _int_bracket(a, u) - D d_x _int_diff(a) over D D_d d_a d_x, and each
     later term the numerator _int_bracket(a, .) of the last one over D d_a
     times its denominator.  So the denominator of T_n / n! is that of the
     sum so far times n D d_a (times D_d at n = 1), and the sum is kept as
-    one int vector over it.
+    one block dict over it.
     """
     if len(alpha) != t.dim(0):
         raise ValueError("gauge parameter must live in degree 0")
-    dx, u = t._ints(1, x)
-    da, a = integer_row(alpha)
-    D_d, D = t._scales()
-    term = [D_d * b - D * dx * e for b, e in zip(t._int_bracket(0, a, 1, u), t._int_diff(0, a))]
-    out, den, step = u, dx, D * da * D_d
-    bound = nilpotency_class(t.N) + 2
-    for n in range(1, bound + 2):
-        if not any(term):
-            break
-        scale = n * step
-        out = [o * scale + c for o, c in zip(out, term)]
-        den *= scale
-        term, step = t._int_bracket(0, a, 1, term), D * da
-    else:
-        raise AssertionError("gauge series failed to terminate; N not nilpotent?")
-    return over(out, den)
+    d_x, u = t._ints(1, x)
+    den, out = _gauge_ints(t, *t._ints(0, alpha), d_x, u)
+    return over(t._flat(1, out), den)
 
 
 class SmallExtensionSpec:
@@ -251,13 +308,21 @@ class SmallExtensionSpec:
         """(parts, scale) for an int vector v made of b blocks v_i of length
         dim N: the int vectors parts[t] of length b with v_i = sum_t
         (parts[t][i] / scale) kappa_t over the kernel basis kappa, from one
-        int solve of ``kernel_solver`` per block; or None when a block
-        leaves I."""
+        int solve of ``kernel_solver`` per nonzero block (a zero block has
+        zero coordinates); or None when a block leaves I."""
         m, solver = self.N.dim, self.kernel_solver
-        coords = [solver.solve_int(v[i:i + m]) for i in range(0, len(v), m)]
-        if None in coords:
-            return None
-        return [[c[0][t] for c in coords] for t in range(len(self.kernel))], solver.E_int[0]
+        zero = [0] * len(self.kernel)
+        coords = []
+        for i in range(0, len(v), m):
+            block = v[i:i + m]
+            if not any(block):
+                coords.append(zero)
+                continue
+            sol = solver.solve_int(block)
+            if sol is None:
+                return None
+            coords.append(sol[0])
+        return [[c[t] for c in coords] for t in range(len(self.kernel))], solver.E_int[0]
 
 
 def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
@@ -282,22 +347,23 @@ def lcs_extension(N: LieAlgebra, k: int) -> SmallExtensionSpec:
     return stage
 
 
-def _stage_lift(dga: FiniteDGA, e: SmallExtensionSpec, x, section: Matrix = None):
-    """The one lift of a stage, for x in A^1 ox M: (y, h, parts) with y =
-    (id ox s)(x) the section lift (s the given section, ValueError unless
-    p s = id for the projection p, or e's) and h its MC residual over A ox
-    N, each an int vector over a scale, and parts the ``kernel_parts`` of h
-    over the scale of h (None when h leaves A^2 ox I).  x is scaled to ints
-    once; each block meets the int rows of the integer view (D_s, rows) of s."""
+def _stage_lift(dga: FiniteDGA, e: SmallExtensionSpec, d_x, u, section: Matrix = None):
+    """The one lift of a stage, for x = u / d_x in A^1 ox M given in blocks:
+    (y, h, parts) with y = (id ox s)(x) the section lift (s the given
+    section, ValueError unless p s = id for the projection p, or e's) and h
+    its MC residual over A ox N, each a pair (scale, blocks), and parts the
+    ``kernel_parts`` of h over the scale of h (None when h leaves A^2 ox I).
+    Each nonzero block of x meets the int rows of the integer view (D_s,
+    rows) of s once; s is injective, so no block of y is zero."""
     s = e.section() if section is None else section
     if section is not None and e.projection * s != Matrix.identity(e.M.dim):
         raise ValueError("section is not a right inverse of the projection")
-    d_x, u = TensorDGLA(dga, e.M)._ints(1, x)
-    (D_s, rows), m = s.integer_view(), s.cols
-    y = [sum([c * u[i * m + j] for j, c in terms]) for i in range(dga.dim(1)) for terms in rows]
-    nums, den = _mc_numerators(TensorDGLA(dga, e.N), D_s * d_x, y)
-    parts = e.kernel_parts(nums)
-    return (y, D_s * d_x), (nums, den), parts and (parts[0], parts[1] * den)
+    D_s, rows = s.integer_view()
+    y = {i: [sum([c * b[j] for j, c in terms]) for terms in rows] for i, b in u.items()}
+    t = TensorDGLA(dga, e.N)
+    den, nums = _mc_numerators(t, D_s * d_x, y)
+    parts = e.kernel_parts(t._flat(2, nums))
+    return (D_s * d_x, y), (den, nums), parts and (parts[0], parts[1] * den)
 
 
 def _classes(dga: FiniteDGA, parts, scale):
@@ -314,8 +380,8 @@ def _classes(dga: FiniteDGA, parts, scale):
 
 
 def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, parts, scale):
-    """A u in A^1 ox I with du = -h, or None, for h = sum_t (parts[t] /
-    scale) ox kappa_t as ``_stage_lift`` splits it.
+    """A u in A^1 ox I with du = -h, as a pair (scale, blocks), or None, for
+    h = sum_t (parts[t] / scale) ox kappa_t as ``_stage_lift`` splits it.
 
     Because I is central, a correction u changes the MC residual of a lift
     by du alone, so this solves the lift exactly.  The system d_1 ox id_I
@@ -325,25 +391,26 @@ def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, parts, scale):
     a space of dimension dim I * dim Z^1(A).
 
     On ints: the int solves of the preimage solver of ``cohomology(dga)``
-    give the u_t from the parts; with kappa_t = K_t / d_k, u is one int
-    vector over one scale.
+    give the u_t from the nonzero parts (a zero part has u_t = 0); with
+    kappa_t = K_t / d_k, u is one block dict over one scale.
     """
-    m = e.N.dim
     if dga.top < 2:  # A^2 = 0: every u solves the system
-        return (ZERO,) * (dga.dim(1) * m)
+        return 1, {}
+    m = e.N.dim
     solver = cohomology(dga).preimage_solver(2)
     d_k, K = integer_row([c for kappa in e.kernel for c in kappa])
-    u = [0] * (dga.dim(1) * m)
+    u = {}
     for t, part in enumerate(parts):
+        if not any(part):
+            continue
         sol = solver.solve_int([-a for a in part])
         if sol is None:
             return None
         kt = K[t * m:(t + 1) * m]
         for i, c in enumerate(sol[0]):
             if c:
-                for r, a in enumerate(kt, i * m):
-                    u[r] += c * a
-    return over(u, solver.E_int[0] * scale * d_k)
+                _add_scaled(u, i, c, kt)
+    return solver.E_int[0] * scale * d_k, _nonzero(u)
 
 
 def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix = None):
@@ -353,11 +420,12 @@ def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix 
     class_coords has one H^2-coordinate tuple per kernel basis vector; the
     class is zero iff a lift to A ox N exists.
     """
-    if not is_mc(TensorDGLA(dga, e.M), x):
+    base = TensorDGLA(dga, e.M)
+    if not is_mc(base, x):
         raise ValueError("input is not a Maurer-Cartan element over the base")
-    _, h, parts = _stage_lift(dga, e, x, section)
+    _, (den, h), parts = _stage_lift(dga, e, *base._ints(1, x), section)
     assert parts is not None, "residual escaped the central kernel"
-    return _classes(dga, *parts), over(*h)
+    return _classes(dga, *parts), over(TensorDGLA(dga, e.N)._flat(2, h), den)
 
 
 def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:
@@ -366,7 +434,7 @@ def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:
     Because the kernel is central the unknown correction u in A^1 ox I
     enters only through du, so solvability is an exact affine question.
     """
-    parts = _stage_lift(dga, e, x)[2]
+    parts = _stage_lift(dga, e, *TensorDGLA(dga, e.M)._ints(1, x))[2]
     return parts is not None and _central_correction(dga, e, *parts) is not None
 
 
@@ -402,28 +470,37 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     cls = nilpotency_class(N)
     # stage 1: x in Z^1(A) ox gr_1, of dimension dim gr_1 * dim Z^1(A) since
     # rank(d ox id_m) = m rank d (``deformation_census``)
-    M1 = lcs_extension(N, 1).N  # N / G_2, the abelianisation
-    current = tuple(initial) if initial is not None else TensorDGLA(dga, M1).zero(1)
-    if not is_mc(TensorDGLA(dga, M1), current):
+    t = TensorDGLA(dga, lcs_extension(N, 1).N)  # over N / G_2, the abelianisation
+    solution = tuple(initial) if initial is not None else t.zero(1)
+    d, u = t._ints(1, solution)
+    if _mc_numerators(t, d, u)[1]:
         raise ValueError("initial stage-1 element is not Maurer-Cartan")
     b1, z1 = (H.betti_number(1), len(H.degree(1)[1])) if dga.top >= 1 else (0, 0)
-    stages = [MCStage(1, b1 * M1.dim, z1 * M1.dim, False, None)]
+    stages = [MCStage(1, b1 * t.N.dim, z1 * t.N.dim, False, None)]
+    # the stages pass the current solution on as u / d in blocks; the
+    # Fractions are made once, for the report
+    completed = True
     for k in range(2, cls + 1):
         e = lcs_extension(N, k)
-        y, _, parts = _stage_lift(dga, e, current)
+        (d_y, y), _, parts = _stage_lift(dga, e, d, u)
         assert parts is not None, "residual escaped the central kernel"
         classes = _classes(dga, *parts)
         if any(map(any, classes)):
             stages.append(MCStage(k, None, 0, True, classes))
-            return MCSolveReport(stages, current, False)
-        # solve d u = -h for u in A^1 ox I, in a space of dimension
-        # dim I * dim Z^1(A), and correct the section lift by u
-        u = _central_correction(dga, e, *parts)
-        assert u is not None, "zero obstruction class but unsolvable system"
-        current = vec_add(over(*y), u)
-        assert is_mc(TensorDGLA(dga, e.N), current)
+            completed = False
+            break
+        # solve d c = -h for c in A^1 ox I, in a space of dimension
+        # dim I * dim Z^1(A), and correct the section lift by c
+        correction = _central_correction(dga, e, *parts)
+        assert correction is not None, "zero obstruction class but unsolvable system"
+        d_c, c = correction
+        t, solution = TensorDGLA(dga, e.N), None
+        d, u = _reduced(d_y * d_c, _lincomb(d_c, y, d_y, c))
+        assert not _mc_numerators(t, d, u)[1]
         stages.append(MCStage(k, None, len(e.kernel) * z1, False, classes))
-    return MCSolveReport(stages, current, True)
+    if solution is None:
+        solution = over(t._flat(1, u), d)
+    return MCSolveReport(stages, solution, completed)
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +532,20 @@ def gauge_equivalent(dga: FiniteDGA, N: LieAlgebra, x, y) -> GaugeDecision:
     checked with gauge.
     """
     t = TensorDGLA(dga, N)
-    if not is_mc(t, x) or not is_mc(t, y):
+    d_x, u = t._ints(1, x)
+    if _mc_numerators(t, d_x, u)[1] or not is_mc(t, y):
         raise ValueError("both elements must satisfy the Maurer-Cartan equation")
     y = tuple(y)
     chain = lower_central_series(N)
     A0N = t.degree0_lie_algebra()
-    moves = [vec_sub(t.bracket(0, e, 1, x), t.diff(0, e))
-             for e in (unit(t.dim(0), i) for i in range(t.dim(0)))]
+    D_d, D = t._scales()
+    # the column of the unit vector e_i is [e_i, x] - d e_i = T_1 of gauge
+    moves = [over(t._flat(1, _first_term(t, t._ints(0, unit(t.dim(0), i))[1], d_x, u)),
+                  D * D_d * d_x) for i in range(t.dim(0))]
     alpha = t.zero(0)
     for k in range(1, len(chain)):
-        target = vec_sub(y, gauge(t, alpha, x))
+        den, moved = _gauge_ints(t, *t._ints(0, alpha), d_x, u)
+        target = vec_sub(y, over(t._flat(1, moved), den))
         if vec_is_zero(target):
             break
         cols = moves + t.tensor_basis(1, chain[k].basis)

@@ -101,10 +101,19 @@ def over(nums, den):
 
 def integer_row(row):
     """(d, ints): d is the lcm of the denominators of the entries of row (ints
-    or Fractions), and ints the list of the entries times d."""
-    ratios = [e.as_integer_ratio() for e in row]
-    d = lcm(*[q for _, q in ratios])
-    return d, [p * (d // q) for p, q in ratios]
+    or Fractions), and ints the list of the entries times d.  A row of
+    Fractions is read from their slots; any other row goes through
+    ``as_integer_ratio``."""
+    try:
+        nums = [e._numerator for e in row]
+        dens = [e._denominator for e in row]
+    except AttributeError:
+        ratios = [e.as_integer_ratio() for e in row]
+        nums, dens = [p for p, _ in ratios], [q for _, q in ratios]
+    d = lcm(*dens)
+    if d == 1:
+        return 1, nums
+    return d, [p * (d // q) for p, q in zip(nums, dens)]
 
 
 class Matrix:

@@ -3,8 +3,9 @@ tests/oracles.py: the central lift correction and the solution count of its
 stage in ``mc_solve``, the obstruction classes, and lift solvability, on the
 (A, N) families of the deformation benchmark, with acyclic pieces adjoined
 in degrees 0 and 1, and two DGAs without a degree-2 part; then one kernel
-decomposition per ``mc_solve`` stage, and the memo of one stage per (N, k),
-shared and left unchanged by its callers."""
+decomposition per ``mc_solve`` stage, its coordinates against naive solves
+on a conjugated N, and the memo of one stage per (N, k), shared and left
+unchanged by its callers."""
 
 import random
 from fractions import Fraction
@@ -15,10 +16,14 @@ from malcev import linalg
 from malcev.bch import GroupPresentation
 from malcev.dga import FiniteDGA, adjoin_acyclic, chevalley_eilenberg, cohomology
 from malcev.dgla import (
-    _central_correction, lcs_extension, lift_system_solvable, mc_solve, obstruction_class,
+    SmallExtensionSpec, TensorDGLA, _central_correction, lcs_extension, lift_system_solvable,
+    mc_solve, obstruction_class,
 )
 from malcev.freelie import free_nilpotent
-from malcev.lie import LieAlgebra, abelian, direct_sum, heisenberg, nilpotency_class
+from malcev.lie import (
+    LieAlgebra, abelian, change_basis, direct_sum, heisenberg, lower_central_series,
+    nilpotency_class, quotient_by_ideal,
+)
 from malcev.present import lift_one_class
 
 from oracles import naive_rank, naive_solve, tensor_diff, tensor_mc_residual
@@ -128,6 +133,7 @@ def test_correction_matches_oracle(a_name, n_name):
         assert count == len(dirs) - naive_rank(rows)
         if u is None:
             continue
+        u = linalg.over(TensorDGLA(A, e.N)._flat(1, u[1]), u[0])
         oracle_u = [Fraction(0)] * len(u)
         for c, v in zip(expected, dirs):
             oracle_u = [a + c * b for a, b in zip(oracle_u, v)]
@@ -187,30 +193,93 @@ def test_non_mc_input_is_not_liftable(a_name, n_name):
 
 @pytest.mark.parametrize("a_name,n_name", PAIRS)
 def test_each_mc_stage_splits_its_residual_once(monkeypatch, a_name, n_name):
-    """Every mc_solve stage past the first makes one int solve of its
-    stage's kernel solver per basis vector of A^2: the residual is split
-    over the kernel once, and the obstruction class and the correction
-    both read that split.  Staged from zero (every stage lifts) and from
-    random stage-1 cocycles."""
+    """Every mc_solve stage past the first calls ``kernel_parts`` of its
+    stage once: the residual is split over the kernel once, and the
+    obstruction class and the correction both read that split.  Staged from
+    zero (every stage lifts) and from random stage-1 cocycles."""
     A, N = SOURCES[a_name](), COEFFS[n_name]()
     rng = random.Random(n_name + a_name)
     M1 = lcs_extension(N, 1).N
     starts = [None] + [stage1_cocycle(A, M1, rng) for _ in range(3)]
-    levels = {id(lcs_extension(N, k).kernel_solver): k for k in range(2, nilpotency_class(N) + 1)}
+    levels = {id(lcs_extension(N, k)): k for k in range(2, nilpotency_class(N) + 1)}
     calls = []
-    solve_int = linalg.AffineSolver.solve_int
+    kernel_parts = SmallExtensionSpec.kernel_parts
 
-    def counting(self, b):
-        if id(self) in levels:
-            calls.append(levels[id(self)])
-        return solve_int(self, b)
+    def counting(self, v):
+        calls.append(levels.get(id(self)))
+        return kernel_parts(self, v)
 
-    monkeypatch.setattr(linalg.AffineSolver, "solve_int", counting)
+    monkeypatch.setattr(SmallExtensionSpec, "kernel_parts", counting)
     for x in starts:
         calls.clear()
         rep = mc_solve(A, N, initial=x)
-        assert [calls.count(s.level) for s in rep.stages[1:]] == \
-            [dim(A, 2)] * (len(rep.stages) - 1)
+        assert calls == [s.level for s in rep.stages[1:]]
+
+
+def kernel_points(e, rng):
+    """Int vectors of A^2 ox N blocks, for a test of ``kernel_parts``: each
+    block a random combination of the kernel basis scaled to ints, zero with
+    probability 1/2."""
+    K = linalg.integer_row([c for kappa in e.kernel for c in kappa])[1]
+    m = e.N.dim
+    out = []
+    for blocks in (1, 3, 4):
+        v = []
+        for _ in range(blocks):
+            block = [0] * m
+            if rng.random() < 0.5:
+                for t in range(len(e.kernel)):
+                    c = rng.randint(-3, 3)
+                    block = [a + c * b for a, b in zip(block, K[t * m:(t + 1) * m])]
+            v.extend(block)
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("n_name", ["heisenberg", "F(2,3)", "F(3,2)"])
+def test_kernel_parts_matches_naive_solve(monkeypatch, n_name):
+    """``kernel_parts`` on a conjugated N, where the kernel basis is not made
+    of unit vectors: each nonzero block has the coordinates of
+    ``naive_solve`` over the kernel basis, a zero block has zero coordinates
+    and no solve, and a block that leaves I gives None."""
+    rng = random.Random(n_name)
+    L = COEFFS[n_name]()
+    n = L.dim
+    while True:
+        P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if naive_rank(P) < n:
+            continue
+        N = change_basis(L, linalg.Matrix(P))
+        centre = lower_central_series(N)[-2]   # the last nonzero term, central
+        if any(sum(1 for c in kappa if c) > 1 for kappa in centre.basis):
+            break
+    e = SmallExtensionSpec(N, *quotient_by_ideal(N, centre), centre.basis)
+    krows = [list(r) for r in zip(*e.kernel)]
+    solves = []
+    solve_int = linalg.AffineSolver.solve_int
+
+    def counting(self, b):
+        solves.append(tuple(b))
+        return solve_int(self, b)
+
+    monkeypatch.setattr(linalg.AffineSolver, "solve_int", counting)
+    m = N.dim
+    kinds = set()
+    for v in kernel_points(e, rng):
+        solves.clear()
+        blocks = [v[i:i + m] for i in range(0, len(v), m)]
+        parts, scale = e.kernel_parts(v)
+        assert solves == [tuple(b) for b in blocks if any(b)]
+        for i, b in enumerate(blocks):
+            kinds.add(any(b))
+            want = naive_solve(krows, b) if any(b) else [0] * len(e.kernel)
+            assert [Fraction(p[i], scale) for p in parts] == list(want)
+    assert kinds == {False, True}
+    leaves = next(b for b in ([int(r == j) for r in range(m)] for j in range(m))
+                  if naive_solve(krows, b) is None)
+    solves.clear()
+    assert e.kernel_parts([0] * m + leaves) is None
+    assert solves == [tuple(leaves)]
 
 
 def test_stage_is_memoised_per_algebra_and_level():

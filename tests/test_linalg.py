@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from malcev.linalg import (
     Matrix, scalar, format_scalar, rank, det, inverse, kernel_basis,
     solve_affine, echelon_basis, span_contains, spans_equal, coords_in_basis,
-    smith_normal_form, vec_is_zero, AffineSolver,
+    smith_normal_form, vec_is_zero, AffineSolver, integer_row,
 )
 
 from oracles import naive_solve, naive_rank
@@ -15,6 +16,34 @@ from oracles import naive_solve, naive_rank
 def rand_matrix(rng, m, n, lo=-4, hi=4):
     return Matrix([[Fraction(rng.randint(lo, hi)) for _ in range(n)]
                    for _ in range(m)])
+
+
+def ratio_row(row):
+    """integer_row by its definition: the lcm d of the denominators of
+    as_integer_ratio, and each entry times d."""
+    ratios = [e.as_integer_ratio() for e in row]
+    d = lcm(*[q for _, q in ratios])
+    return d, [p * (d // q) for p, q in ratios]
+
+
+def test_integer_row_matches_its_definition():
+    """Rows of Fractions (read from their slots), of ints and bools, and of
+    both mixed, with negative entries, integral rows (lcm 1) and the empty
+    row; each output entry is an int."""
+    rng = random.Random(23)
+    rows = [(), (True, False, 3), (Fraction(-4), Fraction(0), Fraction(7)),
+            (Fraction(-1, 2), 3, Fraction(5, -6), True)]
+    for _ in range(40):
+        entries = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 9]))
+                   for _ in range(rng.randint(0, 12))]
+        rows.append(tuple(entries))
+        rows.append(tuple(int(e) if rng.random() < 0.5 else e for e in entries))
+    assert integer_row(()) == (1, [])
+    for row in rows:
+        d, ints = integer_row(row)
+        assert (d, ints) == ratio_row(row)
+        assert all(type(c) is int for c in ints)
+        assert [Fraction(c, d) for c in ints] == list(row)
 
 
 def test_scalar_parsing():

@@ -51,6 +51,16 @@ def rand_vec(rng, n):
     return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
 
 
+def samples(rng, t, n):
+    """Elements of degree n of t = A ox N: two dense random ones, two in
+    which each A-block is zero with probability 1/2, and zero."""
+    m = t.N.dim
+    sparse = [tuple(c for _ in range(t.dga.dim(n))
+                    for c in (rand_vec(rng, m) if rng.random() < 0.5 else (Fraction(0),) * m))
+              for _ in range(2)]
+    return [rand_vec(rng, t.dim(n)) for _ in range(2)] + sparse + [t.zero(n)]
+
+
 def dense(A, N):
     """The arguments the tensor oracles take for A ox N."""
     return A.dims, A.products, [m.data for m in A.d], N.dim, N.brackets
@@ -72,19 +82,23 @@ def test_tensor_dgla_matches_dense_oracle(source, coeffs):
     dims, products, d, m, table = dense(A, N)
     for p in range(A.top + 1):
         assert t.diff(p, t.zero(p)) == t.zero(p + 1)
-        for _ in range(2):
-            v = rand_vec(rng, t.dim(p))
+        for v in samples(rng, t, p):
             assert t.diff(p, v) == tensor_diff(dims, d, m, p, v)
         for q in range(A.top + 1 - p):
-            x, y = rand_vec(rng, t.dim(p)), rand_vec(rng, t.dim(q))
-            assert t.bracket(p, x, q, y) == tensor_bracket(dims, products, m, table, p, x, q, y)
-    for _ in range(4):
-        x = rand_vec(rng, t.dim(1))
+            for x, y in zip(samples(rng, t, p), samples(rng, t, q)):
+                assert t.bracket(p, x, q, y) == tensor_bracket(dims, products, m, table,
+                                                               p, x, q, y)
+    for x, alpha in zip(samples(rng, t, 1), samples(rng, t, 0)):
         want = tensor_mc_residual(dims, products, d, m, table, x)
         assert mc_residual(t, x) == want
         assert is_mc(t, x) == (not any(want))
+        y = gauge(t, alpha, x)
+        assert y == tensor_gauge(dims, products, d, m, table, alpha, x)
+        # the series of the inverse gauge cancels every block that x lacks
+        minus = tuple(-c for c in alpha)
+        assert gauge(t, minus, y) == x == tensor_gauge(dims, products, d, m, table, minus, y)
+    for _ in range(4):
         alpha = rand_vec(rng, t.dim(0))
-        assert gauge(t, alpha, x) == tensor_gauge(dims, products, d, m, table, alpha, x)
         # the gauge orbit of 0 lies in the MC set
         y = gauge(t, alpha, t.zero(1))
         assert y == tensor_gauge(dims, products, d, m, table, alpha, t.zero(1))
