@@ -26,6 +26,10 @@ read; it is shared by all its Betti numbers, Massey products and MC stages.
 The formality report decides every class in degree 2 on the rows of the
 preimage solver of d^1, which map H^2 injectively, so it builds no degree-2
 class solver; its witnesses build their class coordinates on first read.
+It works on one triangle of the cup table, as degree (1, 1) is
+graded-commutative: it multiplies and solves the pairs i < j only, and
+decides the triples (i, j, k) with i <= k, as the mirror (k, j, i) has the
+same representative and indeterminacy, and (i, i, i) has representative 0.
 """
 
 import itertools
@@ -791,17 +795,29 @@ def formality_consequence_report(dga: FiniteDGA):
     preimage solver and the product pair (1, 1), and builds nothing of
     degree 2 but that solver.
 
-    It works by bilinearity, on ints scaled by common denominators (one
-    scale K for every P; a witness divides it out).  The H^1
-    representatives are the int vectors A_i = S a_i of the representative
-    rows of ``CohomologyData``; the x_ij are the int solves x_ij = X_ij / s
-    of the preimage solver, one scale s for all.  P[i, j, k] = a_i x_jk is
-    made once per i and defined pair (j, k), and by graded commutativity in
-    degree (1, 1) the representative a_i x_jk + x_ij a_k is rep = P[i, j, k]
-    - P[k, i, j].  It is a cocycle with no check per triple: d(a y + x c) =
-    -a (b c) + (a b) c = 0 by Leibniz and associativity, proved by
-    ``validate`` or by construction (``chevalley_eilenberg``); each witness
-    is still checked to have d rep = 0, on the ints.  A witness holds rep
+    It works on one triangle of the cup table, and by bilinearity on ints
+    scaled by common denominators (one scale K for every P; a witness
+    divides it out).  The H^1 representatives are the int vectors A_i =
+    S a_i of the representative rows of ``CohomologyData``; the x_ij are
+    the int solves x_ij = X_ij / s of the preimage solver, one scale s for
+    all.  Degree (1, 1) is graded-commutative (by ``validate``, or by
+    construction for ``chevalley_eilenberg``), exactly on the int table:
+    a_j a_i = -a_i a_j, and a_i a_i = 0 as a_i is odd.  So a_i a_j is
+    formed, mapped by Y and solved for i < j only, with cup[j, i] =
+    -cup[i, j], cup[i, i] = 0 and, as the solve is linear, x_ji = -x_ij and
+    x_ii = 0; P[i, j, k] = a_i x_jk is made for exact pairs j < k, and
+    a_i x_kj = -P[i, j, k], a_i x_jj = 0.  The representative a_i x_jk +
+    x_ij a_k is rep(i, j, k) = P[i, j, k] - P[k, i, j], by graded
+    commutativity again.  Hence rep(k, j, i) = P[k, j, i] - P[i, k, j] =
+    -P[k, i, j] + P[i, j, k] = rep(i, j, k), and the indeterminacy
+    a_k . H^1 + H^1 . a_i of (k, i) is that of (i, k): the triples with
+    i <= k are decided, and the mirror (k, j, i), defined with (i, j, k),
+    takes its verdict and its rep.  (i, i, i) is defined and not tested:
+    its rep is P[i, i, i] - P[i, i, i] = 0.  The witnesses keep the order
+    of ``itertools.product``.  A rep is a cocycle with no check per triple:
+    d(a y + x c) = -a (b c) + (a b) c = 0 by Leibniz and associativity,
+    proved as above; each witness rep is still checked to have d rep = 0,
+    on the ints, once for a triple and its mirror.  A witness holds rep
     and K, and builds its Fraction fields, the class coordinates and the
     indeterminacy basis on their first read (``MasseyResult._witness``).
     """
@@ -817,28 +833,53 @@ def formality_consequence_report(dga: FiniteDGA):
     def cls(v):
         return _combine(Y, [(k, a) for k, a in enumerate(v) if a])
 
-    ab = {(i, j): sparse_product(T, A[i], A[j], n2, 0) for i in range(b) for j in range(b)}
-    cup = {pair: cls(v) for pair, v in ab.items()}
-    x = {pair: None if cup[pair] else solver.solve_int(v) for pair, v in ab.items()}
+    cup, x = {}, {}   # x over the exact pairs i < j
+    for i in range(b):
+        cup[i, i] = ()
+        for j in range(i + 1, b):
+            v = sparse_product(T, A[i], A[j], n2, 0)
+            c = cup[i, j] = cls(v)
+            cup[j, i] = tuple((m, -a) for m, a in c)
+            if not c:
+                x[i, j] = solver.solve_int(v)[0]
+    exact = set(x) | {(j, i) for i, j in x} | {(i, i) for i in range(b)}
     d_x = solver.E_int[0]
-    P = {(i,) + pair: sparse_product(T, A[i], xs[0], n2, 0)
-         for i in range(b) for pair, xs in x.items() if xs is not None}
+    P = {(i, j, k): sparse_product(T, A[i], xs, n2, 0) for (j, k), xs in x.items()
+         for i in range(b)}
     K = D_m * D_m * d_a ** 3 * d_x   # P = K a_i x_jk
-    witnesses, undefined, indet = [], 0, {}
+    zero = [0] * n2
+
+    def a_x(i, j, k):
+        """K a_i x_jk as (sign, P): x_kj = -x_jk and x_jj = 0."""
+        if j == k:
+            return 0, zero
+        return (1, P[i, j, k]) if j < k else (-1, P[i, k, j])
+
+    witnesses, undefined, indet, mirror = [], 0, {}, {}
     for i, j, k in itertools.product(range(b), repeat=3):
-        if x[i, j] is None or x[j, k] is None:
+        if (i, j) not in exact or (j, k) not in exact:
             undefined += 1
+            continue
+        if i > k:   # the mirror of (k, j, i), decided before it
+            rep = mirror[k, j, i]
+            if rep is not None:
+                witnesses.append(((i, j, k), MasseyResult._witness(dga, i, k, rep, K)))
+            continue
+        if i == j == k:
             continue
         if (i, k) not in indet:
             indet[i, k] = IncrementalSpan([cup[i, m] for m in range(b)]
                                           + [cup[m, k] for m in range(b)])
-        rep = [s - t for s, t in zip(P[i, j, k], P[k, i, j])]
+        (s, u), (r, w) = a_x(i, j, k), a_x(k, i, j)
+        rep = [s * p - r * q for p, q in zip(u, w)]
         if indet[i, k].contains(cls(rep)):
+            mirror[i, j, k] = None
             continue
         d_rep = {}
         for m, e in enumerate(rep):
             for t, f in dcol[2][m]:
                 d_rep[t] = d_rep.get(t, 0) + e * f
         assert not any(d_rep.values()), "Massey representative is not a cocycle"
+        mirror[i, j, k] = rep
         witnesses.append(((i, j, k), MasseyResult._witness(dga, i, k, rep, K)))
     return witnesses, undefined
