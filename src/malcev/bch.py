@@ -1,106 +1,74 @@
 """Unipotent group arithmetic via the Campbell-Baker-Hausdorff formula.
 
-The BCH product is computed by the associative-envelope method: multiply the
-exponentials of two formal generators in the class-truncated free associative
-algebra, take the logarithm, and express the resulting Lie series in Hall
-coordinates by solving the embedding system degree by degree.  The universal
-expansion is cached per class and then evaluated in any nilpotent algebra by
-substituting structure constants, so the same code is correct for every
-class bound.
+The universal BCH series log(e^X e^Y) on two generators is computed once per
+class c: its word coefficients come from log(1 + z) with z = e^X e^Y - 1,
+and the Dynkin-Specht-Wever projection turns them into Hall coordinates of
+the free nilpotent algebra F(2, c), with no solve.  The cached expansion is
+then evaluated in any nilpotent algebra by substituting structure constants,
+so the same code is correct for every class bound.
 """
 
 import functools
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .linalg import (
-    Matrix, ZERO, vec_neg, vec_zero, vec_is_zero, inverse, hermite_rows,
-    integer_row, integer_terms, over, AffineSolver, _sparse,
+    Matrix, vec_neg, vec_zero, vec_is_zero, inverse, hermite_rows,
+    integer_row, integer_terms, over, _sparse,
 )
 from .lie import LieAlgebra, nilpotency_class, sparse_bracket
-from .freelie import hall_basis, evaluate_hall_words
-
-
-# ---------------------------------------------------------------------------
-# Truncated free associative algebra on two symbols
-
-def _assoc_mul(a, b, c):
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            if len(wa) + len(wb) <= c:
-                w = wa + wb
-                out[w] = out.get(w, ZERO) + ca * cb
-    return {w: v for w, v in out.items() if v != 0}
-
-
-def _assoc_exp(x, c):
-    # x must have no constant term; the series terminates at class c
-    out = {(): Fraction(1)}
-    term = {(): Fraction(1)}
-    fact = 1
-    for n in range(1, c + 1):
-        term = _assoc_mul(term, x, c)
-        if not term:
-            break
-        fact *= n
-        for w, v in term.items():
-            out[w] = out.get(w, ZERO) + v / fact
-    return {w: v for w, v in out.items() if v != 0}
-
-
-def _assoc_log(x, c):
-    # x must have constant term 1
-    z = dict(x)
-    z[()] = z.get((), ZERO) - 1
-    z = {w: v for w, v in z.items() if v != 0}
-    out = {}
-    term = {(): Fraction(1)}
-    sign = 1
-    for n in range(1, c + 1):
-        term = _assoc_mul(term, z, c)
-        if not term:
-            break
-        for w, v in term.items():
-            out[w] = out.get(w, ZERO) + sign * v / n
-        sign = -sign
-    return {w: v for w, v in out.items() if v != 0}
+from .freelie import evaluate_hall_words, free_nilpotent
 
 
 @functools.lru_cache(maxsize=None)
 def bch_universal(c):
     """Hall coordinates of log(exp X . exp Y) on two generators, class c.
 
-    Returns a list of (hall_word, coefficient) pairs; the class-2 truncation
-    is X + Y + 1/2 [X, Y], and at class 0 (the zero algebra) it is empty.
-    The Hall words are expanded by ``evaluate_hall_words`` with [a, b] =
-    ab - ba, and each degree of the logarithm is solved for in them.
+    A tuple of (hall_word, coefficient) pairs in Hall-index order: X + Y +
+    1/2 [X, Y] at class 2, and () at class 0 (the zero algebra).  Two exact
+    identities give it, on ints:
+
+    - The words.  log(1 + z) = sum_k (-1)^(k-1) z^k / k for z = e^X e^Y - 1,
+      the sum of the blocks X^r Y^s / (r! s!) over r + s >= 1, and z^(k+1)
+      is z^k times one block.  n! times the coefficient of a word of length
+      n in z^k is an int (a sum of multinomials), and a block of length l
+      with r letters X multiplies it by C(n + l, l) C(l, r).  So with M =
+      lcm(1..c), a word w of length n has coefficient c_w = S_w / (M n!).
+    - Dynkin-Specht-Wever (Dynkin 1947; Specht 1948, Wever 1949).  The
+      series is a Lie element, so its degree-n part P has theta(P) = n P
+      for theta(a_1 ... a_n) = [a_1, [a_2, ... a_n]]: it is the sum of
+      c_w / n theta(w).  ``evaluate_hall_words`` evaluates each theta(w), a
+      right-nested word, on the int table of F(2, c) (D = 1), in Hall
+      coordinates; theta(w) = 0 when w ends in two equal letters.  So a
+      Hall coordinate of degree n is one int sum over M n! n.
     """
-    X = {(0,): Fraction(1)}
-    Y = {(1,): Fraction(1)}
-    z = _assoc_log(_assoc_mul(_assoc_exp(X, c), _assoc_exp(Y, c), c), c)
-    groups = hall_basis(2, c) if c else ()
-
-    def commutator(a, b):
-        ab, ba = _assoc_mul(a, b, c), _assoc_mul(b, a, c)
-        return {w: v for w in ab.keys() | ba.keys()
-                if (v := ab.get(w, ZERO) - ba.get(w, ZERO))}
-
-    coeffs = []
-    for n in range(1, c + 1):
-        words = groups[n - 1]
-        assoc_words = sorted({w for w in z if len(w) == n})
-        target = [z.get(w, ZERO) for w in assoc_words]
-        cols = [tuple(emb.get(w, ZERO) for w in assoc_words)
-                for emb in evaluate_hall_words(words, (X, Y), commutator)]
-        if not assoc_words:
-            continue
-        sol = AffineSolver(Matrix.from_columns(cols, rows=len(assoc_words))).solve(target)
-        assert sol is not None, "logarithm failed to be a Lie element"
-        for hw, cf in zip(words, sol):
-            if cf != 0:
-                coeffs.append((hw, cf))
-    return tuple(coeffs)
+    if not c:
+        return ()
+    blocks = [[((0,) * r + (1,) * (l - r), comb(n + l, l) * comb(l, r))
+               for l in range(1, c - n + 1) for r in range(l + 1)] for n in range(c + 1)]
+    M = lcm(*range(1, c + 1))
+    sums, power = {}, {(): 1}
+    for k in range(1, c + 1):
+        nxt = {}
+        for w, a in power.items():
+            for b, q in blocks[len(w)]:
+                nxt[w + b] = nxt.get(w + b, 0) + a * q
+        power = nxt
+        for w, a in power.items():
+            sums[w] = sums.get(w, 0) + (a if k % 2 else -a) * (M // k)
+    theta = {functools.reduce(lambda v, a: (a, v), w[-2::-1], w[-1]): s  # right-nested
+             for w, s in sums.items() if s and w[-2:] not in ((0, 0), (1, 1))}
+    F = free_nilpotent(2, c)
+    rows = F.table[1]
+    x, y = ((0,) * i + (1,) + (0,) * (F.dim - i - 1) for i in (0, 1))
+    out = [0] * F.dim
+    for s, v in zip(theta.values(), evaluate_hall_words(
+            theta, (x, y), lambda u, v: sparse_bracket(rows, u, v, 0))):
+        for i, e in enumerate(v):
+            if e:
+                out[i] += s * e
+    return tuple((w, Fraction(s, M * factorial(n) * n))
+                 for w, s, n in zip(F.hall_words, out, F.grading) if s)
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,9 +227,10 @@ def check_representation(presentation: GroupPresentation, assignment):
     """Verdict: [] when all relators map to the identity, else a defect list.
 
     Each defect is (relator, log part, automorphism deviation from identity).
+    An empty relator is the identity and is skipped, with no algebra needed.
     """
     defects = []
-    for rel in presentation.relators:
+    for rel in filter(None, presentation.relators):
         val = evaluate_word(assignment, rel)
         if not val.is_identity():
             dev = val.aut - Matrix.identity(val.L.dim)

@@ -160,7 +160,7 @@ def cmd_bch(args):
     if args.cls is not None and args.cls < nil_cls:
         raise InputError("--class %d is below the nilpotency class %d"
                          % (args.cls, nil_cls))
-    z = bch(x, y, L, cls=args.cls)
+    z = bch(x, y, L, cls=nil_cls)   # words longer than the class vanish in L
     verdicts = {"product": [format_scalar(c) for c in z]}
     lines = ["bch product: [%s]" % ", ".join(format_scalar(c) for c in z)]
     return report(args, "bch", {"algebra": alg_obj, "x": args.x, "y": args.y},

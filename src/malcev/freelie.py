@@ -67,8 +67,8 @@ def hall_basis(k, c):
 
 
 def evaluate_hall_words(words, generators, bracket):
-    """Values of Hall words with generator i -> generators[i] and [u, v] ->
-    bracket(u, v).  Shared subwords are evaluated once per call."""
+    """Values of nested bracket words, Hall words or any other, with generator
+    i -> generators[i] and [u, v] -> bracket(u, v); each subword once per call."""
     values = {}
 
     def value(w):
@@ -153,16 +153,17 @@ def free_nilpotent(k, c) -> LieAlgebra:
     words = [w for grp in groups for w in grp]
     index = {w: i for i, w in enumerate(words)}
     dim = len(words)
+    grading = [degree(w) for w in words]
     rw = HallRewriter(c)
     pairs = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            if degree(words[i]) + degree(words[j]) > c:
+            if grading[i] + grading[j] > c:
                 continue
             coords = rw.bracket(words[i], words[j])
             if coords:
                 pairs[(i, j)] = tuple(sorted((index[w], cf) for w, cf in coords.items()))
-    L = LieAlgebra.of_ints(dim, 1, pairs, grading=[degree(w) for w in words],
+    L = LieAlgebra.of_ints(dim, 1, pairs, grading=grading,
                            basis_names=[word_str(w) for w in words])
     L.hall_words = words
     L.hall_index = index

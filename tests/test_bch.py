@@ -1,11 +1,13 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from malcev.linalg import Matrix, vec_is_zero, vec_neg
+from malcev.linalg import Matrix, format_scalar, vec_is_zero, vec_neg
 from malcev.lie import heisenberg, abelian, check_automorphism
-from malcev.freelie import free_nilpotent
+from malcev.freelie import free_nilpotent, word_to_json
 from malcev.bch import (
     bch, bch_universal, SemidirectElement, GroupPresentation,
     evaluate_word, check_representation, lattice_membership_test,
@@ -33,10 +35,27 @@ def test_class3_coefficients():
 
 
 def test_universal_expansion_matches_envelope_oracle():
-    for c in (2, 3, 4, 5):
+    # the oracle takes log(exp x . exp y) in the associative envelope; the
+    # library projects its word series onto Hall words by Dynkin-Specht-Wever
+    for c in range(1, 9):
         mine = hall_expansion_in_envelope(bch_universal(c), c)
         theirs = envelope_bch(c)
         assert mine == theirs
+
+
+# sha256 of json.dumps([[[word_to_json(w), format_scalar(q)] for w, q in
+# bch_universal(c)] for c in range(9)]), recorded while bch_universal still
+# solved for Hall coordinates in the truncated associative algebra, before it
+# moved to the Dynkin-Specht-Wever projection on F(2, c)
+PINNED_UNIVERSAL = "041ca089334e6fe662c4cf83f50f985007e67b6fd655ee1d3c1553bddf6c0c06"
+
+
+def test_universal_expansion_bytes_are_pinned():
+    dump = json.dumps([[[word_to_json(w), format_scalar(q)] for w, q in bch_universal(c)]
+                       for c in range(9)])
+    assert hashlib.sha256(dump.encode()).hexdigest() == PINNED_UNIVERSAL
+    assert bch_universal(0) == ()
+    assert all(type(q) is Fraction for c in range(9) for _, q in bch_universal(c))
 
 
 def test_bch_matches_envelope_oracle_through_class_6():

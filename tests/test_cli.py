@@ -61,6 +61,24 @@ def test_bch_class_below_nilpotency_class_is_input_error(capsys):
     assert code == 0 and out["verdicts"]["product"] == ["1", "1", "1/2"]
 
 
+def test_bch_evaluates_at_the_nilpotency_class(capsys, monkeypatch):
+    """--class above the nilpotency class changes no byte: words longer than
+    the class vanish in L, so the product is taken at the class itself and
+    the class-13 universal series is never built."""
+    import malcev.cli as cli
+    real, seen = cli.bch, []
+
+    def spy(x, y, L, cls=None):
+        seen.append(cls)
+        return real(x, y, L, cls=cls)
+
+    monkeypatch.setattr(cli, "bch", spy)
+    outputs = [run(capsys, "bch", "[1,0,0]", "[0,1,0]", "--algebra", HEIS_JSON,
+                   "--class", c, "--out", "json") for c in ("2", "13")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and seen == [2, 2]
+
+
 def test_bch_non_nilpotent_algebra_is_input_error(capsys):
     sl2 = json.dumps({"dim": 3, "brackets": [
         {"i": 0, "j": 1, "value": ["0", "0", "1"]},
@@ -223,6 +241,18 @@ def test_lift_one_class(capsys):
     assert code == 0
     assert out["verdicts"]["lifted"] is False
     assert out["verdicts"]["defects"]
+
+
+def test_lift_one_class_with_an_empty_relator(capsys):
+    """The empty relator is the identity: it needs no generator images to
+    be checked, and the lift is trivial."""
+    data = json.dumps({"mode": "one-class",
+                       "presentation": {"generators": [], "relators": [[]]},
+                       "free": [2, 3], "assignment": {}, "k": 2})
+    code = main(["lift", data])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == "lifted one class; verified against all relators\n"
 
 
 def test_lift_bad_mode(capsys):
