@@ -14,7 +14,7 @@ from math import comb, factorial, gcd, lcm, prod
 
 from .linalg import (
     Matrix, vec_neg, vec_zero, vec_is_zero, inverse, hermite_rows,
-    integer_row, integer_terms, over, _sparse,
+    integer_row, integer_terms, over, as_list, _sparse,
 )
 from .lie import LieAlgebra, nilpotency_class, sparse_bracket
 from .freelie import evaluate_hall_words, free_nilpotent
@@ -137,15 +137,14 @@ class SemidirectElement:
     i.e. the automorphism part acts on the left.
     """
 
-    def __init__(self, L, log, aut=None, cls=None):
+    def __init__(self, L, log, aut=None):
         self.L = L
         self.log = tuple(log)
         self.aut = aut if aut is not None else _identity(L.dim)
-        self.cls = cls if cls is not None else nilpotency_class(L)
 
     @classmethod
-    def identity(cls, L, nilp_cls=None):
-        return cls(L, vec_zero(L.dim), cls=nilp_cls)
+    def identity(cls, L):
+        return cls(L, vec_zero(L.dim))
 
     def __mul__(self, other):
         """An identity automorphism part is neither applied nor multiplied."""
@@ -157,15 +156,14 @@ class SemidirectElement:
         else:
             log = self.aut.mul_vec(other.log)
             aut = self.aut if other.aut == one else self.aut * other.aut
-        return SemidirectElement(self.L, bch(self.log, log, self.L, cls=self.cls), aut,
-                                 cls=self.cls)
+        return SemidirectElement(self.L, bch(self.log, log, self.L), aut)
 
     def inverse(self):
         neg = vec_neg(self.log)
         if self.aut == _identity(self.L.dim):
-            return SemidirectElement(self.L, neg, self.aut, cls=self.cls)
+            return SemidirectElement(self.L, neg, self.aut)
         ai = inverse(self.aut)
-        return SemidirectElement(self.L, ai.mul_vec(neg), ai, cls=self.cls)
+        return SemidirectElement(self.L, ai.mul_vec(neg), ai)
 
     def __eq__(self, other):
         return (isinstance(other, SemidirectElement) and self.log == other.log
@@ -181,12 +179,16 @@ class SemidirectElement:
 class GroupPresentation:
     """Finite group presentation: generator names plus relator words.
 
-    Relators are lists of letters "g" or "g^-1" over the generator names.
+    Relators are lists of letters "g" or "g^-1" over distinct generator
+    names.  A string is not read as a list of its characters: generators,
+    relators or a relator given as a string is a ValueError.
     """
 
     def __init__(self, generators, relators):
-        self.generators = list(generators)
-        self.relators = [list(r) for r in relators]
+        self.generators = as_list(generators, "the generators")
+        if len(set(self.generators)) < len(self.generators):
+            raise ValueError("generator names must be distinct")
+        self.relators = [as_list(r, "a relator") for r in as_list(relators, "the relators")]
         for r in self.relators:
             for letter in r:
                 if _base_letter(letter) not in self.generators:
@@ -204,8 +206,10 @@ def _base_letter(letter):
     return letter[:-3] if letter.endswith("^-1") else letter
 
 
-def evaluate_word(assignment, word, L=None, cls=None):
-    """Left-to-right product of assigned generator images over a word."""
+def evaluate_word(assignment, word, L=None):
+    """Left-to-right product of assigned generator images over a word.  The
+    empty word is the identity of L, or of the algebra of an assigned image
+    when L is None (ValueError when there is neither)."""
     result = None
     for letter in word:
         base = _base_letter(letter)
@@ -216,10 +220,9 @@ def evaluate_word(assignment, word, L=None, cls=None):
             g = g.inverse()
         result = g if result is None else result * g
     if result is None:
-        if L is None:
-            some = next(iter(assignment.values()))
-            L, cls = some.L, some.cls
-        result = SemidirectElement.identity(L, nilp_cls=cls)
+        if L is None and not assignment:
+            raise ValueError("the empty word needs L or an assigned generator")
+        result = SemidirectElement.identity(next(iter(assignment.values())).L if L is None else L)
     return result
 
 

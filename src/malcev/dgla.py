@@ -416,15 +416,16 @@ def _central_correction(dga: FiniteDGA, e: SmallExtensionSpec, parts, scale):
 def obstruction_class(dga: FiniteDGA, x, e: SmallExtensionSpec, section: Matrix = None):
     """Class in H^2(A) ox I obstructing a lift of x along the extension.
 
-    x must satisfy MC over A ox M.  Returns (class_coords, h) where
-    class_coords has one H^2-coordinate tuple per kernel basis vector; the
-    class is zero iff a lift to A ox N exists.
+    x must satisfy MC over A ox M (ValueError otherwise).  Returns
+    (class_coords, h) where class_coords has one H^2-coordinate tuple per
+    kernel basis vector and h is the MC residual of the section lift
+    (id ox s)(x); the class is zero iff a lift to A ox N exists.  id ox p is
+    a DGLA map and p s = id, so (id ox p)(h) = dx + 1/2 [x, x]: x is MC iff
+    h lies in A^2 ox I, which ``kernel_parts`` decides.
     """
-    base = TensorDGLA(dga, e.M)
-    if not is_mc(base, x):
+    _, (den, h), parts = _stage_lift(dga, e, *TensorDGLA(dga, e.M)._ints(1, x), section)
+    if parts is None:
         raise ValueError("input is not a Maurer-Cartan element over the base")
-    _, (den, h), parts = _stage_lift(dga, e, *base._ints(1, x), section)
-    assert parts is not None, "residual escaped the central kernel"
     return _classes(dga, *parts), over(TensorDGLA(dga, e.N)._flat(2, h), den)
 
 
@@ -433,6 +434,8 @@ def lift_system_solvable(dga: FiniteDGA, x, e: SmallExtensionSpec) -> bool:
 
     Because the kernel is central the unknown correction u in A^1 ox I
     enters only through du, so solvability is an exact affine question.
+    An x that is not MC over A ox M has no lift and gets False: the residual
+    of its section lift leaves A^2 ox I (see ``obstruction_class``).
     """
     parts = _stage_lift(dga, e, *TensorDGLA(dga, e.M)._ints(1, x))[2]
     return parts is not None and _central_correction(dga, e, *parts) is not None
@@ -462,6 +465,10 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     obstruction class in H^2(A) ox gr_k and, when it vanishes, a particular
     correction.  initial optionally picks the stage-1 cocycle.  N must
     satisfy Jacobi (ValueError otherwise): the LCS quotients assume it.
+
+    The kernel test of stage k + 1 proves the corrected solution of stage k
+    MC (see ``obstruction_class``), so only the last stage of a completed
+    solve has its MC residual checked on its own.
     """
     bad = N.check_jacobi()
     if bad:
@@ -483,7 +490,7 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
     for k in range(2, cls + 1):
         e = lcs_extension(N, k)
         (d_y, y), _, parts = _stage_lift(dga, e, d, u)
-        assert parts is not None, "residual escaped the central kernel"
+        assert parts is not None, "the stage-%d solution is not Maurer-Cartan" % (k - 1)
         classes = _classes(dga, *parts)
         if any(map(any, classes)):
             stages.append(MCStage(k, None, 0, True, classes))
@@ -496,8 +503,9 @@ def mc_solve(dga: FiniteDGA, N: LieAlgebra, initial=None) -> MCSolveReport:
         d_c, c = correction
         t, solution = TensorDGLA(dga, e.N), None
         d, u = _reduced(d_y * d_c, _lincomb(d_c, y, d_y, c))
-        assert not _mc_numerators(t, d, u)[1]
         stages.append(MCStage(k, None, len(e.kernel) * z1, False, classes))
+    if completed and cls > 1:
+        assert not _mc_numerators(t, d, u)[1], "the lift is not Maurer-Cartan"
     if solution is None:
         solution = over(t._flat(1, u), d)
     return MCSolveReport(stages, solution, completed)

@@ -64,6 +64,14 @@ def unit(n, i):
     return tuple(v)
 
 
+def as_list(value, what):
+    """list(value), where value is not a string: a string is not read as the
+    list of its characters (ValueError naming what it stands for)."""
+    if isinstance(value, str):
+        raise ValueError("%s must be a list, not the string %r" % (what, value))
+    return list(value)
+
+
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b, strict=True))
 

@@ -17,16 +17,16 @@ from operator import mul
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
     vec_zero, vec_is_zero, echelon_basis, integer_row, over_terms, inverse, unit,
-    right_inverse, AffineSolver, IncrementalSpan, _combine, _int_rows, _null_rows, _transpose,
+    right_inverse, as_list, AffineSolver, IncrementalSpan, _combine, _int_rows, _null_rows,
+    _transpose,
 )
 from .lie import (
-    LieAlgebra, lower_central_series, nilpotency_class, associated_graded,
-    quotient_by_ideal, is_lie_isomorphism, unit_complement,
-    _lcs_bases,
+    LieAlgebra, lower_central_series, associated_graded, quotient_by_ideal,
+    is_lie_isomorphism, check_automorphism, unit_complement, _lcs_bases,
 )
 from .freelie import free_nilpotent, graded_ideal_closure
 from .bch import (
-    SemidirectElement, GroupPresentation, evaluate_word, check_representation,
+    SemidirectElement, GroupPresentation, check_representation, _base_letter,
 )
 from .dgla import lcs_extension
 
@@ -41,14 +41,16 @@ class QuadraticPresentation:
 
     Relations are coordinate vectors over the canonical pair order; the
     stored basis is echelonized so equality of presentations is equality of
-    relation spans.
+    relation spans.  A string is not read as a list of its characters:
+    relations, or a relation, given as a string is a ValueError.
     """
 
     def __init__(self, k, relations):
         self.k = k
         self.pairs = pair_index(k)
         m = len(self.pairs)
-        rels = [tuple(scalar(c) for c in r) for r in relations]
+        rels = [tuple(scalar(c) for c in as_list(r, "a relation"))
+                for r in as_list(relations, "the relations")]
         for r in rels:
             if len(r) != m:
                 raise ValueError("relation has wrong length for k=%d" % k)
@@ -408,119 +410,92 @@ def lift_representation_criterion(qp: QuadraticPresentation, U: LieAlgebra,
     return LiftResult(True, images=images)
 
 
-def _fox_columns(relators, generators, auts, kernel):
-    """The lift system's column per generator g and kernel vector v, in that
-    order: Fox's free derivative of each relator at g applied to v, the
-    blocks concatenated.  The letter g adds +A v and the letter g^-1 adds
-    -A a_g^-1 v, A being the automorphism part of the letters before it
-    (see lift_one_class).  auts[g] is a_g; None stands for the identity.
-    """
-    inverses = {g: a if a is None else inverse(a) for g, a in auts.items()}
-    fox = []   # per relator, {g: [(sign, A)]}
-    for rel in relators:
-        terms, A = {}, None
-        for letter in rel:
-            if letter.endswith("^-1"):
-                g = letter[:-3]
-                if inverses[g] is not None:
-                    A = inverses[g] if A is None else A * inverses[g]
-                terms.setdefault(g, []).append((-1, A))
-            else:
-                g = letter
-                terms.setdefault(g, []).append((1, A))
-                if auts[g] is not None:
-                    A = auts[g] if A is None else A * auts[g]
-        fox.append(terms)
-    cols = []
-    for g in generators:
-        for v in kernel:
-            col = []
-            for terms in fox:
-                dv = vec_zero(len(v))
-                for sign, A in terms.get(g, ()):
-                    w = v if A is None else A.mul_vec(v)
-                    dv = vec_add(dv, w) if sign > 0 else vec_sub(dv, w)
-                col.extend(dv)
-            cols.append(tuple(col))
-    return cols
-
-
 def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
                    ambient_auts=None) -> LiftResult:
     """Lift a representation into exp(U/G_k) one central stage, to U/G_{k+1}.
 
     assignment maps generator names to log coordinates over U/G_k (or to
     SemidirectElements when an automorphism part is present; ambient_auts
-    then gives the action on U itself).  Relator defects of a set-theoretic
-    lift land in the central piece I = G_k/G_{k+1}, so a lift is one exact
-    linear system M x = -d0 over corrections in I of the generator lifts,
-    d0 being the defects of the zero correction.  Its columns are Fox
-    derivatives (_fox_columns), read off the relator letters with no group
-    products.  They are exact: I is central and every automorphism maps I
-    to I, so (n', A)(c, 1) = (A c, 1)(n', A), and moving every correction
-    to the front leaves d0 plus the moved corrections.  A returned lift is
-    re-verified with check_representation; a "no" carries a refutation y
-    with y M = 0 and y . (-d0) != 0, checked before it is returned.  One
-    AffineSolver of M gives both: its refutation needs no second
-    elimination, and it checks y against every column of M.
+    then gives the action on U itself, by automorphisms of U, ValueError
+    otherwise).  Each relator is walked once over the section lifts
+    (s n_g, a_g) in N = U/G_{k+1}, giving its value (n, A) and its Fox
+    terms: (+1, A before the letter) for g, (-1, A after it) for g^-1.
+
+    The level-k verdict is read off the values.  Every a_g maps the central
+    piece I = G_k/G_{k+1} = ker p into I, so p A = p A s p, and (n, A) ->
+    (p n, p A s) is a group map onto the level-k semidirect product that
+    sends each section lift to its input.  So the input satisfies the
+    relators at level k iff every n lies in I (``kernel_parts``) and every
+    p A s is the identity.
+
+    A lift is then one exact linear system M x = -d0 over corrections in I
+    of the generator lifts, d0 being the values n.  Its column at (g, v), v
+    in the kernel basis, is the sum of sign A v over the Fox terms of g:
+    I is central and (n', A)(c, 1) = (A c, 1)(n', A), so moving every
+    correction to the front leaves d0 plus the moved corrections.  A
+    returned lift is re-verified with check_representation; a "no" carries
+    a refutation y with y M = 0 and y . (-d0) != 0.  One AffineSolver of M
+    gives both, and it checks y against every column of M.
     """
     if k < 2:
         raise ValueError("need 2 <= k <= class of U")
     e = lcs_extension(U, k)
-    Lk1, Lk, proj, kern, s = e.N, e.M, e.projection, e.kernel, e.section()
+    N, proj, kern, s = e.N, e.projection, e.kernel, e.section()
+    auts = {}
     if ambient_auts is not None:
-        lift = right_inverse(e.quotient)   # Lk1 -> U, for the action on Lk1
-    cls_k1 = nilpotency_class(Lk1)
-    one = Matrix.identity(Lk1.dim)
-    base, auts = {}, {}
+        if not all(check_automorphism(U, a) for a in ambient_auts.values()):
+            raise ValueError("ambient_auts must be automorphisms of U")
+        lift = right_inverse(e.quotient)   # N -> U, for the action on N
+        auts = {g: e.quotient * a * lift for g, a in ambient_auts.items()}
+    base, inverses = {}, {}
     for g in p.generators:
         if g not in assignment:
             raise ValueError("assignment misses generator %r" % g)
         img = assignment[g]
-        if isinstance(img, SemidirectElement):
-            log = img.log
-        else:
-            log = tuple(scalar(c) for c in img)
-        if len(log) != Lk.dim:
+        log = img.log if isinstance(img, SemidirectElement) else tuple(scalar(c) for c in img)
+        if len(log) != e.M.dim:
             raise ValueError("assignment for %r has wrong dimension" % g)
-        aut1 = one
-        if ambient_auts is not None and g in ambient_auts:
-            aut1 = e.quotient * ambient_auts[g] * lift
-        base[g] = SemidirectElement(Lk1, s.mul_vec(log), aut1, cls=cls_k1)
-        auts[g] = None if aut1 == one else aut1
-    # verify the input really is a representation at level k
-    level_k = {}
-    one_k, cls_k = Matrix.identity(Lk.dim), nilpotency_class(Lk) if Lk.dim else 1
-    for g in p.generators:
-        autk = one_k
-        if ambient_auts is not None and g in ambient_auts:
-            # push the automorphism down along proj via the section
-            autk = proj * base[g].aut * s
-        level_k[g] = SemidirectElement(Lk, proj.mul_vec(base[g].log), autk, cls=cls_k)
-    if check_representation(p, level_k):
+        base[g] = SemidirectElement(N, s.mul_vec(log), auts.get(g))
+        inverses[g] = base[g].inverse()
+    one = SemidirectElement.identity(N)
+    values, fox = [], []   # fox: per relator, {g: [(sign, A)]}
+    for rel in p.relators:
+        val, terms = None, {}
+        for letter in rel:
+            g = _base_letter(letter)
+            if letter.endswith("^-1"):
+                val = inverses[g] if val is None else val * inverses[g]
+                terms.setdefault(g, []).append((-1, val.aut))
+            else:
+                terms.setdefault(g, []).append((1, (val or one).aut))
+                val = base[g] if val is None else val * base[g]
+        values.append(val or one)
+        fox.append(terms)
+    target = [-c for val in values for c in val.log]
+    if any(val.aut is not one.aut and proj * val.aut * s != Matrix.identity(e.M.dim)
+           for val in values) or e.kernel_parts(integer_row(target)[1]) is None:
         raise ValueError("assignment does not satisfy the relators at level k")
-
-    d0 = [evaluate_word(base, rel, L=Lk1, cls=cls_k1).log for rel in p.relators]
-    if e.kernel_parts(integer_row([c for d in d0 for c in d])[1]) is None:
-        raise AssertionError("relator defect escaped the central kernel")
     # affine system over generator corrections in the central kernel
-    cols = _fox_columns(p.relators, p.generators, auts, kern)
-    dirs = [(g, v) for g in p.generators for v in kern]
-    target = []
-    for d in d0:
-        target.extend(vec_neg(d))
+    cols, dirs = [], [(g, v) for g in p.generators for v in kern]
+    for g, v in dirs:
+        col = []
+        for terms in fox:
+            dv = vec_zero(N.dim)
+            for sign, A in terms.get(g, ()):
+                dv = (vec_add if sign > 0 else vec_sub)(dv, v if A is one.aut else A.mul_vec(v))
+            col.extend(dv)
+        cols.append(tuple(col))
     solver = AffineSolver(Matrix.from_columns(cols, rows=len(target)))
     sol = solver.solve(target)
     if sol is None:
-        return LiftResult(False, witness=list(zip([list(r) for r in p.relators], d0)),
+        return LiftResult(False, witness=[(list(r), val.log)
+                                          for r, val in zip(p.relators, values)],
                           refutation=solver.refute(target))
-    corr = {g: vec_zero(Lk1.dim) for g in p.generators}
+    lifted = dict(base)
     for cf, (g, v) in zip(sol, dirs):
         if cf != 0:
-            corr[g] = vec_add(corr[g], vec_scale(cf, v))
-    lifted = {g: SemidirectElement(Lk1, vec_add(base[g].log, corr[g]),
-                                   base[g].aut, cls=cls_k1)
-              for g in p.generators}
+            el = lifted[g]
+            lifted[g] = SemidirectElement(N, vec_add(el.log, vec_scale(cf, v)), el.aut)
     if check_representation(p, lifted):
         raise AssertionError("solved lift failed post-hoc verification")
     return LiftResult(True, images=lifted)

@@ -152,6 +152,16 @@ def test_evaluate_word_empty_is_identity():
     assert evaluate_word(assign, []).is_identity()
 
 
+def test_evaluate_word_empty_without_generators_needs_l():
+    """The empty word with no assigned image has no algebra to be the
+    identity of unless L is given."""
+    h = heisenberg()
+    with pytest.raises(ValueError, match="^the empty word needs L or an assigned generator$"):
+        evaluate_word({}, [])
+    one = evaluate_word({}, [], L=h)
+    assert one.is_identity() and one.L is h
+
+
 def test_lattice_membership():
     contains = lattice_membership_test(
         [(1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))])

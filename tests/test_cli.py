@@ -486,6 +486,31 @@ def run_error(capsys, *argv):
     return code, captured.err
 
 
+ONE_CLASS = '{"mode":"one-class","presentation":{"generators":%s,"relators":%s},' \
+    '"free":[2,3],"assignment":{"x":["1","0"],"y":["0","0"]},"k":2}'
+RHO2 = '[["1","0","0","0","0"],["0","1","0","0","0"]]'
+
+
+@pytest.mark.parametrize("data, err", [
+    (ONE_CLASS % ('"xy"', '[["x","y","x^-1","y^-1"]]'),
+     "bad one-class input: the generators must be a list, not the string 'xy'"),
+    (ONE_CLASS % ('["x","y"]', '"yy"'),
+     "bad one-class input: the relators must be a list, not the string 'yy'"),
+    (ONE_CLASS % ('["x","y"]', '["yy"]'),
+     "bad one-class input: a relator must be a list, not the string 'yy'"),
+    (ONE_CLASS % ('["x","x"]', "[]"), "bad one-class input: generator names must be distinct"),
+    (CRITERION % ("2", '"1"', "[2,3]", RHO2),
+     "bad criterion input: the relations must be a list, not the string '1'"),
+    (CRITERION % ("2", '["1"]', "[2,3]", RHO2),
+     "bad criterion input: a relation must be a list, not the string '1'"),
+], ids=["generators", "relators", "relator", "repeated-generator", "relations", "relation"])
+def test_strings_are_not_read_as_lists_in_presentations(capsys, data, err):
+    """A string where a presentation wants a list is not read as the list of
+    its characters, and a generator name may not repeat: each would give a
+    verdict on another presentation than the one written."""
+    assert run_error(capsys, "lift", data) == (2, "error: %s\n" % err)
+
+
 @pytest.mark.parametrize("argv, err", [
     (("mc", '{"dims":[],"d":[],"product":{}}', HEIS_JSON),
      "bad input: dims must be a nonempty list of nonnegative ints, not []"),

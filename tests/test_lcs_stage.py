@@ -16,8 +16,8 @@ from malcev import linalg
 from malcev.bch import GroupPresentation
 from malcev.dga import FiniteDGA, adjoin_acyclic, chevalley_eilenberg, cohomology
 from malcev.dgla import (
-    SmallExtensionSpec, TensorDGLA, _central_correction, lcs_extension, lift_system_solvable,
-    mc_solve, obstruction_class,
+    SmallExtensionSpec, TensorDGLA, _central_correction, is_mc, lcs_extension,
+    lift_system_solvable, mc_solve, obstruction_class,
 )
 from malcev.freelie import free_nilpotent
 from malcev.lie import (
@@ -189,6 +189,52 @@ def test_non_mc_input_is_not_liftable(a_name, n_name):
         if not any(base):
             continue   # A^2 = 0 makes every x MC
         assert lift_system_solvable(A, x, e) is False
+
+
+@pytest.mark.parametrize("a_name,n_name", PAIRS)
+def test_obstruction_class_raises_exactly_off_mc(a_name, n_name):
+    """obstruction_class reads the MC test of x over A ox M off the kernel
+    test of its section lift's residual: on random x (mostly not MC) and on
+    MC points, at every stage k = 2..class, it raises exactly when the
+    oracle residual over A ox M is nonzero, and lift_system_solvable is
+    then False."""
+    A, N = SOURCES[a_name](), COEFFS[n_name]()
+    rng = random.Random("off-mc" + a_name + n_name)
+    points = mc_points(A, N, rng, count=2)
+    for k in range(2, nilpotency_class(N) + 1):
+        e = lcs_extension(N, k)
+        xs = [x for f, x in points if f is e]
+        xs += [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim(A, 1) * e.M.dim))
+               for _ in range(4)]
+        for x in xs:
+            mc = not any(tensor_mc_residual(A.dims, A.products, dense_d(A), e.M.dim,
+                                            e.M.brackets, x))
+            assert mc == is_mc(TensorDGLA(A, e.M), x)
+            if mc:
+                obstruction_class(A, x, e)
+                continue
+            with pytest.raises(ValueError, match="^input is not a Maurer-Cartan "
+                                                 "element over the base$"):
+                obstruction_class(A, x, e)
+            assert lift_system_solvable(A, x, e) is False
+
+
+@pytest.mark.parametrize("a_name,n_name", PAIRS)
+def test_mc_solve_solutions_are_mc(a_name, n_name):
+    """mc_solve checks the MC residual of its last stage only; the kernel
+    test of stage k + 1 stands in for the check of stage k.  A completed
+    solution is MC over N/G_{c+1}, and the solution of a solve obstructed
+    at stage k is MC over its base N/G_k, by the oracle residual."""
+    A, N = SOURCES[a_name](), COEFFS[n_name]()
+    rng = random.Random("solve" + a_name + n_name)
+    M1 = lcs_extension(N, 1).N
+    for x in [None] + [stage1_cocycle(A, M1, rng) for _ in range(4)]:
+        rep = mc_solve(A, N, initial=x)
+        e = lcs_extension(N, rep.stages[-1].level)
+        base = e.N if rep.completed else e.M
+        assert len(rep.solution) == dim(A, 1) * base.dim
+        assert not any(tensor_mc_residual(A.dims, A.products, dense_d(A), base.dim,
+                                          base.brackets, rep.solution))
 
 
 @pytest.mark.parametrize("a_name,n_name", PAIRS)
