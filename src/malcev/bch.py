@@ -17,7 +17,7 @@ from .linalg import (
     integer_row, integer_terms, over, as_list, _sparse,
 )
 from .lie import LieAlgebra, nilpotency_class, sparse_bracket
-from .freelie import evaluate_hall_words, free_nilpotent
+from .freelie import evaluate_hall_words, free_nilpotent, word_program
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,8 +73,11 @@ def bch_universal(c):
 
 @functools.lru_cache(maxsize=None)
 def _bch_terms(c):
-    """bch_universal(c) split for integer evaluation: the Hall words, and per
-    word (numerator, denominator, x-letters, y-letters) of its term."""
+    """bch_universal(c) compiled once: (terms, steps, groups).  terms[i] is
+    (numerator, denominator, x-letters, y-letters) of the i-th word; steps
+    are the inner steps of its ``word_program`` on the slots x, y; groups
+    maps a left factor u to the (i, v) of the top-level words (u, v), and
+    None to the (i, slot) of the letters and proper subwords."""
     def letters(w):
         if isinstance(w, int):
             return (1 - w, w)
@@ -82,40 +85,50 @@ def _bch_terms(c):
         return (a0 + a1, b0 + b1)
 
     terms = bch_universal(c)
-    return (tuple(w for w, _ in terms),
-            tuple((cf.numerator, cf.denominator) + letters(w) for w, cf in terms))
+    where, steps, inner = word_program([w for w, _ in terms], 2)
+    groups = {}
+    for i, s in enumerate(where):
+        u, v = (None, s) if s < 2 + inner else steps[s - 2]
+        groups.setdefault(u, []).append((i, v))
+    return (tuple((cf.numerator, cf.denominator) + letters(w) for w, cf in terms),
+            tuple(steps[:inner]), tuple((u, tuple(parts)) for u, parts in groups.items()))
 
 
 def _bch_int(dx, X, dy, Y, L: LieAlgebra, c):
     """(Z, T) with bch(X / dx, Y / dy) = Z / T at class c, for int vectors X,
-    Y and ints dx, dy > 0: the int body of ``bch``, Z a list of ints."""
-    words, terms = _bch_terms(c)
+    Y and ints dx, dy > 0, Z a list of ints.  On the int table (D, D c) of
+    L, a word with a letters x and b letters y has the int value V_w = w(x,
+    y) dx^a dy^b D^(a+b-1); with coefficient p_w / q_w and t_w = q_w dx^a
+    dy^b D^(a+b-1), T is the lcm of the t_w and Z = sum m_w V_w, m_w = p_w T
+    / t_w.  ``_bch_terms`` makes one ``sparse_bracket`` per step and one per
+    left factor u: [u, sum m_w v] = sum m_w V_(u, v) by bilinearity."""
+    terms, steps, groups = _bch_terms(c)
     D, rows = L.table
-    values = evaluate_hall_words(words, (X, Y),
-                                 lambda u, v: sparse_bracket(rows, u, v, 0))
+    values = [X, Y]
+    for a, b in steps:
+        values.append(sparse_bracket(rows, values[a], values[b], 0))
     denoms = [q * dx ** a * dy ** b * D ** (a + b - 1) for _, q, a, b in terms]
     T = lcm(*denoms)
     out = [0] * L.dim
-    for (p, _, _, _), t, v in zip(terms, denoms, values):
-        m = p * (T // t)
-        for k, e in enumerate(v):
-            if e:
-                out[k] += m * e
+    for u, parts in groups:
+        acc = out if u is None else [0] * L.dim
+        for i, v in parts:
+            _accumulate(acc, terms[i][0] * (T // denoms[i]), values[v])
+        if u is not None:
+            _accumulate(out, 1, sparse_bracket(rows, values[u], acc, 0))
     return out, T
 
 
-def bch(x, y, L: LieAlgebra, cls=None):
-    """Group product log(exp x . exp y) in a nilpotent Lie algebra.
+def _accumulate(out, m, v):
+    for k, e in enumerate(v):
+        if e:
+            out[k] += m * e
 
-    Evaluated fraction-free by ``_bch_int``: x = X / dx and y = Y / dy with
-    X, Y integer, and the Hall words of ``bch_universal`` are evaluated on
-    X, Y with the int table (D, D c) of the structure constants.  A word
-    with a letters x and b letters y, of degree n = a + b, then has the
-    integer value V_w = w(x, y) dx^a dy^b D^(n-1).  Each coordinate sums
-    p_w (T / t_w) V_w over T, the lcm of the term denominators t_w = q_w
-    dx^a dy^b D^(n-1) (the coefficient being p_w / q_w), and one Fraction
-    per coordinate is built.
-    """
+
+def bch(x, y, L: LieAlgebra, cls=None):
+    """Group product log(exp x . exp y) in a nilpotent Lie algebra: x and y
+    are scaled to ints once, and ``_bch_int`` gives Z / T, one Fraction per
+    coordinate."""
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector length must equal dim=%d" % L.dim)
     c = cls if cls is not None else nilpotency_class(L)
@@ -147,23 +160,13 @@ class SemidirectElement:
         return cls(L, vec_zero(L.dim))
 
     def __mul__(self, other):
-        """An identity automorphism part is neither applied nor multiplied."""
+        """``_int_product`` of the int images in self.L."""
         if not isinstance(other, SemidirectElement):
             return NotImplemented
-        one = _identity(self.L.dim)
-        if self.aut == one:
-            log, aut = other.log, other.aut
-        else:
-            log = self.aut.mul_vec(other.log)
-            aut = self.aut if other.aut == one else self.aut * other.aut
-        return SemidirectElement(self.L, bch(self.log, log, self.L), aut)
+        return _element(self.L, _int_product(self.L, _int_image(self), _int_image(other)))
 
     def inverse(self):
-        neg = vec_neg(self.log)
-        if self.aut == _identity(self.L.dim):
-            return SemidirectElement(self.L, neg, self.aut)
-        ai = inverse(self.aut)
-        return SemidirectElement(self.L, ai.mul_vec(neg), ai)
+        return _element(self.L, _int_inverse(_int_image(self), self.L))
 
     def __eq__(self, other):
         return (isinstance(other, SemidirectElement) and self.log == other.log
@@ -188,6 +191,9 @@ class GroupPresentation:
         self.generators = as_list(generators, "the generators")
         if len(set(self.generators)) < len(self.generators):
             raise ValueError("generator names must be distinct")
+        for g in self.generators:
+            if isinstance(g, str) and g.endswith("^-1"):
+                raise ValueError("generator name %r ends in ^-1" % g)
         self.relators = [as_list(r, "a relator") for r in as_list(relators, "the relators")]
         for r in self.relators:
             for letter in r:
@@ -206,24 +212,94 @@ def _base_letter(letter):
     return letter[:-3] if letter.endswith("^-1") else letter
 
 
+def _lowest(d, n, A):
+    g = gcd(d, *n)   # n / d in lowest terms, as integer_row(over(n, d)) gives it
+    return (d, n, A) if g == 1 else (d // g, [a // g for a in n], A)
+
+
+def _int_image(el):
+    """The int image (d, n, A) of a SemidirectElement: its log part n / d by
+    ``integer_row``, and its automorphism part A."""
+    return (*integer_row(el.log), el.aut)
+
+
+def _element(L, image):
+    return SemidirectElement(L, over(image[1], image[0]), image[2])
+
+
+def _act(A, d, n):
+    """A (n / d) as (D d, N n), N / D the int rows of A (ValueError as in
+    ``Matrix.mul_vec`` unless n has A.cols entries)."""
+    if len(n) != A.cols:
+        raise ValueError("dimension mismatch: %d cols, %d entries" % (A.cols, len(n)))
+    D, rows = A.integer_view()
+    return D * d, [sum([x * n[j] for j, x in terms]) for terms in rows]
+
+
+def _int_inverse(image, L):
+    """(n, A)^-1 = (A^-1 (-n), A^-1) on an int image, A^-1 n applied unless
+    A is the identity of L."""
+    d, n, A = image
+    if A == _identity(L.dim):
+        return d, [-a for a in n], A
+    Ai = inverse(A)
+    return _lowest(*_act(Ai, d, [-a for a in n]), Ai)
+
+
+def _int_product(L, a, b):
+    """(n1, A1)(n2, A2) = (bch(n1, A1 n2), A1 A2) on int images in exp(L) x| G:
+    one ``_bch_int`` at the class of L, then Z / T in lowest terms.  As on
+    Fractions, an identity A1 or A2 of L is neither applied nor multiplied,
+    and errors come in the order of ``Matrix.mul_vec``, ``Matrix.__mul__``
+    and ``bch``."""
+    (d1, n1, A1), (d2, n2, A2) = a, b
+    one = _identity(L.dim)
+    if A1 != one:
+        d2, n2 = _act(A1, d2, n2)
+        A2 = A1 if A2 == one else A1 * A2
+    if len(n1) != L.dim or len(n2) != L.dim:
+        raise ValueError("vector length must equal dim=%d" % L.dim)
+    Z, T = _bch_int(d1, n1, d2, n2, L, nilpotency_class(L))
+    return _lowest(T, Z, A2)
+
+
+def _walk(L, image, word, fox=None):
+    """The value (d, n, A) of a word, the left-to-right ``_int_product`` of
+    the int images image(letter); None for the empty word.  fox, if given,
+    collects the Fox terms of each generator g: (1, A before the letter)
+    for g and (-1, A after it) for g^-1."""
+    val = None
+    for letter in word:
+        inv = letter.endswith("^-1")
+        if fox is not None and not inv:
+            fox.setdefault(letter, []).append((1, val[2] if val else _identity(L.dim)))
+        val = image(letter) if val is None else _int_product(L, val, image(letter))
+        if fox is not None and inv:
+            fox.setdefault(letter[:-3], []).append((-1, val[2]))
+    return val
+
+
 def evaluate_word(assignment, word, L=None):
-    """Left-to-right product of assigned generator images over a word.  The
+    """Left-to-right product of assigned generator images over a word: one
+    ``_walk`` over their int images in the algebra of the first one.  The
     empty word is the identity of L, or of the algebra of an assigned image
     when L is None (ValueError when there is neither)."""
-    result = None
-    for letter in word:
-        base = _base_letter(letter)
-        if base not in assignment:
+    word = list(word)
+    if word and _base_letter(word[0]) in assignment:
+        L = assignment[_base_letter(word[0])].L
+
+    def image(letter):
+        if _base_letter(letter) not in assignment:
             raise KeyError("letter %r not assigned" % letter)
-        g = assignment[base]
-        if letter.endswith("^-1"):
-            g = g.inverse()
-        result = g if result is None else result * g
-    if result is None:
-        if L is None and not assignment:
-            raise ValueError("the empty word needs L or an assigned generator")
-        result = SemidirectElement.identity(next(iter(assignment.values())).L if L is None else L)
-    return result
+        g = assignment[_base_letter(letter)]
+        return _int_inverse(_int_image(g), g.L) if letter.endswith("^-1") else _int_image(g)
+
+    value = _walk(L, image, word)
+    if value is not None:
+        return _element(L, value)
+    if L is None and not assignment:
+        raise ValueError("the empty word needs L or an assigned generator")
+    return SemidirectElement.identity(next(iter(assignment.values())).L if L is None else L)
 
 
 def check_representation(presentation: GroupPresentation, assignment):

@@ -66,20 +66,35 @@ def hall_basis(k, c):
     return by_degree
 
 
+def word_program(words, k):
+    """(where, steps, inner): a straight-line program for nested bracket
+    words over the generators 0..k-1.  Slot i < k holds generator i, slot
+    k + t the bracket of the slots steps[t] = (a, b); each distinct bracket
+    subword is one step, after those of its factors.  The first inner steps
+    are the proper subwords of the words, the others the top-level words
+    (subwords of no other word); words[i] is in slot where[i]."""
+    slot, steps = {}, []
+
+    def visit(w):
+        if not isinstance(w, int) and w not in slot:
+            steps.append((visit(w[0]), visit(w[1])))
+            slot[w] = k + len(steps) - 1
+        return slot.get(w, w)
+
+    for u in [u for w in words if not isinstance(w, int) for u in w]:
+        visit(u)
+    inner = len(steps)
+    return [visit(w) for w in words], steps, inner
+
+
 def evaluate_hall_words(words, generators, bracket):
     """Values of nested bracket words, Hall words or any other, with generator
-    i -> generators[i] and [u, v] -> bracket(u, v); each subword once per call."""
-    values = {}
-
-    def value(w):
-        if isinstance(w, int):
-            return generators[w]
-        v = values.get(w)
-        if v is None:
-            v = values[w] = bracket(value(w[0]), value(w[1]))
-        return v
-
-    return [value(w) for w in words]
+    i -> generators[i] and [u, v] -> bracket(u, v), by ``word_program``."""
+    where, steps, _ = word_program(words, len(generators))
+    values = list(generators)
+    for a, b in steps:
+        values.append(bracket(values[a], values[b]))
+    return [values[s] for s in where]
 
 
 def word_to_json(w):

@@ -16,9 +16,9 @@ from operator import mul
 
 from .linalg import (
     Matrix, ZERO, scalar, integer, format_scalar, vec_add, vec_neg, vec_scale, vec_sub,
-    vec_zero, vec_is_zero, echelon_basis, integer_row, over_terms, inverse, unit,
-    right_inverse, as_list, AffineSolver, IncrementalSpan, _combine, _int_rows, _null_rows,
-    _transpose,
+    vec_zero, vec_is_zero, echelon_basis, integer_row, integer_terms, over, over_terms,
+    inverse, unit, right_inverse, as_list, AffineSolver, IncrementalSpan, _combine, _dense,
+    _int_rows, _null_rows, _sparse, _transpose,
 )
 from .lie import (
     LieAlgebra, lower_central_series, associated_graded, quotient_by_ideal,
@@ -26,7 +26,8 @@ from .lie import (
 )
 from .freelie import free_nilpotent, graded_ideal_closure
 from .bch import (
-    SemidirectElement, GroupPresentation, check_representation, _base_letter,
+    SemidirectElement, GroupPresentation, check_representation, _act, _identity,
+    _int_inverse, _lowest, _walk,
 )
 from .dgla import lcs_extension
 
@@ -414,40 +415,39 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
                    ambient_auts=None) -> LiftResult:
     """Lift a representation into exp(U/G_k) one central stage, to U/G_{k+1}.
 
-    assignment maps generator names to log coordinates over U/G_k (or to
-    SemidirectElements when an automorphism part is present; ambient_auts
-    then gives the action on U itself, by automorphisms of U, ValueError
-    otherwise).  Each relator is walked once over the section lifts
-    (s n_g, a_g) in N = U/G_{k+1}, giving its value (n, A) and its Fox
-    terms: (+1, A before the letter) for g, (-1, A after it) for g^-1.
+    assignment maps generator names to log coordinates over U/G_k, or to
+    SemidirectElements whose automorphism part is the action induced on
+    U/G_k by ambient_auts, automorphisms of U (ValueError otherwise).  One
+    ``bch._walk`` per relator over the int images of the section lifts
+    (s n_g, a_g) in N = U/G_{k+1} gives its value (n, A) and its Fox terms:
+    (+1, A before the letter) for g, (-1, A after it) for g^-1.
 
-    The level-k verdict is read off the values.  Every a_g maps the central
-    piece I = G_k/G_{k+1} = ker p into I, so p A = p A s p, and (n, A) ->
-    (p n, p A s) is a group map onto the level-k semidirect product that
-    sends each section lift to its input.  So the input satisfies the
-    relators at level k iff every n lies in I (``kernel_parts``) and every
-    p A s is the identity.
+    Each a_g maps I = G_k/G_{k+1} = ker p into I, so (n, A) -> (p n, p A s)
+    is a group map onto the level-k semidirect product that sends each
+    section lift to its input: the input satisfies the relators at level k
+    iff every n lies in I (``kernel_parts``) and every p A s is the identity.
 
-    A lift is then one exact linear system M x = -d0 over corrections in I
-    of the generator lifts, d0 being the values n.  Its column at (g, v), v
-    in the kernel basis, is the sum of sign A v over the Fox terms of g:
-    I is central and (n', A)(c, 1) = (A c, 1)(n', A), so moving every
-    correction to the front leaves d0 plus the moved corrections.  A
-    returned lift is re-verified with check_representation; a "no" carries
-    a refutation y with y M = 0 and y . (-d0) != 0.  One AffineSolver of M
-    gives both, and it checks y against every column of M.
+    A lift is one exact linear system M x = -d0 over corrections in I of the
+    generator lifts, d0 being the values n: I is central and (n', A)(c, 1)
+    = (A c, 1)(n', A), so the column at (g, v), v in the kernel basis, is
+    the sum of sign A v over the Fox terms of g.  It is built as int rows
+    over one scale, and ``Matrix.of_ints`` divides out their gcd, so M is
+    the canonical Matrix of its entries.  One AffineSolver of M gives the
+    lift, re-verified with check_representation, or a refutation y with
+    y M = 0 and y . (-d0) != 0, checked against M.  Fractions are built for
+    the lift, the witness and the refutation only.
     """
     if k < 2:
         raise ValueError("need 2 <= k <= class of U")
     e = lcs_extension(U, k)
-    N, proj, kern, s = e.N, e.projection, e.kernel, e.section()
-    auts = {}
+    N, s = e.N, e.section()
+    one, auts = _identity(N.dim), {}
     if ambient_auts is not None:
         if not all(check_automorphism(U, a) for a in ambient_auts.values()):
             raise ValueError("ambient_auts must be automorphisms of U")
         lift = right_inverse(e.quotient)   # N -> U, for the action on N
         auts = {g: e.quotient * a * lift for g, a in ambient_auts.items()}
-    base, inverses = {}, {}
+    images = {}
     for g in p.generators:
         if g not in assignment:
             raise ValueError("assignment misses generator %r" % g)
@@ -455,47 +455,52 @@ def lift_one_class(p: GroupPresentation, assignment, U: LieAlgebra, k: int,
         log = img.log if isinstance(img, SemidirectElement) else tuple(scalar(c) for c in img)
         if len(log) != e.M.dim:
             raise ValueError("assignment for %r has wrong dimension" % g)
-        base[g] = SemidirectElement(N, s.mul_vec(log), auts.get(g))
-        inverses[g] = base[g].inverse()
-    one = SemidirectElement.identity(N)
-    values, fox = [], []   # fox: per relator, {g: [(sign, A)]}
-    for rel in p.relators:
-        val, terms = None, {}
-        for letter in rel:
-            g = _base_letter(letter)
-            if letter.endswith("^-1"):
-                val = inverses[g] if val is None else val * inverses[g]
-                terms.setdefault(g, []).append((-1, val.aut))
-            else:
-                terms.setdefault(g, []).append((1, (val or one).aut))
-                val = base[g] if val is None else val * base[g]
-        values.append(val or one)
-        fox.append(terms)
-    target = [-c for val in values for c in val.log]
-    if any(val.aut is not one.aut and proj * val.aut * s != Matrix.identity(e.M.dim)
-           for val in values) or e.kernel_parts(integer_row(target)[1]) is None:
+        if isinstance(img, SemidirectElement):
+            a = ambient_auts.get(g) if ambient_auts else None
+            if a is None and img.aut != Matrix.identity(e.M.dim):
+                raise ValueError("assignment for %r has an automorphism part, but "
+                                 "ambient_auts gives no action for it" % g)
+            if a is not None and (q := e.projection * e.quotient) * a * right_inverse(q) != img.aut:
+                raise ValueError("the action of ambient_auts[%r] on U/G_k is not the "
+                                 "automorphism part of its assignment" % g)
+        images[g] = _lowest(*_act(s, *integer_row(log)), auts.get(g, one))
+        images[g + "^-1"] = _int_inverse(images[g], N)
+    values, fox = [], [{} for _ in p.relators]   # fox: per relator, {g: [(sign, A)]}
+    for rel, terms in zip(p.relators, fox):
+        values.append(_walk(N, images.__getitem__, rel, terms) or (1, [0] * N.dim, one))
+    d0 = lcm(*[d for d, _, _ in values])
+    target = [-a * (d0 // d) for d, n, _ in values for a in n]
+    if any(A != one and e.projection * A * s != Matrix.identity(e.M.dim)
+           for _, _, A in values) or e.kernel_parts(target) is None:
         raise ValueError("assignment does not satisfy the relators at level k")
-    # affine system over generator corrections in the central kernel
-    cols, dirs = [], [(g, v) for g in p.generators for v in kern]
-    for g, v in dirs:
-        col = []
-        for terms in fox:
-            dv = vec_zero(N.dim)
-            for sign, A in terms.get(g, ()):
-                dv = (vec_add if sign > 0 else vec_sub)(dv, v if A is one.aut else A.mul_vec(v))
-            col.extend(dv)
-        cols.append(tuple(col))
-    solver = AffineSolver(Matrix.from_columns(cols, rows=len(target)))
-    sol = solver.solve(target)
+    K, kern = integer_terms(map(_sparse, e.kernel))   # the kernel basis: kern / K
+    kern = [_dense(v, N.dim) for v in kern]
+    E = lcm(*[A.integer_view()[0] for terms in fox for ts in terms.values() for _, A in ts])
+    cols = []   # the Fox columns, over E K
+    for g in p.generators:
+        for v in kern:
+            col = []
+            for terms in fox:
+                dv = [0] * N.dim
+                for sign, A in terms.get(g, ()):
+                    D_A, Av = _act(A, 1, v)
+                    dv = [a + sign * (E // D_A) * b for a, b in zip(dv, Av)]
+                col += dv
+            cols.append(_sparse(col))
+    solver = AffineSolver(Matrix.of_ints(E * K, _transpose(cols, len(target)), len(cols)))
+    sol = solver.solve_int(target)
     if sol is None:
-        return LiftResult(False, witness=[(list(r), val.log)
-                                          for r, val in zip(p.relators, values)],
+        return LiftResult(False, witness=[(list(r), over(n, d))
+                                          for r, (d, n, _) in zip(p.relators, values)],
                           refutation=solver.refute(target))
-    lifted = dict(base)
-    for cf, (g, v) in zip(sol, dirs):
-        if cf != 0:
-            el = lifted[g]
-            lifted[g] = SemidirectElement(N, vec_add(el.log, vec_scale(cf, v)), el.aut)
+    xs, S = sol[0], sol[1] * d0 * K   # the correction of g is sum_v (xs_v / S) kern_v
+    lifted = {}
+    for t, g in enumerate(p.generators):
+        d, n, A = images[g]
+        n = [a * S for a in n]
+        for x, v in zip(xs[t * len(kern):], kern):
+            n = [a + x * d * b for a, b in zip(n, v)]
+        lifted[g] = SemidirectElement(N, over(n, d * S), A)
     if check_representation(p, lifted):
         raise AssertionError("solved lift failed post-hoc verification")
     return LiftResult(True, images=lifted)
